@@ -121,14 +121,34 @@ class ChainGeometry:
                              f"({self.k_rigid} <= {self.k_flex})")
         if self.vertical_cap <= 0:
             raise ValueError("vertical_cap must be positive")
+        # per-segment arrays for the pull kernel, computed once, read-only
+        segs = self.segments
+        arrays = {
+            "_radius": [s.radius for s in segs],
+            "_rest_span": [s.rest_span for s in segs],
+            "_anchor_angle": [math.atan2(s.anchor_trans, s.anchor_long)
+                              for s in segs],
+            "_max_bend": [s.max_bend for s in segs],
+            "_axial_caps": [s.axial_cap for s in segs],
+            "_slack_caps": self.socket_slack,
+        }
+        for name, values in arrays.items():
+            arr = np.array(values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        full = _bend_pull(self, 1.0)[0]
+        object.__setattr__(self, "_full_bend_pull", full)
+        object.__setattr__(self, "_capacity", full
+                           + float(self._axial_caps.sum())
+                           + float(self._slack_caps.sum()))
 
     @property
     def max_bend(self) -> np.ndarray:
-        return np.array([s.max_bend for s in self.segments])
+        return self._max_bend
 
     @property
     def axial_caps(self) -> np.ndarray:
-        return np.array([s.axial_cap for s in self.segments])
+        return self._axial_caps
 
 
 @dataclass(frozen=True)
@@ -168,16 +188,21 @@ class ClawState:
 def chord_length(radius: float, alpha):
     """Chord travelled by a point at ``radius`` when rotated by ``alpha``.
 
-    sqrt(2 R^2 (1 - cos alpha)); zero at alpha = 0 and monotone increasing
-    on [0, pi).
+    2 R sin(alpha / 2), which is sqrt(2 R^2 (1 - cos alpha)) without its
+    cancellation at small bends; zero at alpha = 0 and monotone
+    increasing on [0, pi).
     """
     alpha = np.asarray(alpha, dtype=float)
     if np.any(np.asarray(radius) < 0):
         raise ValueError("radius must be nonnegative")
     if np.any(alpha < 0) or np.any(alpha >= math.pi):
         raise ValueError("alpha must lie in [0, pi)")
-    out = np.sqrt(2.0 * radius * radius * (1.0 - np.cos(alpha)))
+    out = _chord(radius, alpha)
     return float(out) if out.ndim == 0 else out
+
+
+def _chord(radius, alpha):
+    return 2.0 * radius * np.sin(alpha / 2.0)
 
 
 def pull_angle(alpha, anchor_long: float, anchor_trans: float):
@@ -193,27 +218,55 @@ def pull_angle(alpha, anchor_long: float, anchor_trans: float):
     return float(out) if out.ndim == 0 else out
 
 
-def segment_string_span(geom: SegmentGeometry, alpha):
-    """String span across one joint bent by ``alpha`` (law of cosines)."""
+def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
+    """String-pull law: pull across each joint and its slope dP/dalpha.
+
+    The one implementation of the pull map; the arguments broadcast, so a
+    chain's per-segment arrays go through in one call.  The bent span d2
+    follows from the law of cosines on the chord l, the rest span d1 and
+    the pull angle beta = alpha/2 - anchor_angle.  The pull d1 - d2 is
+    evaluated as (d1^2 - d2^2) / (d1 + d2) = l (2 d1 cos beta - l) /
+    (d1 + d2), which keeps its relative precision at small bends, and
+    dP/dalpha = (d1 l' cos beta - l l' - d1 l sin(beta) / 2) / d2 with
+    l' = radius cos(alpha/2).  Where d2 is zero the slope is not finite.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0) or np.any(alpha > geom.max_bend + 1e-12):
-        raise ValueError("alpha outside [0, max_bend]")
-    l = chord_length(geom.radius, alpha)
-    beta = pull_angle(alpha, geom.anchor_long, geom.anchor_trans)
-    d1 = geom.rest_span
-    sq = d1 * d1 + l * l - 2.0 * d1 * l * np.cos(beta)
+    d1 = rest_span
+    l = _chord(radius, alpha)
+    beta = alpha / 2.0 - anchor_angle
+    cos_b = np.cos(beta)
+    sq = d1 * d1 + l * l - 2.0 * d1 * l * cos_b
     # the discriminant is >= (d1 - l)^2 analytically; clip rounding dust
     d2 = np.sqrt(np.clip(sq, 0.0, None))
     # exactness at rest: l == 0 collapses the triangle to the rest span
     d2 = np.where(l == 0.0, d1, d2)
+    pull = np.where(alpha == 0.0, 0.0,
+                    l * (2.0 * d1 * cos_b - l) / (d1 + d2))
+    dl = radius * np.cos(alpha / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (d1 * dl * cos_b - l * dl
+                 - 0.5 * d1 * l * np.sin(beta)) / d2
+    return pull, slope
+
+
+def _segment_pull(geom: SegmentGeometry, alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0) or np.any(alpha > geom.max_bend + 1e-12):
+        raise ValueError("alpha outside [0, max_bend]")
+    return _pull_and_slope(geom.radius, geom.rest_span,
+                           math.atan2(geom.anchor_trans, geom.anchor_long),
+                           alpha)[0]
+
+
+def segment_string_span(geom: SegmentGeometry, alpha):
+    """String span across one joint bent by ``alpha`` (law of cosines)."""
+    d2 = geom.rest_span - _segment_pull(geom, alpha)
     return float(d2) if d2.ndim == 0 else d2
 
 
 def segment_pull(geom: SegmentGeometry, alpha):
     """String length reeled in across one joint bent by ``alpha`` (mm)."""
-    d2 = segment_string_span(geom, alpha)
-    out = geom.rest_span - np.asarray(d2)
-    out = np.where(np.asarray(alpha, dtype=float) == 0.0, 0.0, out)
+    out = _segment_pull(geom, alpha)
     return float(out) if out.ndim == 0 else out
 
 
@@ -227,13 +280,37 @@ def validate_state(chain: ChainGeometry, state: ChainState) -> None:
         raise ValueError("bend angle exceeds max_bend")
     if np.any(state.compression > chain.axial_caps + 1e-9):
         raise ValueError("compression exceeds axial_cap")
-    if np.any(state.slack > np.asarray(chain.socket_slack) + 1e-9):
+    if np.any(state.slack > chain._slack_caps + 1e-9):
         raise ValueError("slack exceeds socket_slack capacity")
 
 
 def rest_state(chain: ChainGeometry) -> ChainState:
     n = len(chain.segments)
     return ChainState(np.zeros(n), np.zeros(n), np.zeros(n))
+
+
+class ChainSolveError(RuntimeError):
+    """The inverse pull map did not converge within its iteration cap."""
+
+    def __init__(self, pull: float, iterations: int, residual: float):
+        super().__init__(
+            f"chain solve for pull {pull:.6g} mm did not converge in "
+            f"{iterations} iterations (residual {residual:.3g} mm)")
+        self.pull = pull
+        self.iterations = iterations
+        self.residual = residual
+
+
+def _joint_pulls(chain: ChainGeometry, theta) -> tuple:
+    """Per-segment pulls and slopes dP/dtheta at the bend angles ``theta``."""
+    return _pull_and_slope(chain._radius, chain._rest_span,
+                           chain._anchor_angle, theta)
+
+
+def _bend_pull(chain: ChainGeometry, s: float) -> tuple[float, float]:
+    """Bend pull P(s) with every joint at s * max_bend, and its slope dP/ds."""
+    pull, slope = _joint_pulls(chain, s * chain._max_bend)
+    return float(pull.sum()), float(slope @ chain._max_bend)
 
 
 def chain_pull(chain: ChainGeometry, state: ChainState) -> float:
@@ -243,21 +320,18 @@ def chain_pull(chain: ChainGeometry, state: ChainState) -> float:
     socket slack; exactly zero at the rest state.
     """
     validate_state(chain, state)
-    bend = sum(
-        segment_pull(seg, th) for seg, th in zip(chain.segments, state.theta)
-    )
+    bend = _joint_pulls(chain, state.theta)[0].sum()
     return float(bend + state.compression.sum() + state.slack.sum())
 
 
 def full_bend_pull(chain: ChainGeometry) -> float:
     """String pull with every joint at its bend limit, no compression."""
-    return float(sum(segment_pull(s, s.max_bend) for s in chain.segments))
+    return chain._full_bend_pull
 
 
 def max_chain_pull(chain: ChainGeometry) -> float:
     """Pull capacity: full bend plus all compression and slack absorbed."""
-    return full_bend_pull(chain) + float(chain.axial_caps.sum()) \
-        + float(sum(chain.socket_slack))
+    return chain._capacity
 
 
 def solve_bend_from_pull(chain: ChainGeometry, pull: float,
@@ -265,40 +339,45 @@ def solve_bend_from_pull(chain: ChainGeometry, pull: float,
     """Invert the pull map: distribute a commanded string pull over the chain.
 
     All joints bend together, theta_i = s * max_bend_i for a shared
-    saturation parameter s in [0, 1] found by bisection.  Pull beyond the
+    saturation parameter s in [0, 1].  s is found by Newton's method on
+    the bend pull, kept inside a shrinking bracket: a step that would
+    leave the bracket is replaced by bisection.  Pull beyond the
     all-saturated point goes into axial compressions proportional to their
     caps, then into socket slack proportional to its capacities.  Excess
     beyond the total capacity is clamped (with a warning).
 
     Args:
         chain: chain geometry.
-        pull: commanded string pull, mm (>= 0).
-        tol: bisection tolerance on the pull residual, mm.
-        max_iter: bisection iteration cap.
+        pull: commanded string pull, mm (finite, >= 0).
+        tol: tolerance on the bend-pull residual, mm.
+        max_iter: cap on the number of bend-pull evaluations (>= 1).
 
     Returns:
         ChainState whose chain_pull matches min(pull, capacity) within tol.
+
+    Raises:
+        ValueError: pull is negative or not finite, or max_iter < 1.
+        ChainSolveError: the residual is still >= tol after max_iter
+            evaluations.
     """
+    if not math.isfinite(pull):
+        raise ValueError(f"pull must be finite, got {pull}")
     if pull < 0:
         raise ValueError("pull must be >= 0")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n = len(chain.segments)
     alpha_max = chain.max_bend
     caps = chain.axial_caps
-    slack_caps = np.asarray(chain.socket_slack, dtype=float)
+    slack_caps = chain._slack_caps
 
     bend_max = full_bend_pull(chain)
-    capacity = bend_max + caps.sum() + slack_caps.sum()
+    capacity = max_chain_pull(chain)
     if pull > capacity + tol:
         warnings.warn(
             f"commanded pull {pull:.6g} mm exceeds chain capacity "
             f"{capacity:.6g} mm; clamping", stacklevel=2)
     target = min(pull, capacity)
-
-    def bend_pull(s: float) -> float:
-        return sum(
-            segment_pull(seg, s * am)
-            for seg, am in zip(chain.segments, alpha_max)
-        )
 
     if target >= bend_max:
         s = 1.0
@@ -306,19 +385,23 @@ def solve_bend_from_pull(chain: ChainGeometry, pull: float,
         s = 0.0
     else:
         lo, hi = 0.0, 1.0
-        s = 0.5
+        s = target / bend_max
         for _ in range(max_iter):
-            s = 0.5 * (lo + hi)
-            err = bend_pull(s) - target
+            p, slope = _bend_pull(chain, s)
+            err = p - target
             if abs(err) < tol:
                 break
             if err > 0:
                 hi = s
             else:
                 lo = s
+            step = s - err / slope if slope > 0 else math.nan
+            s = step if lo < step < hi else 0.5 * (lo + hi)
+        else:
+            raise ChainSolveError(pull, max_iter, abs(err))
 
     theta = s * alpha_max
-    remainder = target - bend_pull(s) if s >= 1.0 else 0.0
+    remainder = target - bend_max if s >= 1.0 else 0.0
 
     compression = np.zeros(n)
     slack = np.zeros(n)

@@ -5,7 +5,8 @@ Every run writes its outputs into ``--out`` together with a
 the input file hashes, so any result can be reproduced bit for bit.
 
 Exit codes: 0 success, 1 domain error (unreachable target, no cycles
-found, bad input data), 2 usage or configuration error.
+found, bad input data, chain solve not converged), 2 usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -137,14 +139,17 @@ def cmd_chain(args, ctx: RunContext) -> int:
     chain = ctx.cfg.build_chain()
     solver_tol = ctx.cfg.getfloat("solver", "tol_mm", 1e-9)
     solver_iters = ctx.cfg.getint("solver", "max_iter", 200)
+    if solver_iters < 1:
+        raise ConfigError(f"solver.max_iter must be >= 1, got {solver_iters}")
 
     def solve(pull):
         return chain_mod.solve_bend_from_pull(chain, pull, tol=solver_tol,
                                               max_iter=solver_iters)
 
     if args.pull is not None:
-        if args.pull < 0:
-            raise DomainError("--pull must be >= 0")
+        if not (math.isfinite(args.pull) and args.pull >= 0):
+            raise DomainError(f"--pull must be finite and >= 0, "
+                              f"got {args.pull}")
         state = solve(args.pull)
         rows = []
         for i in range(len(chain.segments)):
@@ -173,12 +178,18 @@ def cmd_chain(args, ctx: RunContext) -> int:
             raise DomainError(
                 f"--sweep: expected start:stop:step, got {args.sweep!r}") \
                 from None
+        if not all(math.isfinite(v) for v in (start, stop, step_)):
+            raise DomainError(f"--sweep: values must be finite, "
+                              f"got {args.sweep!r}")
         if step_ <= 0 or stop < start or start < 0:
             raise DomainError("--sweep: need 0 <= start <= stop and step > 0")
         pulls = np.arange(start, stop + 0.5 * step_, step_)
+        capacity = chain_mod.max_chain_pull(chain)
+        clamped = int(np.count_nonzero(pulls > capacity))
         bends = []
         with warnings.catch_warnings():
-            # sweeping past the chain capacity clamps by design
+            # sweeping past the chain capacity clamps by design; the
+            # clamped points are counted on the summary line instead
             warnings.simplefilter("ignore", UserWarning)
             for p in pulls:
                 bends.append(chain_mod.total_bend_angle(solve(float(p))))
@@ -192,7 +203,8 @@ def cmd_chain(args, ctx: RunContext) -> int:
                                title="Tarsal bend vs string pull",
                                xlabel="pull (mm)", ylabel="bend (deg)")
         print(f"sweep {start}..{stop} mm: bend {bends[0]:.3f} -> "
-              f"{bends[-1]:.3f} deg over {len(pulls)} points")
+              f"{bends[-1]:.3f} deg over {len(pulls)} points, {clamped} "
+              f"clamped at capacity {capacity:.6g} mm")
 
     if args.stiffness:
         d_max = 1.5 * chain.vertical_cap / chain.k_rigid
@@ -531,7 +543,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DomainError, leg_mod.NotReachable,
+    except (DomainError, chain_mod.ChainSolveError, leg_mod.NotReachable,
             gait_mod.NoCyclesFound, stats_mod.ZeroVariance) as err:
         print(f"error: {err}", file=sys.stderr)
         ctx.write_manifest(argv)

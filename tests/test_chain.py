@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tarsim.chain import (ChainGeometry, ChainState, SegmentGeometry,
+from tarsim.chain import (ChainGeometry, ChainSolveError, ChainState,
+                          SegmentGeometry, _bend_pull,
                           chain_pose, chain_pull, chord_length,
                           claw_actuation, default_chain_geometry,
                           full_bend_pull, max_chain_pull, pull_angle,
@@ -250,6 +252,42 @@ class TestSolveBendFromPull:
             st = solve_bend_from_pull(g, 50.0)
         assert chain_pull(g, st) == pytest.approx(max_chain_pull(g), abs=1e-9)
 
+    def test_non_finite_pull_rejected(self):
+        g = default_chain_geometry()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_bend_from_pull(g, bad)
+
+    def test_iteration_cap_raises(self):
+        g = default_chain_geometry()
+        with pytest.raises(ChainSolveError) as info:
+            solve_bend_from_pull(g, 2.0, tol=1e-14, max_iter=1)
+        err = info.value
+        assert (err.pull, err.iterations) == (2.0, 1)
+        assert err.residual >= 1e-14
+        assert "2 mm" in str(err) and "1 iterations" in str(err)
+
+    def test_small_pulls_keep_relative_precision(self):
+        # the pull of a tiny bend must not be lost to cancellation
+        g = default_chain_geometry()
+        for p in (1e-10, 1e-8, 1e-6):
+            st = solve_bend_from_pull(g, p, tol=1e-6 * p)
+            assert chain_pull(g, st) == pytest.approx(p, rel=1e-6)
+
+    def test_converges_in_few_iterations(self):
+        # Newton from the linear guess; bisection alone needs about 30
+        g = default_chain_geometry()
+        for p in (0.01, 1.0, 2.75, 4.0, 5.49):
+            st = solve_bend_from_pull(g, p, tol=1e-12, max_iter=8)
+            assert abs(chain_pull(g, st) - p) < 1e-12
+
+    def test_geometry_arrays_are_stored_read_only(self):
+        g = default_chain_geometry()
+        assert g.max_bend is g.max_bend
+        assert g.axial_caps is g.axial_caps
+        with pytest.raises(ValueError):
+            g.max_bend[0] = 0.0
+
     def test_identity_on_reachable_states(self):
         # states on the solver's distribution path map back to themselves
         g = default_chain_geometry(socket_slack=True)
@@ -260,6 +298,61 @@ class TestSolveBendFromPull:
             assert np.allclose(st2.theta, st.theta, atol=1e-7)
             assert np.allclose(st2.compression, st.compression, atol=1e-7)
             assert np.allclose(st2.slack, st.slack, atol=1e-7)
+
+
+@st.composite
+def monotone_chains(draw):
+    """Valid five-segment chains whose pull rises with every joint's bend.
+
+    A joint's pull rises on [0, max_bend] exactly when
+    rest_span * cos(max_bend - atan2(anchor_trans, anchor_long)) exceeds
+    radius * sin(max_bend); the radius is drawn below that bound.
+    """
+    segments = []
+    for _ in range(5):
+        h1 = draw(st.floats(0.5, 6.0))
+        h2 = draw(st.floats(0.0, 3.0))
+        derived = draw(st.booleans())
+        d1 = math.hypot(h1, h2) if derived else draw(st.floats(0.5, 8.0))
+        amax = draw(st.floats(0.05, 0.95 * math.pi / 2))
+        bound = d1 * math.cos(amax - math.atan2(h2, h1)) / math.sin(amax)
+        radius = min(5.0, draw(st.floats(0.05, 0.9)) * bound)
+        segments.append(SegmentGeometry(
+            radius, h1, h2, amax, rest_span=None if derived else d1,
+            axial_cap=draw(st.floats(0.0, 2.0))))
+    slack = draw(st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5))
+    return ChainGeometry(segments=tuple(segments), socket_slack=tuple(slack))
+
+
+class TestPullMapProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_chains(), st.floats(0.0, 1.0))
+    def test_solve_then_pull_round_trips(self, g, frac):
+        pull = frac * max_chain_pull(g)
+        st_ = solve_bend_from_pull(g, pull)
+        assert abs(chain_pull(g, st_) - pull) < 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_chains())
+    def test_bend_pull_strictly_increasing_in_s(self, g):
+        pulls = [chain_pull(g, ChainState(s * g.max_bend, np.zeros(5)))
+                 for s in np.linspace(0.0, 1.0, 41)]
+        assert np.all(np.diff(pulls) > 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_chains(), st.floats(0.01, 0.99))
+    def test_slope_matches_central_difference(self, g, s):
+        h = 1e-6
+        _, slope = _bend_pull(g, s)
+        numeric = (_bend_pull(g, s + h)[0] - _bend_pull(g, s - h)[0]) / (2 * h)
+        assert slope == pytest.approx(numeric, rel=1e-6, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monotone_chains(), st.floats(0.0, 1.0))
+    def test_chain_kernel_equals_segment_sum(self, g, s):
+        per_segment = sum(segment_pull(seg, s * seg.max_bend)
+                          for seg in g.segments)
+        assert _bend_pull(g, s)[0] == pytest.approx(per_segment, abs=1e-12)
 
 
 class TestTotalBendAngle:

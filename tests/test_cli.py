@@ -60,6 +60,46 @@ class TestChainCommand:
         rc, _ = run(["chain", "--pull", "-1"], tmp_path)
         assert rc == 1
 
+    def test_non_finite_pull_is_domain_error(self, tmp_path, capsys):
+        for bad in ("nan", "inf"):
+            rc, out = run(["chain", "--pull", bad], tmp_path, out=bad)
+            assert rc == 1
+            assert not (out / "chain_state.csv").exists()
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_finite_sweep_is_domain_error(self, tmp_path, capsys):
+        for i, bad in enumerate(("nan:1:0.5", "0:nan:0.5", "0:inf:0.5",
+                                 "0:1:nan")):
+            rc, _ = run(["chain", "--sweep", bad], tmp_path, out=f"o{i}")
+            assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_sweep_counts_clamped_points(self, tmp_path, capsys):
+        # capacity without slack is 5.5 + 4.7 = 10.2 mm; the grid
+        # 0, 0.25, ..., 13.0 has 12 points above it (10.25 .. 13.0)
+        rc, _ = run(["chain", "--sweep", "0:13.1:0.25"], tmp_path)
+        assert rc == 0
+        assert "53 points, 12 clamped at capacity 10.2 mm" in \
+            capsys.readouterr().out
+        rc, _ = run(["chain", "--sweep", "0:10:0.25"], tmp_path, out="o2")
+        assert rc == 0
+        assert "41 points, 0 clamped at capacity" in capsys.readouterr().out
+
+    def test_solver_iteration_cap_exits_one(self, tmp_path, capsys):
+        conf = tmp_path / "t.conf"
+        conf.write_text("[solver]\nmax_iter = 1\n")
+        rc = main(["chain", "--pull", "2.0", "--config", str(conf),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_solver_max_iter_below_one_is_config_error(self, tmp_path):
+        conf = tmp_path / "t.conf"
+        conf.write_text("[solver]\nmax_iter = 0\n")
+        rc = main(["chain", "--pull", "2.0", "--config", str(conf),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+
     def test_round_trip_losslessly(self, tmp_path):
         rc, out = run(["chain", "--pull", "3.3"], tmp_path)
         header, rows = read_table(out / "chain_state.csv")

@@ -71,6 +71,7 @@ print(format_report_text(comparison_report(pairs)))
 
 # the published group summaries through the same machinery; rows whose
 # published p is more than 2% from the p computed from them are flagged
+# more-than-2pct-from-recomputed-p
 published = [
     ConditionPair("angle_mesh_vs_plate", GroupStats(55.7, 4.4, 5),
                   GroupStats(27.7, 5.4, 5), 9.04e-06),

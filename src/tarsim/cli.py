@@ -31,6 +31,8 @@ from . import leg as leg_mod
 from . import stats as stats_mod
 from . import svgplot
 from .config import Config, ConfigError, load_config
+# read_table is not used here; it stays importable from tarsim.cli
+from .table import parse_row, read_table, write_table  # noqa: F401
 
 DEFAULT_CONFIG_NAME = "tarsim.conf"
 CONFIG_ENV_VAR = "TARSIM_CONFIG"
@@ -38,31 +40,6 @@ CONFIG_ENV_VAR = "TARSIM_CONFIG"
 
 class DomainError(RuntimeError):
     """Input-data problem mapped to exit code 1."""
-
-
-# -- generic lossless tables ------------------------------------------------
-
-def write_table(path, header, rows) -> None:
-    """CSV writer using repr for floats, so reads round-trip exactly."""
-    def cell(v):
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return repr(float(v))
-        return str(v)
-
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\n")
-
-
-def read_table(path):
-    """Read a CSV written by write_table: (header, rows of strings)."""
-    with open(path, newline="") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    return header, rows
 
 
 def _sha256(path) -> str:
@@ -124,12 +101,14 @@ class RunContext:
 
 def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
     try:
-        vals = [float(v) for v in text.split(",")]
+        vals = [float(v) for v in parse_row(text)]
     except ValueError:
         raise DomainError(f"{what}: expected comma-separated numbers, "
                           f"got {text!r}") from None
     if len(vals) != n:
         raise DomainError(f"{what}: expected {n} values, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise DomainError(f"{what}: values must be finite, got {text!r}")
     return np.array(vals)
 
 
@@ -153,16 +132,14 @@ def cmd_chain(args, ctx: RunContext) -> int:
         state = solve(args.pull)
         rows = []
         for i in range(len(chain.segments)):
-            rows.append([f"segment_{i + 1}",
-                         float(np.degrees(state.theta[i])),
-                         float(state.compression[i]),
-                         float(state.slack[i]),
-                         float(chain_mod.segment_pull(chain.segments[i],
-                                                      float(state.theta[i])))])
+            rows.append([f"segment_{i + 1}", np.degrees(state.theta[i]),
+                         state.compression[i], state.slack[i],
+                         chain_mod.segment_pull(chain.segments[i],
+                                                float(state.theta[i]))])
         total_bend = chain_mod.total_bend_angle(state)
         total_pull = chain_mod.chain_pull(chain, state)
-        rows.append(["total", total_bend, float(state.compression.sum()),
-                     float(state.slack.sum()), total_pull])
+        rows.append(["total", total_bend, state.compression.sum(),
+                     state.slack.sum(), total_pull])
         if ctx.csv:
             write_table(ctx.path("chain_state.csv"),
                         ["segment", "theta_deg", "compression_mm",
@@ -196,7 +173,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         if ctx.csv:
             write_table(ctx.path("bend_vs_pull.csv"),
                         ["pull_mm", "total_bend_deg"],
-                        [[float(p), float(b)] for p, b in zip(pulls, bends)])
+                        zip(pulls, bends))
         if ctx.svg:
             svgplot.line_chart(ctx.path("bend_vs_pull.svg"),
                                [("total bend", pulls, bends)],
@@ -216,8 +193,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
             if ctx.csv:
                 write_table(ctx.path(f"stiffness_{mode}.csv"),
                             ["displacement_mm", "force_N"],
-                            [[float(d), float(f)]
-                             for d, f in zip(disp, force)])
+                            zip(disp, force))
         if ctx.svg:
             svgplot.line_chart(
                 ctx.path("stiffness.svg"),
@@ -244,8 +220,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
                         ["x_mm", "y_mm", "z_mm",
                          "r11", "r12", "r13", "r21", "r22", "r23",
                          "r31", "r32", "r33"],
-                        [[float(p[0]), float(p[1]), float(p[2]),
-                          *(float(v) for v in r.flatten())]])
+                        [[*p, *r.flatten()]])
         print(f"fk({args.fk} deg) -> tip ({p[0]:.4f}, {p[1]:.4f}, "
               f"{p[2]:.4f}) mm")
 
@@ -259,8 +234,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
             write_table(ctx.path("leg_ik.csv"),
                         ["coxa_deg", "trochanter_deg", "femur_deg",
                          "tibia_deg", "residual_mm", "iterations"],
-                        [[*(float(v) for v in qd),
-                          result.residual_mm, result.iterations]])
+                        [[*qd, result.residual_mm, result.iterations]])
         print(f"ik({args.ik}) -> q = ({qd[0]:.4f}, {qd[1]:.4f}, "
               f"{qd[2]:.4f}, {qd[3]:.4f}) deg, residual "
               f"{result.residual_mm:.3e} mm, {result.iterations} iterations")
@@ -275,7 +249,10 @@ def cmd_leg(args, ctx: RunContext) -> int:
             else ctx.cfg.getfloat("retarget", "scale", 8.0)
         origin = _parse_vector(args.origin, 3, "--origin") \
             if args.origin else None
-        scaled = leg_mod.retarget_trajectory(traj, scale, origin)
+        try:
+            scaled = leg_mod.retarget_trajectory(traj, scale, origin)
+        except ValueError as err:
+            raise DomainError(f"--retarget: {err}") from None
         leg_mod.save_trajectory(ctx.path("retargeted.csv"), scaled)
         print(f"retargeted {len(traj)} samples by x{scale}")
         if args.to_joints:
@@ -284,7 +261,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
                 write_table(ctx.path("joints.csv"),
                             ["t_ms", "coxa_deg", "trochanter_deg",
                              "femur_deg", "tibia_deg"],
-                            [[float(t), *(float(v) for v in np.degrees(q))]
+                            [[t, *np.degrees(q)]
                              for t, q in zip(scaled.t_ms, qs)])
             print(f"joint series written ({len(qs)} samples)")
     return 0
@@ -335,7 +312,7 @@ def cmd_sim(args, ctx: RunContext) -> int:
 # -- gait command -------------------------------------------------------------
 
 def _parse_pair(text: str):
-    parts = [p.strip() for p in text.split(",")]
+    parts = [p.strip() for p in parse_row(text)]
     if len(parts) not in (7, 8):
         raise DomainError(
             f"--pair: expected label,mean_a,sd_a,n_a,mean_b,sd_b,n_b"
@@ -351,26 +328,23 @@ def _parse_pair(text: str):
     return stats_mod.ConditionPair(parts[0], a, b, pub)
 
 
-def _report_rows(rows):
-    return [[r["label"], r["mean_a"], r["sd_a"], r["n_a"],
-             r["mean_b"], r["sd_b"], r["n_b"], r["df"], r["t"],
-             r["p_one_tail"], r["p_two_tail"], r["published_p_one_tail"],
-             r["flag"]] for r in rows]
+def _write_report(ctx: RunContext, pairs) -> None:
+    """Print the comparison report and write report.csv and report.txt."""
+    rows = stats_mod.comparison_report(pairs)
+    text = stats_mod.format_report_text(rows)
+    print(text)
+    if ctx.csv:
+        write_table(ctx.path("report.csv"), stats_mod.REPORT_COLUMNS,
+                    [[r[c] for c in stats_mod.REPORT_COLUMNS] for r in rows])
+    with open(ctx.path("report.txt"), "w") as fh:
+        fh.write(text + "\n")
 
 
 def cmd_gait(args, ctx: RunContext) -> int:
     if args.summary_stats:
         if not args.pair:
             raise DomainError("--summary-stats needs at least one --pair")
-        pairs = [_parse_pair(p) for p in args.pair]
-        rows = stats_mod.comparison_report(pairs)
-        text = stats_mod.format_report_text(rows)
-        print(text)
-        if ctx.csv:
-            write_table(ctx.path("report.csv"),
-                        list(stats_mod.REPORT_COLUMNS), _report_rows(rows))
-        with open(ctx.path("report.txt"), "w") as fh:
-            fh.write(text + "\n")
+        _write_report(ctx, [_parse_pair(p) for p in args.pair])
         return 0
 
     if not args.input:
@@ -432,14 +406,7 @@ def cmd_gait(args, ctx: RunContext) -> int:
                     float(vals.mean()), float(vals.std(ddof=1)), len(vals)))
             pairs.append(stats_mod.ConditionPair(
                 f"{metric}:{labels[0]}_vs_{labels[1]}", *groups))
-        rows = stats_mod.comparison_report(pairs)
-        text = stats_mod.format_report_text(rows)
-        print(text)
-        if ctx.csv:
-            write_table(ctx.path("report.csv"),
-                        list(stats_mod.REPORT_COLUMNS), _report_rows(rows))
-        with open(ctx.path("report.txt"), "w") as fh:
-            fh.write(text + "\n")
+        _write_report(ctx, pairs)
     return 0
 
 

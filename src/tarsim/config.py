@@ -38,7 +38,7 @@ LEG_SECTIONS = tuple(f"leg_{name}" for name in leg_mod.JOINT_NAMES)
 VALID_KEYS = {
     "chain": {"k_spring_n_per_mm", "k_flex_n_per_mm", "k_rigid_n_per_mm",
               "vertical_cap_n", "socket_slack"},
-    "claw": {"threshold", "max_opening_deg", "length_mm"},
+    "claw": {"length_mm"},
     "ik": {"damping", "step_clamp_rad", "tol_mm", "max_iter"},
     "solver": {"tol_mm", "max_iter"},
     "mesh": {"spacing_mm", "node_stiffness_n_per_mm", "rest_height_mm",
@@ -197,11 +197,6 @@ class Config:
 
     def claw_params(self) -> dict:
         return {
-            "threshold": self.getfloat("claw", "threshold",
-                                       chain_mod.DEFAULT_CLAW_THRESHOLD),
-            "max_opening": math.radians(self.getfloat(
-                "claw", "max_opening_deg",
-                math.degrees(chain_mod.DEFAULT_CLAW_MAX_OPENING))),
             "length_mm": self.getfloat("claw", "length_mm",
                                        contact_mod.DEFAULT_CLAW_LENGTH_MM),
         }

@@ -26,6 +26,7 @@ from .chain import (ChainGeometry, ChainState, ClawState, chain_pose,
                     claw_actuation, full_bend_pull, solve_bend_from_pull,
                     DEFAULT_CLAW_THRESHOLD, DEFAULT_CLAW_MAX_OPENING)
 from .leg import LegModel, forward_kinematics, inverse_kinematics
+from .table import float_columns, read_table, write_table
 
 DEFAULT_VERTICAL_MAX_N = 2.46
 DEFAULT_HOOKING_MAX_N = 28.98
@@ -476,26 +477,17 @@ def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
                     allow_flexible=(name != "tubed"))
 
 
+DEMO_HEADER = ("t_ms", "claw_z_mm", "mesh_z_mm", "mode", "attachment",
+               "event")
+
+
 def save_demo_csv(path, samples) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event\n")
-        for s in samples:
-            fh.write(f"{float(s.t_ms)!r},{float(s.claw_z)!r},"
-                     f"{float(s.mesh_z)!r},{s.mode},{s.attachment},"
-                     f"{s.events}\n")
+    write_table(path, DEMO_HEADER,
+                [[float(s.t_ms), float(s.claw_z), float(s.mesh_z), s.mode,
+                  s.attachment, s.events] for s in samples])
 
 
 def load_demo_csv(path) -> list[DemoSample]:
-    samples = []
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event":
-            raise ValueError(f"bad demo CSV header: {header!r}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            t, cz, mz, mode, att, ev = line.split(",", 5)
-            samples.append(DemoSample(float(t), float(cz), float(mz),
-                                      mode, att, ev))
-    return samples
+    _, rows = read_table(path, DEMO_HEADER)
+    numbers = float_columns(path, rows, range(3)).tolist()
+    return [DemoSample(*xs, *row[3:]) for xs, row in zip(numbers, rows)]

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .table import float_columns, line_of, read_table, write_table
+
 LEG_LABELS = {"left": ("L1", "L2", "L3"), "right": ("R1", "R2", "R3")}
 BODY_LABELS = ("B1", "B2", "B3")
 ALL_LABELS = frozenset(("L1", "L2", "L3", "R1", "R2", "R3", "B1", "B2", "B3"))
@@ -49,12 +51,13 @@ class MarkerFrame:
     points: dict
 
     def __post_init__(self):
-        pts = {}
-        for label, p in self.points.items():
-            p = np.asarray(p, dtype=float).reshape(3)
-            if not np.all(np.isfinite(p)):
-                raise ValueError(f"marker {label} has non-finite coordinates")
-            pts[label] = p
+        pts = {label: np.asarray(p, dtype=float).reshape(3)
+               for label, p in self.points.items()}
+        # one finiteness check per frame: the recording loader builds
+        # thousands of frames, and a check per marker is most of its time
+        if not np.isfinite(list(pts.values())).all():
+            label = next(l for l, p in pts.items() if not np.isfinite(p).all())
+            raise ValueError(f"marker {label} has non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
     def get(self, label: str) -> np.ndarray:
@@ -295,6 +298,9 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     return cycles
 
 
+RECORDING_HEADER = ("t_ms", "label", "x_mm", "y_mm", "z_mm")
+
+
 def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     """Read a long-format marker CSV: t_ms,label,x_mm,y_mm,z_mm.
 
@@ -302,51 +308,33 @@ def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     absent row.  Raises ValueError with the offending row number on parse
     problems.
     """
-    header_expected = "t_ms,label,x_mm,y_mm,z_mm"
-    frames = []
-    current_t = None
-    current_points = {}
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != header_expected:
-            raise ValueError(f"row 1: bad header {header!r}, "
-                             f"expected {header_expected!r}")
-        for row_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValueError(f"row {row_no}: expected 5 fields, "
-                                 f"got {len(parts)}")
-            try:
-                t = float(parts[0])
-                xyz = [float(v) for v in parts[2:5]]
-            except ValueError as err:
-                raise ValueError(f"row {row_no}: {err}") from None
-            label = parts[1]
-            if label not in ALL_LABELS:
-                raise ValueError(f"row {row_no}: unknown label {label!r}")
-            if current_t is None:
-                current_t = t
-            elif t != current_t:
-                if t < current_t:
-                    raise ValueError(f"row {row_no}: time goes backwards")
-                frames.append(MarkerFrame(current_t, current_points))
-                current_t, current_points = t, {}
-            current_points[label] = xyz
-    if current_t is not None:
-        frames.append(MarkerFrame(current_t, current_points))
-    return TrialRecording(tuple(frames), rate)
+    _, rows = read_table(path, RECORDING_HEADER)
+    values = float_columns(path, rows, (0, 2, 3, 4))
+    t, xyz = values[:, 0], values[:, 1:]
+    labels = [row[1] for row in rows]
+    del rows  # the cells take more memory than the frames built below
+    unknown = set(labels) - ALL_LABELS
+    if unknown:
+        i = next(i for i, label in enumerate(labels) if label in unknown)
+        raise ValueError(f"row {line_of(path, i)}: unknown label "
+                         f"{labels[i]!r}")
+    # the NaN before the first row makes row 0 start a frame
+    step = np.diff(t, prepend=np.nan)
+    if (step < 0).any():
+        raise ValueError(f"row {line_of(path, int(np.argmax(step < 0)))}: "
+                         f"time goes backwards")
+    starts = np.flatnonzero(step).tolist()
+    return TrialRecording(tuple(
+        MarkerFrame(t_ms, dict(zip(labels[a:b], xyz[a:b])))
+        for t_ms, a, b in zip(t[starts].tolist(), starts,
+                              starts[1:] + [len(t)])), rate)
 
 
 def save_recording(path, recording: TrialRecording) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_ms,label,x_mm,y_mm,z_mm\n")
-        for frame in recording.frames:
-            for label in sorted(frame.points):
-                p = frame.points[label]
-                fh.write(f"{float(frame.t_ms)!r},{label},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
+    write_table(path, RECORDING_HEADER,
+                [[float(frame.t_ms), label, *frame.points[label].tolist()]
+                 for frame in recording.frames
+                 for label in sorted(frame.points)])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .table import float_columns, read_table, write_table
+
 JOINT_NAMES = ("coxa", "trochanter", "femur", "tibia")
 
 IK_DAMPING = 1e-3
@@ -305,8 +307,8 @@ def retarget_trajectory(beetle: Trajectory, scale: float = 8.0,
     scales about its initial touchdown.  Timestamps are preserved and
     pairwise distances multiply by exactly ``scale``.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     if len(beetle) == 0:
         return beetle
     o = beetle.points[0] if origin is None else np.asarray(origin, dtype=float)
@@ -354,23 +356,19 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     return out
 
 
+TRAJECTORY_HEADER = ("t_ms", "x_mm", "y_mm", "z_mm")
+
+
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV with header t_ms,x_mm,y_mm,z_mm."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "t_ms,x_mm,y_mm,z_mm":
-            raise ValueError(
-                f"bad trajectory header {header!r}, expected t_ms,x_mm,y_mm,z_mm")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in r] for r in rows]).reshape(-1, 4)
+    _, rows = read_table(path, TRAJECTORY_HEADER)
+    data = float_columns(path, rows, range(4))
     return Trajectory(data[:, 0], data[:, 1:])
 
 
 def save_trajectory(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t_ms,x_mm,y_mm,z_mm\n")
-        for t, p in zip(traj.t_ms, traj.points):
-            fh.write(f"{float(t)!r},{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}\n")
+    write_table(path, TRAJECTORY_HEADER,
+                np.column_stack([traj.t_ms, traj.points]).tolist())
 
 
 def default_leg_model() -> LegModel:

@@ -163,7 +163,7 @@ def comparison_report(pairs) -> list[dict]:
             rel = abs(res.p_one_tail - pair.published_p_one_tail) \
                 / pair.published_p_one_tail
             if rel > PUBLISHED_P_REL_TOL:
-                flag = "not-reproducible-from-rounded-stats"
+                flag = "more-than-2pct-from-recomputed-p"
         rows.append({
             "label": pair.label,
             "mean_a": pair.a.mean, "sd_a": pair.a.sd, "n_a": pair.a.n,

@@ -161,6 +161,42 @@ class TestLegCommand:
         header, rows = read_table(out / "joints.csv")
         assert header[0] == "t_ms" and len(rows) == len(t)
 
+    @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
+    def test_retarget_bad_scale_is_domain_error(self, tmp_path, capsys,
+                                                scale):
+        src = tmp_path / "beetle.csv"
+        save_trajectory(src, Trajectory([0.0, 10.0], np.ones((2, 3))))
+        rc, out = run(["leg", "--retarget", str(src), "--scale", scale],
+                      tmp_path)
+        assert rc == 1
+        assert "scale must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "retargeted.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--fk", "0,inf,0,0"], ["--ik", "nan,0,0"],
+        ["--ik", "120,30,-60", "--q0", "0,nan,0,0"],
+        ["--retarget", "beetle.csv", "--origin", "nan,0,0", "--to-joints"],
+    ])
+    def test_non_finite_vector_is_domain_error(self, tmp_path, capsys,
+                                               monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        save_trajectory("beetle.csv", Trajectory([0.0], np.zeros((1, 3))))
+        rc, out = run(["leg", *args], tmp_path)
+        assert rc == 1
+        assert "values must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("to_joints", [[], ["--to-joints"]])
+    def test_retarget_nan_coordinate_is_domain_error(self, tmp_path, capsys,
+                                                     to_joints):
+        src = tmp_path / "beetle.csv"
+        src.write_text("t_ms,x_mm,y_mm,z_mm\n0.0,1.0,0.0,0.0\n"
+                       "10.0,nan,0.0,0.0\n")
+        rc, out = run(["leg", "--retarget", str(src), *to_joints], tmp_path)
+        assert rc == 1
+        assert "row 3: not a finite number" in capsys.readouterr().err
+        assert not (out / "retargeted.csv").exists()
+
 
 class TestSimCommand:
     def test_walk_cycle_exit_zero(self, tmp_path):
@@ -282,6 +318,17 @@ class TestGaitCommand:
         assert "no cycles" in capsys.readouterr().err
         _, rows = read_table(out / "metrics.csv")
         assert rows[0][3] == "0"
+
+    def test_commas_in_input_and_condition_stay_in_their_cells(self,
+                                                               tmp_path):
+        p = tmp_path / "trial,a.csv"
+        make_recording(p, 440.0, n=200)
+        rc, out = run(["gait", "--input", str(p), "--condition", "mesh,wet"],
+                      tmp_path)
+        assert rc == 0
+        header, rows = read_table(out / "metrics.csv")
+        assert len(header) == 6
+        assert [r[:3] for r in rows] == [[str(p), "mesh,wet", "right"]]
 
     def test_pair_without_flag_is_error(self, tmp_path):
         rc, _ = run(["gait", "--summary-stats"], tmp_path)

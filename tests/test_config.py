@@ -43,6 +43,12 @@ class TestParsing:
             parse_config("[chain]\nspring = 3\n")
         assert "k_spring_n_per_mm" in str(err.value)
 
+    @pytest.mark.parametrize("key", ["threshold", "max_opening_deg"])
+    def test_removed_claw_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="line 2") as err:
+            parse_config(f"[claw]\n{key} = 0.5\n")
+        assert "valid keys: length_mm" in str(err.value)
+
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("a = b\n")

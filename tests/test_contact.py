@@ -273,6 +273,17 @@ class TestDemoCycle:
         back = load_demo_csv(p)
         assert back == samples
 
+    @pytest.mark.parametrize("row, match", [
+        ("20.0,1.0,2.0,rigid,free", "row 3: expected 6 fields, got 5"),
+        ("20.0,1.0,high,rigid,free,", "row 3: not a finite number"),
+    ])
+    def test_demo_csv_bad_rows_named(self, tmp_path, row, match):
+        p = tmp_path / "demo.csv"
+        p.write_text("t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event\n"
+                     f"10.0,1.0,2.0,rigid,free,Hook\n{row}\n")
+        with pytest.raises(ValueError, match=match):
+            load_demo_csv(p)
+
 
 class TestAttachment:
     def test_free_singleton_str(self):

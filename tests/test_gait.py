@@ -263,6 +263,20 @@ class TestRecordingCsv:
         with pytest.raises(ValueError, match="X9"):
             load_recording(p)
 
+    def test_backwards_time_names_the_file_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("t_ms,label,x_mm,y_mm,z_mm\n10.0,R1,1,2,3\n\n"
+                     "10.0,R2,1,2,3\n0.0,R1,1,2,3\n")
+        with pytest.raises(ValueError, match="row 5: time goes backwards"):
+            load_recording(p)
+
+    def test_non_finite_coordinate_names_row(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("t_ms,label,x_mm,y_mm,z_mm\n0.0,R1,1,2,3\n"
+                     "0.0,R2,1,nan,3\n")
+        with pytest.raises(ValueError, match="row 3: not a finite number"):
+            load_recording(p)
+
     def test_recording_orders_frames(self):
         f1 = frame_with({"B1": [0, 0, 0]}, t=10.0)
         f2 = frame_with({"B1": [0, 0, 0]}, t=0.0)

@@ -250,6 +250,18 @@ class TestTrajectoryCsv:
         with pytest.raises(ValueError, match="header"):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("row, match", [
+        ("10.0,1,2", "row 3: expected 4 fields, got 3"),
+        ("10.0,1,2,z", "row 3: not a finite number"),
+        ("10.0,1,inf,3", "row 3: not a finite number"),
+        ("nan,1,2,3", "row 3: not a finite number"),
+    ])
+    def test_rejects_bad_rows_by_row(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_ms,x_mm,y_mm,z_mm\n0.0,1,2,3\n{row}\n")
+        with pytest.raises(ValueError, match=match):
+            load_trajectory(path)
+
     def test_trajectory_requires_increasing_time(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), np.zeros((2, 3)))

@@ -161,7 +161,7 @@ class TestComparisonReport:
         ])
         assert rows[0]["df"] == 6
         assert rows[1]["df"] == 48
-        assert all(r["flag"] == "not-reproducible-from-rounded-stats"
+        assert all(r["flag"] == "more-than-2pct-from-recomputed-p"
                    for r in rows)
 
     def test_empty_difference_pair(self):

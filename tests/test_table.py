@@ -1,0 +1,111 @@
+"""The shared CSV table format: round trips, quoting and reader errors."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tarsim.table import (float_columns, line_of, parse_row, read_table,
+                          write_table)
+
+# every character but surrogates (not encodable in UTF-8); commas, quotes
+# and line breaks are drawn often
+TEXT = st.text(st.one_of(st.sampled_from(',"\n\r'),
+                         st.characters(blacklist_categories=("Cs",))))
+CELL = st.one_of(st.none(), TEXT,
+                 st.floats(allow_nan=False, allow_infinity=False))
+
+
+def expected_text(cell):
+    if cell is None:
+        return ""
+    return repr(cell) if isinstance(cell, float) else cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(CELL, min_size=w, max_size=w), max_size=6)))
+def test_round_trip_is_lossless(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    width = len(rows[0]) if rows else 2
+    header = [f"c{j}" for j in range(width)]
+    write_table(path, header, rows)
+    got_header, got = read_table(path, header)
+    assert got_header == header
+    assert got == [[expected_text(c) for c in row] for row in rows]
+    for row, back in zip(rows, got):
+        for cell, text in zip(row, back):
+            if isinstance(cell, float):
+                assert float(text) == cell
+
+
+def test_cells_with_commas_quotes_newlines_are_quoted(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b", "c"], [["x,y", 'say "hi"', "two\nlines"],
+                                        [1.5, None, 3]])
+    assert path.read_bytes() == (
+        b'a,b,c\n"x,y","say ""hi""","two\nlines"\n1.5,,3\n')
+
+
+def test_plain_cells_are_not_quoted(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("t_ms", "event"), [[0.1, "Hook"], [np.float64(2.0),
+                                                         "Release"]])
+    assert path.read_text() == "t_ms,event\n0.1,Hook\n2.0,Release\n"
+
+
+def test_carriage_returns_are_quoted(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["a", "b"], [["x\ry", "\r\n"], ["", None]])
+    assert path.read_bytes() == b'a,b\n"x\ry","\r\n"\n,\n'
+    assert read_table(path)[1] == [["x\ry", "\r\n"], ["", ""]]
+
+
+def test_blank_lines_and_crlf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\n1,2\r\n\r\n\n3,4\r\n\n")
+    assert read_table(path, ["a", "b"]) == (["a", "b"], [["1", "2"],
+                                                        ["3", "4"]])
+
+
+def test_wrong_header_is_row_1(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n")
+    with pytest.raises(ValueError, match="row 1: bad header 'x,y'"):
+        read_table(path, ("a", "b"))
+
+
+def test_wrong_width_names_the_file_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n1,2\n\n"x\ny",3\n4\n')
+    with pytest.raises(ValueError, match="row 6: expected 2 fields, got 1"):
+        read_table(path)
+
+
+def test_line_of_counts_blank_lines_and_quoted_newlines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('a,b\n\n"x\ny",1\n\n2,3\n')
+    assert [line_of(path, i) for i in range(2)] == [4, 6]
+
+
+def test_float_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ["t", "label", "x"], [[0.1, "a", 1e-300],
+                                            [0.2, "b", -3.0]])
+    _, rows = read_table(path)
+    values = float_columns(path, rows, (0, 2))
+    assert values.tolist() == [[0.1, 1e-300], [0.2, -3.0]]
+    assert float_columns(path, [], (0, 2)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("bad", ["oops", "nan", "-inf"])
+def test_float_columns_names_the_bad_row(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    path.write_text(f"t,x\n0.0,1.0\n\n1.0,{bad}\n")
+    _, rows = read_table(path)
+    with pytest.raises(ValueError, match="row 4: not a finite number"):
+        float_columns(path, rows, (0, 1))
+
+
+def test_parse_row():
+    assert parse_row("1,-2.5,3") == ["1", "-2.5", "3"]
+    assert parse_row('"a,b",1') == ["a,b", "1"]

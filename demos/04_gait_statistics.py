@@ -11,11 +11,9 @@ summaries from the walking experiments through the same test.
 Run:  python demos/04_gait_statistics.py
 """
 
-import math
-
 import numpy as np
 
-from tarsim.gait import MarkerFrame, TrialRecording, trial_metrics
+from tarsim.gait import LABELS, TrialRecording, trial_metrics
 from tarsim.stats import (ConditionPair, GroupStats, comparison_report,
                           format_report_text)
 
@@ -25,21 +23,22 @@ def synthetic_trial(period_ms, amp_deg, n=600, seed=0):
     rng = np.random.default_rng(seed)
     period = period_ms * (1.0 + 0.01 * rng.standard_normal())
     amp_deg = amp_deg * (1.0 + 0.05 * rng.standard_normal())
-    frames = []
-    for i in range(n):
-        t = i * 10.0
-        phase = 2 * math.pi * t / period
-        height = 6.0 + 8.0 * 0.5 * (1.0 - math.cos(phase))
-        bend = math.radians(amp_deg) * 0.5 * (1.0 - math.cos(phase))
-        m3 = np.array([0.0, 0.0, 20.0])
-        m2 = np.array([10.0, 0.0, 8.0])
-        m1 = m2 + 6.0 * np.array([math.cos(-bend), 0.0, math.sin(-bend)])
-        off = np.array([0.0, 0.0, height - m1[2]])
-        frames.append(MarkerFrame(t, {
-            "B1": [0.0, 0.0, 30.0], "B2": [5.0, 0.0, 30.0],
-            "B3": [0.0, 5.0, 30.0],
-            "R3": m3 + off, "R2": m2 + off, "R1": m1 + off}))
-    return TrialRecording(tuple(frames))
+    phase = 2 * np.pi * (np.arange(n) * 10.0) / period
+    height = 6.0 + 8.0 * 0.5 * (1.0 - np.cos(phase))
+    bend = np.radians(amp_deg) * 0.5 * (1.0 - np.cos(phase))
+    m3 = np.array([0.0, 0.0, 20.0])
+    m2 = np.array([10.0, 0.0, 8.0])
+    m1 = m2 + 6.0 * np.column_stack(
+        [np.cos(-bend), np.zeros(n), np.sin(-bend)])
+    off = np.zeros((n, 3))
+    off[:, 2] = height - m1[:, 2]
+    # one (frame, marker, xyz) array; the left leg is not tracked (NaN)
+    markers = np.full((n, len(LABELS), 3), np.nan)
+    for label, p in (("B1", [0.0, 0.0, 30.0]), ("B2", [5.0, 0.0, 30.0]),
+                     ("B3", [0.0, 5.0, 30.0]), ("R3", m3 + off),
+                     ("R2", m2 + off), ("R1", m1 + off)):
+        markers[:, LABELS.index(label)] = p
+    return TrialRecording(markers)
 
 
 conditions = {
@@ -48,10 +47,10 @@ conditions = {
 }
 print("synthetic trials (5 per condition):")
 summaries = {}
-for label, params in conditions.items():
+for k, (label, params) in enumerate(conditions.items()):
     cycles, amps = [], []
     for trial in range(5):
-        rec = synthetic_trial(seed=hash((label, trial)) % 2**32, **params)
+        rec = synthetic_trial(seed=100 * k + trial, **params)
         tm = trial_metrics(rec, "right")
         cycles.append(tm.mean_cycle_time)
         amps.append(tm.mean_bend_amplitude)

@@ -22,9 +22,8 @@ from .chain import (ChainGeometry, ChainSolveError, ChainState, ClawState,
 from .contact import (Attachment, ForceLimits, MeshGrid, Phase, Scenario,
                       SimState, SimWorld, StepCommand, builtin_scenario,
                       coupling_force, hook_check, run_demo_cycle, step)
-from .gait import (MarkerFrame, NoCyclesFound, StepCycle, TrialRecording,
-                   angle_series, claw_displacement, claw_tibia_angle,
-                   fill_gaps, load_recording, reference_plane,
+from .gait import (NoCyclesFound, StepCycle, TrialRecording, angle_series,
+                   claw_displacement, fill_gaps, load_recording,
                    segment_cycles, trial_metrics)
 from .leg import (DHRow, IKResult, LegModel, NotReachable, Trajectory,
                   default_leg_model, forward_kinematics, inverse_kinematics,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 from . import chain as chain_mod
@@ -59,6 +60,8 @@ for _s in LEG_SECTIONS:
 
 SCENARIO_PREFIX = "scenario:"
 SCENARIO_KEYS = {"allow_flexible", "expect_failures", "home"}  # + phase_N
+# a scenario name prefixes the names of the files sim writes
+SCENARIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class Config:
@@ -327,6 +330,12 @@ def parse_config(text: str) -> Config:
                     f"unknown section [{section}]; valid sections: "
                     f"{', '.join(sorted(VALID_KEYS))}, scenario:<name>",
                     line_no)
+            name = section[len(SCENARIO_PREFIX):]
+            if section.startswith(SCENARIO_PREFIX) and (
+                    name == ".." or not SCENARIO_NAME.fullmatch(name)):
+                raise ConfigError(
+                    f"scenario name {name!r} is not a file-name stem of "
+                    f"letters, digits, '_', '-' and '.'", line_no)
             data.setdefault(section, {})
             continue
         if "=" not in line:

@@ -2,9 +2,11 @@
 
 A trial carries labeled 3D markers at a fixed frame rate: three per front
 leg (L1..L3 / R1..R3, claw tip to tibia) and three on the body (B1..B3,
-an L-shaped frame defining the reference plane).  From these we compute
-the claw-tibia bend angle, the signed claw displacement relative to the
-body plane, and step cycles segmented from touchdown events.
+an L-shaped frame defining the reference plane).  A recording is one
+NaN-padded (frames, markers, xyz) array on a uniform time grid.  From it
+we compute the claw-tibia bend angle, the signed claw displacement
+relative to the body plane, and step cycles segmented from touchdown
+events.
 
 Missing markers are gaps (NaN in derived series), never interpolated by
 default; frames with gaps drop out of per-cycle statistics.
@@ -18,25 +20,16 @@ import numpy as np
 
 from .table import float_columns, line_of, read_table, write_table
 
+# the marker axis of TrialRecording.markers, which is also the order in
+# which save_recording writes the rows of a frame
+LABELS = ("B1", "B2", "B3", "L1", "L2", "L3", "R1", "R2", "R3")
 LEG_LABELS = {"left": ("L1", "L2", "L3"), "right": ("R1", "R2", "R3")}
-BODY_LABELS = ("B1", "B2", "B3")
-ALL_LABELS = frozenset(("L1", "L2", "L3", "R1", "R2", "R3", "B1", "B2", "B3"))
 
 DEFAULT_RATE_FPS = 100.0
 HYSTERESIS_FRAC = 0.10
 MIN_SEPARATION_MS = 50.0
-
-
-class MissingMarker(KeyError):
-    """A marker required by the computation is absent from the frame."""
-
-
-class DegenerateVector(ValueError):
-    """Consecutive markers coincide; the segment direction is undefined."""
-
-
-class CollinearMarkers(ValueError):
-    """Body markers are collinear; no reference plane exists."""
+COLLINEAR_TOL = 1e-9
+GRID_TOL_FRAMES = 0.01  # how far off the frame grid a timestamp may lie
 
 
 class NoCyclesFound(ValueError):
@@ -44,54 +37,40 @@ class NoCyclesFound(ValueError):
 
 
 @dataclass(frozen=True)
-class MarkerFrame:
-    """One capture frame: time (ms) and label -> 3D point (mm)."""
-
-    t_ms: float
-    points: dict
-
-    def __post_init__(self):
-        pts = {label: np.asarray(p, dtype=float).reshape(3)
-               for label, p in self.points.items()}
-        # one finiteness check per frame: the recording loader builds
-        # thousands of frames, and a check per marker is most of its time
-        if not np.isfinite(list(pts.values())).all():
-            label = next(l for l, p in pts.items() if not np.isfinite(p).all())
-            raise ValueError(f"marker {label} has non-finite coordinates")
-        object.__setattr__(self, "points", pts)
-
-    def get(self, label: str) -> np.ndarray:
-        try:
-            return self.points[label]
-        except KeyError:
-            raise MissingMarker(label) from None
-
-
-@dataclass(frozen=True)
 class TrialRecording:
-    """Time-ordered marker frames at a uniform rate (frames/s)."""
+    """Marker positions (mm) on a uniform time grid.
 
-    frames: tuple
+    ``markers`` is an (N, 9, 3) array whose marker axis follows ``LABELS``;
+    frame i is at ``t0_ms + i * 1000 / rate`` ms.  An absent marker, or a
+    whole absent frame, is NaN.  The array is stored as a read-only copy.
+    """
+
+    markers: np.ndarray
     rate: float = DEFAULT_RATE_FPS
+    t0_ms: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if self.rate <= 0:
+        markers = np.array(self.markers, dtype=float)
+        if markers.ndim != 3 or markers.shape[1:] != (len(LABELS), 3):
+            raise ValueError(f"markers must have shape (N, {len(LABELS)}, 3),"
+                             f" got {markers.shape}")
+        if np.isinf(markers).any():
+            raise ValueError("marker coordinates must be finite or NaN")
+        if not self.rate > 0:
             raise ValueError("rate must be > 0")
-        ts = [f.t_ms for f in self.frames]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("frames must be strictly time-ordered")
-        unknown = {l for f in self.frames for l in f.points} - ALL_LABELS
-        if unknown:
-            raise ValueError(f"unknown marker labels: {sorted(unknown)}")
+        markers.flags.writeable = False
+        object.__setattr__(self, "markers", markers)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.markers)
 
 
 @dataclass(frozen=True)
 class StepCycle:
-    """One touchdown-to-touchdown step with its bend amplitude."""
+    """One touchdown-to-touchdown step with its bend amplitude.
+
+    Times are in ms from the first frame of the series.
+    """
 
     touchdown_t: float
     liftoff_t: float
@@ -105,79 +84,54 @@ class StepCycle:
                              "touchdown < liftoff < next touchdown")
 
 
-@dataclass(frozen=True)
-class Plane:
-    """Reference plane: a point on it and a unit normal."""
-
-    point: np.ndarray
-    normal: np.ndarray
-
-    def signed_distance(self, p) -> float:
-        return float(np.dot(np.asarray(p, dtype=float) - self.point, self.normal))
-
-
-def claw_tibia_angle(frame: MarkerFrame, side: str) -> float:
-    """Bend angle between the tibia and tarsus marker segments, degrees.
-
-    The tibia runs marker 3 -> 2, the tarsus/claw marker 2 -> 1; the
-    returned angle between the two directions lies in [0, 180].
-    """
+def _claw_column(side: str) -> int:
+    """Index in ``LABELS`` of the side's claw marker; its leg follows it."""
     if side not in LEG_LABELS:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    m1, m2, m3 = (frame.get(l) for l in LEG_LABELS[side])
-    tibia = m2 - m3
-    tarsus = m1 - m2
-    nt, nu = np.linalg.norm(tibia), np.linalg.norm(tarsus)
-    if nt == 0.0 or nu == 0.0:
-        raise DegenerateVector(f"coincident {side} markers at t={frame.t_ms}")
-    c = np.dot(tibia, tarsus) / (nt * nu)
-    return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
+    return LABELS.index(LEG_LABELS[side][0])
 
 
-def reference_plane(frame: MarkerFrame, collinear_tol: float = 1e-9) -> Plane:
-    """Body plane through the three body markers.
-
-    The normal is oriented so that any leg markers present in the frame
-    sit on its positive side (legs hang below the body, so displacement
-    series come out positive at rest).
-    """
-    b1, b2, b3 = (frame.get(l) for l in BODY_LABELS)
-    n = np.cross(b2 - b1, b3 - b1)
-    scale = max(np.linalg.norm(b2 - b1), np.linalg.norm(b3 - b1))
-    norm = np.linalg.norm(n)
-    if scale == 0.0 or norm <= collinear_tol * scale * scale:
-        raise CollinearMarkers(f"body markers collinear at t={frame.t_ms}")
-    n = n / norm
-    legs = [p for l, p in frame.points.items() if l[0] in "LR"]
-    if legs:
-        mean_side = float(np.mean([np.dot(p - b1, n) for p in legs]))
-        if mean_side < 0:
-            n = -n
-    return Plane(b1.copy(), n)
-
-
-def claw_displacement(recording: TrialRecording, side: str) -> np.ndarray:
-    """Signed claw-to-body-plane distance per frame, mm; NaN where missing."""
-    claw_label = LEG_LABELS[side][0]
-    out = np.full(len(recording), np.nan)
-    for i, frame in enumerate(recording.frames):
-        try:
-            plane = reference_plane(frame)
-            out[i] = plane.signed_distance(frame.get(claw_label))
-        except (MissingMarker, CollinearMarkers):
-            continue
-    return out
+def _dot(a, b) -> np.ndarray:
+    """Dot products over the last axis, summed as ``np.dot`` sums them."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def angle_series(recording: TrialRecording, side: str) -> np.ndarray:
-    """Claw-tibia angle per frame, degrees; NaN where markers are missing."""
-    out = np.full(len(recording), np.nan)
-    for i, frame in enumerate(recording.frames):
-        try:
-            out[i] = claw_tibia_angle(frame, side)
-        except (MissingMarker, DegenerateVector):
-            continue
-    return out
+    """Claw-tibia bend angle per frame, degrees.
+
+    The tibia runs marker 3 -> 2, the tarsus/claw marker 2 -> 1; the angle
+    between the two directions lies in [0, 180].  NaN where a marker is
+    missing or two consecutive markers coincide (no direction).
+    """
+    j = _claw_column(side)
+    m1, m2, m3 = (recording.markers[:, j + k] for k in range(3))
+    tibia, tarsus = m2 - m3, m1 - m2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = _dot(tibia, tarsus) / (np.sqrt(_dot(tibia, tibia))
+                                     * np.sqrt(_dot(tarsus, tarsus)))
+    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+
+
+def claw_displacement(recording: TrialRecording, side: str) -> np.ndarray:
+    """Signed claw-to-body-plane distance per frame, mm.
+
+    The plane runs through B1, B2 and B3.  Its normal is oriented so that
+    the mean of the leg markers present in the frame sits on its positive
+    side (legs hang below the body, so the series comes out positive at
+    rest).  NaN where a marker is missing or the body markers are
+    collinear.
+    """
+    claw = _claw_column(side)
+    m = recording.markers
+    b1 = m[:, 0]
+    u, v = m[:, 1] - b1, m[:, 2] - b1
+    normal = np.cross(u, v)
+    size = np.sqrt(_dot(normal, normal))
+    scale = np.sqrt(np.maximum(_dot(u, u), _dot(v, v)))
+    size[~(size > COLLINEAR_TOL * scale * scale)] = np.nan
+    # distance of every leg marker, LABELS[3:], along the unit normal
+    legs = _dot(m[:, 3:] - b1[:, None], (normal / size[:, None])[:, None])
+    return legs[:, claw - 3] * np.where(np.nansum(legs, axis=1) < 0, -1, 1)
 
 
 def fill_gaps(series, max_gap_frames: int | None = None) -> np.ndarray:
@@ -188,29 +142,15 @@ def fill_gaps(series, max_gap_frames: int | None = None) -> np.ndarray:
     for recordings with short dropouts.  Runs longer than
     ``max_gap_frames`` (when given) are left as gaps.
     """
-    s = np.asarray(series, dtype=float).copy()
-    finite = np.isfinite(s)
-    if finite.sum() < 2:
+    s = np.array(series, dtype=float)
+    known = np.flatnonzero(np.isfinite(s))
+    if len(known) < 2:
         return s
-    idx = np.flatnonzero(finite)
-    start, end = idx[0], idx[-1]
-    runs = []
-    i = start
-    while i <= end:
-        if not finite[i]:
-            j = i
-            while not finite[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    for a, b in runs:
-        if max_gap_frames is not None and (b - a) > max_gap_frames:
-            continue
-        x0, x1 = a - 1, b
-        frac = (np.arange(a, b) - x0) / (x1 - x0)
-        s[a:b] = s[x0] + frac * (s[x1] - s[x0])
+    gaps = known[0] + np.flatnonzero(~np.isfinite(s[known[0]:known[-1]]))
+    if max_gap_frames is not None:
+        after = np.searchsorted(known, gaps)
+        gaps = gaps[known[after] - known[after - 1] - 1 <= max_gap_frames]
+    s[gaps] = np.interp(gaps, known, s[known])
     return s
 
 
@@ -226,7 +166,8 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     touchdowns closer than ``min_separation_ms`` are merged (deepest
     wins).  Per-cycle ``bend_amplitude`` is the in-cycle peak minus the
     value at touchdown (or peak minus trough with
-    ``amplitude_mode='peak_to_trough'``).
+    ``amplitude_mode='peak_to_trough'``).  Sample i is at ``i * 1000 /
+    rate`` ms.
 
     Raises NoCyclesFound for flat series or fewer than two touchdowns.
     """
@@ -244,26 +185,23 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
         raise NoCyclesFound("series is constant")
     band = hysteresis_frac * span
     mid = 0.5 * (lo_v + hi_v)
-    low_thr, high_thr = mid - 0.5 * band, mid + 0.5 * band
+    low = finite & (s < mid - 0.5 * band)
+    high = finite & (s > mid + 0.5 * band)
     dt = 1000.0 / rate
 
-    # candidate touchdowns: deepest sample of every below-threshold
-    # excursion; a trailing excursion that never rises back above the high
-    # threshold is incomplete and does not count
-    touchdowns = []
-    i = 0
-    n = len(s)
-    while i < n:
-        if finite[i] and s[i] < low_thr:
-            j = i
-            while j < n and not (finite[j] and s[j] > high_thr):
-                j += 1
-            if j < n:
-                seg = np.where(finite[i:j], s[i:j], np.inf)
-                touchdowns.append(i + int(np.argmin(seg)))
-            i = j
-        else:
-            i += 1
+    # an excursion starts at a low sample whose last low-or-high sample
+    # before it was high (or that has none) and runs to the next high
+    # sample; its touchdown is its deepest sample.  A trailing excursion,
+    # which never rises back above the high threshold (its end is the
+    # sentinel len(s)), does not count.
+    marks = np.flatnonzero(low | high)
+    is_low = low[marks]
+    starts = marks[is_low & np.append(True, ~is_low[:-1])]
+    highs = np.append(marks[~is_low], len(s))
+    ends = highs[np.searchsorted(highs, starts)]
+    depth = np.where(finite, s, np.inf)
+    touchdowns = [a + int(np.argmin(depth[a:b])) for a, b in
+                  zip(starts.tolist(), ends.tolist()) if b < len(s)]
     # debounce: merge touchdowns closer than the minimum separation
     merged = []
     for idx in touchdowns:
@@ -277,21 +215,19 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
 
     cycles = []
     for a, b in zip(merged, merged[1:]):
-        window = s[a:b + 1]
-        wfinite = np.isfinite(window)
-        lift_rel = np.argmax(wfinite & (window > high_thr)) \
-            if np.any(wfinite & (window > high_thr)) else None
-        if lift_rel is None or lift_rel == 0:
+        # a touchdown is low, so a liftoff at offset 0 means none
+        lift = int(np.argmax(high[a:b + 1]))
+        if lift == 0:
             continue
-        peak = np.nanmax(window)
+        window = s[a:b + 1]
         base = s[a] if amplitude_mode == "peak_minus_touchdown" \
             else np.nanmin(window)
         cycles.append(StepCycle(
             touchdown_t=a * dt,
-            liftoff_t=(a + lift_rel) * dt,
+            liftoff_t=(a + lift) * dt,
             next_touchdown_t=b * dt,
             cycle_time=(b - a) * dt,
-            bend_amplitude=float(peak - base),
+            bend_amplitude=float(np.nanmax(window) - base),
         ))
     if not cycles:
         raise NoCyclesFound("no complete touchdown-liftoff-touchdown cycle")
@@ -304,37 +240,55 @@ RECORDING_HEADER = ("t_ms", "label", "x_mm", "y_mm", "z_mm")
 def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     """Read a long-format marker CSV: t_ms,label,x_mm,y_mm,z_mm.
 
-    Rows are sorted by time then label; a missing marker is simply an
-    absent row.  Raises ValueError with the offending row number on parse
-    problems.
+    Rows are in time order, one per marker present in a frame.  The frame
+    grid runs from the first ``t_ms`` at ``rate`` frames/s; a frame with no
+    rows is a NaN row.  Raises ValueError naming the file row for a bad
+    cell or label, a timestamp past as many frames as the file has data
+    rows, time going backwards, a timestamp more than 1% of a frame period
+    off the grid and a second row for one label in one frame.
     """
+    if not rate > 0:
+        raise ValueError("rate must be > 0")
     _, rows = read_table(path, RECORDING_HEADER)
     values = float_columns(path, rows, (0, 2, 3, 4))
-    t, xyz = values[:, 0], values[:, 1:]
-    labels = [row[1] for row in rows]
-    del rows  # the cells take more memory than the frames built below
-    unknown = set(labels) - ALL_LABELS
-    if unknown:
-        i = next(i for i, label in enumerate(labels) if label in unknown)
-        raise ValueError(f"row {line_of(path, i)}: unknown label "
-                         f"{labels[i]!r}")
-    # the NaN before the first row makes row 0 start a frame
-    step = np.diff(t, prepend=np.nan)
-    if (step < 0).any():
-        raise ValueError(f"row {line_of(path, int(np.argmax(step < 0)))}: "
-                         f"time goes backwards")
-    starts = np.flatnonzero(step).tolist()
-    return TrialRecording(tuple(
-        MarkerFrame(t_ms, dict(zip(labels[a:b], xyz[a:b])))
-        for t_ms, a, b in zip(t[starts].tolist(), starts,
-                              starts[1:] + [len(t)])), rate)
+    t = values[:, 0]
+    index = {label: j for j, label in enumerate(LABELS)}
+    column = np.array([index.get(row[1], -1) for row in rows], dtype=int)
+    del rows  # the cells take more memory than everything built below
+    t0 = float(t[0]) if len(t) else 0.0
+    position = (t - t0) * (rate / 1000.0)  # in frames from the first
+    frame = np.rint(position)
+    # a row that is not the first of its (frame, label)
+    _, first = np.unique(frame * len(LABELS) + column, return_index=True)
+    repeat = np.bincount(first, minlength=len(t)) == 0
+    for bad, why in (
+            (column < 0, "unknown label"),
+            (frame >= len(t), "more frames than the file has rows"),
+            (np.diff(t, prepend=t0) < 0, "time goes backwards"),
+            (np.abs(position - frame) > GRID_TOL_FRAMES,
+             f"timestamp off the {rate:g} fps grid"),
+            (repeat, "second row for this label in this frame")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"row {line_of(path, i)}: {why}: "
+                             f"{','.join(read_table(path)[1][i])}")
+    markers = np.full((int(frame.max(initial=-1)) + 1, len(LABELS), 3),
+                      np.nan)
+    markers[frame.astype(int), column] = values[:, 1:]
+    return TrialRecording(markers, rate, t0)
 
 
 def save_recording(path, recording: TrialRecording) -> None:
-    write_table(path, RECORDING_HEADER,
-                [[float(frame.t_ms), label, *frame.points[label].tolist()]
-                 for frame in recording.frames
-                 for label in sorted(frame.points)])
+    """Write ``recording`` in the format ``load_recording`` reads.
+
+    One row per marker present: frames in time order, markers in
+    ``LABELS`` order.
+    """
+    frame, column = np.nonzero(~np.isnan(recording.markers).any(axis=2))
+    t = recording.t0_ms + frame * (1000.0 / recording.rate)
+    write_table(path, RECORDING_HEADER, zip(
+        t.tolist(), [LABELS[j] for j in column.tolist()],
+        *recording.markers[frame, column].T.tolist()))
 
 
 @dataclass(frozen=True)
@@ -367,18 +321,15 @@ def trial_metrics(recording: TrialRecording, side: str,
     disp = claw_displacement(recording, side)
     ang = angle_series(recording, side)
     if interpolate_gaps:
-        disp = fill_gaps(disp)
-        ang = fill_gaps(ang)
+        disp, ang = fill_gaps(disp), fill_gaps(ang)
     cycles = segment_cycles(disp, recording.rate, **cycle_kwargs)
     dt = 1000.0 / recording.rate
     amps = []
     for c in cycles:
         a = int(round(c.touchdown_t / dt))
         b = int(round(c.next_touchdown_t / dt))
-        window = ang[a:b + 1]
-        if np.all(np.isnan(window)) or np.isnan(ang[a]):
-            continue
-        amps.append(float(np.nanmax(window) - ang[a]))
+        if not np.isnan(ang[a]):
+            amps.append(float(np.nanmax(ang[a:b + 1]) - ang[a]))
     return TrialMetrics(
         side=side,
         cycle_times=tuple(c.cycle_time for c in cycles),

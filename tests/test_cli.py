@@ -10,7 +10,7 @@ import pytest
 
 from tarsim.cli import main, read_table
 from tarsim.contact import load_demo_csv
-from tarsim.gait import MarkerFrame, TrialRecording, save_recording
+from tarsim.gait import LABELS, TrialRecording, save_recording
 from tarsim.leg import Trajectory, load_trajectory, save_trajectory
 
 
@@ -227,6 +227,20 @@ class TestSimCommand:
         text = (tmp_path / "out" / "noop_demo.csv").read_text()
         assert text.strip() == "t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event"
 
+    @pytest.mark.parametrize("name", ["../../esc", "a&b<c"])
+    def test_scenario_name_that_is_no_file_name_is_config_error(
+            self, tmp_path, capsys, name):
+        # "../../esc" would write esc_demo.csv two directories above --out,
+        # "a&b<c" an SVG that is not well-formed XML
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"[scenario:{name}]\nhome = 120 0 -60\n")
+        rc = main(["sim", "--scenario", name, "--config", str(conf),
+                   "--format", "both", "--out", str(tmp_path / "o2" / "deep")])
+        assert rc == 2
+        assert "scenario name" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")
+                if p.is_file()] == ["t.conf"]
+
     def test_expected_failures_exit_zero(self, tmp_path):
         # drag sideways while hooked with a tiny hooking limit
         conf = tmp_path / "t.conf"
@@ -256,20 +270,21 @@ class TestSimCommand:
 
 
 def make_recording(path, period_ms, n=500, amp_deg=40.0):
-    frames = []
-    for i in range(n):
-        t = i * 10.0
-        phase = 2 * math.pi * t / period_ms
-        height = 6.0 + 8.0 * 0.5 * (1.0 - math.cos(phase))
-        bend = math.radians(amp_deg) * 0.5 * (1.0 - math.cos(phase))
-        m3 = np.array([0.0, 0.0, 20.0])
-        m2 = np.array([10.0, 0.0, 8.0])
-        m1 = m2 + 6.0 * np.array([math.cos(-bend), 0.0, math.sin(-bend)])
-        off = np.array([0.0, 0.0, height - m1[2]])
-        frames.append(MarkerFrame(t, {
-            "B1": [0, 0, 30.0], "B2": [5, 0, 30.0], "B3": [0, 5, 30.0],
-            "R3": m3 + off, "R2": m2 + off, "R1": m1 + off}))
-    save_recording(path, TrialRecording(tuple(frames)))
+    phase = 2 * np.pi * (np.arange(n) * 10.0) / period_ms
+    height = 6.0 + 8.0 * 0.5 * (1.0 - np.cos(phase))
+    bend = np.radians(amp_deg) * 0.5 * (1.0 - np.cos(phase))
+    m3 = np.array([0.0, 0.0, 20.0])
+    m2 = np.array([10.0, 0.0, 8.0])
+    m1 = m2 + 6.0 * np.column_stack(
+        [np.cos(-bend), np.zeros(n), np.sin(-bend)])
+    off = np.zeros((n, 3))
+    off[:, 2] = height - m1[:, 2]
+    markers = np.full((n, len(LABELS), 3), np.nan)
+    for label, p in (("B1", [0, 0, 30.0]), ("B2", [5, 0, 30.0]),
+                     ("B3", [0, 5, 30.0]), ("R3", m3 + off),
+                     ("R2", m2 + off), ("R1", m1 + off)):
+        markers[:, LABELS.index(label)] = p
+    save_recording(path, TrialRecording(markers))
 
 
 class TestGaitCommand:

@@ -163,6 +163,17 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="phase_1"):
             cfg.build_scenario("bad", cfg.build_chain(), cfg.build_mesh())
 
+    @pytest.mark.parametrize("name", ["../../esc", "a&b<c", "..", "", "a/b",
+                                      "a b", "x\\y"])
+    def test_scenario_name_must_be_a_file_name_stem(self, name):
+        with pytest.raises(ConfigError, match="line 2: scenario name"):
+            parse_config(f"# a scenario\n[scenario:{name}]\nhome = 0 0 0\n")
+
+    @pytest.mark.parametrize("name", ["hop", "walk-2.v1", "A_b", "..."])
+    def test_scenario_file_name_stems_accepted(self, name):
+        cfg = parse_config(f"[scenario:{name}]\nhome = 120 0 -60\n")
+        assert name in cfg.scenario_names()
+
     def test_unknown_scenario_key(self):
         with pytest.raises(ConfigError, match="phase_<n>"):
             parse_config("[scenario:x]\nspeed = 3\n")

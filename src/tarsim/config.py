@@ -283,13 +283,26 @@ class Config:
         )
 
     def ik_params(self) -> dict:
-        return {
-            "damping": self.getfloat("ik", "damping", leg_mod.IK_DAMPING),
-            "step_clamp": self.getfloat("ik", "step_clamp_rad",
-                                        leg_mod.IK_STEP_CLAMP_RAD),
-            "tol_mm": self.getfloat("ik", "tol_mm", leg_mod.IK_TOL_MM),
-            "max_iter": self.getint("ik", "max_iter", leg_mod.IK_MAX_ITER),
-        }
+        """``[ik]`` solver settings: each finite and > 0, max_iter >= 1."""
+        params = {}
+        for arg, key, default in (
+                ("damping", "damping", leg_mod.IK_DAMPING),
+                ("step_clamp", "step_clamp_rad", leg_mod.IK_STEP_CLAMP_RAD),
+                ("tol_mm", "tol_mm", leg_mod.IK_TOL_MM)):
+            value = self.getfloat("ik", key, default)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"ik.{key} must be finite and > 0, "
+                                  f"got {value}", self._line("ik", key))
+            params[arg] = value
+        max_iter = self.getint("ik", "max_iter", leg_mod.IK_MAX_ITER)
+        if max_iter < 1:
+            raise ConfigError(f"ik.max_iter must be >= 1, got {max_iter}",
+                              self._line("ik", "max_iter"))
+        params["max_iter"] = max_iter
+        return params
+
+    def _line(self, section: str, key: str) -> int | None:
+        return self.data.get(section, {}).get(key, (None, None))[1]
 
     def hash(self) -> str:
         """Stable digest of the effective configuration."""

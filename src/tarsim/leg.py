@@ -1,10 +1,15 @@
-"""Four-joint robotic leg: DH kinematics, damped-least-squares IK, retargeting.
+"""Four-joint robotic leg: DH kinematics, closed-form IK, retargeting.
 
 The leg chain is coxa, trochanter, femur, tibia — four revolute joints
-described by standard Denavit-Hartenberg rows.  The IK solver tracks tip
-position only (3 constraints, 4 DOF); the damped minimum-norm update
-resolves the redundancy.  Recorded walking trajectories are retargeted
-onto the leg by uniform scaling about a reference point.
+described by standard Denavit-Hartenberg rows.  IK tracks tip position
+only (3 constraints, 4 DOF).  A yawing coxa carrying a planar
+trochanter/femur/tibia chain (the default leg) is solved in closed form;
+the candidate nearest the warm start resolves the redundancy, and
+``iterations`` counts the candidates evaluated.  Other geometries, and
+targets where no closed-form candidate fits the joint limits, fall back
+to damped least squares (DLS), whose ``iterations`` are DLS steps.
+Recorded walking trajectories are retargeted onto the leg by uniform
+scaling about a reference point.
 """
 
 from __future__ import annotations
@@ -22,6 +27,12 @@ IK_DAMPING = 1e-3
 IK_STEP_CLAMP_RAD = 0.2
 IK_TOL_MM = 1e-6
 IK_MAX_ITER = 200
+
+# closed-form angles that miss a joint limit by no more than this are
+# taken onto it: acos near +-1 turns rounding into errors of ~1e-8 rad,
+# and a target on the workspace edge may be reachable only at a limit.
+# The FK check still decides whether such a candidate lands.
+LIMIT_SLACK_RAD = 1e-6
 
 
 class NotReachable(RuntimeError):
@@ -176,6 +187,231 @@ def inverse_kinematics(model: LegModel, target, q0,
                        step_clamp: float = IK_STEP_CLAMP_RAD,
                        tol_mm: float = IK_TOL_MM,
                        max_iter: int = IK_MAX_ITER) -> IKResult:
+    """Position-only IK: closed form for the yaw + planar-3R leg, else DLS.
+
+    A leg whose DH rows have twists (pi/2, 0, 0, 0), every d = 0, every
+    theta offset 0 and nonzero femur and tibia lengths (the default leg)
+    is solved in closed form; see ``_closed_form``.  Of its candidates
+    that lie inside the joint limits and land within ``tol_mm``, the one
+    nearest ``q0`` is returned.  Any other geometry, and this one when no
+    candidate survives, runs damped least squares (DLS).
+
+    Args:
+        model: leg model.
+        target: 3D tip target, mm.
+        q0: warm start (clipped to the joint limits).
+        damping: DLS damping factor.
+        step_clamp: per-iteration DLS joint step bound, rad.
+        tol_mm: convergence threshold on the position residual.
+        max_iter: DLS iteration budget.
+
+    Returns:
+        IKResult with the solution and its residual.  ``iterations`` is 0
+        when ``q0`` already lands within ``tol_mm``.  On the closed-form
+        path it counts the candidates evaluated: each coxa yaw tried and
+        each joint vector checked by FK.  On the DLS path it counts DLS
+        iterations.
+
+    Raises:
+        NotReachable: on the closed-form geometry at once when the target
+            lies ``tol_mm`` or more outside the workspace (the residual is
+            that distance, whatever the joint limits); otherwise when DLS
+            is still above ``tol_mm`` after ``max_iter`` iterations
+            (carrying the best residual seen).
+    """
+    target = np.asarray(target, dtype=float)
+    if target.shape != (3,) or not np.all(np.isfinite(target)):
+        raise ValueError("target must be a finite 3D point")
+    q0 = np.clip(np.asarray(q0, dtype=float), model.lower, model.upper)
+    links = _planar_links(model)
+    if links is not None:
+        found = _closed_form(links, model.joint_limits, target.tolist(),
+                             q0.tolist(), tol_mm)
+        if found is not None:
+            return found
+    return _damped_least_squares(model, target, q0, damping, step_clamp,
+                                 tol_mm, max_iter)
+
+
+def _planar_links(model: LegModel):
+    """Link lengths (a0..a3) if the leg is a yawing base plus a planar 3R."""
+    rows = model.rows
+    if rows[0].alpha_twist != math.pi / 2 \
+            or any(r.alpha_twist != 0.0 for r in rows[1:]) \
+            or any(r.d != 0.0 or r.theta_offset != 0.0 for r in rows) \
+            or rows[2].a == 0.0 or rows[3].a == 0.0:
+        return None
+    return tuple(r.a for r in rows)
+
+
+def _planar_tip(links, q):
+    """FK of the yaw + planar-3R leg in plain math: tip (x, y, z), mm."""
+    a0, a1, a2, a3 = links
+    yaw, t1, q2, q3 = q
+    t2 = t1 + q2
+    t3 = t2 + q3
+    out = a0 + a1 * math.cos(t1) + a2 * math.cos(t2) + a3 * math.cos(t3)
+    return (out * math.cos(yaw), out * math.sin(yaw),
+            a1 * math.sin(t1) + a2 * math.sin(t2) + a3 * math.sin(t3))
+
+
+def _wrap_into(angle, ref, lo, hi):
+    """The 2*pi-representative of ``angle`` in [lo, hi] nearest ``ref``."""
+    if lo <= angle <= hi and abs(angle - ref) <= math.pi:
+        return angle
+    k = round((ref - angle) / math.tau)
+    best = None
+    for j in (k, k - 1, k + 1):
+        v = angle + j * math.tau
+        if lo - LIMIT_SLACK_RAD <= v <= hi + LIMIT_SLACK_RAD:
+            v = min(max(v, lo), hi)
+            if best is None or abs(v - ref) < abs(best - ref):
+                best = v
+    return best
+
+
+def _acos_clamped(c):
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def _closed_form(links, limits, target, warm, tol_mm):
+    """Closed-form IK candidates for the yaw + planar-3R leg.
+
+    The coxa yaw puts the target in the leg plane: ``atan2(y, x)`` and
+    that angle plus pi (on the z axis the warm yaw is kept).  In that
+    plane the target sits at polar ``(rho, phi)``; ``_arc_angles`` lists
+    the trochanter angles to try, and femur and tibia close the loop in
+    closed form with either elbow.  Candidates outside the joint limits
+    are dropped; the rest are checked by FK nearest ``warm`` first, so
+    the first that lands within ``tol_mm`` is the valid one nearest
+    ``warm``.  Only if none lands are the ``_pinned_angles`` tried the
+    same way.
+
+    Returns the IKResult nearest ``warm`` (the warm start itself, with 0
+    iterations, if it already lands), or None when no candidate survives.
+    Raises NotReachable when the target lies ``tol_mm`` or more outside
+    the workspace on both yaws.
+    """
+    a0, a1, a2, a3 = links
+    x, y, z = target
+    res = math.dist(_planar_tip(links, warm), target)
+    if res < tol_mm:
+        return IKResult(np.array(warm), res, 0)
+    r = math.hypot(x, y)
+    if r == 0.0:
+        branches = ((warm[0], -a0),)
+    else:
+        aim = math.atan2(y, x)
+        branches = ((aim, r - a0), (aim + math.pi, -r - a0))
+    far = a1 + a2 + a3
+    near = max(a1 - a2 - a3, abs(a2 - a3) - a1, 0.0)
+    gap = math.inf
+    planes = []
+    for psi, u in branches:
+        rho = math.hypot(u, z)
+        outside = max(rho - far, near - rho, 0.0)
+        gap = min(gap, outside)
+        yaw = _wrap_into(psi, warm[0], *limits[0])
+        if outside < tol_mm and yaw is not None:
+            planes.append((yaw, u, rho, math.atan2(z, u)))
+    evaluated = len(branches)
+    if gap >= tol_mm:
+        raise NotReachable(gap, evaluated)
+    for angles in (_arc_angles, _pinned_angles):
+        candidates = []
+        for yaw, u, rho, phi in planes:
+            for q1 in angles(links, limits, rho, phi, warm[1]):
+                wu = u - a1 * math.cos(q1)
+                wv = z - a1 * math.sin(q1)
+                aim_w = math.atan2(wv, wu)
+                elbow = _acos_clamped((wu * wu + wv * wv - a2 * a2 - a3 * a3)
+                                      / (2.0 * a2 * a3))
+                for bend in ((elbow, -elbow) if elbow else (elbow,)):
+                    q2 = _wrap_into(aim_w - q1 - math.atan2(
+                        a3 * math.sin(bend), a2 + a3 * math.cos(bend)),
+                        warm[2], *limits[2])
+                    if q2 is None:
+                        continue
+                    # the tibia aims from the knee at the target: near a
+                    # straight elbow this is exact where acos is not
+                    t2 = q1 + q2
+                    q3 = _wrap_into(math.atan2(wv - a2 * math.sin(t2),
+                                               wu - a2 * math.cos(t2)) - t2,
+                                    warm[3], *limits[3])
+                    if q3 is not None:
+                        step = ((yaw - warm[0]) ** 2 + (q1 - warm[1]) ** 2
+                                + (q2 - warm[2]) ** 2 + (q3 - warm[3]) ** 2)
+                        candidates.append((step, (yaw, q1, q2, q3)))
+        candidates.sort(key=lambda c: c[0])
+        for _, q in candidates:
+            evaluated += 1
+            res = math.dist(_planar_tip(links, q), target)
+            if res < tol_mm:
+                return IKResult(np.array(q), res, evaluated)
+    return None
+
+
+def _arc_angles(links, limits, rho, phi, warm):
+    """Trochanter angles from the reachable arcs, for a planar target.
+
+    The wrist, past the trochanter, sits at ``|w|^2 = rho^2 + a1^2 -
+    2 a1 rho cos(q1 - phi)``, and the femur/tibia pair reaches it iff
+    ``|w|`` lies in ``[|a2 - a3|, a2 + a3]``: two arcs ``beta_in <=
+    |q1 - phi| <= beta_out`` from two ``acos`` calls.  On each arc,
+    within the trochanter limits, the point nearest ``warm`` and both
+    ends are returned.
+    """
+    _, a1, a2, a3 = links
+    lo1, hi1 = limits[1]
+    if a1 * rho == 0.0:
+        arcs = ((phi - math.pi, phi + math.pi),)
+    else:
+        base = rho * rho + a1 * a1
+        b_in = _acos_clamped((base - (a2 - a3) ** 2) / (2.0 * a1 * rho))
+        b_out = _acos_clamped((base - (a2 + a3) ** 2) / (2.0 * a1 * rho))
+        arcs = ((phi + b_in, phi + b_out), (phi - b_out, phi - b_in))
+    angles = {}
+    for s, e in arcs:
+        for k in range(math.ceil((lo1 - e - LIMIT_SLACK_RAD) / math.tau),
+                       math.floor((hi1 - s + LIMIT_SLACK_RAD) / math.tau) + 1):
+            lo, hi = max(s + k * math.tau, lo1), min(e + k * math.tau, hi1)
+            if lo <= hi + LIMIT_SLACK_RAD:
+                for q1 in (min(max(warm, lo), hi), lo, hi):
+                    angles[min(max(q1, lo1), hi1)] = None
+    return angles
+
+
+def _pinned_angles(links, limits, rho, phi, warm):
+    """Trochanter angles that put the femur or the tibia on a limit.
+
+    Where the femur/tibia limits cut an arc short, the stretches of
+    valid trochanter angles end at these; with the arc ends and the
+    trochanter limits, every stretch then has an end among the
+    candidates.  A pinned joint makes the chain a two-link one: a link
+    of length b at angle q1 + gamma, then one of length c.
+    """
+    _, a1, a2, a3 = links
+    pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
+                                * math.cos(lim))) for lim in limits[3]]
+    pins += [(math.hypot(a1 + a2 * math.cos(lim), a2 * math.sin(lim)),
+              math.atan2(a2 * math.sin(lim), a1 + a2 * math.cos(lim)), a3)
+             for lim in limits[2]]
+    angles = {}
+    for b, gamma, c in pins:
+        if b * rho == 0.0:
+            continue
+        cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
+        if abs(cos_beta) <= 1.0:
+            beta = math.acos(cos_beta)
+            for q1 in (phi - gamma + beta, phi - gamma - beta):
+                q1 = _wrap_into(q1, warm, *limits[1])
+                if q1 is not None:
+                    angles[q1] = None
+    return angles
+
+
+def _damped_least_squares(model: LegModel, target, q0, damping, step_clamp,
+                          tol_mm, max_iter) -> IKResult:
     """Position-only IK via damped least squares.
 
     Iterates dq = J^T (J J^T + damping*I)^-1 err, with the step scaled so
@@ -183,36 +419,15 @@ def inverse_kinematics(model: LegModel, target, q0,
     clamped to the joint limits.  If a run stalls in a local minimum it
     restarts from a short deterministic seed list; all restarts share the
     single ``max_iter`` iteration budget, so the reported iteration count
-    stays below it.
-
-    Args:
-        model: leg model.
-        target: 3D tip target, mm.
-        q0: starting joint vector (within limits).
-        damping: least-squares damping factor.
-        step_clamp: per-iteration joint step bound, rad.
-        tol_mm: convergence threshold on the position residual.
-        max_iter: iteration budget.
-
-    Returns:
-        IKResult with the solution, final residual and iteration count.
-
-    Raises:
-        NotReachable: residual still above tol_mm after max_iter
-            iterations; carries the best residual seen.
+    stays below it.  Raises NotReachable with the best residual seen.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (3,) or not np.all(np.isfinite(target)):
-        raise ValueError("target must be a finite 3D point")
-    q0 = np.clip(np.asarray(q0, dtype=float), model.lower, model.upper)
-
     def tip_at(q):
         return _chain_frames(model, q)[0][-1]
 
     best_res = math.inf
     eye3 = np.eye(3)
     spent = 0
-    for seed in _restart_seeds(model, target, q0):
+    for seed in _restart_seeds(model, q0):
         if spent >= max_iter:
             break
         q = np.clip(np.asarray(seed, dtype=float), model.lower, model.upper)
@@ -249,49 +464,13 @@ def inverse_kinematics(model: LegModel, target, q0,
     raise NotReachable(best_res, spent)
 
 
-def _restart_seeds(model: LegModel, target, q0):
-    """Deterministic IK starting points, warm start first (lazy).
+def _restart_seeds(model: LegModel, q0):
+    """Deterministic DLS starting points, warm start first (lazy).
 
-    The scan candidates treat the leg as a yawing base link plus a planar
-    three-bar (exact for the default geometry, a harmless guess
-    otherwise): the coxa aims at the target azimuth, forward or wrapped
-    backward; the redundant trochanter angle sweeps a grid; the
-    femur/tibia pair closes the loop with either elbow in closed form.
-    The few candidates with the smallest tip residual are yielded, then
-    generic spread-out fallbacks.  Everything past the warm start is only
-    computed if the warm start fails, keeping trajectory tracking cheap.
+    After the warm start come the middle of the limits and eight fixed
+    spread-out points.
     """
     yield np.asarray(q0, dtype=float)
-
-    a = [row.a for row in model.rows]
-    tx, ty, tz = target
-    aim = math.atan2(ty, tx)
-    back = aim - math.copysign(math.pi, aim) if aim != 0.0 else math.pi
-    scan = []
-    if a[2] > 0 and a[3] > 0:
-        lo2, hi2 = model.joint_limits[1]
-        for psi in (aim, back):
-            u = math.cos(psi) * tx + math.sin(psi) * ty - a[0]
-            for th2 in np.linspace(lo2, hi2, 25):
-                wu = u - a[1] * math.cos(th2)
-                wv = tz - a[1] * math.sin(th2)
-                elbow_cos = (wu * wu + wv * wv - a[2] ** 2 - a[3] ** 2) \
-                    / (2.0 * a[2] * a[3])
-                elbow_cos = max(-1.0, min(1.0, elbow_cos))
-                for elbow in (1.0, -1.0):
-                    th4 = elbow * math.acos(elbow_cos)
-                    phi3 = math.atan2(wv, wu) - math.atan2(
-                        a[3] * math.sin(th4), a[2] + a[3] * math.cos(th4))
-                    th3 = phi3 - th2
-                    th3 = math.atan2(math.sin(th3), math.cos(th3))  # wrap
-                    q = np.clip(np.array([psi, th2, th3, th4]),
-                                model.lower, model.upper)
-                    tip = _chain_frames(model, q)[0][-1]
-                    scan.append((float(np.linalg.norm(tip - target)), q))
-        scan.sort(key=lambda c: c[0])
-        for _, q in scan[:8]:
-            yield q
-
     yield 0.5 * (model.lower + model.upper)
     rng = np.random.default_rng(0)  # fixed: restarts stay deterministic
     span = model.upper - model.lower

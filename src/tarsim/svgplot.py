@@ -7,6 +7,11 @@ import numpy as np
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
+def _xml_escape(text: str) -> str:
+    """XML-escape character data (no import: xml.sax pulls in urllib)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5):
     if hi <= lo:
         hi = lo + 1.0
@@ -18,7 +23,8 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
     """Write an SVG line chart.
 
     ``series`` is a list of (label, x, y) with array-likes of equal
-    length; NaNs break the polyline.
+    length; NaNs break the polyline.  The title, axis labels and series
+    labels are XML-escaped.
     """
     w, h = size
     ml, mr, mt, mb = 62, 16, 34, 46  # margins
@@ -58,7 +64,7 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
     ]
     if title:
         parts.append(f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+                     f'font-size="14">{_xml_escape(title)}</text>')
     for tx in _ticks(x0, x1):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" '
                      f'x2="{px(tx):.1f}" y2="{mt + ph + 4}" stroke="#444"/>')
@@ -71,11 +77,11 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
                      f'text-anchor="end">{ty:.4g}</text>')
     if xlabel:
         parts.append(f'<text x="{ml + pw / 2:.1f}" y="{h - 10}" '
-                     f'text-anchor="middle">{xlabel}</text>')
+                     f'text-anchor="middle">{_xml_escape(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                      f'transform="rotate(-90 16 {mt + ph / 2:.1f})">'
-                     f'{ylabel}</text>')
+                     f'{_xml_escape(ylabel)}</text>')
 
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
@@ -98,7 +104,8 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
             ly = mt + 14 + 15 * k
             parts.append(f'<line x1="{ml + 8}" y1="{ly - 4}" x2="{ml + 28}" '
                          f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{ml + 33}" y="{ly}">{label}</text>')
+            parts.append(f'<text x="{ml + 33}" y="{ly}">'
+                         f'{_xml_escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

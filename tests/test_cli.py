@@ -134,6 +134,23 @@ class TestLegCommand:
         rc, _ = run(["leg", "--ik", "900,0,0"], tmp_path)
         assert rc == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("tol_mm", "nan"), ("tol_mm", "-1"), ("tol_mm", "0"),
+        ("tol_mm", "inf"), ("damping", "nan"), ("damping", "0"),
+        ("damping", "-1e-3"), ("step_clamp_rad", "inf"),
+        ("step_clamp_rad", "0"), ("max_iter", "0"), ("max_iter", "-5"),
+    ])
+    def test_bad_ik_setting_is_config_error(self, tmp_path, capsys, key,
+                                            value):
+        conf = tmp_path / "ik.conf"
+        conf.write_text(f"[ik]\n{key} = {value}\n")
+        rc, out = run(["leg", "--ik", "120,30,-60", "--config", str(conf)],
+                      tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line 2: ik.{key} must be" in err
+        assert not (out / "leg_ik.csv").exists()
+
     def test_retarget_scales_distances(self, tmp_path):
         rng = np.random.default_rng(51)
         pts = rng.uniform(-3, 3, (10, 3))

@@ -1,15 +1,29 @@
 """Leg FK/IK against independent transform-product and finite-difference oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tarsim.leg import (DHRow, LegModel, NotReachable, Trajectory,
+from tarsim import leg
+from tarsim.leg import (IK_TOL_MM, DHRow, LegModel, NotReachable, Trajectory,
                         default_leg_model, forward_kinematics,
                         inverse_kinematics, jacobian, load_trajectory,
                         retarget_trajectory, save_trajectory,
                         trajectory_to_joints)
+
+LEG = default_leg_model()
+# joint vectors within the default leg's +-150 degree limits
+JOINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in LEG.joint_limits))
+# the default links under tight, lopsided limits: femur and tibia limits
+# cut the reachable trochanter arcs short
+TIGHT = LegModel(LEG.rows, tuple(
+    (math.radians(lo), math.radians(hi))
+    for lo, hi in ((-60, 170), (-90, 30), (-120, 10), (0, 150))))
+TIGHT_JOINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in TIGHT.joint_limits))
 
 
 def oracle_fk_position(model, q):
@@ -139,6 +153,13 @@ class TestInverseKinematics:
         assert err.value.residual_mm > 0
         assert err.value.iterations > 0
 
+    def test_out_of_reach_residual_is_distance_to_workspace(self, model):
+        # on +x the nearest workspace point is the stretched leg at 255 mm
+        reach = model.reach_mm()
+        with pytest.raises(NotReachable) as err:
+            inverse_kinematics(model, [1.2 * reach, 0.0, 0.0], np.zeros(4))
+        assert err.value.residual_mm == pytest.approx(0.2 * reach, abs=1e-9)
+
     def test_deterministic(self, model):
         target = np.array([100.0, 40.0, -80.0])
         q0 = np.array([0.1, -0.2, 0.3, -0.4])
@@ -146,6 +167,95 @@ class TestInverseKinematics:
         r2 = inverse_kinematics(model, target, q0)
         assert np.array_equal(r1.q, r2.q)
         assert r1.iterations == r2.iterations
+
+
+class TestInverseKinematicsProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(qstar=JOINTS, warm=JOINTS)
+    def test_fk_of_ik_is_identity(self, qstar, warm):
+        target = forward_kinematics(LEG, np.array(qstar)).position
+        r = inverse_kinematics(LEG, target, np.array(warm))
+        replay = forward_kinematics(LEG, r.q).position
+        assert np.linalg.norm(replay - target) < IK_TOL_MM
+
+    @settings(max_examples=300, deadline=None)
+    @given(qstar=JOINTS, warm=JOINTS)
+    def test_solution_within_limits(self, qstar, warm):
+        target = forward_kinematics(LEG, np.array(qstar)).position
+        q = inverse_kinematics(LEG, target, np.array(warm)).q
+        assert np.all(q >= LEG.lower) and np.all(q <= LEG.upper)
+
+    @settings(max_examples=100, deadline=None)
+    @given(qstar=JOINTS, warm=JOINTS)
+    def test_same_inputs_same_answer(self, qstar, warm):
+        target = forward_kinematics(LEG, np.array(qstar)).position
+        r1 = inverse_kinematics(LEG, target, np.array(warm))
+        r2 = inverse_kinematics(LEG, target, np.array(warm))
+        assert np.array_equal(r1.q, r2.q)
+        assert r1.iterations == r2.iterations
+
+
+def offset_leg():
+    """The default leg with a femur theta offset: not solved in closed form."""
+    rows = list(LEG.rows)
+    rows[2] = dataclasses.replace(rows[2], theta_offset=0.3)
+    return LegModel(tuple(rows), LEG.joint_limits)
+
+
+@pytest.fixture
+def dls_calls(monkeypatch):
+    calls = []
+    real = leg._damped_least_squares
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(leg, "_damped_least_squares", counted)
+    return calls
+
+
+class TestClosedFormGuard:
+    @pytest.mark.parametrize("which", ["straight", "theta_offset"])
+    def test_other_geometry_round_trips_through_dls(self, which,
+                                                    straight_model,
+                                                    dls_calls):
+        m = straight_model if which == "straight" else offset_leg()
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            qstar = rng.uniform(m.lower, m.upper)
+            target = forward_kinematics(m, qstar).position
+            warm = np.clip(qstar + rng.uniform(-0.3, 0.3, 4),
+                           m.lower, m.upper)
+            r = inverse_kinematics(m, target, warm)
+            assert np.linalg.norm(forward_kinematics(m, r.q).position
+                                  - target) < IK_TOL_MM
+        assert len(dls_calls) == 40
+
+    @settings(max_examples=300, deadline=None)
+    @given(qstar=TIGHT_JOINTS, warm=TIGHT_JOINTS)
+    def test_tight_limits_solved_without_dls(self, qstar, warm):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fell back to DLS")
+
+        target = forward_kinematics(TIGHT, np.array(qstar)).position
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(leg, "_damped_least_squares", refuse)
+            q = inverse_kinematics(TIGHT, target, np.array(warm)).q
+        assert np.linalg.norm(forward_kinematics(TIGHT, q).position
+                              - target) < IK_TOL_MM
+        assert np.all(q >= TIGHT.lower) and np.all(q <= TIGHT.upper)
+
+    def test_default_leg_never_reaches_dls(self, dls_calls):
+        # criterion 4's targets: seed 104, cold start q_start
+        rng = np.random.default_rng(104)
+        q_start = np.array([0.0, -0.3, 0.6, -0.9])
+        for _ in range(1000):
+            qstar = rng.uniform(LEG.lower, LEG.upper)
+            target = forward_kinematics(LEG, qstar).position
+            r = inverse_kinematics(LEG, target, q_start)
+            assert r.residual_mm < 1e-9
+        assert dls_calls == []
 
 
 class TestRetarget:

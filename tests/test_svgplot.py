@@ -1,5 +1,7 @@
 """SVG chart writer: structure, NaN gaps, degenerate inputs."""
 
+from xml.etree import ElementTree
+
 import numpy as np
 
 from tarsim.svgplot import line_chart
@@ -37,3 +39,14 @@ def test_empty_series_list(tmp_path):
     line_chart(p, [])
     text = p.read_text()
     assert text.startswith("<svg") and "</svg>" in text
+
+
+def test_text_is_xml_escaped(tmp_path):
+    p = tmp_path / "esc.svg"
+    odd = 'a & b < c "d"'
+    line_chart(p, [(f"series {odd}", [0.0, 1.0], [0.0, 1.0])],
+               title=f"title {odd}", xlabel=f"x {odd}", ylabel=f"y {odd}")
+    root = ElementTree.parse(p).getroot()
+    texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+    for name in ("series", "title", "x", "y"):
+        assert f"{name} {odd}" in texts

@@ -20,8 +20,7 @@ from .chain import (ChainGeometry, ChainSolveError, ChainState, ClawState,
                     segment_string_span, solve_bend_from_pull,
                     stiffness_curve, total_bend_angle)
 from .contact import (Attachment, ForceLimits, MeshGrid, Phase, Scenario,
-                      SimState, SimWorld, StepCommand, builtin_scenario,
-                      coupling_force, hook_check, run_demo_cycle, step)
+                      builtin_scenario, hook_check, run_demo_cycle)
 from .gait import (NoCyclesFound, StepCycle, TrialRecording, angle_series,
                    claw_displacement, fill_gaps, load_recording,
                    segment_cycles, trial_metrics)

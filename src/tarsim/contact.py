@@ -5,9 +5,14 @@ the actuation mode bends it down (rigid, claws open) or lets it straighten
 (flexible, claws closed).  A claw tip that dips through a cell opening of
 the mesh while rigid hooks that cell; from then on the cell's strand rides
 on the claw (hard kinematic coupling) until a flexible-mode lift releases
-it or the horizontal force limit tears it free.  There are no dynamics:
-every step solves positions first, then forces, so identical inputs always
-produce identical successor states.
+it or the horizontal force limit tears it free.  There are no dynamics,
+and nothing kinematic depends on the contact state: the leg-tip path is
+scripted, the mode follows the command, and the chain only ever takes its
+rigid (full-bend pull) or flexible (zero pull) state.  So a run solves
+the whole joint path, both chain states and every claw tip first, then
+one scan over the ticks runs the contact rules.  The mesh state is the
+hooked cell and its strand's deflection; identical inputs always produce
+identical samples and event logs.
 
 Event kinds appearing in the log: Hook, Release, Saturation (vertical
 force cap reached, deflection clamped), ClawFailure (hooking force limit
@@ -18,13 +23,12 @@ flexible transition is forbidden, as with a tubed tarsus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainGeometry, ChainState, ClawState, chain_pose,
-                    claw_actuation, full_bend_pull, solve_bend_from_pull,
-                    DEFAULT_CLAW_THRESHOLD, DEFAULT_CLAW_MAX_OPENING)
+from .chain import (ChainGeometry, ClawState, chain_pose, claw_actuation,
+                    full_bend_pull, solve_bend_from_pull)
 from .leg import LegModel, forward_kinematics, inverse_kinematics
 from .table import float_columns, read_table, write_table
 
@@ -34,6 +38,10 @@ DEFAULT_CLAW_LENGTH_MM = 8.0
 DEFAULT_NODE_STIFFNESS = 0.1
 ROBOT_MESH_SPACING_MM = 25.0
 BEETLE_MESH_SPACING_MM = 2.0
+
+# a claw tip must dip this far below the rest height to hook, so a tip
+# scripted to end exactly on it hooks a tick later whatever the rounding
+HOOK_TOL_MM = 1e-9
 
 RIGID, FLEXIBLE = "rigid", "flexible"
 MODES = (RIGID, FLEXIBLE)
@@ -53,11 +61,10 @@ class ForceLimits:
 
 @dataclass(frozen=True)
 class MeshGrid:
-    """Compliant square mesh: strands every ``spacing`` mm, per-cell deflection.
+    """Compliant square mesh: strands every ``spacing`` mm around cells.
 
-    ``deflection`` holds the vertical offset of each cell's strand crossing
-    from ``rest_height`` (positive up); all zeros at rest.  ``origin`` is
-    the (x, y) of the lowest-index strand crossing.
+    ``origin`` is the (x, y) of the lowest-index strand crossing.  A
+    hooked cell's strand deflects from ``rest_height``; the others rest.
     """
 
     spacing: float = ROBOT_MESH_SPACING_MM
@@ -65,7 +72,6 @@ class MeshGrid:
     rest_height: float = 0.0
     cells: tuple[int, int] = (4, 4)
     origin: tuple[float, float] = (0.0, 0.0)
-    deflection: np.ndarray | None = None
 
     def __post_init__(self):
         if self.spacing <= 0:
@@ -75,13 +81,6 @@ class MeshGrid:
         nx, ny = self.cells
         if nx < 1 or ny < 1:
             raise ValueError("mesh needs at least one cell")
-        d = (np.zeros((nx, ny)) if self.deflection is None
-             else np.asarray(self.deflection, dtype=float))
-        if d.shape != (nx, ny):
-            raise ValueError(f"deflection shape {d.shape} != cells {self.cells}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("deflections must be finite")
-        object.__setattr__(self, "deflection", d)
         object.__setattr__(self, "origin",
                           (float(self.origin[0]), float(self.origin[1])))
 
@@ -101,12 +100,6 @@ class MeshGrid:
         i, j = cell
         return (self.origin[0] + (i + 0.5) * self.spacing,
                 self.origin[1] + (j + 0.5) * self.spacing)
-
-    def at_rest(self) -> "MeshGrid":
-        return replace(self, deflection=np.zeros(self.cells))
-
-
-_FREE = None
 
 
 @dataclass(frozen=True)
@@ -141,11 +134,13 @@ FREE = Attachment()
 
 
 def hook_check(tip, engaged: bool, mode: str, mesh: MeshGrid) -> Attachment:
-    """Hook predicate: rigid mode, claws engaged, tip below rest, in a cell."""
+    """Hook predicate: rigid mode, claws engaged, tip more than
+    ``HOOK_TOL_MM`` below rest, in a cell opening."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tip = np.asarray(tip, dtype=float).reshape(3)
-    if mode != RIGID or not engaged or not tip[2] < mesh.rest_height:
+    if mode != RIGID or not engaged \
+            or not tip[2] < mesh.rest_height - HOOK_TOL_MM:
         return FREE
     cell = mesh.cell_of(tip[0], tip[1])
     if cell is None:
@@ -153,194 +148,20 @@ def hook_check(tip, engaged: bool, mode: str, mesh: MeshGrid) -> Attachment:
     return Attachment(cell, tip.copy())
 
 
-@dataclass(frozen=True)
-class SimWorld:
-    """Immutable simulation setup shared by every step."""
-
-    leg: LegModel
-    chain: ChainGeometry
-    limits: ForceLimits = ForceLimits()
-    claw_threshold: float = DEFAULT_CLAW_THRESHOLD
-    claw_max_opening: float = DEFAULT_CLAW_MAX_OPENING
-    claw_length: float = DEFAULT_CLAW_LENGTH_MM
-    allow_flexible: bool = True
-    rigid_pull_mm: float | None = None  # defaults to the full-bend pull
-
-    def pull_for(self, fraction: float) -> float:
-        full = self.rigid_pull_mm if self.rigid_pull_mm is not None \
-            else full_bend_pull(self.chain)
-        return fraction * full
-
-
-@dataclass(frozen=True)
-class StepCommand:
-    """One control tick: joint targets plus the commanded tarsus mode."""
-
-    q_target: np.ndarray
-    mode: str
-    pull_fraction: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_target",
-                          np.asarray(self.q_target, dtype=float).reshape(4))
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.pull_fraction is not None \
-                and not 0.0 <= self.pull_fraction <= 1.0:
-            raise ValueError("pull_fraction must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Simulation snapshot; ``events`` is the full time-ordered log."""
-
-    t_ms: float
-    q: np.ndarray
-    chain_state: ChainState
-    mode: str
-    attachment: Attachment
-    mesh: MeshGrid
-    claw_tip: np.ndarray
-    events: tuple = ()
-    blocked_release: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(4))
-        object.__setattr__(self, "claw_tip",
-                          np.asarray(self.claw_tip, dtype=float).reshape(3))
-
-    def hooked_node_height(self) -> float:
-        """Height of the hooked strand, or the rest height when free.
-
-        This is the single hooked cell's strand; a physical measurement
-        averaging markers around the contact would read slightly smoother.
-        """
-        if self.attachment.free:
-            return self.mesh.rest_height
-        i, j = self.attachment.node
-        return self.mesh.rest_height + float(self.mesh.deflection[i, j])
-
-
-def claw_tip_position(world: SimWorld, q, chain_state: ChainState,
-                      claw: ClawState) -> np.ndarray:
-    """World claw-tip point: leg tip plus the sagittal chain and claw.
+def _claw_offset(chain: ChainGeometry, fraction: float,
+                 claw_length: float) -> tuple[tuple[float, float], ClawState]:
+    """Claw-tip (dx, dz) from the leg tip, and the claws, at a pull fraction.
 
     The chain is mounted at the leg tip pointing along world +x with its
     bend plane vertical; the claw extends from the last tarsomere, rotated
     further down by its opening angle.
     """
-    leg_tip = forward_kinematics(world.leg, q).position
-    pose = chain_pose(world.chain, chain_state)
-    heading = -float(np.sum(chain_state.theta)) - claw.opening_angle
-    tip2d = pose[-1] + world.claw_length * np.array(
+    state = solve_bend_from_pull(chain, fraction * full_bend_pull(chain))
+    claw = claw_actuation(fraction)
+    heading = -float(np.sum(state.theta)) - claw.opening_angle
+    tip = chain_pose(chain, state)[-1] + claw_length * np.array(
         [math.cos(heading), math.sin(heading)])
-    return leg_tip + np.array([tip2d[0], 0.0, tip2d[1]])
-
-
-def initial_state(world: SimWorld, q0, mode: str = FLEXIBLE,
-                  mesh: MeshGrid | None = None) -> SimState:
-    mesh = (mesh or MeshGrid()).at_rest()
-    fraction = 1.0 if mode == RIGID else 0.0
-    chain_state = solve_bend_from_pull(world.chain, world.pull_for(fraction))
-    claw = claw_actuation(fraction, world.claw_threshold, world.claw_max_opening)
-    tip = claw_tip_position(world, q0, chain_state, claw)
-    return SimState(0.0, q0, chain_state, mode, FREE, mesh, tip)
-
-
-def step(world: SimWorld, state: SimState, command: StepCommand,
-         dt: float) -> SimState:
-    """Advance one quasi-static tick.
-
-    Joints snap to the commanded targets (trajectory interpolation is the
-    caller's job), the chain re-solves for the commanded pull, then hook,
-    release, coupling and force-limit rules run in that order.  Limit
-    violations become events, never exceptions.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    t = state.t_ms + dt
-    events = []
-
-    mode = command.mode
-    if command.mode == FLEXIBLE and not world.allow_flexible:
-        mode = RIGID  # tubed tarsus: the flexible transition is disabled
-    fraction = command.pull_fraction
-    if fraction is None:
-        fraction = 1.0 if mode == RIGID else 0.0
-    q = command.q_target.copy()
-    chain_state = solve_bend_from_pull(world.chain, world.pull_for(fraction))
-    claw = claw_actuation(fraction, world.claw_threshold, world.claw_max_opening)
-    tip = claw_tip_position(world, q, chain_state, claw)
-
-    mesh = state.mesh
-    rest = mesh.rest_height
-    k = mesh.node_stiffness
-    deflection = np.zeros(mesh.cells)  # free cells relax within one step
-    attachment = state.attachment
-
-    if attachment.hooked:
-        if mode == FLEXIBLE and tip[2] > rest:
-            attachment = FREE
-            events.append((t, "Release"))
-        else:
-            i, j = attachment.node
-            offset = rest - attachment.tip_at_hook[2]  # engagement depth
-            defl = tip[2] + offset - rest  # strand rides on the claw
-            cap = world.limits.vertical_max / k
-            was_saturated = abs(float(state.mesh.deflection[i, j])) \
-                >= cap * (1.0 - 1e-12)
-            if abs(defl) > cap:
-                defl = math.copysign(cap, defl)
-                if not was_saturated:
-                    events.append((t, "Saturation"))
-            stretch = float(np.hypot(tip[0] - attachment.tip_at_hook[0],
-                                     tip[1] - attachment.tip_at_hook[1]))
-            if k * stretch > world.limits.hooking_max:
-                events.append((t, "ClawFailure"))
-                attachment = FREE
-            else:
-                deflection[i, j] = defl
-    else:
-        attachment = hook_check(tip, claw.engaged, mode, mesh)
-        if attachment.hooked:
-            events.append((t, "Hook"))
-
-    # a swing attempt that cannot release: flexible commanded but forbidden,
-    # still hooked, tip moving upward; one event per contiguous attempt
-    blocked = (command.mode == FLEXIBLE and not world.allow_flexible
-               and attachment.hooked and tip[2] > state.claw_tip[2])
-    if blocked and not state.blocked_release:
-        events.append((t, "RepeatSwing"))
-
-    return SimState(
-        t_ms=t, q=q, chain_state=chain_state, mode=mode,
-        attachment=attachment,
-        mesh=replace(mesh, deflection=deflection),
-        claw_tip=tip,
-        events=state.events + tuple(events),
-        blocked_release=blocked,
-    )
-
-
-def coupling_force(state: SimState,
-                   limits: ForceLimits | None = None) -> tuple[float, float]:
-    """(vertical, horizontal) coupling forces in N; zeros when free.
-
-    Vertical is stiffness times the hooked strand's deflection magnitude,
-    horizontal is stiffness times the tangential stretch since engagement.
-    With ``limits`` given, the vertical force is clamped at the cap.
-    """
-    if state.attachment.free:
-        return (0.0, 0.0)
-    i, j = state.attachment.node
-    k = state.mesh.node_stiffness
-    vertical = k * abs(float(state.mesh.deflection[i, j]))
-    stretch = float(np.hypot(state.claw_tip[0] - state.attachment.tip_at_hook[0],
-                             state.claw_tip[1] - state.attachment.tip_at_hook[1]))
-    horizontal = k * stretch
-    if limits is not None:
-        vertical = min(vertical, limits.vertical_max)
-    return (vertical, horizontal)
+    return (float(tip[0]), float(tip[1])), claw
 
 
 @dataclass(frozen=True)
@@ -375,73 +196,128 @@ class Scenario:
 
 @dataclass(frozen=True)
 class DemoSample:
+    """One tick: claw and hooked-strand heights (mm), mode, attachment,
+    the tick's events joined by ``;`` and the coupling forces (N)."""
+
     t_ms: float
     claw_z: float
     mesh_z: float
     mode: str
     attachment: str
     events: str
+    vertical: float
+    horizontal: float
+
+
+@dataclass(frozen=True)
+class FinalState:
+    """Where a run ends; ``events`` is the full time-ordered log of
+    ``(t_ms, kind)`` pairs."""
+
+    t_ms: float
+    attachment: Attachment
+    events: tuple = ()
 
 
 def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
                    script: Scenario, dt_ms: float = 10.0,
                    limits: ForceLimits | None = None,
                    claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                   ) -> tuple[list[DemoSample], SimState]:
+                   ) -> tuple[list[DemoSample], FinalState]:
     """Run a scripted stand/swing schedule and log claw vs mesh heights.
 
-    Leg-tip targets interpolate linearly within each phase (IK per tick,
-    warm-started), so NotReachable propagates if the script leaves the
-    workspace.  Returns the per-tick samples and the final state with the
-    full event log.
-    """
-    world = SimWorld(leg=leg, chain=chain,
-                     limits=limits or ForceLimits(),
-                     claw_length=claw_length,
-                     allow_flexible=script.allow_flexible)
-    home = np.asarray(script.home_tip, dtype=float)
-    q = inverse_kinematics(leg, home, 0.5 * (leg.lower + leg.upper)).q
-    state = initial_state(world, q, mode=script.phases[0].mode
-                          if script.phases else FLEXIBLE, mesh=mesh)
+    First the schedule: each tick's commanded mode, its mode in effect
+    (rigid throughout when the flexible transition is forbidden) and a
+    leg-tip target interpolated linearly within its phase.  Then the
+    kinematics: warm-started IK per tick (NotReachable propagates if the
+    script leaves the workspace), the rigid and flexible claw offsets
+    solved once, and every claw tip from one batched FK call.  Last, one
+    scan over the ticks runs the contact rules: hook while free, else
+    release on a flexible lift, else the strand rides the claw (its
+    deflection clamped at the vertical cap) until the hooking limit tears
+    it free; then the RepeatSwing check.  Limit violations become events,
+    never exceptions.  While hooked the forces are stiffness times the
+    deflection and times the tangential stretch since engagement; on a
+    ClawFailure tick they are the loads that broke the hold.
 
-    samples = []
-    prev_offset = np.zeros(3)
-    n_events_seen = 0
+    Returns the per-tick samples and the final state with the event log.
+    """
+    if dt_ms <= 0:
+        raise ValueError("dt_ms must be > 0")
+    limits = limits or ForceLimits()
+    home = np.asarray(script.home_tip, dtype=float)
+    commanded, targets, prev = [], [], np.zeros(3)
     for phase in script.phases:
-        target_offset = np.asarray(phase.tip_offset, dtype=float)
-        n_ticks = max(1, int(round(phase.duration_ms / dt_ms)))
-        for tick in range(1, n_ticks + 1):
-            frac = tick / n_ticks
-            tip_target = home + prev_offset + frac * (target_offset - prev_offset)
-            sol = inverse_kinematics(leg, tip_target, q)
-            q = sol.q
-            state = step(world, state,
-                         StepCommand(q_target=q, mode=phase.mode), dt_ms)
-            new_events = state.events[n_events_seen:]
-            n_events_seen = len(state.events)
-            samples.append(DemoSample(
-                t_ms=state.t_ms,
-                claw_z=float(state.claw_tip[2]),
-                mesh_z=state.hooked_node_height(),
-                mode=state.mode,
-                attachment=str(state.attachment),
-                events=";".join(kind for _, kind in new_events),
-            ))
-        prev_offset = target_offset
-    return samples, state
+        n = max(1, int(round(phase.duration_ms / dt_ms)))
+        goal = np.asarray(phase.tip_offset, dtype=float)
+        frac = np.arange(1, n + 1)[:, None] / n
+        targets.append(home + prev + frac * (goal - prev))
+        commanded += [phase.mode] * n
+        prev = goal
+    if not commanded:
+        return [], FinalState(0.0, FREE)
+    modes = [m if script.allow_flexible else RIGID for m in commanded]
+
+    path = np.empty((len(modes) + 1, 4))
+    path[0] = inverse_kinematics(leg, home, 0.5 * (leg.lower + leg.upper)).q
+    for i, target in enumerate(np.concatenate(targets), 1):
+        path[i] = inverse_kinematics(leg, target, path[i - 1]).q
+    offsets, engaged = {}, {}
+    for mode, fraction in ((RIGID, 1.0), (FLEXIBLE, 0.0)):
+        (dx, dz), claw = _claw_offset(chain, fraction, claw_length)
+        offsets[mode], engaged[mode] = (dx, 0.0, dz), claw.engaged
+    # row 0 is the start, at the first commanded mode
+    tips = (forward_kinematics(leg, path).position + np.array(
+        [offsets[m] for m in [commanded[0]] + modes])).tolist()
+
+    rest, k = mesh.rest_height, mesh.node_stiffness
+    cap = limits.vertical_max / k
+    samples, events = [], []
+    attachment, deflection, blocked, t = FREE, 0.0, False, 0.0
+    for i, mode in enumerate(modes, 1):
+        t += dt_ms
+        x, y, z = tips[i]
+        kinds = []
+        vertical = horizontal = 0.0
+        if attachment.free:
+            attachment = hook_check(tips[i], engaged[mode], mode, mesh)
+            if attachment.hooked:
+                kinds.append("Hook")
+        elif mode == FLEXIBLE and z > rest:
+            attachment, deflection = FREE, 0.0
+            kinds.append("Release")
+        else:
+            hx, hy, hz = attachment.tip_at_hook
+            was_saturated = abs(deflection) >= cap * (1.0 - 1e-12)
+            deflection = z + (rest - hz) - rest  # the strand rides the claw
+            if abs(deflection) > cap:
+                deflection = math.copysign(cap, deflection)
+                if not was_saturated:
+                    kinds.append("Saturation")
+            vertical = min(k * abs(deflection), limits.vertical_max)
+            horizontal = k * float(np.hypot(x - hx, y - hy))
+            if horizontal > limits.hooking_max:
+                attachment, deflection = FREE, 0.0
+                kinds.append("ClawFailure")
+        # a swing that cannot release: flexible commanded but forbidden,
+        # still hooked, tip moving up; one event per contiguous attempt
+        was_blocked, blocked = blocked, (
+            commanded[i - 1] == FLEXIBLE and not script.allow_flexible
+            and attachment.hooked and z > tips[i - 1][2])
+        if blocked and not was_blocked:
+            kinds.append("RepeatSwing")
+        events += [(t, kind) for kind in kinds]
+        samples.append(DemoSample(
+            t, z, rest + deflection if attachment.hooked else rest, mode,
+            str(attachment), ";".join(kinds), vertical, horizontal))
+    return samples, FinalState(t, attachment, tuple(events))
 
 
 def rigid_claw_offset(chain: ChainGeometry,
                       claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                      claw_max_opening: float = DEFAULT_CLAW_MAX_OPENING,
                       ) -> tuple[float, float]:
     """Claw-tip (dx, dz) relative to the leg tip at full rigid actuation."""
-    st = solve_bend_from_pull(chain, full_bend_pull(chain))
-    pose = chain_pose(chain, st)
-    heading = -float(np.sum(st.theta)) - claw_max_opening
-    tip = pose[-1] + claw_length * np.array([math.cos(heading),
-                                             math.sin(heading)])
-    return (float(tip[0]), float(tip[1]))
+    return _claw_offset(chain, 1.0, claw_length)[0]
 
 
 def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
@@ -478,16 +354,19 @@ def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
 
 
 DEMO_HEADER = ("t_ms", "claw_z_mm", "mesh_z_mm", "mode", "attachment",
-               "event")
+               "event", "vertical_N", "horizontal_N")
 
 
 def save_demo_csv(path, samples) -> None:
     write_table(path, DEMO_HEADER,
                 [[float(s.t_ms), float(s.claw_z), float(s.mesh_z), s.mode,
-                  s.attachment, s.events] for s in samples])
+                  s.attachment, s.events, float(s.vertical),
+                  float(s.horizontal)] for s in samples])
 
 
 def load_demo_csv(path) -> list[DemoSample]:
     _, rows = read_table(path, DEMO_HEADER)
-    numbers = float_columns(path, rows, range(3)).tolist()
-    return [DemoSample(*xs, *row[3:]) for xs, row in zip(numbers, rows)]
+    numbers = float_columns(path, rows, (0, 1, 2, 6, 7)).tolist()
+    return [DemoSample(t, claw_z, mesh_z, *row[3:6], vertical, horizontal)
+            for (t, claw_z, mesh_z, vertical, horizontal), row
+            in zip(numbers, rows)]

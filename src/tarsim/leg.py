@@ -3,11 +3,13 @@
 The leg chain is coxa, trochanter, femur, tibia — four revolute joints
 described by standard Denavit-Hartenberg rows.  IK tracks tip position
 only (3 constraints, 4 DOF).  A yawing coxa carrying a planar
-trochanter/femur/tibia chain (the default leg) is solved in closed form;
-the candidate nearest the warm start resolves the redundancy, and
-``iterations`` counts the candidates evaluated.  Other geometries, and
-targets where no closed-form candidate fits the joint limits, fall back
-to damped least squares (DLS), whose ``iterations`` are DLS steps.
+trochanter/femur/tibia chain (the default leg, with any theta offsets)
+is solved in closed form; the candidate nearest the warm start resolves
+the redundancy, and ``iterations`` counts the candidates evaluated.
+Other twists or a nonzero d, and targets where no closed-form candidate
+fits the joint limits, fall back to damped least squares (DLS), whose
+``iterations`` are DLS steps.  Forward kinematics is one batched DH
+product over joint vectors of shape (..., 4).
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -101,7 +103,7 @@ class LegModel:
 
 @dataclass(frozen=True)
 class Pose:
-    """Tip pose: position (mm) and rotation matrix."""
+    """Tip pose: position (mm) and rotation matrix, batched as q was."""
 
     position: np.ndarray
     rotation: np.ndarray
@@ -128,51 +130,57 @@ class Trajectory:
         return self.t_ms.shape[0]
 
 
-def dh_transform(row: DHRow, q: float) -> np.ndarray:
-    """Homogeneous transform of one joint at angle q (standard DH)."""
-    th = q + row.theta_offset
-    ct, st = math.cos(th), math.sin(th)
-    ca, sa = math.cos(row.alpha_twist), math.sin(row.alpha_twist)
-    return np.array([
-        [ct, -st * ca,  st * sa, row.a * ct],
-        [st,  ct * ca, -ct * sa, row.a * st],
-        [0.0,      sa,       ca,      row.d],
-        [0.0,     0.0,      0.0,        1.0],
-    ])
+def _frames(model: LegModel, q) -> np.ndarray:
+    """Base, joint and tip frames for joint angles of shape (..., 4).
+
+    Returns the cumulative standard DH transforms, shape (..., 5, 4, 4):
+    the identity, then the frame after each joint, the last being the
+    tip.  The products run in joint order, one batched matmul per joint.
+    """
+    rows = model.rows
+    a = np.array([r.a for r in rows])
+    alpha = np.array([r.alpha_twist for r in rows])
+    th = q + np.array([r.theta_offset for r in rows])
+    ct, st = np.cos(th), np.sin(th)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    A = np.zeros(q.shape + (4, 4))
+    A[..., 0, 0], A[..., 0, 1], A[..., 0, 2], A[..., 0, 3] = \
+        ct, -st * ca, st * sa, a * ct
+    A[..., 1, 0], A[..., 1, 1], A[..., 1, 2], A[..., 1, 3] = \
+        st, ct * ca, -ct * sa, a * st
+    A[..., 2, 1], A[..., 2, 2], A[..., 2, 3] = sa, ca, [r.d for r in rows]
+    A[..., 3, 3] = 1.0
+    T = np.empty(q.shape[:-1] + (5, 4, 4))
+    T[..., 0, :, :] = np.eye(4)
+    for i in range(4):
+        np.matmul(T[..., i, :, :], A[..., i, :, :], out=T[..., i + 1, :, :])
+    return T
 
 
 def forward_kinematics(model: LegModel, q) -> Pose:
-    """Tip pose from joint angles: product of the four DH transforms."""
+    """Tip pose from joint angles of shape (..., 4): the DH product.
+
+    A single (4,) vector gives a (3,) position and a (3, 3) rotation; a
+    batch of shape (..., 4) gives (..., 3) and (..., 3, 3).
+    """
     q = np.asarray(q, dtype=float)
-    if q.shape != (4,) or not np.all(np.isfinite(q)):
-        raise ValueError("q must be 4 finite joint angles")
-    T = np.eye(4)
-    for row, qi in zip(model.rows, q):
-        T = T @ dh_transform(row, qi)
-    return Pose(T[:3, 3].copy(), T[:3, :3].copy())
+    if q.ndim == 0 or q.shape[-1] != 4 or not np.all(np.isfinite(q)):
+        raise ValueError("q must be finite joint angles of shape (..., 4)")
+    tip = _frames(model, q)[..., 4, :3, :]
+    return Pose(tip[..., 3].copy(), tip[..., :3].copy())
 
 
-def _chain_frames(model: LegModel, q):
-    """Joint origins and z axes along the chain, plus the tip position."""
-    T = np.eye(4)
-    origins = [T[:3, 3].copy()]
-    axes = [T[:3, 2].copy()]
-    for row, qi in zip(model.rows, q):
-        T = T @ dh_transform(row, qi)
-        origins.append(T[:3, 3].copy())
-        axes.append(T[:3, 2].copy())
-    return origins, axes
+def _jacobian_of(frames: np.ndarray) -> np.ndarray:
+    """Position Jacobian from ``_frames``: z_{i-1} x (p_tip - p_{i-1})."""
+    origins = frames[..., :4, :3, 3]
+    tip = frames[..., 4:, :3, 3]
+    return np.swapaxes(np.cross(frames[..., :4, :3, 2], tip - origins),
+                       -1, -2)
 
 
 def jacobian(model: LegModel, q) -> np.ndarray:
-    """3x4 position Jacobian (mm/rad): z_{i-1} x (p_tip - p_{i-1})."""
-    q = np.asarray(q, dtype=float)
-    origins, axes = _chain_frames(model, q)
-    tip = origins[-1]
-    J = np.empty((3, 4))
-    for i in range(4):
-        J[:, i] = np.cross(axes[i], tip - origins[i])
-    return J
+    """3x4 position Jacobian (mm/rad); (..., 3, 4) for a batch of q."""
+    return _jacobian_of(_frames(model, np.asarray(q, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -189,12 +197,15 @@ def inverse_kinematics(model: LegModel, target, q0,
                        max_iter: int = IK_MAX_ITER) -> IKResult:
     """Position-only IK: closed form for the yaw + planar-3R leg, else DLS.
 
-    A leg whose DH rows have twists (pi/2, 0, 0, 0), every d = 0, every
-    theta offset 0 and nonzero femur and tibia lengths (the default leg)
-    is solved in closed form; see ``_closed_form``.  Of its candidates
-    that lie inside the joint limits and land within ``tol_mm``, the one
-    nearest ``q0`` is returned.  Any other geometry, and this one when no
-    candidate survives, runs damped least squares (DLS).
+    A leg whose DH rows have twists (pi/2, 0, 0, 0), every d = 0 and
+    nonzero femur and tibia lengths (the default leg), with any theta
+    offsets, is solved in closed form; see ``_closed_form``.  That works
+    on the DH angles ``q + theta_offset``: the warm start and the limits
+    are shifted by the offsets and the answer is shifted back.  Of its
+    candidates that lie inside the joint limits and land within
+    ``tol_mm``, the one nearest ``q0`` is returned.  Any other geometry,
+    and this one when no candidate survives, runs damped least squares
+    (DLS).
 
     Args:
         model: leg model.
@@ -225,9 +236,16 @@ def inverse_kinematics(model: LegModel, target, q0,
     q0 = np.clip(np.asarray(q0, dtype=float), model.lower, model.upper)
     links = _planar_links(model)
     if links is not None:
-        found = _closed_form(links, model.joint_limits, target.tolist(),
-                             q0.tolist(), tol_mm)
+        off = [r.theta_offset for r in model.rows]
+        limits = [(lo + o, hi + o)
+                  for (lo, hi), o in zip(model.joint_limits, off)]
+        warm = [w + o for w, o in zip(q0.tolist(), off)]
+        found = _closed_form(links, limits, target.tolist(), warm, tol_mm)
         if found is not None:
+            if any(off):
+                found = IKResult(np.clip(found.q - off, model.lower,
+                                         model.upper),
+                                 found.residual_mm, found.iterations)
             return found
     return _damped_least_squares(model, target, q0, damping, step_clamp,
                                  tol_mm, max_iter)
@@ -238,7 +256,7 @@ def _planar_links(model: LegModel):
     rows = model.rows
     if rows[0].alpha_twist != math.pi / 2 \
             or any(r.alpha_twist != 0.0 for r in rows[1:]) \
-            or any(r.d != 0.0 or r.theta_offset != 0.0 for r in rows) \
+            or any(r.d != 0.0 for r in rows) \
             or rows[2].a == 0.0 or rows[3].a == 0.0:
         return None
     return tuple(r.a for r in rows)
@@ -420,10 +438,8 @@ def _damped_least_squares(model: LegModel, target, q0, damping, step_clamp,
     restarts from a short deterministic seed list; all restarts share the
     single ``max_iter`` iteration budget, so the reported iteration count
     stays below it.  Raises NotReachable with the best residual seen.
+    The tip and the Jacobian both come from one ``_frames`` call per q.
     """
-    def tip_at(q):
-        return _chain_frames(model, q)[0][-1]
-
     best_res = math.inf
     eye3 = np.eye(3)
     spent = 0
@@ -431,7 +447,8 @@ def _damped_least_squares(model: LegModel, target, q0, damping, step_clamp,
         if spent >= max_iter:
             break
         q = np.clip(np.asarray(seed, dtype=float), model.lower, model.upper)
-        err = target - tip_at(q)
+        frames = _frames(model, q)
+        err = target - frames[4, :3, 3]
         res = float(np.linalg.norm(err))
         lam = damping
         rejected = 0
@@ -443,18 +460,19 @@ def _damped_least_squares(model: LegModel, target, q0, damping, step_clamp,
                 return IKResult(q, res, spent)
             if spent >= max_iter or used >= 60 or lam > 1e8 or rejected > 8:
                 break  # bogged down; move on to the next seed
-            J = jacobian(model, q)
+            J = _jacobian_of(frames)
             dq = J.T @ np.linalg.solve(J @ J.T + lam * eye3, err)
             biggest = np.max(np.abs(dq))
             if biggest > step_clamp:
                 dq *= step_clamp / biggest
             q_new = np.clip(q + dq, model.lower, model.upper)
-            err_new = target - tip_at(q_new)
+            frames_new = _frames(model, q_new)
+            err_new = target - frames_new[4, :3, 3]
             res_new = float(np.linalg.norm(err_new))
             spent += 1
             used += 1
             if res_new < res:
-                q, err, res = q_new, err_new, res_new
+                q, frames, err, res = q_new, frames_new, err_new, res_new
                 lam = max(lam / 3.0, damping)
                 rejected = 0
             else:

@@ -21,9 +21,9 @@ from tarsim.chain import (SegmentGeometry, default_chain_geometry,
                           full_bend_pull, max_chain_pull, segment_pull,
                           segment_string_span, solve_bend_from_pull,
                           total_bend_angle, chain_pull)
-from tarsim.contact import (ForceLimits, MeshGrid, SimWorld, StepCommand,
-                            builtin_scenario, initial_state,
-                            rigid_claw_offset, run_demo_cycle, step)
+from tarsim.contact import (ForceLimits, MeshGrid, Phase, Scenario,
+                            builtin_scenario, rigid_claw_offset,
+                            run_demo_cycle)
 from tarsim import leg as leg_mod
 from tarsim.gait import segment_cycles
 from tarsim.leg import (Trajectory, default_leg_model, forward_kinematics,
@@ -274,39 +274,31 @@ def test_criterion_7_force_limit_events():
     mesh = MeshGrid(spacing=25.0, node_stiffness=1.0, rest_height=-120.0,
                     cells=(4, 4), origin=(100.0, -50.0))
     limits = ForceLimits()
-    world = SimWorld(leg=leg, chain=chain, limits=limits)
-    q_neutral = np.array([0.0, -0.3, 0.6, -0.9])
     dx, dz = rigid_claw_offset(chain)
     cx, cy = mesh.cell_center((1, 2))
+    hook_tip = (cx - dx, cy, mesh.rest_height - 1.0 - dz)
 
-    def tip_to(point, q_from):
-        return inverse_kinematics(leg, np.asarray(point), q_from).q
-
-    hook_tip = np.array([cx - dx, cy, mesh.rest_height - 1.0 - dz])
-    q = tip_to(hook_tip, q_neutral)
-    hooked = step(world, initial_state(world, q_neutral, mesh=mesh),
-                  StepCommand(q, "rigid"), 10.0)
-    assert hooked.attachment.hooked
-    hook_z = hooked.claw_tip[2]
+    def hook_then_move(delta):
+        """Hook at 10 ms, then move the leg tip by ``delta`` at 20 ms."""
+        script = Scenario("probe", hook_tip, (
+            Phase("hook", 10.0, "rigid", (0.0, 0.0, 0.0)),
+            Phase("move", 10.0, "rigid", tuple(delta))))
+        samples, final = run_demo_cycle(leg, chain, mesh, script,
+                                        limits=limits)
+        assert samples[0].attachment.startswith("hooked")
+        return samples, final
 
     # vertical: the strand deflects with the tip motion since engagement,
     # so at unit stiffness a drop of exactly 2.46 mm sits at the cap
-    at_cap = step(world, hooked, StepCommand(
-        tip_to(hook_tip + [0, 0, -(limits.vertical_max - 1e-3)], q),
-        "rigid"), 10.0)
-    beyond_cap = step(world, hooked, StepCommand(
-        tip_to(hook_tip + [0, 0, -(limits.vertical_max + 0.05)], q),
-        "rigid"), 10.0)
+    hooked, at_cap = hook_then_move((0, 0, -(limits.vertical_max - 1e-3)))
+    hook_z = hooked[0].claw_z
+    _, beyond_cap = hook_then_move((0, 0, -(limits.vertical_max + 0.05)))
     sat_below = any(k == "Saturation" for _, k in at_cap.events)
     sat_above = any(k == "Saturation" for _, k in beyond_cap.events)
 
     # horizontal: 28.98 N at unit stiffness is 28.98 mm of stretch
-    at_hook = step(world, hooked, StepCommand(
-        tip_to(hook_tip + [0, limits.hooking_max - 0.2, 0], q),
-        "rigid"), 10.0)
-    beyond_hook = step(world, hooked, StepCommand(
-        tip_to(hook_tip + [0, limits.hooking_max + 0.5, 0], q),
-        "rigid"), 10.0)
+    _, at_hook = hook_then_move((0, limits.hooking_max - 0.2, 0))
+    _, beyond_hook = hook_then_move((0, limits.hooking_max + 0.5, 0))
     fail_below = any(k == "ClawFailure" for _, k in at_hook.events)
     fail_above = any(k == "ClawFailure" for _, k in beyond_hook.events)
     released = beyond_hook.attachment.free

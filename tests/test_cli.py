@@ -242,7 +242,8 @@ class TestSimCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 0
         text = (tmp_path / "out" / "noop_demo.csv").read_text()
-        assert text.strip() == "t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event"
+        assert text.strip() == ("t_ms,claw_z_mm,mesh_z_mm,mode,attachment,"
+                                "event,vertical_N,horizontal_N")
 
     @pytest.mark.parametrize("name", ["../../esc", "a&b<c"])
     def test_scenario_name_that_is_no_file_name_is_config_error(

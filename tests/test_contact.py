@@ -1,64 +1,71 @@
-"""Leg-on-mesh attachment machine: hooking, coupling, release, events."""
+"""Leg-on-mesh attachment machine: hooking, coupling, release, events.
+
+The tick-level tests run short scenarios through ``run_demo_cycle``: a
+one-tick rigid phase that hooks, then one tick per move of the leg tip.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tarsim import chain as chain_mod
+from tarsim import contact
+from tarsim import leg as leg_mod
 from tarsim.chain import default_chain_geometry
-from tarsim.contact import (FREE, Attachment, ForceLimits, MeshGrid, Phase,
-                            Scenario, SimWorld, StepCommand, builtin_scenario,
-                            coupling_force, hook_check, initial_state,
-                            load_demo_csv, rigid_claw_offset, run_demo_cycle,
-                            save_demo_csv, step)
-from tarsim.leg import default_leg_model, inverse_kinematics
+from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
+                            MeshGrid, Phase, Scenario, builtin_scenario,
+                            hook_check, load_demo_csv, rigid_claw_offset,
+                            run_demo_cycle, save_demo_csv)
+from tarsim.leg import default_leg_model, forward_kinematics
+
+LEG = default_leg_model()
+CHAIN = default_chain_geometry()
+MESH = MeshGrid(spacing=25.0, node_stiffness=0.1, rest_height=-120.0,
+                cells=(4, 4), origin=(100.0, -50.0))
 
 
 @pytest.fixture
 def mesh():
-    return MeshGrid(spacing=25.0, node_stiffness=0.1, rest_height=-120.0,
-                    cells=(4, 4), origin=(100.0, -50.0))
+    return MESH
 
 
 @pytest.fixture
 def chain():
-    return default_chain_geometry()
+    return CHAIN
 
 
 @pytest.fixture
 def leg():
-    return default_leg_model()
+    return LEG
 
 
-@pytest.fixture
-def world(leg, chain):
-    return SimWorld(leg=leg, chain=chain)
+def hook_then(mesh, moves=(), depth_mm=1.0, cell=(1, 2), limits=None,
+              allow_flexible=True):
+    """Hook a cell at 10 ms, then take one 10 ms tick per (delta, mode).
 
-
-def hooked_state(world, mesh, depth_mm=1.0, cell=(1, 2)):
-    """Drive the claw into a cell and return the hooked state."""
-    q_neutral = np.array([0.0, -0.3, 0.6, -0.9])
-    dx, dz = rigid_claw_offset(world.chain, world.claw_length)
+    Each delta moves the leg-tip target from the hooking point.  Returns
+    the samples and the final state.
+    """
+    dx, dz = rigid_claw_offset(CHAIN)
     cx, cy = mesh.cell_center(cell)
-    tip_target = np.array([cx - dx, cy, mesh.rest_height - depth_mm - dz])
-    q = inverse_kinematics(world.leg, tip_target, q_neutral).q
-    st = initial_state(world, q_neutral, mesh=mesh)
-    st = step(world, st, StepCommand(q, "rigid"), 10.0)
-    assert st.attachment.hooked
-    return st, q
+    home = (cx - dx, cy, mesh.rest_height - depth_mm - dz)
+    phases = [Phase("hook", 10.0, "rigid", (0.0, 0.0, 0.0))]
+    phases += [Phase(f"move_{i}", 10.0, mode, tuple(map(float, delta)))
+               for i, (delta, mode) in enumerate(moves)]
+    script = Scenario("probe", home, phases, allow_flexible=allow_flexible)
+    samples, final = run_demo_cycle(LEG, CHAIN, mesh, script, limits=limits)
+    assert samples[0].attachment == f"hooked:{cell[0]}:{cell[1]}"
+    return samples, final
 
 
-def move_tip(world, st, q, delta, mode="rigid"):
-    from tarsim.leg import forward_kinematics
-    tip = forward_kinematics(world.leg, q).position + np.asarray(delta)
-    q2 = inverse_kinematics(world.leg, tip, q).q
-    return step(world, st, StepCommand(q2, mode), 10.0), q2
+def kinds(final):
+    return [k for _, k in final.events]
 
 
 class TestMeshGrid:
-    def test_rest_deflections_zero(self, mesh):
-        assert np.all(mesh.deflection == 0.0)
-
     def test_cell_lookup(self, mesh):
         assert mesh.cell_of(112.5, -37.5) == (0, 0)
         assert mesh.cell_of(187.5, 37.5) == (3, 3)
@@ -119,108 +126,107 @@ class TestHookCheck:
 
 
 class TestStepMachine:
-    def test_high_leg_stays_free(self, world, mesh):
+    def test_high_leg_stays_free(self, leg, chain, mesh):
         q = np.array([0.0, 0.5, -0.4, 0.2])  # tip far above the mesh
-        st = initial_state(world, q, mesh=mesh)
-        for mode in ("rigid", "flexible", "rigid"):
-            st = step(world, st, StepCommand(q, mode), 10.0)
-        assert st.attachment.free
-        assert np.all(st.mesh.deflection == 0.0)
-        assert st.events == ()
+        home = tuple(forward_kinematics(leg, q).position)
+        script = Scenario("high", home, [Phase(m, 10.0, m, (0.0, 0.0, 0.0))
+                                         for m in ("rigid", "flexible",
+                                                   "rigid")])
+        samples, final = run_demo_cycle(leg, chain, mesh, script)
+        assert final.attachment.free
+        assert all(s.mesh_z == mesh.rest_height for s in samples)
+        assert final.events == ()
 
-    def test_hook_on_rigid_descent(self, world, mesh):
-        st, _ = hooked_state(world, mesh)
-        assert [k for _, k in st.events] == ["Hook"]
+    def test_hook_on_rigid_descent(self, mesh):
+        _, final = hook_then(mesh)
+        assert kinds(final) == ["Hook"]
 
-    def test_coupling_tracks_tip(self, world, mesh):
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
-        hook_z = st.claw_tip[2]
-        st2, _ = move_tip(world, st, q, (0.0, 0.0, -3.0))
-        i, j = st2.attachment.node
-        assert st2.mesh.deflection[i, j] == pytest.approx(
-            st2.claw_tip[2] - hook_z, abs=1e-9)
+    def test_coupling_tracks_tip(self, mesh):
+        samples, _ = hook_then(mesh, [((0.0, 0.0, -3.0), "rigid")],
+                               depth_mm=2.0)
+        hook_z = samples[0].claw_z
+        moved = samples[1]
+        assert moved.mesh_z - mesh.rest_height == pytest.approx(
+            moved.claw_z - hook_z, abs=1e-9)
 
-    def test_release_needs_flexible_and_lift(self, world, mesh):
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
+    def test_release_needs_flexible_and_lift(self, mesh):
         # rigid lift: still hooked, mesh follows above rest
-        st_r, q_r = move_tip(world, st, q, (0.0, 0.0, 30.0), mode="rigid")
-        assert st_r.attachment.hooked
-        assert st_r.hooked_node_height() > mesh.rest_height
+        rigid, _ = hook_then(mesh, [((0.0, 0.0, 30.0), "rigid")],
+                             depth_mm=2.0)
+        assert rigid[-1].attachment.startswith("hooked")
+        assert rigid[-1].mesh_z > mesh.rest_height
         # flexible lift: released within one step, mesh back to rest
-        st_f, _ = move_tip(world, st, q, (0.0, 0.0, 30.0), mode="flexible")
-        assert st_f.attachment.free
-        assert np.all(st_f.mesh.deflection == 0.0)
-        assert st_f.events[-1][1] == "Release"
+        flexible, final = hook_then(mesh, [((0.0, 0.0, 30.0), "flexible")],
+                                    depth_mm=2.0)
+        assert flexible[-1].attachment == "free"
+        assert flexible[-1].mesh_z == mesh.rest_height
+        assert final.events[-1][1] == "Release"
 
-    def test_flexible_below_rest_stays_hooked(self, world, mesh):
+    def test_flexible_below_rest_stays_hooked(self, mesh):
         # deep engagement: even the straightened chain leaves the tip
         # below the strands, so the flexible switch alone cannot release
-        st, q = hooked_state(world, mesh, depth_mm=45.0)
-        st2 = step(world, st, StepCommand(q, "flexible"), 10.0)
-        assert st2.claw_tip[2] < mesh.rest_height
-        assert st2.attachment.hooked
+        samples, _ = hook_then(mesh, [((0.0, 0.0, 0.0), "flexible")],
+                               depth_mm=45.0)
+        assert samples[-1].claw_z < mesh.rest_height
+        assert samples[-1].attachment.startswith("hooked")
 
-    def test_saturation_event_at_threshold(self, world, mesh):
-        cap_defl = world.limits.vertical_max / mesh.node_stiffness
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
-        just_below, _ = move_tip(world, st, q, (0, 0, -(cap_defl - 0.01)))
-        assert all(k != "Saturation" for _, k in just_below.events)
-        beyond, _ = move_tip(world, st, q, (0, 0, -(cap_defl + 0.5)))
-        assert any(k == "Saturation" for _, k in beyond.events)
-        i, j = beyond.attachment.node
-        assert abs(beyond.mesh.deflection[i, j]) == pytest.approx(cap_defl)
-        assert coupling_force(beyond, world.limits)[0] == pytest.approx(
-            world.limits.vertical_max)
+    def test_saturation_event_at_threshold(self, mesh):
+        limits = ForceLimits()
+        cap_defl = limits.vertical_max / mesh.node_stiffness
+        _, just_below = hook_then(
+            mesh, [((0, 0, -(cap_defl - 0.01)), "rigid")], depth_mm=2.0)
+        assert all(k != "Saturation" for k in kinds(just_below))
+        beyond, final = hook_then(
+            mesh, [((0, 0, -(cap_defl + 0.5)), "rigid")], depth_mm=2.0)
+        assert any(k == "Saturation" for k in kinds(final))
+        assert abs(beyond[-1].mesh_z - mesh.rest_height) == pytest.approx(
+            cap_defl)
+        assert beyond[-1].vertical == pytest.approx(limits.vertical_max)
 
-    def test_claw_failure_releases(self, leg, chain, mesh):
+    def test_claw_failure_releases(self, mesh):
         # low hooking limit so a small horizontal drag tears the claw out
-        world = SimWorld(leg=leg, chain=chain,
-                         limits=ForceLimits(vertical_max=2.46,
-                                            hooking_max=0.5))
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
-        st2, _ = move_tip(world, st, q, (0.0, 6.0, 0.0))  # 0.6 N > 0.5 N
-        assert any(k == "ClawFailure" for _, k in st2.events)
-        assert st2.attachment.free
-        assert np.all(st2.mesh.deflection == 0.0)
+        limits = ForceLimits(vertical_max=2.46, hooking_max=0.5)
+        samples, final = hook_then(mesh, [((0.0, 6.0, 0.0), "rigid")],
+                                   depth_mm=2.0, limits=limits)  # 0.6 N
+        assert any(k == "ClawFailure" for k in kinds(final))
+        assert final.attachment.free
+        assert samples[-1].mesh_z == mesh.rest_height
 
-    def test_below_hooking_limit_holds(self, leg, chain, mesh):
-        world = SimWorld(leg=leg, chain=chain,
-                         limits=ForceLimits(vertical_max=2.46,
-                                            hooking_max=0.5))
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
-        st2, _ = move_tip(world, st, q, (0.0, 4.0, 0.0))  # 0.4 N < 0.5 N
-        assert st2.attachment.hooked
-        assert all(k != "ClawFailure" for _, k in st2.events)
+    def test_below_hooking_limit_holds(self, mesh):
+        limits = ForceLimits(vertical_max=2.46, hooking_max=0.5)
+        _, final = hook_then(mesh, [((0.0, 4.0, 0.0), "rigid")],
+                             depth_mm=2.0, limits=limits)  # 0.4 N < 0.5 N
+        assert final.attachment.hooked
+        assert all(k != "ClawFailure" for k in kinds(final))
 
-    def test_repeat_swing_only_when_blocked(self, leg, chain, mesh):
-        tubed = SimWorld(leg=leg, chain=chain, allow_flexible=False)
-        st, q = hooked_state(tubed, mesh, depth_mm=2.0)
-        st2, _ = move_tip(tubed, st, q, (0.0, 0.0, 30.0), mode="flexible")
-        assert st2.mode == "rigid"  # transition forbidden
-        assert any(k == "RepeatSwing" for _, k in st2.events)
-        assert st2.attachment.hooked
+    def test_repeat_swing_only_when_blocked(self, mesh):
+        samples, final = hook_then(mesh, [((0.0, 0.0, 30.0), "flexible")],
+                                   depth_mm=2.0, allow_flexible=False)
+        assert samples[-1].mode == "rigid"  # transition forbidden
+        assert any(k == "RepeatSwing" for k in kinds(final))
+        assert final.attachment.hooked
 
-    def test_determinism(self, world, mesh):
-        st, q = hooked_state(world, mesh, depth_mm=2.0)
-        cmd = StepCommand(q, "rigid")
-        a = step(world, st, cmd, 10.0)
-        b = step(world, st, cmd, 10.0)
-        assert np.array_equal(a.claw_tip, b.claw_tip)
-        assert np.array_equal(a.mesh.deflection, b.mesh.deflection)
+    def test_determinism(self, mesh):
+        moves = [((0.0, 0.0, -3.0), "rigid")]
+        a_samples, a = hook_then(mesh, moves, depth_mm=2.0)
+        b_samples, b = hook_then(mesh, moves, depth_mm=2.0)
+        assert a_samples == b_samples
         assert a.events == b.events
 
-    def test_coupling_force_zero_when_free(self, world, mesh):
-        st = initial_state(world, np.array([0.0, 0.5, -0.4, 0.2]), mesh=mesh)
-        assert coupling_force(st) == (0.0, 0.0)
+    def test_coupling_force_zero_when_free(self, leg, chain, mesh):
+        q = np.array([0.0, 0.5, -0.4, 0.2])
+        home = tuple(forward_kinematics(leg, q).position)
+        script = Scenario("high", home, [Phase("hold", 10.0, "rigid",
+                                               (0.0, 0.0, 0.0))])
+        samples, _ = run_demo_cycle(leg, chain, mesh, script)
+        assert [(s.vertical, s.horizontal) for s in samples] == [(0.0, 0.0)]
 
-    def test_unit_deflection_unit_force(self, leg, chain):
+    def test_unit_deflection_unit_force(self):
         mesh1 = MeshGrid(spacing=25.0, node_stiffness=1.0, rest_height=-120.0,
                          cells=(4, 4), origin=(100.0, -50.0))
-        world = SimWorld(leg=leg, chain=chain)
-        st, q = hooked_state(world, mesh1, depth_mm=2.0)
-        st2, _ = move_tip(world, st, q, (0.0, 0.0, -1.0))
-        v, h = coupling_force(st2)
-        assert v == pytest.approx(1.0, abs=1e-6)
+        samples, _ = hook_then(mesh1, [((0.0, 0.0, -1.0), "rigid")],
+                               depth_mm=2.0)
+        assert samples[-1].vertical == pytest.approx(1.0, abs=1e-6)
 
 
 class TestDemoCycle:
@@ -274,13 +280,14 @@ class TestDemoCycle:
         assert back == samples
 
     @pytest.mark.parametrize("row, match", [
-        ("20.0,1.0,2.0,rigid,free", "row 3: expected 6 fields, got 5"),
+        ("20.0,1.0,2.0,rigid,free", "row 3: expected 8 fields, got 7"),
         ("20.0,1.0,high,rigid,free,", "row 3: not a finite number"),
     ])
     def test_demo_csv_bad_rows_named(self, tmp_path, row, match):
+        # each row gets its two force cells
         p = tmp_path / "demo.csv"
-        p.write_text("t_ms,claw_z_mm,mesh_z_mm,mode,attachment,event\n"
-                     f"10.0,1.0,2.0,rigid,free,Hook\n{row}\n")
+        p.write_text(",".join(DEMO_HEADER) + "\n"
+                     f"10.0,1.0,2.0,rigid,free,Hook,0.0,0.0\n{row},0.0,0.0\n")
         with pytest.raises(ValueError, match=match):
             load_demo_csv(p)
 
@@ -297,3 +304,165 @@ class TestAttachment:
     def test_needs_both_fields(self):
         with pytest.raises(ValueError):
             Attachment((1, 1), None)
+
+
+def leg_tip_targets(script, dt_ms):
+    """The scripted leg-tip target of every tick, built independently."""
+    home = np.asarray(script.home_tip, dtype=float)
+    prev = np.zeros(3)
+    out = []
+    for phase in script.phases:
+        goal = np.asarray(phase.tip_offset, dtype=float)
+        n = max(1, round(phase.duration_ms / dt_ms))
+        out += [home + prev + (k / n) * (goal - prev) for k in range(1, n + 1)]
+        prev = goal
+    return out
+
+
+# claw-tip x from the leg tip: the bent chain with open claws when rigid,
+# the straight chain with closed claws when flexible; z does not matter
+CLAW_DX = {"rigid": rigid_claw_offset(CHAIN)[0],
+           "flexible": sum(CHAIN.segment_lengths)
+           + contact.DEFAULT_CLAW_LENGTH_MM}
+HOME = builtin_scenario("walk_cycle", CHAIN, MESH).home_tip
+
+PHASE_LISTS = st.lists(
+    st.builds(Phase, st.just("p"), st.integers(1, 8).map(lambda n: 10.0 * n),
+              st.sampled_from(("rigid", "flexible")),
+              st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0),
+                        st.floats(-85.0, 5.0))),
+    min_size=1, max_size=6)
+LIMITS = st.builds(ForceLimits, st.floats(0.2, 3.0), st.floats(0.2, 30.0))
+RUNS = st.tuples(PHASE_LISTS, st.booleans(), LIMITS)
+
+
+def run_random(phases, allow_flexible, limits):
+    script = Scenario("random", HOME, phases, allow_flexible=allow_flexible)
+    samples, final = run_demo_cycle(LEG, CHAIN, MESH, script, limits=limits)
+    return script, samples, final
+
+
+class TestScan:
+    @settings(max_examples=60, deadline=None)
+    @given(run=RUNS)
+    def test_release_only_follows_a_hook(self, run):
+        _, samples, final = run_random(*run)
+        hooked = False
+        for _, kind in final.events:
+            if kind == "Hook":
+                assert not hooked
+                hooked = True
+            elif kind in ("Release", "ClawFailure"):
+                assert hooked
+                hooked = False
+        # and the attachment column changes only on those events
+        was_hooked = False
+        for s in samples:
+            events = s.events.split(";")
+            hooked = s.attachment.startswith("hooked")
+            if "Hook" in events:
+                assert not was_hooked and hooked
+            elif "Release" in events or "ClawFailure" in events:
+                assert was_hooked and not hooked
+            else:
+                assert hooked == was_hooked
+            was_hooked = hooked
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=RUNS)
+    def test_deflection_within_the_vertical_cap(self, run):
+        _, samples, final = run_random(*run)
+        limits = run[2]
+        cap = limits.vertical_max / MESH.node_stiffness
+        for s in samples:
+            assert abs(s.mesh_z - MESH.rest_height) <= cap + 1e-9
+            assert s.vertical <= limits.vertical_max
+            if s.attachment == "free":
+                assert s.mesh_z == MESH.rest_height
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=RUNS)
+    def test_claw_failure_exactly_beyond_the_hooking_limit(self, run):
+        script, samples, _ = run_random(*run)
+        limits, k = run[2], MESH.node_stiffness
+        # claw-tip (x, y) of each tick, from the scripted targets
+        claw = [t[:2] + (CLAW_DX[s.mode], 0.0)
+                for t, s in zip(leg_tip_targets(script, 10.0), samples)]
+        for i, s in enumerate(samples):
+            events = s.events.split(";")
+            if "Hook" in events:
+                hook = claw[i]
+            held = i > 0 and samples[i - 1].attachment.startswith("hooked")
+            if not held or "Release" in events:
+                assert "ClawFailure" not in events
+                continue
+            stretch = float(np.hypot(*(claw[i] - hook)))
+            assert s.horizontal == pytest.approx(k * stretch, abs=1e-5)
+            assert ("ClawFailure" in events) == \
+                (s.horizontal > limits.hooking_max)
+
+    @settings(max_examples=40, deadline=None)
+    @given(phases=PHASE_LISTS, limits=LIMITS)
+    def test_tubed_never_releases(self, phases, limits):
+        _, samples, final = run_random(phases, False, limits)
+        assert "Release" not in kinds(final)
+        assert all(s.mode == "rigid" for s in samples)
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=RUNS)
+    def test_same_inputs_same_samples_and_log(self, run):
+        _, a_samples, a = run_random(*run)
+        _, b_samples, b = run_random(*run)
+        assert a_samples == b_samples
+        assert a.events == b.events
+
+    @pytest.mark.parametrize("drag, fails", [(9.9999, False),
+                                             (10.0001, True)])
+    def test_claw_failure_at_the_hooking_limit(self, drag, fails):
+        # 1 N at 0.1 N/mm is 10 mm of stretch
+        limits = ForceLimits(vertical_max=2.46, hooking_max=1.0)
+        samples, final = hook_then(MESH, [((0.0, drag, 0.0), "rigid")],
+                                   depth_mm=2.0, limits=limits)
+        assert samples[-1].horizontal == pytest.approx(0.1 * drag, abs=1e-9)
+        assert ("ClawFailure" in kinds(final)) == fails
+
+    def test_one_walk_cycle_solves_the_chain_twice_and_fk_once(
+            self, monkeypatch):
+        calls = {"solve": 0, "fk": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        solve = counted("solve", chain_mod.solve_bend_from_pull)
+        fk = counted("fk", leg_mod.forward_kinematics)
+        for module in (chain_mod, contact):
+            monkeypatch.setattr(module, "solve_bend_from_pull", solve)
+        for module in (leg_mod, contact):
+            monkeypatch.setattr(module, "forward_kinematics", fk)
+        script = builtin_scenario("walk_cycle", CHAIN, MESH)
+        calls.update(solve=0, fk=0)
+        samples, _ = run_demo_cycle(LEG, CHAIN, MESH, script)
+        assert len(samples) == 135
+        assert calls == {"solve": 2, "fk": 1}
+
+    def test_tubed_at_dt_5_hooks_at_180_ms(self):
+        # the approach ends with the rigid claw exactly on the rest height
+        # at 175 ms; it hooks only once below it
+        origins = ((100.0, -50.0), (96.31, -53.07), (104.72, -46.18),
+                   (101.9, -45.3))
+        hooks = set()
+        for spacing, rest, origin in itertools.product(
+                (20.0, 25.0, 30.0), (-120.0, -60.0, 0.0), origins):
+            mesh = MeshGrid(spacing=spacing, rest_height=rest, origin=origin)
+            script = builtin_scenario("tubed", CHAIN, mesh)
+            _, final = run_demo_cycle(LEG, CHAIN, mesh, script, dt_ms=5.0)
+            hooks.add(final.events[0])
+        assert hooks == {(180.0, "Hook")}
+
+    def test_rejects_non_positive_dt(self):
+        script = builtin_scenario("walk_cycle", CHAIN, MESH)
+        with pytest.raises(ValueError, match="dt_ms"):
+            run_demo_cycle(LEG, CHAIN, MESH, script, dt_ms=0.0)

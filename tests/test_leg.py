@@ -87,6 +87,23 @@ class TestForwardKinematics:
         assert np.allclose(pose.rotation @ pose.rotation.T, np.eye(3),
                            atol=1e-12)
 
+    def test_batch_matches_single_calls_bit_for_bit(self, model):
+        rng = np.random.default_rng(34)
+        qs = rng.uniform(model.lower, model.upper, (200, 4))
+        batch = forward_kinematics(model, qs)
+        assert batch.position.shape == (200, 3)
+        assert batch.rotation.shape == (200, 3, 3)
+        for q, p, r in zip(qs, batch.position, batch.rotation):
+            single = forward_kinematics(model, q)
+            assert np.array_equal(single.position, p)
+            assert np.array_equal(single.rotation, r)
+        grid = forward_kinematics(model, qs.reshape(10, 20, 4))
+        assert np.array_equal(grid.position.reshape(200, 3), batch.position)
+        jac = jacobian(model, qs)
+        assert jac.shape == (200, 3, 4)
+        assert all(np.array_equal(jacobian(model, q), j)
+                   for q, j in zip(qs, jac))
+
     def test_rejects_bad_q(self, model):
         with pytest.raises(ValueError):
             forward_kinematics(model, np.array([0.0, 0.0, 0.0]))
@@ -195,10 +212,10 @@ class TestInverseKinematicsProperties:
         assert r1.iterations == r2.iterations
 
 
-def offset_leg():
-    """The default leg with a femur theta offset: not solved in closed form."""
+def offset_leg(**femur):
+    """The default leg with its femur DH row changed by ``femur``."""
     rows = list(LEG.rows)
-    rows[2] = dataclasses.replace(rows[2], theta_offset=0.3)
+    rows[2] = dataclasses.replace(rows[2], **femur)
     return LegModel(tuple(rows), LEG.joint_limits)
 
 
@@ -216,11 +233,12 @@ def dls_calls(monkeypatch):
 
 
 class TestClosedFormGuard:
-    @pytest.mark.parametrize("which", ["straight", "theta_offset"])
+    @pytest.mark.parametrize("which", ["straight", "d_offset"])
     def test_other_geometry_round_trips_through_dls(self, which,
                                                     straight_model,
                                                     dls_calls):
-        m = straight_model if which == "straight" else offset_leg()
+        # a femur d offset takes the tibia out of the trochanter's plane
+        m = straight_model if which == "straight" else offset_leg(d=5.0)
         rng = np.random.default_rng(37)
         for _ in range(40):
             qstar = rng.uniform(m.lower, m.upper)
@@ -245,6 +263,20 @@ class TestClosedFormGuard:
         assert np.linalg.norm(forward_kinematics(TIGHT, q).position
                               - target) < IK_TOL_MM
         assert np.all(q >= TIGHT.lower) and np.all(q <= TIGHT.upper)
+
+    @pytest.mark.parametrize("offset", [0.3, -0.5])
+    def test_theta_offsets_solved_without_dls(self, offset, dls_calls):
+        m = offset_leg(theta_offset=offset)
+        rng = np.random.default_rng(1)
+        warm = np.array([0.0, -0.3, 0.6, -0.9])
+        for _ in range(600):
+            qstar = rng.uniform(m.lower, m.upper)
+            target = forward_kinematics(m, qstar).position
+            r = inverse_kinematics(m, target, warm)
+            assert np.linalg.norm(forward_kinematics(m, r.q).position
+                                  - target) < IK_TOL_MM
+            assert np.all(r.q >= m.lower) and np.all(r.q <= m.upper)
+        assert dls_calls == []
 
     def test_default_leg_never_reaches_dls(self, dls_calls):
         # criterion 4's targets: seed 104, cold start q_start

@@ -39,6 +39,10 @@ DEFAULT_CLAW_MAX_OPENING = math.radians(60.0)
 
 NUM_TARSOMERES = 5
 
+# inverse pull map defaults: bend-pull residual (mm), evaluation cap
+SOLVE_TOL_MM = 1e-9
+SOLVE_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class SegmentGeometry:
@@ -136,7 +140,7 @@ class ChainGeometry:
             arr = np.array(values, dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        full = _bend_pull(self, 1.0)[0]
+        full = float(_bend_pull(self, 1.0)[0])
         object.__setattr__(self, "_full_bend_pull", full)
         object.__setattr__(self, "_capacity", full
                            + float(self._axial_caps.sum())
@@ -307,10 +311,15 @@ def _joint_pulls(chain: ChainGeometry, theta) -> tuple:
                            chain._anchor_angle, theta)
 
 
-def _bend_pull(chain: ChainGeometry, s: float) -> tuple[float, float]:
-    """Bend pull P(s) with every joint at s * max_bend, and its slope dP/ds."""
-    pull, slope = _joint_pulls(chain, s * chain._max_bend)
-    return float(pull.sum()), float(slope @ chain._max_bend)
+def _bend_pull(chain: ChainGeometry, s) -> tuple[np.ndarray, np.ndarray]:
+    """Bend pull P(s) with every joint at s * max_bend, and its slope dP/ds.
+
+    ``s`` may be an array of saturations.  Each value is summed over the
+    segments on its own row, so it does not depend on the batch around it.
+    """
+    theta = np.asarray(s, dtype=float)[..., None] * chain._max_bend
+    pull, slope = _joint_pulls(chain, theta)
+    return pull.sum(axis=-1), (slope * chain._max_bend).sum(axis=-1)
 
 
 def chain_pull(chain: ChainGeometry, state: ChainState) -> float:
@@ -334,17 +343,74 @@ def max_chain_pull(chain: ChainGeometry) -> float:
     return chain._capacity
 
 
+def _check_pulls(pulls: np.ndarray, max_iter: int) -> None:
+    if not np.isfinite(pulls).all():
+        raise ValueError(f"pull must be finite, got "
+                         f"{pulls[~np.isfinite(pulls)][0]}")
+    if (pulls < 0).any():
+        raise ValueError(f"pull must be >= 0, got {pulls[pulls < 0][0]}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def _saturation(chain: ChainGeometry, targets: np.ndarray, tol: float,
+                max_iter: int) -> np.ndarray:
+    """Shared saturation s in [0, 1] whose bend pull meets each target.
+
+    ``targets`` is a 1-D array of pulls already clamped to the capacity.
+    A target at or past the full-bend pull gives s = 1 and a zero target
+    s = 0, both without an evaluation.  The others run Newton's method
+    together from the linear guess target / full_bend_pull, each inside
+    its own shrinking bracket: a step that would leave the bracket is
+    replaced by bisection.  Each round evaluates the bend pull once for
+    every target still open, so every target counts one iteration per
+    evaluation, and a target leaves the batch once its residual is below
+    ``tol``.
+
+    Raises:
+        ChainSolveError: for the first target, in array order, whose
+            residual is still >= tol after max_iter evaluations.
+    """
+    full = chain._full_bend_pull
+    s = np.where(targets >= full, 1.0, 0.0)
+    idx = np.flatnonzero((targets > 0.0) & (targets < full))
+    goal = targets[idx]
+    x = goal / full
+    lo, hi = np.zeros_like(x), np.ones_like(x)
+    for _ in range(max_iter if idx.size else 0):
+        p, slope = _bend_pull(chain, x)
+        err = p - goal
+        done = np.abs(err) < tol
+        if done.any():
+            s[idx[done]] = x[done]
+            keep = ~done
+            idx, goal, x, err, slope, lo, hi = (
+                a[keep] for a in (idx, goal, x, err, slope, lo, hi))
+            if not idx.size:
+                break
+        over = err > 0
+        hi = np.where(over, x, hi)
+        lo = np.where(over, lo, x)
+        # a slope that is not > 0 (or is NaN) gives a NaN step: bisect
+        step = x - err / np.where(slope > 0, slope, math.nan)
+        x = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+    if idx.size:
+        raise ChainSolveError(float(goal[0]), max_iter, float(abs(err[0])))
+    return s
+
+
 def solve_bend_from_pull(chain: ChainGeometry, pull: float,
-                         tol: float = 1e-9, max_iter: int = 200) -> ChainState:
+                         tol: float = SOLVE_TOL_MM,
+                         max_iter: int = SOLVE_MAX_ITER) -> ChainState:
     """Invert the pull map: distribute a commanded string pull over the chain.
 
     All joints bend together, theta_i = s * max_bend_i for a shared
-    saturation parameter s in [0, 1].  s is found by Newton's method on
-    the bend pull, kept inside a shrinking bracket: a step that would
-    leave the bracket is replaced by bisection.  Pull beyond the
-    all-saturated point goes into axial compressions proportional to their
-    caps, then into socket slack proportional to its capacities.  Excess
-    beyond the total capacity is clamped (with a warning).
+    saturation parameter s in [0, 1], found by the bracketed Newton
+    kernel that ``bend_angles`` runs over a whole array of pulls.  Pull
+    beyond the all-saturated point goes into axial compressions
+    proportional to their caps, then into socket slack proportional to
+    its capacities.  Excess beyond the total capacity is clamped (with a
+    warning).
 
     Args:
         chain: chain geometry.
@@ -360,14 +426,8 @@ def solve_bend_from_pull(chain: ChainGeometry, pull: float,
         ChainSolveError: the residual is still >= tol after max_iter
             evaluations.
     """
-    if not math.isfinite(pull):
-        raise ValueError(f"pull must be finite, got {pull}")
-    if pull < 0:
-        raise ValueError("pull must be >= 0")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_pulls(np.array([pull], dtype=float), max_iter)
     n = len(chain.segments)
-    alpha_max = chain.max_bend
     caps = chain.axial_caps
     slack_caps = chain._slack_caps
 
@@ -378,29 +438,9 @@ def solve_bend_from_pull(chain: ChainGeometry, pull: float,
             f"commanded pull {pull:.6g} mm exceeds chain capacity "
             f"{capacity:.6g} mm; clamping", stacklevel=2)
     target = min(pull, capacity)
+    s = float(_saturation(chain, np.array([target]), tol, max_iter)[0])
 
-    if target >= bend_max:
-        s = 1.0
-    elif target <= 0.0:
-        s = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        s = target / bend_max
-        for _ in range(max_iter):
-            p, slope = _bend_pull(chain, s)
-            err = p - target
-            if abs(err) < tol:
-                break
-            if err > 0:
-                hi = s
-            else:
-                lo = s
-            step = s - err / slope if slope > 0 else math.nan
-            s = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            raise ChainSolveError(pull, max_iter, abs(err))
-
-    theta = s * alpha_max
+    theta = s * chain.max_bend
     remainder = target - bend_max if s >= 1.0 else 0.0
 
     compression = np.zeros(n)
@@ -414,6 +454,29 @@ def solve_bend_from_pull(chain: ChainGeometry, pull: float,
         slack = frac * slack_caps
 
     return ChainState(theta, compression, slack)
+
+
+def bend_angles(chain: ChainGeometry, pulls, tol: float = SOLVE_TOL_MM,
+                max_iter: int = SOLVE_MAX_ITER) -> np.ndarray:
+    """Total bend (degrees) for each commanded pull, in one batched solve.
+
+    The same inverse map as ``solve_bend_from_pull``, run once over the
+    whole array; each bend equals that function's ``total_bend_angle``.
+    Pulls past the capacity are clamped without a warning: a sweep past
+    it clamps by design, and ``pulls > max_chain_pull(chain)`` counts
+    them.
+
+    Raises:
+        ValueError: a pull is negative or not finite, or max_iter < 1.
+        ChainSolveError: for the first pull, in array order, that does not
+            converge within max_iter evaluations.
+    """
+    pulls = np.asarray(pulls, dtype=float)
+    _check_pulls(pulls, max_iter)
+    targets = np.minimum(pulls, chain._capacity).ravel()
+    s = _saturation(chain, targets, tol, max_iter)
+    theta = s[:, None] * chain._max_bend
+    return np.degrees(theta.sum(axis=-1)).reshape(pulls.shape)
 
 
 def total_bend_angle(state: ChainState) -> float:

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,20 +115,13 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 
 def cmd_chain(args, ctx: RunContext) -> int:
     chain = ctx.cfg.build_chain()
-    solver_tol = ctx.cfg.getfloat("solver", "tol_mm", 1e-9)
-    solver_iters = ctx.cfg.getint("solver", "max_iter", 200)
-    if solver_iters < 1:
-        raise ConfigError(f"solver.max_iter must be >= 1, got {solver_iters}")
-
-    def solve(pull):
-        return chain_mod.solve_bend_from_pull(chain, pull, tol=solver_tol,
-                                              max_iter=solver_iters)
+    solver = ctx.cfg.solver_params()
 
     if args.pull is not None:
         if not (math.isfinite(args.pull) and args.pull >= 0):
             raise DomainError(f"--pull must be finite and >= 0, "
                               f"got {args.pull}")
-        state = solve(args.pull)
+        state = chain_mod.solve_bend_from_pull(chain, args.pull, **solver)
         rows = []
         for i in range(len(chain.segments)):
             rows.append([f"segment_{i + 1}", np.degrees(state.theta[i]),
@@ -163,13 +155,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         pulls = np.arange(start, stop + 0.5 * step_, step_)
         capacity = chain_mod.max_chain_pull(chain)
         clamped = int(np.count_nonzero(pulls > capacity))
-        bends = []
-        with warnings.catch_warnings():
-            # sweeping past the chain capacity clamps by design; the
-            # clamped points are counted on the summary line instead
-            warnings.simplefilter("ignore", UserWarning)
-            for p in pulls:
-                bends.append(chain_mod.total_bend_angle(solve(float(p))))
+        bends = chain_mod.bend_angles(chain, pulls, **solver)
         if ctx.csv:
             write_table(ctx.path("bend_vs_pull.csv"),
                         ["pull_mm", "total_bend_deg"],
@@ -278,7 +264,7 @@ def cmd_sim(args, ctx: RunContext) -> int:
         scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    dt = ctx.cfg.getfloat("sim", "dt_ms", 10.0)
+    dt = ctx.cfg.sim_params()["dt_ms"]
     claw_len = ctx.cfg.claw_params()["length_mm"]
 
     samples, final = contact_mod.run_demo_cycle(

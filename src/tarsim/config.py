@@ -284,22 +284,43 @@ class Config:
 
     def ik_params(self) -> dict:
         """``[ik]`` solver settings: each finite and > 0, max_iter >= 1."""
-        params = {}
-        for arg, key, default in (
-                ("damping", "damping", leg_mod.IK_DAMPING),
-                ("step_clamp", "step_clamp_rad", leg_mod.IK_STEP_CLAMP_RAD),
-                ("tol_mm", "tol_mm", leg_mod.IK_TOL_MM)):
-            value = self.getfloat("ik", key, default)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"ik.{key} must be finite and > 0, "
-                                  f"got {value}", self._line("ik", key))
-            params[arg] = value
-        max_iter = self.getint("ik", "max_iter", leg_mod.IK_MAX_ITER)
+        return self._solver_settings(
+            "ik", (("damping", "damping", leg_mod.IK_DAMPING),
+                   ("step_clamp", "step_clamp_rad", leg_mod.IK_STEP_CLAMP_RAD),
+                   ("tol_mm", "tol_mm", leg_mod.IK_TOL_MM)),
+            leg_mod.IK_MAX_ITER)
+
+    def solver_params(self) -> dict:
+        """``[solver]`` chain-solve settings: tol_mm finite and > 0,
+        max_iter >= 1; keyword arguments of the chain's inverse pull map."""
+        return self._solver_settings(
+            "solver", (("tol", "tol_mm", chain_mod.SOLVE_TOL_MM),),
+            chain_mod.SOLVE_MAX_ITER)
+
+    def sim_params(self) -> dict:
+        """``[sim]`` run settings: dt_ms finite and > 0."""
+        return {"dt_ms": self._positive("sim", "dt_ms", 10.0)}
+
+    def _solver_settings(self, section: str, floats, max_iter_default: int
+                         ) -> dict:
+        """Keyword arguments ``arg`` -> value for (arg, key, default) floats
+        that must be finite and > 0, plus a ``max_iter`` that must be >= 1."""
+        params = {arg: self._positive(section, key, default)
+                  for arg, key, default in floats}
+        max_iter = self.getint(section, "max_iter", max_iter_default)
         if max_iter < 1:
-            raise ConfigError(f"ik.max_iter must be >= 1, got {max_iter}",
-                              self._line("ik", "max_iter"))
+            raise ConfigError(f"{section}.max_iter must be >= 1, "
+                              f"got {max_iter}",
+                              self._line(section, "max_iter"))
         params["max_iter"] = max_iter
         return params
+
+    def _positive(self, section: str, key: str, default: float) -> float:
+        value = self.getfloat(section, key, default)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{section}.{key} must be finite and > 0, "
+                              f"got {value}", self._line(section, key))
+        return value
 
     def _line(self, section: str, key: str) -> int | None:
         return self.data.get(section, {}).get(key, (None, None))[1]

@@ -242,8 +242,8 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
 
     Returns the per-tick samples and the final state with the event log.
     """
-    if dt_ms <= 0:
-        raise ValueError("dt_ms must be > 0")
+    if not (math.isfinite(dt_ms) and dt_ms > 0):
+        raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
     limits = limits or ForceLimits()
     home = np.asarray(script.home_tip, dtype=float)
     commanded, targets, prev = [], [], np.zeros(3)

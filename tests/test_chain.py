@@ -6,13 +6,14 @@ measures Euclidean distances.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tarsim.chain import (ChainGeometry, ChainSolveError, ChainState,
-                          SegmentGeometry, _bend_pull,
+                          SegmentGeometry, _bend_pull, bend_angles,
                           chain_pose, chain_pull, chord_length,
                           claw_actuation, default_chain_geometry,
                           full_bend_pull, max_chain_pull, pull_angle,
@@ -353,6 +354,87 @@ class TestPullMapProperties:
         per_segment = sum(segment_pull(seg, s * seg.max_bend)
                           for seg in g.segments)
         assert _bend_pull(g, s)[0] == pytest.approx(per_segment, abs=1e-12)
+
+
+GEOMETRIES = {slack: default_chain_geometry(socket_slack=slack)
+              for slack in (False, True)}
+
+
+@st.composite
+def sweep_pulls(draw):
+    """A default chain, either slack setting, and a shuffled pull array
+    holding 0, the full-bend pull, a pull past capacity and random pulls
+    up to 1.5 times the capacity."""
+    g = GEOMETRIES[draw(st.booleans())]
+    cap = max_chain_pull(g)
+    fracs = draw(st.lists(st.floats(0.0, 1.5), max_size=40))
+    pulls = [0.0, full_bend_pull(g), 1.2 * cap, *(f * cap for f in fracs)]
+    return g, np.array(draw(st.permutations(pulls)))
+
+
+def scalar_solves(g, pulls, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return [solve_bend_from_pull(g, float(p), **kw) for p in pulls]
+
+
+class TestBendAngles:
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_pulls())
+    def test_batched_matches_scalar_solve(self, case):
+        g, pulls = case
+        scalar = [total_bend_angle(st_) for st_ in scalar_solves(g, pulls)]
+        assert np.all(np.abs(bend_angles(g, pulls) - scalar) <= 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_pulls())
+    def test_scalar_states_meet_clamped_pull(self, case):
+        g, pulls = case
+        tol = 1e-9
+        for p, st_ in zip(pulls, scalar_solves(g, pulls, tol=tol)):
+            assert abs(chain_pull(g, st_) - min(p, max_chain_pull(g))) < tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_pulls())
+    def test_bend_monotone_in_pull(self, case):
+        g, pulls = case
+        pulls = np.sort(pulls)
+        assert np.all(np.diff(bend_angles(g, pulls)) >= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(monotone_chains(), st.lists(st.floats(0.0, 1.2), max_size=20))
+    def test_batched_matches_scalar_on_any_chain(self, g, fracs):
+        pulls = np.array(fracs) * max_chain_pull(g)
+        scalar = [total_bend_angle(st_) for st_ in scalar_solves(g, pulls)]
+        assert np.all(np.abs(bend_angles(g, pulls) - scalar) <= 1e-12)
+
+    def test_first_unconverged_pull_raises(self):
+        g = default_chain_geometry()
+        with pytest.raises(ChainSolveError) as info:
+            bend_angles(g, [0.0, 5.5, 20.0, 2.0, 3.0], tol=1e-14, max_iter=1)
+        assert (info.value.pull, info.value.iterations) == (2.0, 1)
+        assert info.value.residual >= 1e-14
+
+    def test_clamps_without_warning(self):
+        g = default_chain_geometry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bends = bend_angles(g, [50.0, max_chain_pull(g)])
+        assert bends[0] == bends[1] == pytest.approx(65.8, abs=0.1)
+
+    def test_keeps_the_input_shape(self):
+        g = default_chain_geometry()
+        assert bend_angles(g, []).shape == (0,)
+        grid = np.linspace(0.0, 6.0, 6).reshape(2, 3)
+        assert np.array_equal(bend_angles(g, grid).ravel(),
+                              bend_angles(g, grid.ravel()))
+
+    @pytest.mark.parametrize("pulls, max_iter, match", [
+        ([1.0, math.nan], 200, "finite"), ([1.0, math.inf], 200, "finite"),
+        ([1.0, -0.5], 200, ">= 0"), ([1.0], 0, "max_iter")])
+    def test_bad_arguments_rejected(self, pulls, max_iter, match):
+        with pytest.raises(ValueError, match=match):
+            bend_angles(default_chain_geometry(), pulls, max_iter=max_iter)
 
 
 class TestTotalBendAngle:

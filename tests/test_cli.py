@@ -100,6 +100,30 @@ class TestChainCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_sweep_names_first_unconverged_pull(self, tmp_path, capsys):
+        conf = tmp_path / "t.conf"
+        conf.write_text("[solver]\nmax_iter = 1\ntol_mm = 1e-14\n")
+        rc, out = run(["chain", "--sweep", "0:1:0.25", "--config", str(conf)],
+                      tmp_path)
+        assert rc == 1
+        assert ("chain solve for pull 0.25 mm did not converge in 1 "
+                "iterations") in capsys.readouterr().err
+        assert not (out / "bend_vs_pull.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol_mm", "-1"), ("tol_mm", "nan"), ("tol_mm", "0"),
+        ("tol_mm", "inf"), ("max_iter", "0"), ("max_iter", "-5"),
+    ])
+    def test_bad_solver_setting_is_config_error(self, tmp_path, capsys, key,
+                                                value):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"[solver]\n{key} = {value}\n")
+        rc, out = run(["chain", "--pull", "2.0", "--sweep", "0:1:0.5",
+                       "--config", str(conf)], tmp_path)
+        assert rc == 2
+        assert f"line 2: solver.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_round_trip_losslessly(self, tmp_path):
         rc, out = run(["chain", "--pull", "3.3"], tmp_path)
         header, rows = read_table(out / "chain_state.csv")
@@ -234,6 +258,17 @@ class TestSimCommand:
     def test_unknown_scenario_usage_error(self, tmp_path, capsys):
         rc, _ = run(["sim", "--scenario", "wat"], tmp_path)
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_bad_dt_is_config_error(self, tmp_path, capsys, value):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"[sim]\ndt_ms = {value}\n")
+        rc, out = run(["sim", "--scenario", "walk_cycle", "--config",
+                       str(conf)], tmp_path)
+        assert rc == 2
+        assert "line 2: sim.dt_ms must be finite and > 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_scenario_header_only(self, tmp_path):
         conf = tmp_path / "t.conf"

@@ -131,6 +131,17 @@ class TestBuilders:
             cfg.analytics_params()
 
 
+    def test_solver_and_sim_settings(self):
+        from tarsim.chain import SOLVE_MAX_ITER, SOLVE_TOL_MM
+        assert Config.default().solver_params() == {
+            "tol": SOLVE_TOL_MM, "max_iter": SOLVE_MAX_ITER}
+        assert Config.default().sim_params() == {"dt_ms": 10.0}
+        cfg = parse_config("[solver]\ntol_mm = 1e-6\nmax_iter = 7\n"
+                           "[sim]\ndt_ms = 2.5\n")
+        assert cfg.solver_params() == {"tol": 1e-6, "max_iter": 7}
+        assert cfg.sim_params() == {"dt_ms": 2.5}
+
+
 class TestScenarios:
     def test_builtin_names_present(self):
         names = Config.default().scenario_names()

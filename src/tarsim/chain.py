@@ -33,11 +33,14 @@ import numpy as np
 DEFAULT_SPRING_N_PER_MM = 0.54
 DEFAULT_K_FLEX_N_PER_MM = 0.054
 DEFAULT_K_RIGID_N_PER_MM = 0.54
-DEFAULT_VERTICAL_CAP_N = 2.46
+# the rigid tarsus's vertical force cap (N): stiffness_curve and
+# contact.ForceLimits default to it (contact imports chain, not back)
+DEFAULT_VERTICAL_MAX_N = 2.46
 DEFAULT_CLAW_THRESHOLD = 0.8
 DEFAULT_CLAW_MAX_OPENING = math.radians(60.0)
 
 NUM_TARSOMERES = 5
+SEGMENT_LENGTH_MM = (18.0, 16.0, 14.0, 12.0, 10.0)
 
 # inverse pull map defaults: bend-pull residual (mm), evaluation cap
 SOLVE_TOL_MM = 1e-9
@@ -95,11 +98,10 @@ class ChainGeometry:
 
     segments: tuple[SegmentGeometry, ...]
     k_spring: float = DEFAULT_SPRING_N_PER_MM
-    segment_lengths: tuple[float, ...] = (18.0, 16.0, 14.0, 12.0, 10.0)
+    segment_lengths: tuple[float, ...] = SEGMENT_LENGTH_MM
     socket_slack: tuple[float, ...] = (0.0,) * NUM_TARSOMERES
     k_flex: float = DEFAULT_K_FLEX_N_PER_MM
     k_rigid: float = DEFAULT_K_RIGID_N_PER_MM
-    vertical_cap: float = DEFAULT_VERTICAL_CAP_N
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -123,8 +125,6 @@ class ChainGeometry:
         if not self.k_rigid > self.k_flex:
             raise ValueError(f"rigid slope must exceed flexible slope "
                              f"({self.k_rigid} <= {self.k_flex})")
-        if self.vertical_cap <= 0:
-            raise ValueError("vertical_cap must be positive")
         # per-segment arrays for the pull kernel, computed once, read-only
         segs = self.segments
         arrays = {
@@ -489,11 +489,13 @@ def restoring_force(chain: ChainGeometry, state: ChainState) -> float:
     return chain.k_spring * chain_pull(chain, state)
 
 
-def stiffness_curve(chain: ChainGeometry, mode: str, displacements) -> np.ndarray:
+def stiffness_curve(chain: ChainGeometry, mode: str, displacements,
+                    vertical_max: float = DEFAULT_VERTICAL_MAX_N) -> np.ndarray:
     """Vertical force vs pressed displacement for one actuation mode.
 
     Piecewise linear: slope k_rigid (string tight) or k_flex (string
-    relaxed); the rigid curve saturates at the vertical force cap.
+    relaxed); the rigid curve saturates at the vertical force cap
+    ``vertical_max`` (N), the cap ``contact.ForceLimits`` enforces.
     """
     d = np.asarray(displacements, dtype=float)
     if np.any(d < 0):
@@ -501,31 +503,26 @@ def stiffness_curve(chain: ChainGeometry, mode: str, displacements) -> np.ndarra
     if np.any(np.diff(d) < 0):
         raise ValueError("displacements must be sorted ascending")
     if mode == "rigid":
-        return np.minimum(chain.k_rigid * d, chain.vertical_cap)
+        return np.minimum(chain.k_rigid * d, vertical_max)
     if mode == "flexible":
         return chain.k_flex * d
     raise ValueError(f"mode must be 'rigid' or 'flexible', got {mode!r}")
 
 
-def claw_actuation(pull_fraction: float,
-                   threshold: float = DEFAULT_CLAW_THRESHOLD,
-                   max_opening: float = DEFAULT_CLAW_MAX_OPENING) -> ClawState:
+def claw_actuation(pull_fraction: float) -> ClawState:
     """Claw response to normalized string pull.
 
-    The claws stay closed below ``threshold``; past it the opening angle
-    ramps linearly from 0 to ``max_opening`` at full pull.
+    The claws stay closed below ``DEFAULT_CLAW_THRESHOLD``; past it the
+    opening angle ramps linearly from 0 to ``DEFAULT_CLAW_MAX_OPENING`` at
+    full pull.
     """
     if not 0.0 <= pull_fraction <= 1.0:
         raise ValueError("pull_fraction must lie in [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-    engaged = pull_fraction >= threshold
-    if not engaged:
+    if pull_fraction < DEFAULT_CLAW_THRESHOLD:
         return ClawState(0.0, False)
-    if threshold >= 1.0:
-        return ClawState(max_opening, True)
-    ramp = (pull_fraction - threshold) / (1.0 - threshold)
-    return ClawState(max_opening * ramp, True)
+    ramp = ((pull_fraction - DEFAULT_CLAW_THRESHOLD)
+            / (1.0 - DEFAULT_CLAW_THRESHOLD))
+    return ClawState(DEFAULT_CLAW_MAX_OPENING * ramp, True)
 
 
 def chain_pose(chain: ChainGeometry, state: ChainState) -> np.ndarray:
@@ -552,7 +549,6 @@ _BASE_ANCHOR_LONG = (3.2, 3.0, 2.8, 2.6, 2.4)
 _BASE_ANCHOR_TRANS = (0.5, 0.45, 0.4, 0.35, 0.3)
 _MAX_BEND_DEG = (10.575, 10.575, 10.575, 10.575, 23.5)
 _AXIAL_CAP_MM = (1.07, 0.74, 1.9, 0.31, 0.68)
-_SEGMENT_LENGTH_MM = (18.0, 16.0, 14.0, 12.0, 10.0)
 
 FULL_BEND_PULL_MM = 5.5
 TOTAL_BEND_DEG = 65.8
@@ -588,8 +584,4 @@ def default_chain_geometry(socket_slack: bool = False) -> ChainGeometry:
     slack = [0.0] * NUM_TARSOMERES
     if socket_slack:
         slack[1] = MEASURED_FULL_PULL_MM - FULL_BEND_PULL_MM - sum(_AXIAL_CAP_MM)
-    return ChainGeometry(
-        segments=segments,
-        segment_lengths=_SEGMENT_LENGTH_MM,
-        socket_slack=tuple(slack),
-    )
+    return ChainGeometry(segments=segments, socket_slack=tuple(slack))

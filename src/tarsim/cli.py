@@ -52,12 +52,10 @@ def _sha256(path) -> str:
 class RunContext:
     """Output directory, format selection and manifest bookkeeping."""
 
-    def __init__(self, cfg: Config, out: Path, fmt: str, seed=None,
-                 config_path=None):
+    def __init__(self, cfg: Config, out: Path, fmt: str, config_path=None):
         self.cfg = cfg
         self.out = out
         self.fmt = fmt
-        self.seed = seed
         self.config_path = config_path
         self.inputs: dict = {}
         self.outputs: list = []
@@ -89,7 +87,6 @@ class RunContext:
             "config_hash": self.cfg.hash(),
             "input_hashes": self.inputs,
             "outputs": sorted(self.outputs),
-            "seed": self.seed,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
         self.out.mkdir(parents=True, exist_ok=True)
@@ -121,7 +118,10 @@ def cmd_chain(args, ctx: RunContext) -> int:
         if not (math.isfinite(args.pull) and args.pull >= 0):
             raise DomainError(f"--pull must be finite and >= 0, "
                               f"got {args.pull}")
-        state = chain_mod.solve_bend_from_pull(chain, args.pull, **solver)
+        # clamp here: the library's clamp warning is for library callers
+        capacity = chain_mod.max_chain_pull(chain)
+        state = chain_mod.solve_bend_from_pull(
+            chain, min(args.pull, capacity), **solver)
         rows = []
         for i in range(len(chain.segments)):
             rows.append([f"segment_{i + 1}", np.degrees(state.theta[i]),
@@ -136,9 +136,11 @@ def cmd_chain(args, ctx: RunContext) -> int:
             write_table(ctx.path("chain_state.csv"),
                         ["segment", "theta_deg", "compression_mm",
                          "slack_mm", "pull_mm"], rows)
+        clamped = (f", clamped at capacity {capacity:.6g} mm"
+                   if args.pull > capacity else "")
         print(f"pull {args.pull} mm -> total bend {total_bend:.4f} deg, "
               f"total pull {total_pull:.6f} mm, spring force "
-              f"{chain_mod.restoring_force(chain, state):.4f} N")
+              f"{chain_mod.restoring_force(chain, state):.4f} N{clamped}")
 
     if args.sweep is not None:
         try:
@@ -170,11 +172,11 @@ def cmd_chain(args, ctx: RunContext) -> int:
               f"clamped at capacity {capacity:.6g} mm")
 
     if args.stiffness:
-        d_max = 1.5 * chain.vertical_cap / chain.k_rigid
-        disp = np.linspace(0.0, d_max, 101)
+        cap = ctx.cfg.build_limits().vertical_max
+        disp = np.linspace(0.0, 1.5 * cap / chain.k_rigid, 101)
         curves = {}
         for mode in ("rigid", "flexible"):
-            force = chain_mod.stiffness_curve(chain, mode, disp)
+            force = chain_mod.stiffness_curve(chain, mode, disp, cap)
             curves[mode] = force
             if ctx.csv:
                 write_table(ctx.path(f"stiffness_{mode}.csv"),
@@ -186,8 +188,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
                 [(m, disp, curves[m]) for m in ("rigid", "flexible")],
                 title="Force vs displacement",
                 xlabel="displacement (mm)", ylabel="force (N)")
-        print(f"stiffness curves written (rigid caps at "
-              f"{chain.vertical_cap} N)")
+        print(f"stiffness curves written (rigid caps at {cap} N)")
     return 0
 
 
@@ -232,7 +233,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         except (OSError, ValueError) as err:
             raise DomainError(f"--retarget: {err}") from None
         scale = args.scale if args.scale is not None \
-            else ctx.cfg.getfloat("retarget", "scale", 8.0)
+            else ctx.cfg.getfloat("retarget", "scale", leg_mod.RETARGET_SCALE)
         origin = _parse_vector(args.origin, 3, "--origin") \
             if args.origin else None
         try:
@@ -260,11 +261,11 @@ def cmd_sim(args, ctx: RunContext) -> int:
     leg = ctx.cfg.build_leg()
     mesh = ctx.cfg.build_mesh()
     limits = ctx.cfg.build_limits()
+    dt = ctx.cfg.sim_params()["dt_ms"]
     try:
         scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    dt = ctx.cfg.sim_params()["dt_ms"]
     claw_len = ctx.cfg.claw_params()["length_mm"]
 
     samples, final = contact_mod.run_demo_cycle(
@@ -406,8 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default tarsim_out)")
     common.add_argument("--format", choices=("csv", "svg", "both"),
                         default="csv", help="output formats to emit")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed recorded for randomized workflows")
 
     parser = argparse.ArgumentParser(
         prog="tarsim",
@@ -429,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", help="IK start joint angles in degrees")
     p.add_argument("--retarget", help="trajectory CSV to scale onto the leg")
     p.add_argument("--scale", type=float, default=None,
-                   help="retarget scale factor (default from config, 8)")
+                   help=f"retarget scale factor (default from config, "
+                   f"{leg_mod.RETARGET_SCALE:g})")
     p.add_argument("--origin", help="scaling origin x,y,z (default first "
                    "sample)")
     p.add_argument("--to-joints", action="store_true",
@@ -486,8 +486,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg, config_path = _resolve_config(args)
-        ctx = RunContext(cfg, Path(args.out), args.format, args.seed,
-                         config_path)
+        ctx = RunContext(cfg, Path(args.out), args.format, config_path)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -38,7 +38,7 @@ LEG_SECTIONS = tuple(f"leg_{name}" for name in leg_mod.JOINT_NAMES)
 
 VALID_KEYS = {
     "chain": {"k_spring_n_per_mm", "k_flex_n_per_mm", "k_rigid_n_per_mm",
-              "vertical_cap_n", "socket_slack"},
+              "socket_slack"},
     "claw": {"length_mm"},
     "ik": {"damping", "step_clamp_rad", "tol_mm", "max_iter"},
     "solver": {"tol_mm", "max_iter"},
@@ -151,8 +151,6 @@ class Config:
             k_spring=self.getfloat("chain", "k_spring_n_per_mm", base.k_spring),
             k_flex=self.getfloat("chain", "k_flex_n_per_mm", base.k_flex),
             k_rigid=self.getfloat("chain", "k_rigid_n_per_mm", base.k_rigid),
-            vertical_cap=self.getfloat("chain", "vertical_cap_n",
-                                       base.vertical_cap),
         )
 
     def build_leg(self) -> leg_mod.LegModel:
@@ -165,6 +163,7 @@ class Config:
                 f"leg joint sections must come as a full set of 4; "
                 f"missing {missing}")
         rows, limits = [], []
+        lim = leg_mod.JOINT_LIMIT_DEG
         for s in LEG_SECTIONS:
             rows.append(leg_mod.DHRow(
                 a=self.getfloat(s, "a_mm", 0.0),
@@ -173,29 +172,33 @@ class Config:
                 theta_offset=math.radians(
                     self.getfloat(s, "theta_offset_deg", 0.0)),
             ))
-            limits.append((math.radians(self.getfloat(s, "min_deg", -150.0)),
-                           math.radians(self.getfloat(s, "max_deg", 150.0))))
+            limits.append((math.radians(self.getfloat(s, "min_deg", -lim)),
+                           math.radians(self.getfloat(s, "max_deg", lim))))
         return leg_mod.LegModel(tuple(rows), tuple(limits))
 
     def build_mesh(self) -> contact_mod.MeshGrid:
+        base = contact_mod.MeshGrid()
         return contact_mod.MeshGrid(
-            spacing=self.getfloat("mesh", "spacing_mm",
-                                  contact_mod.ROBOT_MESH_SPACING_MM),
+            spacing=self.getfloat("mesh", "spacing_mm", base.spacing),
             node_stiffness=self.getfloat("mesh", "node_stiffness_n_per_mm",
-                                         contact_mod.DEFAULT_NODE_STIFFNESS),
-            rest_height=self.getfloat("mesh", "rest_height_mm", -120.0),
-            cells=(self.getint("mesh", "cells_x", 4),
-                   self.getint("mesh", "cells_y", 4)),
-            origin=(self.getfloat("mesh", "origin_x_mm", 100.0),
-                    self.getfloat("mesh", "origin_y_mm", -50.0)),
+                                         base.node_stiffness),
+            rest_height=self.getfloat("mesh", "rest_height_mm",
+                                      base.rest_height),
+            cells=(self.getint("mesh", "cells_x", base.cells[0]),
+                   self.getint("mesh", "cells_y", base.cells[1])),
+            origin=(self.getfloat("mesh", "origin_x_mm", base.origin[0]),
+                    self.getfloat("mesh", "origin_y_mm", base.origin[1])),
         )
 
     def build_limits(self) -> contact_mod.ForceLimits:
+        """``[limits]``, the one source of the vertical force cap: each
+        limit finite and > 0."""
+        base = contact_mod.ForceLimits()
         return contact_mod.ForceLimits(
-            vertical_max=self.getfloat("limits", "vertical_max_n",
-                                       contact_mod.DEFAULT_VERTICAL_MAX_N),
-            hooking_max=self.getfloat("limits", "hooking_max_n",
-                                      contact_mod.DEFAULT_HOOKING_MAX_N),
+            vertical_max=self._positive("limits", "vertical_max_n",
+                                        base.vertical_max),
+            hooking_max=self._positive("limits", "hooking_max_n",
+                                       base.hooking_max),
         )
 
     def claw_params(self) -> dict:
@@ -206,8 +209,8 @@ class Config:
 
     def analytics_params(self) -> dict:
         mode = self.getstr("analytics", "amplitude_mode",
-                           "peak_minus_touchdown")
-        if mode not in ("peak_minus_touchdown", "peak_to_trough"):
+                           gait_mod.PEAK_MINUS_TOUCHDOWN)
+        if mode not in gait_mod.AMPLITUDE_MODES:
             raise ConfigError(f"analytics.amplitude_mode: unknown mode {mode!r}")
         return {
             "rate_fps": self.getfloat("analytics", "rate_fps",
@@ -232,19 +235,21 @@ class Config:
 
     def build_scenario(self, name: str, chain: chain_mod.ChainGeometry,
                        mesh: contact_mod.MeshGrid) -> contact_mod.Scenario:
-        """A config-defined scenario, or the built-in one for known names."""
+        """A config-defined scenario, or the built-in one for known names.
+
+        A config-defined scenario with ``home = auto`` starts where the
+        built-in ``walk_cycle`` does.
+        """
         section = SCENARIO_PREFIX + name
-        if not self.has_section(section):
-            return contact_mod.builtin_scenario(
-                name, chain, mesh,
-                claw_length=self.claw_params()["length_mm"],
-                penetration_mm=self.getfloat("sim", "penetration_mm", 5.0))
+        custom = self.has_section(section)
         home_raw = self.getstr(section, "home", "auto")
         if home_raw == "auto":
             base = contact_mod.builtin_scenario(
-                "walk_cycle", chain, mesh,
+                "walk_cycle" if custom else name, chain, mesh,
                 claw_length=self.claw_params()["length_mm"],
-                penetration_mm=self.getfloat("sim", "penetration_mm", 5.0))
+                penetration_mm=self.sim_params()["penetration_mm"])
+            if not custom:
+                return base
             home = base.home_tip
         else:
             try:
@@ -298,8 +303,11 @@ class Config:
             chain_mod.SOLVE_MAX_ITER)
 
     def sim_params(self) -> dict:
-        """``[sim]`` run settings: dt_ms finite and > 0."""
-        return {"dt_ms": self._positive("sim", "dt_ms", 10.0)}
+        """``[sim]`` run settings: dt_ms and penetration_mm, each finite
+        and > 0."""
+        return {key: self._positive("sim", key, default) for key, default in
+                (("dt_ms", contact_mod.DEFAULT_DT_MS),
+                 ("penetration_mm", contact_mod.DEFAULT_PENETRATION_MM))}
 
     def _solver_settings(self, section: str, floats, max_iter_default: int
                          ) -> dict:
@@ -378,6 +386,10 @@ def parse_config(text: str) -> Config:
             raise ConfigError("key outside any [section]", line_no)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if (section, key) == ("chain", "vertical_cap_n"):
+            raise ConfigError("[chain] vertical_cap_n was removed; the "
+                              "vertical force cap is set by [limits] "
+                              "vertical_max_n", line_no)
         if not _valid_key(section, key):
             if section.startswith(SCENARIO_PREFIX):
                 valid = ", ".join(sorted(SCENARIO_KEYS) + ["phase_<n>"])

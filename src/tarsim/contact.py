@@ -27,17 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (ChainGeometry, ClawState, chain_pose, claw_actuation,
-                    full_bend_pull, solve_bend_from_pull)
+from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry, ClawState,
+                    chain_pose, claw_actuation, full_bend_pull,
+                    solve_bend_from_pull)
 from .leg import LegModel, forward_kinematics, inverse_kinematics
 from .table import float_columns, read_table, write_table
 
-DEFAULT_VERTICAL_MAX_N = 2.46
-DEFAULT_HOOKING_MAX_N = 28.98
 DEFAULT_CLAW_LENGTH_MM = 8.0
-DEFAULT_NODE_STIFFNESS = 0.1
-ROBOT_MESH_SPACING_MM = 25.0
-BEETLE_MESH_SPACING_MM = 2.0
+DEFAULT_DT_MS = 10.0
+DEFAULT_PENETRATION_MM = 5.0
 
 # a claw tip must dip this far below the rest height to hook, so a tip
 # scripted to end exactly on it hooks a tick later whatever the rounding
@@ -52,7 +50,7 @@ class ForceLimits:
     """Structural limits of the printed tarsus and claws."""
 
     vertical_max: float = DEFAULT_VERTICAL_MAX_N
-    hooking_max: float = DEFAULT_HOOKING_MAX_N
+    hooking_max: float = 28.98
 
     def __post_init__(self):
         if self.vertical_max <= 0 or self.hooking_max <= 0:
@@ -65,13 +63,14 @@ class MeshGrid:
 
     ``origin`` is the (x, y) of the lowest-index strand crossing.  A
     hooked cell's strand deflects from ``rest_height``; the others rest.
+    The defaults are the robot's mesh, placed under the default leg.
     """
 
-    spacing: float = ROBOT_MESH_SPACING_MM
-    node_stiffness: float = DEFAULT_NODE_STIFFNESS
-    rest_height: float = 0.0
+    spacing: float = 25.0
+    node_stiffness: float = 0.1
+    rest_height: float = -120.0
     cells: tuple[int, int] = (4, 4)
-    origin: tuple[float, float] = (0.0, 0.0)
+    origin: tuple[float, float] = (100.0, -50.0)
 
     def __post_init__(self):
         if self.spacing <= 0:
@@ -220,7 +219,7 @@ class FinalState:
 
 
 def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
-                   script: Scenario, dt_ms: float = 10.0,
+                   script: Scenario, dt_ms: float = DEFAULT_DT_MS,
                    limits: ForceLimits | None = None,
                    claw_length: float = DEFAULT_CLAW_LENGTH_MM,
                    ) -> tuple[list[DemoSample], FinalState]:
@@ -322,7 +321,8 @@ def rigid_claw_offset(chain: ChainGeometry,
 
 def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
                      claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                     penetration_mm: float = 5.0) -> Scenario:
+                     penetration_mm: float = DEFAULT_PENETRATION_MM,
+                     ) -> Scenario:
     """The shipped demo scripts: ``walk_cycle`` and its ``tubed`` pathology.
 
     The home point is derived from the mesh so that the rigid-mode claw

@@ -30,6 +30,8 @@ HYSTERESIS_FRAC = 0.10
 MIN_SEPARATION_MS = 50.0
 COLLINEAR_TOL = 1e-9
 GRID_TOL_FRAMES = 0.01  # how far off the frame grid a timestamp may lie
+PEAK_MINUS_TOUCHDOWN, PEAK_TO_TROUGH = "peak_minus_touchdown", "peak_to_trough"
+AMPLITUDE_MODES = (PEAK_MINUS_TOUCHDOWN, PEAK_TO_TROUGH)
 
 
 class NoCyclesFound(ValueError):
@@ -157,7 +159,7 @@ def fill_gaps(series, max_gap_frames: int | None = None) -> np.ndarray:
 def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
                    hysteresis_frac: float = HYSTERESIS_FRAC,
                    min_separation_ms: float = MIN_SEPARATION_MS,
-                   amplitude_mode: str = "peak_minus_touchdown") -> list[StepCycle]:
+                   amplitude_mode: str = PEAK_MINUS_TOUCHDOWN) -> list[StepCycle]:
     """Segment a claw height (or bend angle) series into step cycles.
 
     Touchdowns are the local minima inside excursions below the low
@@ -174,7 +176,7 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     s = np.asarray(series, dtype=float)
     if rate <= 0:
         raise ValueError("rate must be > 0")
-    if amplitude_mode not in ("peak_minus_touchdown", "peak_to_trough"):
+    if amplitude_mode not in AMPLITUDE_MODES:
         raise ValueError(f"unknown amplitude_mode {amplitude_mode!r}")
     finite = np.isfinite(s)
     if finite.sum() < 4:
@@ -220,7 +222,7 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
         if lift == 0:
             continue
         window = s[a:b + 1]
-        base = s[a] if amplitude_mode == "peak_minus_touchdown" \
+        base = s[a] if amplitude_mode == PEAK_MINUS_TOUCHDOWN \
             else np.nanmin(window)
         cycles.append(StepCycle(
             touchdown_t=a * dt,

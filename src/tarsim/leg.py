@@ -30,6 +30,9 @@ IK_STEP_CLAMP_RAD = 0.2
 IK_TOL_MM = 1e-6
 IK_MAX_ITER = 200
 
+JOINT_LIMIT_DEG = 150.0
+RETARGET_SCALE = 8.0
+
 # closed-form angles that miss a joint limit by no more than this are
 # taken onto it: acos near +-1 turns rounding into errors of ~1e-8 rad,
 # and a target on the workspace edge may be reachable only at a limit.
@@ -496,7 +499,7 @@ def _restart_seeds(model: LegModel, q0):
         yield model.lower + rng.random(4) * span
 
 
-def retarget_trajectory(beetle: Trajectory, scale: float = 8.0,
+def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
                         origin=None) -> Trajectory:
     """Scale a recorded trajectory onto the robot: p' = o + scale*(p - o).
 
@@ -576,5 +579,5 @@ def default_leg_model() -> LegModel:
         DHRow(a=80.0, alpha_twist=0.0, d=0.0),
         DHRow(a=120.0, alpha_twist=0.0, d=0.0),
     )
-    lim = math.radians(150.0)
+    lim = math.radians(JOINT_LIMIT_DEG)
     return LegModel(rows, ((-lim, lim),) * 4)

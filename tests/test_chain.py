@@ -21,6 +21,7 @@ from tarsim.chain import (ChainGeometry, ChainSolveError, ChainState,
                           segment_string_span, solve_bend_from_pull,
                           stiffness_curve, total_bend_angle,
                           DEFAULT_CLAW_MAX_OPENING)
+from tarsim.contact import ForceLimits
 
 
 def oracle_joint(radius, anchor_long, anchor_trans, rest_span, alpha):
@@ -472,14 +473,15 @@ class TestStiffnessCurve:
 
     def test_rigid_saturates_at_cap(self):
         g = default_chain_geometry()
-        d = np.linspace(0.0, 3.0 * g.vertical_cap / g.k_rigid, 200)
+        cap = ForceLimits().vertical_max
+        d = np.linspace(0.0, 3.0 * cap / g.k_rigid, 200)
         f = stiffness_curve(g, "rigid", d)
         assert f[-1] == pytest.approx(2.46, abs=1e-12)
         assert np.all(f <= 2.46 + 1e-12)
 
     def test_slope_ordering_everywhere_below_saturation(self):
         g = default_chain_geometry()
-        d = np.linspace(0.0, g.vertical_cap / g.k_rigid, 100)
+        d = np.linspace(0.0, ForceLimits().vertical_max / g.k_rigid, 100)
         fr = stiffness_curve(g, "rigid", d)
         ff = stiffness_curve(g, "flexible", d)
         slopes_r, slopes_f = np.diff(fr) / np.diff(d), np.diff(ff) / np.diff(d)
@@ -498,27 +500,27 @@ class TestStiffnessCurve:
 
 class TestClawActuation:
     def test_no_pull_closed(self):
-        st = claw_actuation(0.0, 0.8)
+        st = claw_actuation(0.0)
         assert not st.engaged and st.opening_angle == 0.0
 
     def test_full_pull_open(self):
-        st = claw_actuation(1.0, 0.8)
+        st = claw_actuation(1.0)
         assert st.engaged
         assert st.opening_angle == pytest.approx(DEFAULT_CLAW_MAX_OPENING)
 
     def test_linear_ramp(self):
-        st = claw_actuation(0.9, 0.8)
+        st = claw_actuation(0.9)
         assert st.engaged
         assert st.opening_angle == pytest.approx(
             0.5 * DEFAULT_CLAW_MAX_OPENING, abs=1e-12)
 
     def test_engagement_monotone(self):
-        engaged = [claw_actuation(f, 0.8).engaged
+        engaged = [claw_actuation(f).engaged
                    for f in np.linspace(0.0, 1.0, 101)]
         assert engaged == sorted(engaged)
 
     def test_opening_monotone(self):
-        angles = [claw_actuation(f, 0.8).opening_angle
+        angles = [claw_actuation(f).opening_angle
                   for f in np.linspace(0.0, 1.0, 101)]
         assert np.all(np.diff(angles) >= 0)
 

@@ -4,10 +4,12 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from tarsim.chain import default_chain_geometry, max_chain_pull
 from tarsim.cli import main, read_table
 from tarsim.contact import load_demo_csv
 from tarsim.gait import LABELS, TrialRecording, save_recording
@@ -84,6 +86,48 @@ class TestChainCommand:
         rc, _ = run(["chain", "--sweep", "0:10:0.25"], tmp_path, out="o2")
         assert rc == 0
         assert "41 points, 0 clamped at capacity" in capsys.readouterr().out
+
+    def test_pull_past_capacity_clamps_without_a_warning(self, tmp_path,
+                                                         capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(["chain", "--pull", "20"], tmp_path)
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.rstrip().endswith(
+            "clamped at capacity 10.2 mm")
+        capacity = repr(max_chain_pull(default_chain_geometry()))
+        _, at_capacity = run(["chain", "--pull", capacity], tmp_path, "o2")
+        assert "clamped" not in capsys.readouterr().out
+        assert (out / "chain_state.csv").read_text() == \
+            (at_capacity / "chain_state.csv").read_text()
+
+    def test_vertical_cap_is_read_from_limits(self, tmp_path, capsys):
+        conf = tmp_path / "t.conf"
+        conf.write_text("[limits]\nvertical_max_n = 2.0\n")
+        rc, out = run(["chain", "--stiffness", "--config", str(conf)],
+                      tmp_path)
+        assert rc == 0
+        assert "rigid caps at 2.0 N" in capsys.readouterr().out
+        _, rows = read_table(out / "stiffness_rigid.csv")
+        assert max(float(r[1]) for r in rows) == 2.0
+        rc, out = run(["sim", "--scenario", "tubed", "--config", str(conf)],
+                      tmp_path, "o2")
+        assert rc == 0
+        assert max(s.vertical for s in
+                   load_demo_csv(out / "tubed_demo.csv")) == 2.0
+
+    def test_chain_vertical_cap_key_names_its_replacement(self, tmp_path,
+                                                          capsys):
+        conf = tmp_path / "t.conf"
+        conf.write_text("[chain]\nvertical_cap_n = 3\n")
+        rc, out = run(["chain", "--stiffness", "--config", str(conf)],
+                      tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "[limits] vertical_max_n" in err
+        assert not out.exists()
 
     def test_solver_iteration_cap_exits_one(self, tmp_path, capsys):
         conf = tmp_path / "t.conf"
@@ -270,6 +314,21 @@ class TestSimCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        *(("sim", "penetration_mm", v) for v in ("nan", "0", "-1")),
+        *(("limits", k, v) for k in ("vertical_max_n", "hooking_max_n")
+          for v in ("nan", "-1"))])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, section,
+                                         key, value):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"[{section}]\n{key} = {value}\n")
+        rc, out = run(["sim", "--scenario", "walk_cycle", "--config",
+                       str(conf)], tmp_path)
+        assert rc == 2
+        assert f"line 2: {section}.{key} must be finite and > 0" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_scenario_header_only(self, tmp_path):
         conf = tmp_path / "t.conf"
         conf.write_text("[scenario:noop]\nhome = 120 0 -60\n")
@@ -450,6 +509,14 @@ class TestConfigAndManifest:
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         assert main(["chain", "--no-such-flag"]) == 2
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        rc, out = run(["chain", "--pull", "1", "--seed", "5"], tmp_path)
+        assert rc == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+        run(["chain", "--pull", "1"], tmp_path)
+        assert "seed" not in json.loads((out / "manifest.json").read_text())
 
     def test_determinism(self, tmp_path):
         _, out1 = run(["chain", "--sweep", "0:5.5:0.5"], tmp_path, out="o1")

@@ -1,10 +1,15 @@
 """Configuration parsing, validation and typed builders."""
 
+import inspect
 import math
 
 import pytest
 
 from tarsim.config import Config, ConfigError, parse_config
+from tarsim.contact import (ForceLimits, MeshGrid, builtin_scenario,
+                            run_demo_cycle)
+from tarsim.gait import segment_cycles
+from tarsim.leg import default_leg_model
 
 FULL_CHAIN = """
 [chain]
@@ -135,11 +140,29 @@ class TestBuilders:
         from tarsim.chain import SOLVE_MAX_ITER, SOLVE_TOL_MM
         assert Config.default().solver_params() == {
             "tol": SOLVE_TOL_MM, "max_iter": SOLVE_MAX_ITER}
-        assert Config.default().sim_params() == {"dt_ms": 10.0}
+        assert Config.default().sim_params() == {"dt_ms": 10.0,
+                                                 "penetration_mm": 5.0}
         cfg = parse_config("[solver]\ntol_mm = 1e-6\nmax_iter = 7\n"
                            "[sim]\ndt_ms = 2.5\n")
         assert cfg.solver_params() == {"tol": 1e-6, "max_iter": 7}
-        assert cfg.sim_params() == {"dt_ms": 2.5}
+        assert cfg.sim_params() == {"dt_ms": 2.5, "penetration_mm": 5.0}
+
+    def test_defaults_are_the_layer_defaults(self):
+        def default(fn, arg):
+            return inspect.signature(fn).parameters[arg].default
+
+        cfg = Config.default()
+        assert cfg.build_mesh() == MeshGrid()
+        assert cfg.build_limits() == ForceLimits()
+        assert cfg.sim_params() == {
+            "dt_ms": default(run_demo_cycle, "dt_ms"),
+            "penetration_mm": default(builtin_scenario, "penetration_mm")}
+        assert cfg.analytics_params()["amplitude_mode"] == \
+            default(segment_cycles, "amplitude_mode")
+        legs = "".join(f"[leg_{name}]\na_mm = 10\n" for name in
+                       ("coxa", "trochanter", "femur", "tibia"))
+        assert parse_config(legs).build_leg().joint_limits == \
+            default_leg_model().joint_limits
 
 
 class TestScenarios:

@@ -13,11 +13,10 @@ Subpackages by concern:
 
 __version__ = "0.1.0"
 
-from .chain import (ChainGeometry, ChainSolveError, ChainState, ClawState,
-                    SegmentGeometry, chain_pose, chain_pull, chord_length,
-                    claw_actuation, default_chain_geometry, full_bend_pull,
-                    pull_angle, rest_state, restoring_force, segment_pull,
-                    segment_string_span, solve_bend_from_pull,
+from .chain import (ChainGeometry, ChainSolveError, ChainState,
+                    SegmentGeometry, chain_pose, chain_pull,
+                    default_chain_geometry, full_bend_pull, rest_state,
+                    restoring_force, segment_pull, solve_bend_from_pull,
                     stiffness_curve, total_bend_angle)
 from .contact import (Attachment, ForceLimits, MeshGrid, Phase, Scenario,
                       builtin_scenario, hook_check, run_demo_cycle)

@@ -36,8 +36,6 @@ DEFAULT_K_RIGID_N_PER_MM = 0.54
 # the rigid tarsus's vertical force cap (N): stiffness_curve and
 # contact.ForceLimits default to it (contact imports chain, not back)
 DEFAULT_VERTICAL_MAX_N = 2.46
-DEFAULT_CLAW_THRESHOLD = 0.8
-DEFAULT_CLAW_MAX_OPENING = math.radians(60.0)
 
 NUM_TARSOMERES = 5
 SEGMENT_LENGTH_MM = (18.0, 16.0, 14.0, 12.0, 10.0)
@@ -177,57 +175,14 @@ class ChainState:
         object.__setattr__(self, "slack", slack)
 
 
-@dataclass(frozen=True)
-class ClawState:
-    """Claw articulation: opening angle (rad) and whether it is engaged."""
-
-    opening_angle: float
-    engaged: bool
-
-    def __post_init__(self):
-        if self.opening_angle < 0:
-            raise ValueError("opening_angle must be >= 0")
-
-
-def chord_length(radius: float, alpha):
-    """Chord travelled by a point at ``radius`` when rotated by ``alpha``.
-
-    2 R sin(alpha / 2), which is sqrt(2 R^2 (1 - cos alpha)) without its
-    cancellation at small bends; zero at alpha = 0 and monotone
-    increasing on [0, pi).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(np.asarray(radius) < 0):
-        raise ValueError("radius must be nonnegative")
-    if np.any(alpha < 0) or np.any(alpha >= math.pi):
-        raise ValueError("alpha must lie in [0, pi)")
-    out = _chord(radius, alpha)
-    return float(out) if out.ndim == 0 else out
-
-
-def _chord(radius, alpha):
-    return 2.0 * radius * np.sin(alpha / 2.0)
-
-
-def pull_angle(alpha, anchor_long: float, anchor_trans: float):
-    """Angle between the guide-hole chord and the rest string direction.
-
-    alpha/2 - atan(anchor_trans / anchor_long); may be negative for small
-    bends (only its cosine enters the span computation).
-    """
-    if np.any(np.asarray(anchor_long) <= 0):
-        raise ValueError("anchor_long must be > 0")
-    alpha = np.asarray(alpha, dtype=float)
-    out = alpha / 2.0 - np.arctan2(anchor_trans, anchor_long)
-    return float(out) if out.ndim == 0 else out
-
-
 def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
     """String-pull law: pull across each joint and its slope dP/dalpha.
 
     The one implementation of the pull map; the arguments broadcast, so a
     chain's per-segment arrays go through in one call.  The bent span d2
-    follows from the law of cosines on the chord l, the rest span d1 and
+    follows from the law of cosines on the chord l = 2 radius sin(alpha/2)
+    travelled by the distal guide hole (free of the cancellation in
+    sqrt(2 radius^2 (1 - cos alpha)) at small bends), the rest span d1 and
     the pull angle beta = alpha/2 - anchor_angle.  The pull d1 - d2 is
     evaluated as (d1^2 - d2^2) / (d1 + d2) = l (2 d1 cos beta - l) /
     (d1 + d2), which keeps its relative precision at small bends, and
@@ -236,7 +191,7 @@ def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
     """
     alpha = np.asarray(alpha, dtype=float)
     d1 = rest_span
-    l = _chord(radius, alpha)
+    l = 2.0 * radius * np.sin(alpha / 2.0)
     beta = alpha / 2.0 - anchor_angle
     cos_b = np.cos(beta)
     sq = d1 * d1 + l * l - 2.0 * d1 * l * cos_b
@@ -253,24 +208,14 @@ def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
     return pull, slope
 
 
-def _segment_pull(geom: SegmentGeometry, alpha) -> np.ndarray:
+def segment_pull(geom: SegmentGeometry, alpha):
+    """String length reeled in across one joint bent by ``alpha`` (mm)."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0) or np.any(alpha > geom.max_bend + 1e-12):
         raise ValueError("alpha outside [0, max_bend]")
-    return _pull_and_slope(geom.radius, geom.rest_span,
-                           math.atan2(geom.anchor_trans, geom.anchor_long),
-                           alpha)[0]
-
-
-def segment_string_span(geom: SegmentGeometry, alpha):
-    """String span across one joint bent by ``alpha`` (law of cosines)."""
-    d2 = geom.rest_span - _segment_pull(geom, alpha)
-    return float(d2) if d2.ndim == 0 else d2
-
-
-def segment_pull(geom: SegmentGeometry, alpha):
-    """String length reeled in across one joint bent by ``alpha`` (mm)."""
-    out = _segment_pull(geom, alpha)
+    out = _pull_and_slope(geom.radius, geom.rest_span,
+                          math.atan2(geom.anchor_trans, geom.anchor_long),
+                          alpha)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -507,22 +452,6 @@ def stiffness_curve(chain: ChainGeometry, mode: str, displacements,
     if mode == "flexible":
         return chain.k_flex * d
     raise ValueError(f"mode must be 'rigid' or 'flexible', got {mode!r}")
-
-
-def claw_actuation(pull_fraction: float) -> ClawState:
-    """Claw response to normalized string pull.
-
-    The claws stay closed below ``DEFAULT_CLAW_THRESHOLD``; past it the
-    opening angle ramps linearly from 0 to ``DEFAULT_CLAW_MAX_OPENING`` at
-    full pull.
-    """
-    if not 0.0 <= pull_fraction <= 1.0:
-        raise ValueError("pull_fraction must lie in [0, 1]")
-    if pull_fraction < DEFAULT_CLAW_THRESHOLD:
-        return ClawState(0.0, False)
-    ramp = ((pull_fraction - DEFAULT_CLAW_THRESHOLD)
-            / (1.0 - DEFAULT_CLAW_THRESHOLD))
-    return ClawState(DEFAULT_CLAW_MAX_OPENING * ramp, True)
 
 
 def chain_pose(chain: ChainGeometry, state: ChainState) -> np.ndarray:

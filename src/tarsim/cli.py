@@ -233,7 +233,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         except (OSError, ValueError) as err:
             raise DomainError(f"--retarget: {err}") from None
         scale = args.scale if args.scale is not None \
-            else ctx.cfg.getfloat("retarget", "scale", leg_mod.RETARGET_SCALE)
+            else ctx.cfg.retarget_params()["scale"]
         origin = _parse_vector(args.origin, 3, "--origin") \
             if args.origin else None
         try:
@@ -262,15 +262,12 @@ def cmd_sim(args, ctx: RunContext) -> int:
     mesh = ctx.cfg.build_mesh()
     limits = ctx.cfg.build_limits()
     dt = ctx.cfg.sim_params()["dt_ms"]
-    try:
-        scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
     claw_len = ctx.cfg.claw_params()["length_mm"]
 
     samples, final = contact_mod.run_demo_cycle(
         leg, chain, mesh, scenario, dt_ms=dt, limits=limits,
-        claw_length=claw_len)
+        claw_length=claw_len, **ctx.cfg.ik_params())
     if ctx.csv:
         contact_mod.save_demo_csv(ctx.path(f"{scenario.name}_demo.csv"),
                                   samples)
@@ -345,8 +342,7 @@ def cmd_gait(args, ctx: RunContext) -> int:
 
     ap = ctx.cfg.analytics_params()
     cycle_kwargs = dict(hysteresis_frac=ap["hysteresis_frac"],
-                        min_separation_ms=ap["min_separation_ms"],
-                        amplitude_mode=ap["amplitude_mode"])
+                        min_separation_ms=ap["min_separation_ms"])
     metric_rows = []
     grouped: dict = {}
     for path, condition in zip(args.input, conditions):

@@ -46,7 +46,7 @@ VALID_KEYS = {
              "cells_x", "cells_y", "origin_x_mm", "origin_y_mm"},
     "limits": {"vertical_max_n", "hooking_max_n"},
     "analytics": {"rate_fps", "hysteresis_frac", "min_separation_ms",
-                  "amplitude_mode", "interpolate_gaps"},
+                  "interpolate_gaps"},
     "retarget": {"scale"},
     "sim": {"dt_ms", "penetration_mm"},
 }
@@ -81,13 +81,8 @@ class Config:
         return self.data.get(section, {}).get(key, (default, None))[0]
 
     def getfloat(self, section: str, key: str, default: float) -> float:
-        raw, line = self.data.get(section, {}).get(key, (None, None))
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: not a number: {raw!r}", line)
+        """The value as a finite float; ``default`` when the key is absent."""
+        return self._number(section, key, default, "finite", math.isfinite)
 
     def getint(self, section: str, key: str, default: int) -> int:
         raw, line = self.data.get(section, {}).get(key, (None, None))
@@ -129,25 +124,26 @@ class Config:
         if present:
             segments, lengths, slack = [], [], []
             for s in TARSOMERE_SECTIONS:
-                rest_span = self.getfloat(s, "rest_span_mm", float("nan"))
-                segments.append(chain_mod.SegmentGeometry(
+                segments.append(_build(
+                    s, chain_mod.SegmentGeometry,
                     radius=self.getfloat(s, "radius_mm", 5.0),
                     anchor_long=self.getfloat(s, "anchor_long_mm", 6.0),
                     anchor_trans=self.getfloat(s, "anchor_trans_mm", 1.0),
                     max_bend=math.radians(self.getfloat(s, "max_bend_deg", 10.0)),
-                    rest_span=None if math.isnan(rest_span) else rest_span,
+                    rest_span=self.getfloat(s, "rest_span_mm", None),
                     axial_cap=self.getfloat(s, "axial_cap_mm", 0.0),
                 ))
                 lengths.append(self.getfloat(s, "length_mm", 12.0))
                 slack.append(self.getfloat(s, "slack_mm", 0.0))
-            base = chain_mod.ChainGeometry(
+            base = _build(
+                "tarsomere_1..5", chain_mod.ChainGeometry,
                 segments=tuple(segments), segment_lengths=tuple(lengths),
                 socket_slack=tuple(slack))
         else:
             base = chain_mod.default_chain_geometry(
                 socket_slack=self.getbool("chain", "socket_slack", False))
-        return replace(
-            base,
+        return _build(
+            "chain", replace, base,
             k_spring=self.getfloat("chain", "k_spring_n_per_mm", base.k_spring),
             k_flex=self.getfloat("chain", "k_flex_n_per_mm", base.k_flex),
             k_rigid=self.getfloat("chain", "k_rigid_n_per_mm", base.k_rigid),
@@ -165,20 +161,26 @@ class Config:
         rows, limits = [], []
         lim = leg_mod.JOINT_LIMIT_DEG
         for s in LEG_SECTIONS:
-            rows.append(leg_mod.DHRow(
+            rows.append(_build(
+                s, leg_mod.DHRow,
                 a=self.getfloat(s, "a_mm", 0.0),
                 alpha_twist=math.radians(self.getfloat(s, "alpha_twist_deg", 0.0)),
                 d=self.getfloat(s, "d_mm", 0.0),
                 theta_offset=math.radians(
                     self.getfloat(s, "theta_offset_deg", 0.0)),
             ))
-            limits.append((math.radians(self.getfloat(s, "min_deg", -lim)),
-                           math.radians(self.getfloat(s, "max_deg", lim))))
+            lo = self.getfloat(s, "min_deg", -lim)
+            hi = self.getfloat(s, "max_deg", lim)
+            if not lo < hi:
+                raise ConfigError(f"[{s}] min_deg must be < max_deg, got "
+                                  f"{lo} and {hi}")
+            limits.append((math.radians(lo), math.radians(hi)))
         return leg_mod.LegModel(tuple(rows), tuple(limits))
 
     def build_mesh(self) -> contact_mod.MeshGrid:
         base = contact_mod.MeshGrid()
-        return contact_mod.MeshGrid(
+        return _build(
+            "mesh", contact_mod.MeshGrid,
             spacing=self.getfloat("mesh", "spacing_mm", base.spacing),
             node_stiffness=self.getfloat("mesh", "node_stiffness_n_per_mm",
                                          base.node_stiffness),
@@ -202,16 +204,18 @@ class Config:
         )
 
     def claw_params(self) -> dict:
+        """``[claw] length_mm``, finite and > 0."""
         return {
-            "length_mm": self.getfloat("claw", "length_mm",
-                                       contact_mod.DEFAULT_CLAW_LENGTH_MM),
+            "length_mm": self._positive("claw", "length_mm",
+                                        contact_mod.DEFAULT_CLAW_LENGTH_MM),
         }
 
+    def retarget_params(self) -> dict:
+        """``[retarget] scale``, finite and > 0."""
+        return {"scale": self._positive("retarget", "scale",
+                                        leg_mod.RETARGET_SCALE)}
+
     def analytics_params(self) -> dict:
-        mode = self.getstr("analytics", "amplitude_mode",
-                           gait_mod.PEAK_MINUS_TOUCHDOWN)
-        if mode not in gait_mod.AMPLITUDE_MODES:
-            raise ConfigError(f"analytics.amplitude_mode: unknown mode {mode!r}")
         return {
             "rate_fps": self.getfloat("analytics", "rate_fps",
                                       gait_mod.DEFAULT_RATE_FPS),
@@ -219,7 +223,6 @@ class Config:
                                              gait_mod.HYSTERESIS_FRAC),
             "min_separation_ms": self.getfloat("analytics", "min_separation_ms",
                                                gait_mod.MIN_SEPARATION_MS),
-            "amplitude_mode": mode,
             "interpolate_gaps": self.getbool("analytics",
                                              "interpolate_gaps", False),
         }
@@ -244,7 +247,8 @@ class Config:
         custom = self.has_section(section)
         home_raw = self.getstr(section, "home", "auto")
         if home_raw == "auto":
-            base = contact_mod.builtin_scenario(
+            base = _build(
+                section, contact_mod.builtin_scenario,
                 "walk_cycle" if custom else name, chain, mesh,
                 claw_length=self.claw_params()["length_mm"],
                 penetration_mm=self.sim_params()["penetration_mm"])
@@ -252,14 +256,11 @@ class Config:
                 return base
             home = base.home_tip
         else:
-            try:
-                home = tuple(float(v) for v in home_raw.split())
-                if len(home) != 3:
-                    raise ValueError
-            except ValueError:
+            home = _finite_numbers(home_raw.split())
+            if home is None or len(home) != 3:
                 raise ConfigError(
-                    f"{section}.home: expected 'auto' or three numbers, "
-                    f"got {home_raw!r}") from None
+                    f"{section}.home: expected 'auto' or three finite "
+                    f"numbers, got {home_raw!r}", self._line(section, "home"))
         phases = []
         idx = 1
         while True:
@@ -271,14 +272,17 @@ class Config:
                 raise ConfigError(
                     f"{section}.phase_{idx}: expected "
                     f"'<name> <mode> <duration_ms> <dx> <dy> <dz>'", line)
-            pname, mode = parts[0], parts[1]
-            try:
-                duration = float(parts[2])
-                offset = tuple(float(v) for v in parts[3:6])
-            except ValueError:
+            numbers = _finite_numbers(parts[2:])
+            if numbers is None:
                 raise ConfigError(
-                    f"{section}.phase_{idx}: malformed numbers", line)
-            phases.append(contact_mod.Phase(pname, duration, mode, offset))
+                    f"{section}.phase_{idx}: duration and offsets must be "
+                    f"finite numbers, got {' '.join(parts[2:])!r}", line)
+            try:
+                phases.append(contact_mod.Phase(parts[0], numbers[0],
+                                                parts[1], numbers[1:]))
+            except ValueError as err:
+                raise ConfigError(f"{section}.phase_{idx}: {err}",
+                                  line) from None
             idx += 1
         # zero phases is legal: the run emits a header-only series
         return contact_mod.Scenario(
@@ -324,10 +328,23 @@ class Config:
         return params
 
     def _positive(self, section: str, key: str, default: float) -> float:
-        value = self.getfloat(section, key, default)
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{section}.{key} must be finite and > 0, "
-                              f"got {value}", self._line(section, key))
+        return self._number(section, key, default, "finite and > 0",
+                            lambda v: math.isfinite(v) and v > 0)
+
+    def _number(self, section: str, key: str, default: float, rule: str,
+                holds) -> float:
+        """The value as a float for which ``holds`` is true (``rule`` says
+        what it asks in the error); ``default`` when the key is absent."""
+        raw, line = self.data.get(section, {}).get(key, (None, None))
+        if raw is None:
+            return default
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{section}.{key}: not a number: {raw!r}", line)
+        if not holds(value):
+            raise ConfigError(f"{section}.{key} must be {rule}, got {value}",
+                              line)
         return value
 
     def _line(self, section: str, key: str) -> int | None:
@@ -340,6 +357,24 @@ class Config:
             for key in sorted(self.data[section]):
                 lines.append(f"{section}.{key}={self.data[section][key][0]}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError becomes a ConfigError
+    naming ``section``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {err}") from None
+
+
+def _finite_numbers(words) -> tuple | None:
+    """The words as floats, or None unless each is a finite number."""
+    try:
+        numbers = tuple(float(w) for w in words)
+    except ValueError:
+        return None
+    return numbers if all(map(math.isfinite, numbers)) else None
 
 
 def _valid_section(section: str) -> bool:

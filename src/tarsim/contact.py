@@ -8,11 +8,11 @@ on the claw (hard kinematic coupling) until a flexible-mode lift releases
 it or the horizontal force limit tears it free.  There are no dynamics,
 and nothing kinematic depends on the contact state: the leg-tip path is
 scripted, the mode follows the command, and the chain only ever takes its
-rigid (full-bend pull) or flexible (zero pull) state.  So a run solves
-the whole joint path, both chain states and every claw tip first, then
-one scan over the ticks runs the contact rules.  The mesh state is the
-hooked cell and its strand's deflection; identical inputs always produce
-identical samples and event logs.
+rigid state (every joint at its bend limit, the full-bend pull) or its
+flexible one (at rest, zero pull).  So a run solves the whole joint path
+and every claw tip first, then one scan over the ticks runs the contact
+rules.  The mesh state is the hooked cell and its strand's deflection;
+identical inputs always produce identical samples and event logs.
 
 Event kinds appearing in the log: Hook, Release, Saturation (vertical
 force cap reached, deflection clamped), ClawFailure (hooking force limit
@@ -27,13 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry, ClawState,
-                    chain_pose, claw_actuation, full_bend_pull,
-                    solve_bend_from_pull)
-from .leg import LegModel, forward_kinematics, inverse_kinematics
+# solve_bend_from_pull is not used here; it stays importable from
+# tarsim.contact
+from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
+                    ChainState, chain_pose, solve_bend_from_pull)
+from .leg import LegModel, Trajectory, forward_kinematics, trajectory_to_joints
 from .table import float_columns, read_table, write_table
 
 DEFAULT_CLAW_LENGTH_MM = 8.0
+DEFAULT_CLAW_MAX_OPENING = math.radians(60.0)
 DEFAULT_DT_MS = 10.0
 DEFAULT_PENETRATION_MM = 5.0
 
@@ -132,14 +134,13 @@ class Attachment:
 FREE = Attachment()
 
 
-def hook_check(tip, engaged: bool, mode: str, mesh: MeshGrid) -> Attachment:
-    """Hook predicate: rigid mode, claws engaged, tip more than
+def hook_check(tip, mode: str, mesh: MeshGrid) -> Attachment:
+    """Hook predicate: rigid mode (claws open), tip more than
     ``HOOK_TOL_MM`` below rest, in a cell opening."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tip = np.asarray(tip, dtype=float).reshape(3)
-    if mode != RIGID or not engaged \
-            or not tip[2] < mesh.rest_height - HOOK_TOL_MM:
+    if mode != RIGID or not tip[2] < mesh.rest_height - HOOK_TOL_MM:
         return FREE
     cell = mesh.cell_of(tip[0], tip[1])
     if cell is None:
@@ -147,20 +148,23 @@ def hook_check(tip, engaged: bool, mode: str, mesh: MeshGrid) -> Attachment:
     return Attachment(cell, tip.copy())
 
 
-def _claw_offset(chain: ChainGeometry, fraction: float,
-                 claw_length: float) -> tuple[tuple[float, float], ClawState]:
-    """Claw-tip (dx, dz) from the leg tip, and the claws, at a pull fraction.
+def _claw_offset(chain: ChainGeometry, mode: str,
+                 claw_length: float) -> tuple[float, float]:
+    """Claw-tip (dx, dz) from the leg tip in one actuation mode.
 
-    The chain is mounted at the leg tip pointing along world +x with its
-    bend plane vertical; the claw extends from the last tarsomere, rotated
-    further down by its opening angle.
+    Rigid: every joint at its bend limit and the claw opened by
+    ``DEFAULT_CLAW_MAX_OPENING``; flexible: the chain at rest and the
+    claw closed.  The chain is mounted at the leg tip pointing along
+    world +x with its bend plane vertical; the claw extends from the last
+    tarsomere, rotated further down by its opening angle.
     """
-    state = solve_bend_from_pull(chain, fraction * full_bend_pull(chain))
-    claw = claw_actuation(fraction)
-    heading = -float(np.sum(state.theta)) - claw.opening_angle
-    tip = chain_pose(chain, state)[-1] + claw_length * np.array(
-        [math.cos(heading), math.sin(heading)])
-    return (float(tip[0]), float(tip[1])), claw
+    rigid = mode == RIGID
+    theta = chain.max_bend if rigid else np.zeros(len(chain.segments))
+    opening = DEFAULT_CLAW_MAX_OPENING if rigid else 0.0
+    heading = -float(np.sum(theta)) - opening
+    tip = chain_pose(chain, ChainState(theta, np.zeros_like(theta)))[-1] \
+        + claw_length * np.array([math.cos(heading), math.sin(heading)])
+    return float(tip[0]), float(tip[1])
 
 
 @dataclass(frozen=True)
@@ -222,22 +226,25 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
                    script: Scenario, dt_ms: float = DEFAULT_DT_MS,
                    limits: ForceLimits | None = None,
                    claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                   ) -> tuple[list[DemoSample], FinalState]:
+                   **ik_kwargs) -> tuple[list[DemoSample], FinalState]:
     """Run a scripted stand/swing schedule and log claw vs mesh heights.
 
     First the schedule: each tick's commanded mode, its mode in effect
     (rigid throughout when the flexible transition is forbidden) and a
     leg-tip target interpolated linearly within its phase.  Then the
-    kinematics: warm-started IK per tick (NotReachable propagates if the
-    script leaves the workspace), the rigid and flexible claw offsets
-    solved once, and every claw tip from one batched FK call.  Last, one
-    scan over the ticks runs the contact rules: hook while free, else
-    release on a flexible lift, else the strand rides the claw (its
-    deflection clamped at the vertical cap) until the hooking limit tears
-    it free; then the RepeatSwing check.  Limit violations become events,
-    never exceptions.  While hooked the forces are stiffness times the
-    deflection and times the tangential stretch since engagement; on a
-    ClawFailure tick they are the loads that broke the hold.
+    kinematics: the joint path from ``trajectory_to_joints``, which
+    starts at the home point from a mid-limit warm start and warm-starts
+    each tick's IK from the tick before (``ik_kwargs`` go to the IK; a
+    NotReachable carries the index of its tick, 0 being the home point),
+    the rigid and flexible claw offsets, and every claw tip from one
+    batched FK call.  Last, one scan over the ticks runs the contact
+    rules: hook while free, else release on a flexible lift, else the
+    strand rides the claw (its deflection clamped at the vertical cap)
+    until the hooking limit tears it free; then the RepeatSwing check.
+    Limit violations become events, never exceptions.  While hooked the
+    forces are stiffness times the deflection and times the tangential
+    stretch since engagement; on a ClawFailure tick they are the loads
+    that broke the hold.
 
     Returns the per-tick samples and the final state with the event log.
     """
@@ -257,14 +264,13 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
         return [], FinalState(0.0, FREE)
     modes = [m if script.allow_flexible else RIGID for m in commanded]
 
-    path = np.empty((len(modes) + 1, 4))
-    path[0] = inverse_kinematics(leg, home, 0.5 * (leg.lower + leg.upper)).q
-    for i, target in enumerate(np.concatenate(targets), 1):
-        path[i] = inverse_kinematics(leg, target, path[i - 1]).q
-    offsets, engaged = {}, {}
-    for mode, fraction in ((RIGID, 1.0), (FLEXIBLE, 0.0)):
-        (dx, dz), claw = _claw_offset(chain, fraction, claw_length)
-        offsets[mode], engaged[mode] = (dx, 0.0, dz), claw.engaged
+    path = trajectory_to_joints(leg, Trajectory(
+        np.arange(len(modes) + 1) * dt_ms, np.vstack([home, *targets])),
+        **ik_kwargs)
+    offsets = {}
+    for mode in MODES:
+        dx, dz = _claw_offset(chain, mode, claw_length)
+        offsets[mode] = (dx, 0.0, dz)
     # row 0 is the start, at the first commanded mode
     tips = (forward_kinematics(leg, path).position + np.array(
         [offsets[m] for m in [commanded[0]] + modes])).tolist()
@@ -279,7 +285,7 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
         kinds = []
         vertical = horizontal = 0.0
         if attachment.free:
-            attachment = hook_check(tips[i], engaged[mode], mode, mesh)
+            attachment = hook_check(tips[i], mode, mesh)
             if attachment.hooked:
                 kinds.append("Hook")
         elif mode == FLEXIBLE and z > rest:
@@ -316,7 +322,7 @@ def rigid_claw_offset(chain: ChainGeometry,
                       claw_length: float = DEFAULT_CLAW_LENGTH_MM,
                       ) -> tuple[float, float]:
     """Claw-tip (dx, dz) relative to the leg tip at full rigid actuation."""
-    return _claw_offset(chain, 1.0, claw_length)[0]
+    return _claw_offset(chain, RIGID, claw_length)
 
 
 def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,

@@ -30,8 +30,6 @@ HYSTERESIS_FRAC = 0.10
 MIN_SEPARATION_MS = 50.0
 COLLINEAR_TOL = 1e-9
 GRID_TOL_FRAMES = 0.01  # how far off the frame grid a timestamp may lie
-PEAK_MINUS_TOUCHDOWN, PEAK_TO_TROUGH = "peak_minus_touchdown", "peak_to_trough"
-AMPLITUDE_MODES = (PEAK_MINUS_TOUCHDOWN, PEAK_TO_TROUGH)
 
 
 class NoCyclesFound(ValueError):
@@ -136,22 +134,18 @@ def claw_displacement(recording: TrialRecording, side: str) -> np.ndarray:
     return legs[:, claw - 3] * np.where(np.nansum(legs, axis=1) < 0, -1, 1)
 
 
-def fill_gaps(series, max_gap_frames: int | None = None) -> np.ndarray:
+def fill_gaps(series) -> np.ndarray:
     """Linearly interpolate interior NaN runs; leading/trailing stay NaN.
 
     Gap handling is a policy choice: the conservative default everywhere
     is to leave gaps out of the statistics, and this opt-in fill exists
-    for recordings with short dropouts.  Runs longer than
-    ``max_gap_frames`` (when given) are left as gaps.
+    for recordings with short dropouts.
     """
     s = np.array(series, dtype=float)
     known = np.flatnonzero(np.isfinite(s))
     if len(known) < 2:
         return s
     gaps = known[0] + np.flatnonzero(~np.isfinite(s[known[0]:known[-1]]))
-    if max_gap_frames is not None:
-        after = np.searchsorted(known, gaps)
-        gaps = gaps[known[after] - known[after - 1] - 1 <= max_gap_frames]
     s[gaps] = np.interp(gaps, known, s[known])
     return s
 
@@ -159,7 +153,7 @@ def fill_gaps(series, max_gap_frames: int | None = None) -> np.ndarray:
 def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
                    hysteresis_frac: float = HYSTERESIS_FRAC,
                    min_separation_ms: float = MIN_SEPARATION_MS,
-                   amplitude_mode: str = PEAK_MINUS_TOUCHDOWN) -> list[StepCycle]:
+                   ) -> list[StepCycle]:
     """Segment a claw height (or bend angle) series into step cycles.
 
     Touchdowns are the local minima inside excursions below the low
@@ -167,17 +161,13 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     liftoff is the following crossing above the high threshold.  Candidate
     touchdowns closer than ``min_separation_ms`` are merged (deepest
     wins).  Per-cycle ``bend_amplitude`` is the in-cycle peak minus the
-    value at touchdown (or peak minus trough with
-    ``amplitude_mode='peak_to_trough'``).  Sample i is at ``i * 1000 /
-    rate`` ms.
+    value at touchdown.  Sample i is at ``i * 1000 / rate`` ms.
 
     Raises NoCyclesFound for flat series or fewer than two touchdowns.
     """
     s = np.asarray(series, dtype=float)
     if rate <= 0:
         raise ValueError("rate must be > 0")
-    if amplitude_mode not in AMPLITUDE_MODES:
-        raise ValueError(f"unknown amplitude_mode {amplitude_mode!r}")
     finite = np.isfinite(s)
     if finite.sum() < 4:
         raise NoCyclesFound("series too short")
@@ -221,15 +211,12 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
         lift = int(np.argmax(high[a:b + 1]))
         if lift == 0:
             continue
-        window = s[a:b + 1]
-        base = s[a] if amplitude_mode == PEAK_MINUS_TOUCHDOWN \
-            else np.nanmin(window)
         cycles.append(StepCycle(
             touchdown_t=a * dt,
             liftoff_t=(a + lift) * dt,
             next_touchdown_t=b * dt,
             cycle_time=(b - a) * dt,
-            bend_amplitude=float(np.nanmax(window) - base),
+            bend_amplitude=float(np.nanmax(s[a:b + 1]) - s[a]),
         ))
     if not cycles:
         raise NoCyclesFound("no complete touchdown-liftoff-touchdown cycle")

@@ -516,14 +516,12 @@ def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
 
 
 def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
-                         hold_period_ms: float | None = None,
                          **ik_kwargs) -> np.ndarray:
     """IK along a trajectory with warm starts; returns an (N, 4) array.
 
-    Each sample starts from the previous solution, which keeps the joint
-    series on one solution branch for smooth inputs.  ``hold_period_ms``
-    optionally quantizes the output as a zero-order hold (servo-update
-    staircase); off by default.
+    The first sample starts from ``q0`` (default the middle of the joint
+    limits) and each later one from the previous solution, which keeps
+    the joint series on one solution branch for smooth inputs.
 
     Raises NotReachable (tagged with the failing sample index) if any
     sample fails to converge.
@@ -541,18 +539,6 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
                                sample_index=i) from None
         q = sol.q
         out[i] = q
-    if hold_period_ms is not None:
-        if hold_period_ms <= 0:
-            raise ValueError("hold_period_ms must be > 0")
-        held = np.empty_like(out)
-        last = out[0]
-        next_update = traj.t_ms[0]
-        for i, t in enumerate(traj.t_ms):
-            if t >= next_update:
-                last = out[i]
-                next_update = t + hold_period_ms
-            held[i] = last
-        out = held
     return out
 
 

@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tarsim.chain import (ChainGeometry, ChainSolveError, ChainState,
-                          SegmentGeometry, _bend_pull, bend_angles,
-                          chain_pose, chain_pull, chord_length,
-                          claw_actuation, default_chain_geometry,
-                          full_bend_pull, max_chain_pull, pull_angle,
-                          rest_state, restoring_force, segment_pull,
-                          segment_string_span, solve_bend_from_pull,
-                          stiffness_curve, total_bend_angle,
-                          DEFAULT_CLAW_MAX_OPENING)
-from tarsim.contact import ForceLimits
+                          SegmentGeometry, _bend_pull, _pull_and_slope,
+                          bend_angles, chain_pose, chain_pull,
+                          default_chain_geometry, full_bend_pull,
+                          max_chain_pull, rest_state, restoring_force,
+                          segment_pull, solve_bend_from_pull,
+                          stiffness_curve, total_bend_angle)
+from tarsim.contact import (DEFAULT_CLAW_MAX_OPENING, ForceLimits,
+                            _claw_offset, rigid_claw_offset)
 
 
 def oracle_joint(radius, anchor_long, anchor_trans, rest_span, alpha):
@@ -66,43 +65,71 @@ def random_geometries(rng, n):
     return radius, anchor_long, anchor_trans, rest_span, alpha_max, alpha
 
 
+def collinear_joint(radius, alpha):
+    """A joint whose pull angle is zero at the bend ``alpha``: there the
+    string runs along the chord, so the pull across it is the chord."""
+    return SegmentGeometry(radius, 3.0, 3.0 * math.tan(alpha / 2.0), 1.5,
+                           rest_span=10.0)
+
+
+def law_of_cosines_pull(radius, rest_span, beta, alpha):
+    """d1 - d2, d2 from the law of cosines on the chord and the rest span
+    with the pull angle ``beta`` between them."""
+    l = 2.0 * radius * math.sin(alpha / 2.0)
+    return rest_span - math.sqrt(rest_span ** 2 + l * l
+                                 - 2.0 * rest_span * l * math.cos(beta))
+
+
 class TestChordLength:
+    """The chord 2 R sin(alpha / 2) the distal guide hole travels, read
+    through ``segment_pull`` on joints whose string runs along it."""
+
     def test_zero_bend_is_zero(self):
-        assert chord_length(3.7, 0.0) == 0.0
+        assert segment_pull(collinear_joint(3.7, 0.0), 0.0) == 0.0
 
     def test_quarter_turn(self):
-        assert chord_length(1.7, math.pi / 2) == pytest.approx(
-            2.4041630560342617, abs=1e-12)
+        # past every joint's bend range (max_bend < pi/2), so on the pull
+        # law itself: a zero pull angle makes the pull the chord
+        pull = _pull_and_slope(1.7, 10.0, math.pi / 4, math.pi / 2)[0]
+        assert pull == pytest.approx(2.4041630560342617, abs=1e-12)
 
     def test_against_rotation_oracle(self):
         # frozen from the explicit 2D-rotation oracle
-        assert chord_length(1.0, 0.41) == pytest.approx(
-            0.40713431980955594, abs=1e-12)
+        assert segment_pull(collinear_joint(1.0, 0.41), 0.41) == \
+            pytest.approx(0.40713431980955594, abs=1e-12)
 
     def test_monotone_on_range(self):
-        a = np.linspace(0.0, math.pi - 1e-9, 500)
-        l = chord_length(2.0, a)
+        a = np.linspace(0.0, 1.5, 500)
+        l = [segment_pull(collinear_joint(2.0, x), x) for x in a]
         assert np.all(np.diff(l) > 0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            chord_length(-1.0, 0.5)
+            collinear_joint(-1.0, 0.5)
         with pytest.raises(ValueError):
-            chord_length(1.0, -0.1)
+            segment_pull(collinear_joint(1.0, 0.5), -0.1)
         with pytest.raises(ValueError):
-            chord_length(1.0, math.pi)
+            segment_pull(collinear_joint(1.0, 0.5), math.pi)
 
 
 class TestPullAngle:
+    """The pull angle alpha/2 - atan(anchor_trans / anchor_long) between
+    the chord and the rest string, read through ``segment_pull``."""
+
     def test_zero(self):
-        assert pull_angle(0.0, 3.0, 0.0) == 0.0
+        assert segment_pull(SegmentGeometry(2.0, 3.0, 0.0, 1.0), 0.0) == 0.0
 
     def test_no_transverse_offset(self):
-        assert pull_angle(0.84, 3.0, 0.0) == pytest.approx(0.42, abs=1e-15)
+        # the pull angle is alpha / 2
+        assert segment_pull(SegmentGeometry(2.0, 3.0, 0.0, 1.0), 0.84) == \
+            pytest.approx(law_of_cosines_pull(2.0, 3.0, 0.42, 0.84),
+                          abs=1e-12)
 
     def test_direct_value(self):
-        assert pull_angle(0.41, 3.0, 1.0) == pytest.approx(
-            -0.1167505543966422, abs=1e-15)
+        assert segment_pull(SegmentGeometry(2.0, 3.0, 1.0, 1.0), 0.41) == \
+            pytest.approx(law_of_cosines_pull(2.0, math.hypot(3.0, 1.0),
+                                              -0.1167505543966422, 0.41),
+                          abs=1e-12)
 
     def test_matches_geometric_angle(self):
         rng = np.random.default_rng(3)
@@ -111,27 +138,27 @@ class TestPullAngle:
             h1 = rng.uniform(0.5, 6.0)
             h2 = rng.uniform(0.0, 3.0)
             a = rng.uniform(1e-6, 1.4)
-            assert pull_angle(a, h1, h2) == pytest.approx(
-                oracle_beta(r, h1, h2, a), abs=1e-9)
+            g = SegmentGeometry(r, h1, h2, 1.4)
+            assert segment_pull(g, a) == pytest.approx(law_of_cosines_pull(
+                r, g.rest_span, oracle_beta(r, h1, h2, a), a), abs=1e-9)
 
     def test_requires_positive_h1(self):
         with pytest.raises(ValueError):
-            pull_angle(0.3, 0.0, 1.0)
+            SegmentGeometry(2.0, 0.0, 1.0, 0.3)
 
 
 class TestSegmentSpanAndPull:
     def test_rest_span_at_zero(self):
         g = SegmentGeometry(2.0, 3.0, 0.5, 0.4)
-        assert segment_string_span(g, 0.0) == g.rest_span
-        assert segment_pull(g, 0.0) == 0.0
+        assert segment_pull(g, 0.0) == 0.0  # the span is the rest span
 
     def test_collinear_case(self):
         # anchor_trans chosen so beta hits zero at alpha*: span is |d1 - l|
         alpha_star = 0.6
         h1, h2 = 3.0, 3.0 * math.tan(alpha_star / 2)
         g = SegmentGeometry(2.0, h1, h2, 0.7)
-        l = chord_length(2.0, alpha_star)
-        assert segment_string_span(g, alpha_star) == pytest.approx(
+        l = 2.0 * 2.0 * math.sin(alpha_star / 2)
+        assert g.rest_span - segment_pull(g, alpha_star) == pytest.approx(
             abs(g.rest_span - l), abs=1e-12)
 
     def test_pull_zero_exactly_for_any_geometry(self):
@@ -147,14 +174,14 @@ class TestSegmentSpanAndPull:
         _, span_o, pull_o = oracle_joint(r, h1, h2, d1, a)
         for i in range(2000):
             g = SegmentGeometry(r[i], h1[i], h2[i], amax[i], rest_span=d1[i])
-            assert segment_string_span(g, a[i]) == pytest.approx(
-                span_o[i], abs=1e-9)
-            assert segment_pull(g, a[i]) == pytest.approx(pull_o[i], abs=1e-9)
+            pull = segment_pull(g, a[i])
+            assert d1[i] - pull == pytest.approx(span_o[i], abs=1e-9)
+            assert pull == pytest.approx(pull_o[i], abs=1e-9)
 
     def test_alpha_out_of_range(self):
         g = SegmentGeometry(2.0, 3.0, 0.5, 0.4)
         with pytest.raises(ValueError):
-            segment_string_span(g, 0.5)
+            segment_pull(g, 0.5)
 
 
 class TestDefaultGeometry:
@@ -499,30 +526,26 @@ class TestStiffnessCurve:
 
 
 class TestClawActuation:
+    """The claw in the two actuation states the sim uses."""
+
     def test_no_pull_closed(self):
-        st = claw_actuation(0.0)
-        assert not st.engaged and st.opening_angle == 0.0
+        # flexible: the chain at rest with the claw in line with it
+        g = default_chain_geometry()
+        dx, dz = _claw_offset(g, "flexible", 8.0)
+        assert dx == pytest.approx(sum(g.segment_lengths) + 8.0, abs=1e-12)
+        assert dz == 0.0
 
     def test_full_pull_open(self):
-        st = claw_actuation(1.0)
-        assert st.engaged
-        assert st.opening_angle == pytest.approx(DEFAULT_CLAW_MAX_OPENING)
-
-    def test_linear_ramp(self):
-        st = claw_actuation(0.9)
-        assert st.engaged
-        assert st.opening_angle == pytest.approx(
-            0.5 * DEFAULT_CLAW_MAX_OPENING, abs=1e-12)
-
-    def test_engagement_monotone(self):
-        engaged = [claw_actuation(f).engaged
-                   for f in np.linspace(0.0, 1.0, 101)]
-        assert engaged == sorted(engaged)
-
-    def test_opening_monotone(self):
-        angles = [claw_actuation(f).opening_angle
-                  for f in np.linspace(0.0, 1.0, 101)]
-        assert np.all(np.diff(angles) >= 0)
+        # rigid: every joint at its bend limit, the claw opened down from
+        # the last tarsomere by the full opening angle
+        g = default_chain_geometry()
+        ends = chain_pose(g, ChainState(g.max_bend, np.zeros(5)))
+        last = ends[-1] - ends[-2]
+        claw = np.array(rigid_claw_offset(g, 8.0)) - ends[-1]
+        opening = -math.atan2(last[0] * claw[1] - last[1] * claw[0],
+                              last @ claw)
+        assert np.hypot(*claw) == pytest.approx(8.0, abs=1e-12)
+        assert opening == pytest.approx(DEFAULT_CLAW_MAX_OPENING, abs=1e-12)
 
 
 class TestChainPose:

@@ -329,6 +329,23 @@ class TestSimCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_ik_settings_reach_the_sim(self, tmp_path):
+        # a 5 mm IK tolerance keeps each tick's warm start while it lands
+        # within 5 mm, so the claw lags the exact path by less than that
+        conf = tmp_path / "ik.conf"
+        conf.write_text("[ik]\ntol_mm = 5\n")
+        rc, exact = run(["sim", "--scenario", "walk_cycle"], tmp_path, "a")
+        assert rc == 0
+        rc, loose = run(["sim", "--scenario", "walk_cycle", "--config",
+                         str(conf)], tmp_path, "b")
+        assert rc == 0
+        lag = np.array([a.claw_z - b.claw_z for a, b in zip(
+            load_demo_csv(exact / "walk_cycle_demo.csv"),
+            load_demo_csv(loose / "walk_cycle_demo.csv"))])
+        assert len(lag) == 135
+        assert np.abs(lag).max() > 1.0
+        assert np.abs(lag).max() < 5.0
+
     def test_empty_scenario_header_only(self, tmp_path):
         conf = tmp_path / "t.conf"
         conf.write_text("[scenario:noop]\nhome = 120 0 -60\n")
@@ -397,6 +414,70 @@ def make_recording(path, period_ms, n=500, amp_deg=40.0):
                      ("R2", m2 + off), ("R1", m1 + off)):
         markers[:, LABELS.index(label)] = p
     save_recording(path, TrialRecording(markers))
+
+
+TARSOMERES_2_TO_5 = "".join(f"[tarsomere_{i}]\nradius_mm = 2\n"
+                            for i in range(2, 6))
+LEG_JOINTS_2_TO_4 = "".join(f"[leg_{name}]\na_mm = 30\n"
+                            for name in ("trochanter", "femur", "tibia"))
+CHAIN_PULL = ["chain", "--pull", "3"]
+SIM_WALK = ["sim", "--scenario", "walk_cycle"]
+SIM_HOP = ["sim", "--scenario", "hop"]
+
+
+class TestConfigValues:
+    """Config numbers that are not finite or out of range: each is a
+    config error naming its line or section, exit 2, nothing written."""
+
+    @pytest.mark.parametrize("text, command, message", [
+        ("[chain]\nk_spring_n_per_mm = nan\n", CHAIN_PULL,
+         "line 2: chain.k_spring_n_per_mm must be finite, got nan"),
+        ("[mesh]\nnode_stiffness_n_per_mm = nan\n", SIM_WALK,
+         "line 2: mesh.node_stiffness_n_per_mm must be finite"),
+        ("[tarsomere_1]\nradius_mm = nan\n" + TARSOMERES_2_TO_5,
+         CHAIN_PULL, "line 2: tarsomere_1.radius_mm must be finite"),
+        ("[mesh]\nspacing_mm = nan\n", SIM_WALK,
+         "line 2: mesh.spacing_mm must be finite"),
+        ("[claw]\nlength_mm = nan\n", SIM_WALK,
+         "line 2: claw.length_mm must be finite and > 0"),
+        ("[mesh]\ncells_x = 0\n", SIM_WALK,
+         "[mesh] mesh needs at least one cell"),
+        ("[chain]\nk_flex_n_per_mm = 1\n", CHAIN_PULL,
+         "[chain] rigid slope must exceed flexible slope"),
+        ("[leg_coxa]\na_mm = -1\n" + LEG_JOINTS_2_TO_4,
+         ["leg", "--fk", "0,0,0,0"], "[leg_coxa] link length a must be"),
+        ("[leg_coxa]\nmin_deg = 10\nmax_deg = 5\n" + LEG_JOINTS_2_TO_4,
+         ["leg", "--fk", "0,0,0,0"],
+         "[leg_coxa] min_deg must be < max_deg, got 10.0 and 5.0"),
+        ("[tarsomere_1]\nradius_mm = -1\n" + TARSOMERES_2_TO_5,
+         CHAIN_PULL, "[tarsomere_1] radius must be > 0"),
+        ("[retarget]\nscale = nan\n", ["leg", "--retarget", "beetle.csv"],
+         "line 2: retarget.scale must be finite and > 0"),
+        ("[claw]\nlength_mm = -8\n", SIM_WALK,
+         "line 2: claw.length_mm must be finite and > 0"),
+        ("[scenario:hop]\nhome = 120 nan -60\n", SIM_HOP,
+         "line 2: scenario:hop.home"),
+        ("[scenario:hop]\nphase_1 = down flexible nan 0 0 -40\n", SIM_HOP,
+         "line 2: scenario:hop.phase_1: duration and offsets must be"),
+        ("[scenario:hop]\nphase_1 = down flexible 100 0 inf -40\n",
+         SIM_HOP, "line 2: scenario:hop.phase_1: duration and offsets"),
+    ], ids=["k_spring-nan", "node_stiffness-nan", "tarsomere_radius-nan",
+            "spacing-nan", "claw_length-nan", "cells_x-0", "k_flex-1",
+            "leg_a-neg", "leg_limits-order", "tarsomere_radius-neg",
+            "retarget_scale-nan", "claw_length-neg", "home-nan",
+            "phase_duration-nan", "phase_offset-inf"])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, text,
+                                       command, message):
+        save_trajectory(tmp_path / "beetle.csv",
+                        Trajectory([0.0, 10.0], np.ones((2, 3))))
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text)
+        command = [str(tmp_path / a) if a.endswith(".csv") else a
+                   for a in command]
+        rc, out = run([*command, "--config", str(conf)], tmp_path)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGaitCommand:

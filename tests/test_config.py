@@ -8,7 +8,6 @@ import pytest
 from tarsim.config import Config, ConfigError, parse_config
 from tarsim.contact import (ForceLimits, MeshGrid, builtin_scenario,
                             run_demo_cycle)
-from tarsim.gait import segment_cycles
 from tarsim.leg import default_leg_model
 
 FULL_CHAIN = """
@@ -131,9 +130,10 @@ class TestBuilders:
         assert cfg.build_limits().vertical_max == 2.46
 
     def test_analytics_mode_validation(self):
-        cfg = parse_config("[analytics]\namplitude_mode = nonsense\n")
-        with pytest.raises(ConfigError, match="amplitude_mode"):
-            cfg.analytics_params()
+        # amplitudes are peak minus touchdown only; the mode key is gone
+        with pytest.raises(ConfigError, match="line 2: unknown key "
+                                              "'amplitude_mode'"):
+            parse_config("[analytics]\namplitude_mode = peak_to_trough\n")
 
 
     def test_solver_and_sim_settings(self):
@@ -157,8 +157,6 @@ class TestBuilders:
         assert cfg.sim_params() == {
             "dt_ms": default(run_demo_cycle, "dt_ms"),
             "penetration_mm": default(builtin_scenario, "penetration_mm")}
-        assert cfg.analytics_params()["amplitude_mode"] == \
-            default(segment_cycles, "amplitude_mode")
         legs = "".join(f"[leg_{name}]\na_mm = 10\n" for name in
                        ("coxa", "trochanter", "femur", "tibia"))
         assert parse_config(legs).build_leg().joint_limits == \

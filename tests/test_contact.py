@@ -88,40 +88,35 @@ class TestMeshGrid:
 class TestHookCheck:
     def test_flexible_never_hooks(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height - 5.0]
-        assert hook_check(tip, True, "flexible", mesh).free
+        assert hook_check(tip, "flexible", mesh).free
 
     def test_rigid_engaged_below_inside_hooks(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height - 1.0]
-        att = hook_check(tip, True, "rigid", mesh)
+        att = hook_check(tip, "rigid", mesh)
         assert att.hooked and att.node == (0, 0)
 
     def test_strand_boundary_resolves_free(self, mesh):
         tip = [125.0, -37.5, mesh.rest_height - 1.0]
-        assert hook_check(tip, True, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh).free
 
     def test_above_rest_free(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height + 1.0]
-        assert hook_check(tip, True, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh).free
 
     def test_exactly_at_rest_free(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height]
-        assert hook_check(tip, True, "rigid", mesh).free
-
-    def test_disengaged_claws_free(self, mesh):
-        tip = [112.5, -37.5, mesh.rest_height - 1.0]
-        assert hook_check(tip, False, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh).free
 
     def test_exhaustive_predicate_space(self, mesh):
-        # hook iff rigid AND engaged AND below AND inside a cell opening
+        # hook iff rigid (claws open) AND below AND inside a cell opening
         below = mesh.rest_height - 1.0
         above = mesh.rest_height + 1.0
-        for mode, engaged, is_below, inside in itertools.product(
-                ("rigid", "flexible"), (True, False), (True, False),
-                (True, False)):
+        for mode, is_below, inside in itertools.product(
+                ("rigid", "flexible"), (True, False), (True, False)):
             xy = (112.5, -37.5) if inside else (125.0, -37.5)
             tip = [xy[0], xy[1], below if is_below else above]
-            att = hook_check(tip, engaged, mode, mesh)
-            expect = mode == "rigid" and engaged and is_below and inside
+            att = hook_check(tip, mode, mesh)
+            expect = mode == "rigid" and is_below and inside
             assert att.hooked == expect
 
 
@@ -426,7 +421,7 @@ class TestScan:
         assert samples[-1].horizontal == pytest.approx(0.1 * drag, abs=1e-9)
         assert ("ClawFailure" in kinds(final)) == fails
 
-    def test_one_walk_cycle_solves_the_chain_twice_and_fk_once(
+    def test_one_walk_cycle_solves_no_chain_and_fk_once(
             self, monkeypatch):
         calls = {"solve": 0, "fk": 0}
 
@@ -446,7 +441,7 @@ class TestScan:
         calls.update(solve=0, fk=0)
         samples, _ = run_demo_cycle(LEG, CHAIN, MESH, script)
         assert len(samples) == 135
-        assert calls == {"solve": 2, "fk": 1}
+        assert calls == {"solve": 0, "fk": 1}
 
     def test_tubed_at_dt_5_hooks_at_180_ms(self):
         # the approach ends with the rigid claw exactly on the rest height
@@ -461,6 +456,14 @@ class TestScan:
             _, final = run_demo_cycle(LEG, CHAIN, mesh, script, dt_ms=5.0)
             hooks.add(final.events[0])
         assert hooks == {(180.0, "Hook")}
+
+    def test_not_reachable_names_its_tick(self):
+        # tick 0 is the home point; the first move leaves the workspace
+        script = Scenario("away", HOME,
+                          [Phase("out", 30.0, "flexible", (900.0, 0.0, 0.0))])
+        with pytest.raises(leg_mod.NotReachable) as err:
+            run_demo_cycle(LEG, CHAIN, MESH, script)
+        assert err.value.sample_index == 1
 
     def test_rejects_non_positive_dt(self):
         script = builtin_scenario("walk_cycle", CHAIN, MESH)

@@ -446,12 +446,6 @@ class TestFillGaps:
         assert np.isnan(out[0]) and np.isnan(out[-1])
         assert out[2] == pytest.approx(2.0)
 
-    def test_max_gap_respected(self):
-        s = np.array([0.0, np.nan, np.nan, np.nan, 4.0, np.nan, 6.0])
-        out = fill_gaps(s, max_gap_frames=1)
-        assert np.isnan(out[1]) and np.isnan(out[2]) and np.isnan(out[3])
-        assert out[5] == pytest.approx(5.0)
-
     def test_metrics_with_dropouts(self):
         markers = synthetic_markers(n=500, period_ms=400.0, amp_deg=40.0)
         # knock the claw marker out of a few scattered frames

@@ -368,13 +368,6 @@ class TestTrajectoryToJoints:
             trajectory_to_joints(model, traj)
         assert err.value.sample_index == 1
 
-    def test_zero_order_hold(self, model):
-        traj = synthetic_workspace_arc(model, n=40)
-        held = trajectory_to_joints(model, traj, hold_period_ms=30.0)
-        # values only change every third sample
-        for i in range(len(held)):
-            assert np.array_equal(held[i], held[3 * (i // 3)])
-
 
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):

@@ -216,13 +216,18 @@ class Config:
                                         leg_mod.RETARGET_SCALE)}
 
     def analytics_params(self) -> dict:
+        """``[analytics]``: rate_fps finite and > 0, hysteresis_frac
+        finite, >= 0 and < 1, min_separation_ms finite and >= 0."""
         return {
-            "rate_fps": self.getfloat("analytics", "rate_fps",
-                                      gait_mod.DEFAULT_RATE_FPS),
-            "hysteresis_frac": self.getfloat("analytics", "hysteresis_frac",
-                                             gait_mod.HYSTERESIS_FRAC),
-            "min_separation_ms": self.getfloat("analytics", "min_separation_ms",
-                                               gait_mod.MIN_SEPARATION_MS),
+            "rate_fps": self._positive("analytics", "rate_fps",
+                                       gait_mod.DEFAULT_RATE_FPS),
+            "hysteresis_frac": self._number(
+                "analytics", "hysteresis_frac", gait_mod.HYSTERESIS_FRAC,
+                "finite, >= 0 and < 1",
+                lambda v: math.isfinite(v) and 0.0 <= v < 1.0),
+            "min_separation_ms": self._number(
+                "analytics", "min_separation_ms", gait_mod.MIN_SEPARATION_MS,
+                "finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0),
             "interpolate_gaps": self.getbool("analytics",
                                              "interpolate_gaps", False),
         }

@@ -10,6 +10,11 @@ Other twists or a nonzero d, and targets where no closed-form candidate
 fits the joint limits, fall back to damped least squares (DLS), whose
 ``iterations`` are DLS steps.  Forward kinematics is one batched DH
 product over joint vectors of shape (..., 4).
+A joint path (``trajectory_to_joints``) gets the answers of one warm-
+started IK call per sample, but on the closed-form geometry most
+samples are solved in numpy batch rounds that build every closed-form
+candidate of the path at once and accept each pick that the rule of
+the last scalar pick predicted.
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -523,23 +528,410 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     limits) and each later one from the previous solution, which keeps
     the joint series on one solution branch for smooth inputs.
 
+    The answer is that of one ``inverse_kinematics`` call per sample,
+    but most samples are solved in batch rounds.  A round follows a
+    scalar solve: every later sample gets a guess built by the rule that
+    produced the last pick (the same plane and elbow, and the same
+    trochanter source: the warm angle held, an arc end, a limit or a
+    pin; or the warm start itself when it landed).  Then each sample's
+    closed-form pick is taken in numpy, exactly as ``_closed_form``
+    takes it, from the previous sample's guess as warm start.  The
+    samples up to the first whose pick is not bitwise its guess are
+    what the one-by-one loop would have found, so they are accepted;
+    that sample is solved by the scalar path and the next round starts
+    after it.  A leg outside the closed form, or with a joint that spans
+    a turn or more, runs the scalar path alone.
+
+    numpy's arctan2, arccos and hypot can differ from ``math``'s in the
+    last place, so a batched sample may differ from the scalar answer by
+    a few ulp (well within 1e-12 rad).  Near an acos argument of +-1 (a
+    straight or folded elbow, a stretched pin) such a difference grows
+    to 1e-8 rad, so those samples are left to the scalar path (see
+    ``ACOS_EDGE``).
+
     Raises NotReachable (tagged with the failing sample index) if any
-    sample fails to converge.
+    sample fails to converge; it is the scalar path's, residual and
+    iterations included.
     """
     if q0 is None:
         q = 0.5 * (model.lower + model.upper)
     else:
         q = np.asarray(q0, dtype=float).copy()
-    out = np.empty((len(traj), 4))
-    for i, p in enumerate(traj.points):
+    n = len(traj)
+    out = np.empty((n, 4))
+    off = np.array([r.theta_offset for r in model.rows])
+    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
+    links = _planar_links(model)
+    batch = None
+    if links is not None and n > 1 and all(
+            hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau for lo, hi in limits):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            batch = _PathCandidates(links, limits, traj.points,
+                                    ik_kwargs.get("tol_mm", IK_TOL_MM))
+    rule, i, wait, backoff = None, 0, 0, 0
+    while i < n:
         try:
-            sol = inverse_kinematics(model, p, q, **ik_kwargs)
+            sol = inverse_kinematics(model, traj.points[i], q, **ik_kwargs)
         except NotReachable as err:
             raise NotReachable(err.residual_mm, err.iterations,
                                sample_index=i) from None
-        q = sol.q
-        out[i] = q
+        q = out[i] = sol.q
+        i += 1
+        if batch is None or i == n:
+            continue
+        if wait:
+            wait -= 1
+            continue
+        warm = np.minimum(np.maximum(q, model.lower), model.upper) + off
+        with np.errstate(invalid="ignore", divide="ignore"):
+            guess = batch.guess(i, warm, rule)
+            rows = np.minimum(np.maximum(guess - off, model.lower),
+                              model.upper)
+            m, rule = batch.first_miss(i, np.vstack([warm, rows[:-1] + off]),
+                                       guess, rule)
+        out[i:i + m] = rows[:m]
+        if m:
+            q = rows[m - 1]
+            i += m
+            backoff = 0
+        else:
+            # a batch that takes nothing costs a few scalar solves: wait
+            # twice as long after each one in a row
+            backoff = wait = 2 * backoff + 1
     return out
+
+
+# an acos whose argument lies within this of +-1 turns a last-place
+# difference (numpy's arctan2, arccos and hypot are not math's) into
+# up to ~1e-8 rad; a batch takes no pick with such a candidate within
+# UNSOUND_GAP_RAD of it, and the scalar path solves that sample
+ACOS_EDGE = 1e-2
+UNSOUND_GAP_RAD = 1e-6
+
+# the rules of the held trochanter candidates, in _held's column order
+HELD_KEYS = [("held", plane, elbow) for plane in range(2) for elbow in (1, -1)]
+
+
+class _PathCandidates:
+    """``_closed_form``'s candidates for every sample of a path at once.
+
+    Built for a yaw + planar-3R leg whose every joint spans less than a
+    turn (less twice ``LIMIT_SLACK_RAD``).  Then each ``_wrap_into`` in
+    ``_closed_form`` has at most one representative to take, whatever
+    the warm start, so every candidate but one is the same for any warm
+    start: the coxa yaws, the trochanter angles at the arc ends, the
+    limits and the pins, and the femur and tibia closing the loop from
+    each.  Those are built here once (the pinned ones when first
+    needed).  The one left, the trochanter's warm angle where it lies
+    on an arc, is built per batch, and so are the ordering by step and
+    the warm-start shortcut.  A target on the z axis, whose yaw is the
+    warm one, gets no batched pick.
+
+    Angles are DH angles.  Each column set is (index, candidates (N, C,
+    4), landing mask (N, C), soundness (N, C)): a candidate lands if it
+    fits the limits on a tried plane within ``tol_mm`` of its target,
+    and is sound if none of its acos arguments lies within
+    ``ACOS_EDGE`` of +-1.  A rule names the source of a pick: ``"warm"``
+    (the warm start landed), ``("held", plane, elbow)``, ``("end",
+    plane, arc, shift, end, elbow)`` or ``("pin", plane, pin, sign,
+    elbow)``.
+    """
+
+    def __init__(self, links, limits, targets, tol_mm):
+        a0, a1, a2, a3 = links
+        self.links, self.limits, self.tol_mm = links, limits, tol_mm
+        self.targets = targets
+        x, y, z = targets.T
+        r = np.hypot(x, y)
+        aim = np.arctan2(y, x)
+        u = np.column_stack([r - a0, -r - a0])
+        rho = np.hypot(u, z[:, None])
+        near = max(a1 - a2 - a3, abs(a2 - a3) - a1, 0.0)
+        outside = np.maximum(np.maximum(rho - (a1 + a2 + a3), near - rho),
+                             0.0)
+        self.reach = (outside.min(axis=1) < tol_mm) & (r != 0.0)
+        self.yaw = _wrap_batch(np.column_stack([aim, aim + math.pi]),
+                               *limits[0])
+        self.tried = (outside < tol_mm) & ~np.isnan(self.yaw)
+        self.u, self.rho, self.z = u, rho, z[:, None]
+        self.phi = np.arctan2(self.z, u)
+        self.lo, self.hi, self.windows, keys = _arc_windows(
+            links, limits, rho, self.phi)
+        ends = np.stack([self.lo, self.hi], axis=-1).reshape(len(z), 2, -1)
+        self.ends = self._columns(
+            "end", np.minimum(np.maximum(ends, limits[1][0]), limits[1][1]),
+            np.repeat(self.windows, 2, axis=-1), True, keys)
+        self.pins = None
+        self.last_held = None, np.empty(0), None
+
+    def _columns(self, kind, q1, ok, sound, keys):
+        """The column set of trochanter angles q1 (N, 2, M), kept where
+        ok and sound where sound, on the tried planes; ``keys`` names
+        the M sources."""
+        n, _, m = q1.shape
+        ok = (ok & self.tried[:, :, None]).reshape(n, -1)
+        cols = np.flatnonzero(ok.any(axis=0))
+        q, fits, elbow_sound = _close(
+            self.links, self.limits, self.yaw[:, cols // m],
+            self.u[:, cols // m], self.z, q1.reshape(n, -1)[:, cols])
+        q = q.reshape(n, -1, 4)
+        sound = elbow_sound & np.broadcast_to(sound, q1.shape).reshape(
+            n, -1)[:, cols, None]
+        lands = (fits & ok[:, cols, None]).reshape(n, -1) & (
+            _residual(self.links, q, self.targets[:, None, :]) < self.tol_mm)
+        keys = [(kind, c // m) + keys[c % m] + (e,)
+                for c in cols.tolist() for e in (1, -1)]
+        return ({key: c for c, key in enumerate(keys)}, q, lands,
+                sound.reshape(n, -1))
+
+    def _pinned(self):
+        if self.pins is None:
+            self.pins = self._columns("pin", *_pinned_batch(
+                self.links, self.limits, self.rho, self.phi))
+        return self.pins
+
+    def _held(self, i, w1):
+        """The held trochanter angles w1 (n,) of samples i..: candidates
+        (n, 4, 4), landing mask and soundness (n, 4), per plane and
+        elbow."""
+        n = len(w1)
+        last_i, last_w1, last = self.last_held
+        if last_i == i and n <= len(last_w1) \
+                and np.array_equal(last_w1[:n], w1):
+            return tuple(a[:n] for a in last)
+        w = w1[:, None, None]
+        on = (self.windows[i:i + n] & (self.lo[i:i + n] <= w)
+              & (w <= self.hi[i:i + n])).any(axis=-1) & self.tried[i:i + n]
+        q = np.full((n, 4, 4), np.nan)
+        lands = np.zeros((n, 4), dtype=bool)
+        sound = np.ones((n, 4), dtype=bool)
+        rows = np.flatnonzero(on.any(axis=1))
+        if rows.size:
+            at = i + rows
+            close, fits, ok = _close(
+                self.links, self.limits, self.yaw[at], self.u[at], self.z[at],
+                np.broadcast_to(w1[rows, None], (rows.size, 2)))
+            q[rows] = close.reshape(-1, 4, 4)
+            sound[rows] = ok.reshape(-1, 4)
+            lands[rows] = (fits & on[rows, :, None]).reshape(-1, 4) & (
+                _residual(self.links, q[rows], self.targets[at, None, :])
+                < self.tol_mm)
+        self.last_held = i, w1, (q, lands, sound)
+        return q, lands, sound
+
+    def guess(self, i, warm, rule):
+        """Samples i..'s candidates under ``rule`` from one warm start,
+        up to the first that does not land (NaN); ``None`` or ``"warm"``
+        holds the warm start."""
+        n = len(self.targets) - i
+        if rule is None or rule == "warm":
+            q = np.broadcast_to(warm, (n, 1, 4))
+            lands = _residual(self.links, q, self.targets[i:, None, :]) \
+                < self.tol_mm
+            c = 0
+        elif rule[0] == "held":
+            q, lands, _ = self._held(i, np.full(n, warm[1]))
+            c = HELD_KEYS.index(rule)
+        else:
+            index, q, lands, _ = self.ends if rule[0] == "end" \
+                else self._pinned()
+            q, lands = q[i:], lands[i:]
+            c = index.get(rule)
+            if c is None:
+                return np.full((1, 4), np.nan)
+        lands = lands[:, c]
+        q = np.where(lands[:, None], q[:, c], np.nan)
+        return q if lands.all() else q[:lands.argmin() + 1]
+
+    def first_miss(self, i, warms, guess, rule):
+        """The first of samples i.. whose ``_closed_form`` pick from
+        ``warms`` is not its guess (len(warms) if none), and the rule of
+        that pick (``rule`` if none misses).
+
+        A pick is the warm start when that lands, else the nearest
+        landing candidate (ties to the first) of the held and arc-end
+        ones, else of the pinned ones, which are looked at only for the
+        samples before the first miss that need them.  A sample misses
+        if it has no pick (``_closed_form`` would raise or return None)
+        or if its pick is in doubt (see ``_nearest``).
+        """
+        n = len(warms)
+        picks = np.full((n, 4), np.nan)
+        short = _residual(self.links, warms, self.targets[i:i + n]) \
+            < self.tol_mm
+        picks[short] = warms[short]
+        todo = ~short & self.reach[i:i + n]
+        index, q, lands, sound = self.ends
+        keys = HELD_KEYS + list(index)
+        q, lands, sound = (np.concatenate([h, e[i:i + n]], axis=1)
+                           for h, e in zip(self._held(i, warms[:, 1]),
+                                           (q, lands, sound)))
+        col, has, sure = _nearest(q, lands, sound, warms)
+        has &= todo
+        take = has & sure
+        picks[take] = q[take, col[take]]
+        found = [(has, col, keys)]
+        need = todo & ~has
+        miss = ~need & ~(picks == guess).all(axis=1)
+        rows = np.flatnonzero(need[:miss.argmax() if miss.any() else n])
+        if rows.size:
+            index, q, lands, sound = self._pinned()
+            q = q[i + rows]
+            col, got, sure = _nearest(q, lands[i + rows], sound[i + rows],
+                                      warms[rows])
+            take = got & sure
+            picks[rows[take]] = q[take, col[take]]
+            has = np.zeros(n, dtype=bool)
+            has[rows[got]] = True
+            at = np.zeros(n, dtype=int)
+            at[rows] = col
+            found.append((has, at, list(index)))
+        same = (picks == guess).all(axis=1)
+        if same.all():
+            return n, rule
+        m = int(same.argmin())
+        if short[m]:
+            return m, "warm"
+        for has, col, keys in found:
+            if has[m]:
+                return m, keys[col[m]]
+        return m, None
+
+
+def _nearest(q, lands, sound, warms):
+    """Per row of candidates q (n, C, 4): the landing one nearest the
+    warm start by squared step (ties to the first), whether there is
+    one, and whether no unsound landing one lies within
+    ``UNSOUND_GAP_RAD`` of it in step (it might be nearer on the scalar
+    path)."""
+    n = len(q)
+    if q.shape[1] == 0:
+        return np.zeros(n, dtype=int), np.zeros(n, dtype=bool), \
+            np.ones(n, dtype=bool)
+    d = q - warms[:, None, :]
+    d *= d
+    step = np.where(lands, d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3],
+                    np.inf)
+    col = step.argmin(axis=1)
+    best = np.sqrt(step[np.arange(n), col])
+    doubt = np.sqrt(np.where(sound, np.inf, step).min(axis=1))
+    return col, np.isfinite(best), doubt > best + UNSOUND_GAP_RAD
+
+
+def _residual(links, q, target):
+    """Distance from the yaw + planar-3R tip of q (..., 4) to target."""
+    a0, a1, a2, a3 = links
+    t1 = q[..., 1]
+    t2 = t1 + q[..., 2]
+    t3 = t2 + q[..., 3]
+    out = a0 + a1 * np.cos(t1) + a2 * np.cos(t2) + a3 * np.cos(t3)
+    dx = out * np.cos(q[..., 0]) - target[..., 0]
+    dy = out * np.sin(q[..., 0]) - target[..., 1]
+    dz = (a1 * np.sin(t1) + a2 * np.sin(t2) + a3 * np.sin(t3)
+          - target[..., 2])
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _close(links, limits, yaw, u, z, q1):
+    """Femur and tibia closing the loop from trochanter angles q1, as
+    ``_closed_form`` does, per elbow (bent +, bent -; the second is
+    dropped on a straight elbow): candidates (..., 2, 4), whether the
+    femur and tibia fit their limits and whether the elbow's acos
+    argument is sound, each (..., 2)."""
+    _, a1, a2, a3 = links
+    wu = u - a1 * np.cos(q1)
+    wv = z - a1 * np.sin(q1)
+    aim = np.arctan2(wv, wu)[..., None]
+    c = np.minimum(np.maximum(
+        (wu * wu + wv * wv - a2 * a2 - a3 * a3) / (2.0 * a2 * a3), -1.0), 1.0)
+    elbow = np.arccos(c)
+    bend = elbow[..., None] * np.array([1.0, -1.0])
+    q1, wu, wv = q1[..., None], wu[..., None], wv[..., None]
+    q2 = _wrap_batch(aim - q1 - np.arctan2(a3 * np.sin(bend),
+                                           a2 + a3 * np.cos(bend)),
+                     *limits[2])
+    t2 = q1 + q2
+    q3 = _wrap_batch(np.arctan2(wv - a2 * np.sin(t2), wu - a2 * np.cos(t2))
+                     - t2, *limits[3])
+    fits = ~np.isnan(q2) & ~np.isnan(q3)
+    fits[..., 1] &= elbow != 0.0
+    q = np.empty(q2.shape + (4,))
+    q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[..., None], q1, q2, q3
+    sound = np.broadcast_to((np.abs(c) <= 1.0 - ACOS_EDGE)[..., None],
+                            fits.shape)
+    return q, fits, sound
+
+
+def _arc_windows(links, limits, rho, phi):
+    """``_arc_angles``'s trochanter windows for (N, 2) planes.
+
+    Each of the two arcs is shifted by every multiple of 2*pi any row
+    needs.  Returns the window ends lo and hi and whether each window is
+    kept, all (N, 2, W), and a key (arc, shift, end) per window end.
+    """
+    _, a1, a2, a3 = links
+    lo1, hi1 = limits[1]
+    one = a1 * rho == 0.0
+    base = rho * rho + a1 * a1
+    b_in = np.arccos(np.minimum(np.maximum(
+        (base - (a2 - a3) ** 2) / (2.0 * a1 * rho), -1.0), 1.0))
+    b_out = np.arccos(np.minimum(np.maximum(
+        (base - (a2 + a3) ** 2) / (2.0 * a1 * rho), -1.0), 1.0))
+    s = np.stack([np.where(one, phi - math.pi, phi + b_in), phi - b_out], -1)
+    e = np.stack([np.where(one, phi + math.pi, phi + b_out), phi - b_in], -1)
+    k_lo = np.ceil((lo1 - e - LIMIT_SLACK_RAD) / math.tau)
+    k_hi = np.floor((hi1 - s + LIMIT_SLACK_RAD) / math.tau)
+    k_hi[..., 1][one] = -np.inf
+    some = k_lo <= k_hi
+    ks = np.arange(k_lo[some].min(), k_hi[some].max() + 1) if some.any() \
+        else np.empty(0)
+    lo = np.maximum(s[..., None] + ks * math.tau, lo1)
+    hi = np.minimum(e[..., None] + ks * math.tau, hi1)
+    kept = (k_lo[..., None] <= ks) & (ks <= k_hi[..., None]) \
+        & (lo <= hi + LIMIT_SLACK_RAD)
+    n = rho.shape[0]
+    keys = [(a, k, end) for a in range(2) for k in ks.tolist()
+            for end in ("lo", "hi")]
+    return (lo.reshape(n, 2, -1), hi.reshape(n, 2, -1),
+            kept.reshape(n, 2, -1), keys)
+
+
+def _pinned_batch(links, limits, rho, phi):
+    """``_pinned_angles`` for (N, 2) planes: trochanter angles, whether
+    each is kept and whether its acos is sound, all (N, 2, 8), and
+    their keys (pin, sign)."""
+    _, a1, a2, a3 = links
+    pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
+                                * math.cos(lim))) for lim in limits[3]]
+    pins += [(math.hypot(a1 + a2 * math.cos(lim), a2 * math.sin(lim)),
+              math.atan2(a2 * math.sin(lim), a1 + a2 * math.cos(lim)), a3)
+             for lim in limits[2]]
+    q1, ok, sound = [], [], []
+    for b, gamma, c in pins:
+        cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
+        fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0)
+        beta = np.arccos(cos_beta)
+        for q in (phi - gamma + beta, phi - gamma - beta):
+            q = _wrap_batch(q, *limits[1])
+            q1.append(q)
+            ok.append(fits & ~np.isnan(q))
+            sound.append(np.abs(cos_beta) <= 1.0 - ACOS_EDGE)
+    keys = [(p, sign) for p in range(len(pins)) for sign in (1, -1)]
+    return (np.stack(q1, axis=-1), np.stack(ok, axis=-1),
+            np.stack(sound, axis=-1), keys)
+
+
+def _wrap_batch(angle, lo, hi):
+    """``_wrap_into`` elementwise for limits spanning less than a turn
+    (less twice ``LIMIT_SLACK_RAD``); NaN where it returns None.
+
+    Only the representative nearest the middle of the limits can then
+    fit them, so the result is the same for every reference in them.
+    """
+    j = np.round((0.5 * (lo + hi) - angle) / math.tau)
+    v = np.where(j == 0.0, angle, angle + j * math.tau)
+    return np.where((lo - LIMIT_SLACK_RAD <= v) & (v <= hi + LIMIT_SLACK_RAD),
+                    np.minimum(np.maximum(v, lo), hi), np.nan)
 
 
 TRAJECTORY_HEADER = ("t_ms", "x_mm", "y_mm", "z_mm")

@@ -18,6 +18,20 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return np.linspace(lo, hi, n)
 
 
+def _runs(x, y, px, py) -> list[str]:
+    """Polyline points ``"px,py"`` (2 decimals), joined by spaces, one
+    string per run of points with finite x and y; ``px`` and ``py`` map
+    arrays of data to pixels."""
+    n = min(len(x), len(y))
+    x, y = x[:n], y[:n]
+    finite = np.isfinite(x) & np.isfinite(y)
+    points = [f"{u:.2f},{v:.2f}" for u, v in
+              zip(px(x[finite]).tolist(), py(y[finite]).tolist())]
+    cuts = (np.flatnonzero(np.diff(np.flatnonzero(finite)) > 1) + 1).tolist()
+    return [" ".join(points[a:b])
+            for a, b in zip([0] + cuts, cuts + [len(points)]) if b > a]
+
+
 def line_chart(path, series, title: str = "", xlabel: str = "",
                ylabel: str = "", size=(640, 420)) -> None:
     """Write an SVG line chart.
@@ -85,20 +99,9 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
 
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        run = []
-        chunks = []
-        for xi, yi in zip(x, y):
-            if np.isfinite(xi) and np.isfinite(yi):
-                run.append(f"{px(xi):.2f},{py(yi):.2f}")
-            elif run:
-                chunks.append(run)
-                run = []
-        if run:
-            chunks.append(run)
-        for run in chunks:
-            parts.append(f'<polyline points="{" ".join(run)}" fill="none" '
+        for run in _runs(np.asarray(x, dtype=float),
+                         np.asarray(y, dtype=float), px, py):
+            parts.append(f'<polyline points="{run}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         if label:
             ly = mt + 14 + 15 * k

@@ -423,6 +423,7 @@ LEG_JOINTS_2_TO_4 = "".join(f"[leg_{name}]\na_mm = 30\n"
 CHAIN_PULL = ["chain", "--pull", "3"]
 SIM_WALK = ["sim", "--scenario", "walk_cycle"]
 SIM_HOP = ["sim", "--scenario", "hop"]
+GAIT_INPUT = ["gait", "--input", "trial.csv"]
 
 
 class TestConfigValues:
@@ -461,15 +462,27 @@ class TestConfigValues:
          "line 2: scenario:hop.phase_1: duration and offsets must be"),
         ("[scenario:hop]\nphase_1 = down flexible 100 0 inf -40\n",
          SIM_HOP, "line 2: scenario:hop.phase_1: duration and offsets"),
+        ("[analytics]\nrate_fps = 0\n", GAIT_INPUT,
+         "line 2: analytics.rate_fps must be finite and > 0, got 0.0"),
+        ("[analytics]\nhysteresis_frac = -5\n", GAIT_INPUT,
+         "line 2: analytics.hysteresis_frac must be finite, >= 0 and < 1, "
+         "got -5.0"),
+        ("[analytics]\n\nhysteresis_frac = 1\n", GAIT_INPUT,
+         "line 3: analytics.hysteresis_frac must be finite, >= 0 and < 1"),
+        ("[analytics]\nmin_separation_ms = -1\n", GAIT_INPUT,
+         "line 2: analytics.min_separation_ms must be finite and >= 0"),
     ], ids=["k_spring-nan", "node_stiffness-nan", "tarsomere_radius-nan",
             "spacing-nan", "claw_length-nan", "cells_x-0", "k_flex-1",
             "leg_a-neg", "leg_limits-order", "tarsomere_radius-neg",
             "retarget_scale-nan", "claw_length-neg", "home-nan",
-            "phase_duration-nan", "phase_offset-inf"])
+            "phase_duration-nan", "phase_offset-inf", "rate_fps-0",
+            "hysteresis_frac-neg", "hysteresis_frac-1",
+            "min_separation-neg"])
     def test_bad_value_is_config_error(self, tmp_path, capsys, text,
                                        command, message):
         save_trajectory(tmp_path / "beetle.csv",
                         Trajectory([0.0, 10.0], np.ones((2, 3))))
+        make_recording(tmp_path / "trial.csv", 440.0, n=200)
         conf = tmp_path / "bad.conf"
         conf.write_text(text)
         command = [str(tmp_path / a) if a.endswith(".csv") else a

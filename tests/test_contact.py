@@ -19,7 +19,9 @@ from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
                             MeshGrid, Phase, Scenario, builtin_scenario,
                             hook_check, load_demo_csv, rigid_claw_offset,
                             run_demo_cycle, save_demo_csv)
+from tarsim.config import parse_config
 from tarsim.leg import default_leg_model, forward_kinematics
+from test_leg import scalar_joints
 
 LEG = default_leg_model()
 CHAIN = default_chain_geometry()
@@ -469,3 +471,40 @@ class TestScan:
         script = builtin_scenario("walk_cycle", CHAIN, MESH)
         with pytest.raises(ValueError, match="dt_ms"):
             run_demo_cycle(LEG, CHAIN, MESH, script, dt_ms=0.0)
+
+
+# the bench's sim inputs: mesh spacing x rest height x scenario x tick
+BENCH_SIMS = list(itertools.product((20, 25, 30), (-120, -60, 0),
+                                    ("walk_cycle", "tubed"), (5, 10)))
+
+
+@pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
+def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
+                                                    rest, name, dt):
+    cfg = parse_config(f"[mesh]\nspacing_mm = {spacing}\n"
+                       f"rest_height_mm = {rest}\n[sim]\ndt_ms = {dt}\n")
+    chain, leg, mesh = cfg.build_chain(), cfg.build_leg(), cfg.build_mesh()
+    script = cfg.build_scenario(name, chain, mesh)
+    runs = []
+    for solve in (scalar_joints, leg_mod.trajectory_to_joints):
+        paths = []
+
+        def spy(*args, solve=solve, **kwargs):
+            paths.append(solve(*args, **kwargs))
+            return paths[-1]
+
+        monkeypatch.setattr(contact, "trajectory_to_joints", spy)
+        runs.append((paths, *run_demo_cycle(
+            leg, chain, mesh, script, dt_ms=dt, limits=cfg.build_limits(),
+            **cfg.ik_params())))
+    (old_q, old, old_final), (new_q, new, new_final) = runs
+    assert np.max(np.abs(new_q[0] - old_q[0])) <= 1e-12
+    assert new_final.events == old_final.events
+    assert [(s.mode, s.attachment, s.events) for s in new] \
+        == [(s.mode, s.attachment, s.events) for s in old]
+
+    def numbers(samples):
+        return np.array([[s.t_ms, s.claw_z, s.mesh_z, s.vertical,
+                          s.horizontal] for s in samples])
+
+    assert np.max(np.abs(numbers(new) - numbers(old))) <= 1e-9

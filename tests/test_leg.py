@@ -369,6 +369,166 @@ class TestTrajectoryToJoints:
         assert err.value.sample_index == 1
 
 
+def scalar_joints(model, traj, q0=None, **ik_kwargs):
+    """Oracle: one scalar inverse_kinematics call per sample, each warm
+    started from the sample before (the loop trajectory_to_joints ran
+    before it solved in batches)."""
+    q = 0.5 * (model.lower + model.upper) if q0 is None \
+        else np.asarray(q0, dtype=float).copy()
+    out = np.empty((len(traj), 4))
+    for i, p in enumerate(traj.points):
+        try:
+            q = inverse_kinematics(model, p, q, **ik_kwargs).q
+        except NotReachable as err:
+            raise NotReachable(err.residual_mm, err.iterations,
+                               sample_index=i) from None
+        out[i] = q
+    return out
+
+
+def planar_leg(links, limits_deg, offsets=(0.0,) * 4):
+    rows = (DHRow(links[0], math.pi / 2, 0.0, offsets[0]),) + tuple(
+        DHRow(a, 0.0, 0.0, o) for a, o in zip(links[1:], offsets[1:]))
+    return LegModel(rows, tuple((math.radians(lo), math.radians(hi))
+                                for lo, hi in limits_deg))
+
+
+@st.composite
+def planar_legs(draw, widest_deg=179.0):
+    """Yaw + planar-3R legs: links of 5 to 150 mm, limits within
+    +-widest_deg, theta offsets in [-pi, pi]."""
+    links = [draw(st.floats(5.0, 150.0)) for _ in range(4)]
+    offsets = [draw(st.sampled_from([0.0, draw(st.floats(-math.pi,
+                                                         math.pi))]))
+               for _ in range(4)]
+    limits = []
+    for _ in range(4):
+        lo = draw(st.floats(-widest_deg, widest_deg - 1.0))
+        limits.append((lo, draw(st.floats(lo + 1.0, widest_deg))))
+    return planar_leg(links, limits, offsets)
+
+
+def joint_path(model, seed, n, wiggle):
+    """FK of a smooth joint path between two random in-limit points."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(model.lower, model.upper, (2, 4))
+    s = np.linspace(0.0, 1.0, n)[:, None]
+    q = a + (b - a) * (3 * s ** 2 - 2 * s ** 3) + wiggle * np.sin(
+        2 * np.pi * rng.uniform(0.5, 3.0) * s) * (model.upper - model.lower)
+    q = np.clip(q, model.lower, model.upper)
+    return Trajectory(np.arange(n) * 10.0,
+                      forward_kinematics(model, q).position)
+
+
+def solve_both(model, traj, q0=None, **ik_kwargs):
+    """(joints or the NotReachable fields) from the oracle and the
+    batched path."""
+    out = []
+    for solve in (scalar_joints, trajectory_to_joints):
+        try:
+            out.append(solve(model, traj, q0, **ik_kwargs))
+        except NotReachable as err:
+            out.append((err.sample_index, err.residual_mm, err.iterations))
+    return out
+
+
+class TestBatchedJointPath:
+    """trajectory_to_joints solves in batches; the scalar loop is the
+    oracle: joints within 1e-12 rad, the same NotReachable."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=planar_legs(), seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(2, 60), wiggle=st.sampled_from([0.0, 0.02, 0.2]),
+           cold=st.booleans(), tol=st.sampled_from([IK_TOL_MM, 0.5, 5.0]),
+           hold=st.tuples(st.integers(0, 59), st.integers(0, 30)),
+           far=st.one_of(st.none(), st.integers(0, 59)))
+    def test_matches_the_scalar_loop(self, model, seed, n, wiggle, cold, tol,
+                                     hold, far):
+        traj = joint_path(model, seed, n, wiggle)
+        start, length = hold
+        traj.points[start:start + length] = traj.points[min(start, n - 1)]
+        if far is not None:
+            traj.points[far % n] = (2.0 * model.reach_mm(), 0.0, 0.0)
+        q0 = None if cold else np.random.default_rng(seed).uniform(
+            model.lower, model.upper)
+        oracle, batched = solve_both(model, traj, q0, tol_mm=tol)
+        if isinstance(oracle, tuple):
+            assert batched == oracle
+        else:
+            assert np.max(np.abs(batched - oracle)) <= 1e-12
+
+    def test_solves_most_samples_in_batches(self, model, monkeypatch):
+        traj = synthetic_workspace_arc(model)
+        calls = []
+        real = leg.inverse_kinematics
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(leg, "inverse_kinematics", counted)
+        qs = trajectory_to_joints(model, traj)
+        monkeypatch.undo()
+        assert len(calls) < len(traj) // 4
+        assert np.max(np.abs(qs - scalar_joints(model, traj))) <= 1e-12
+
+    def test_not_reachable_mid_batch(self, model):
+        traj = synthetic_workspace_arc(model)
+        traj.points[70] = (model.reach_mm() * 2.0, 0.0, 0.0)
+        oracle, batched = solve_both(model, traj)
+        assert batched == oracle
+        assert oracle[0] == 70
+
+    @pytest.mark.parametrize("offsets", [(0.0, 0.3, -0.5, 0.0),
+                                         (0.2, -1.1, 0.4, 2.5)])
+    def test_theta_offsets(self, offsets):
+        m = planar_leg((30.0, 25.0, 80.0, 120.0), [(-150.0, 150.0)] * 4,
+                       offsets)
+        traj = joint_path(m, 7, 120, 0.05)
+        oracle, batched = solve_both(m, traj)
+        assert np.max(np.abs(batched - oracle)) <= 1e-12
+        assert np.all(batched >= m.lower) and np.all(batched <= m.upper)
+
+    @pytest.mark.parametrize("which", ["d_offset", "wide_limits"])
+    def test_scalar_geometry_is_the_scalar_loop(self, which):
+        # a femur d offset leaves the closed form; a joint spanning a
+        # whole turn leaves the batch: both run the scalar loop alone
+        if which == "d_offset":
+            m = offset_leg(d=5.0)
+            traj = synthetic_workspace_arc(m, n=30)
+        else:
+            m = LegModel(LEG.rows,
+                         ((-math.pi, math.pi),) + LEG.joint_limits[1:])
+            traj = synthetic_workspace_arc(m)
+        oracle, batched = solve_both(m, traj)
+        assert np.array_equal(batched, oracle)
+
+    def test_constant_run_repeats_the_row(self, model):
+        traj = synthetic_workspace_arc(model)
+        traj.points[40:90] = traj.points[40]
+        oracle, batched = solve_both(model, traj)
+        assert np.max(np.abs(batched - oracle)) <= 1e-12
+        assert (batched[40:90] == batched[40]).all()
+
+
+class TestClosedFormCompleteness:
+    @settings(max_examples=300, deadline=None)
+    @given(model=planar_legs(), data=st.data())
+    def test_fk_images_always_land(self, model, data):
+        # no DLS fallback needed: on its own geometry the closed form
+        # finds every in-limit pose from any warm start
+        q, warm = ([data.draw(st.floats(lo, hi)) for lo, hi in
+                    model.joint_limits] for _ in range(2))
+        target = forward_kinematics(model, np.array(q)).position
+        off = [r.theta_offset for r in model.rows]
+        found = leg._closed_form(
+            leg._planar_links(model),
+            [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)],
+            target.tolist(), [w + o for w, o in zip(warm, off)], IK_TOL_MM)
+        assert found is not None
+        assert found.residual_mm < IK_TOL_MM
+
+
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(36)

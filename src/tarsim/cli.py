@@ -227,8 +227,8 @@ def cmd_leg(args, ctx: RunContext) -> int:
               f"{result.residual_mm:.3e} mm, {result.iterations} iterations")
 
     if args.retarget is not None:
-        ctx.note_input(args.retarget)
         try:
+            ctx.note_input(args.retarget)
             traj = leg_mod.load_trajectory(args.retarget)
         except (OSError, ValueError) as err:
             raise DomainError(f"--retarget: {err}") from None
@@ -346,8 +346,8 @@ def cmd_gait(args, ctx: RunContext) -> int:
     metric_rows = []
     grouped: dict = {}
     for path, condition in zip(args.input, conditions):
-        ctx.note_input(path)
         try:
+            ctx.note_input(path)
             rec = gait_mod.load_recording(path, rate=ap["rate_fps"])
         except (OSError, ValueError) as err:
             raise DomainError(f"{path}: {err}") from None

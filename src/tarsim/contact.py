@@ -32,7 +32,7 @@ import numpy as np
 from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
                     ChainState, chain_pose, solve_bend_from_pull)
 from .leg import LegModel, Trajectory, forward_kinematics, trajectory_to_joints
-from .table import float_columns, read_table, write_table
+from .table import read_columns, write_table
 
 DEFAULT_CLAW_LENGTH_MM = 8.0
 DEFAULT_CLAW_MAX_OPENING = math.radians(60.0)
@@ -371,8 +371,8 @@ def save_demo_csv(path, samples) -> None:
 
 
 def load_demo_csv(path) -> list[DemoSample]:
-    _, rows = read_table(path, DEMO_HEADER)
-    numbers = float_columns(path, rows, (0, 1, 2, 6, 7)).tolist()
-    return [DemoSample(t, claw_z, mesh_z, *row[3:6], vertical, horizontal)
-            for (t, claw_z, mesh_z, vertical, horizontal), row
-            in zip(numbers, rows)]
+    numbers, *texts = read_columns(path, DEMO_HEADER, (0, 1, 2, 6, 7))
+    return [DemoSample(t, claw_z, mesh_z, mode, attachment, events, vertical,
+                       horizontal)
+            for (t, claw_z, mesh_z, vertical, horizontal), mode, attachment,
+            events in zip(numbers.tolist(), *texts)]

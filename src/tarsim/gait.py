@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import float_columns, line_of, read_table, write_table
+from .table import line_of, read_columns, read_table, write_table
 
 # the marker axis of TrialRecording.markers, which is also the order in
 # which save_recording writes the rows of a frame
@@ -238,12 +238,11 @@ def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     """
     if not rate > 0:
         raise ValueError("rate must be > 0")
-    _, rows = read_table(path, RECORDING_HEADER)
-    values = float_columns(path, rows, (0, 2, 3, 4))
+    values, labels = read_columns(path, RECORDING_HEADER, (0, 2, 3, 4))
     t = values[:, 0]
     index = {label: j for j, label in enumerate(LABELS)}
-    column = np.array([index.get(row[1], -1) for row in rows], dtype=int)
-    del rows  # the cells take more memory than everything built below
+    column = np.array([index.get(label, -1) for label in labels.tolist()],
+                      dtype=int)
     t0 = float(t[0]) if len(t) else 0.0
     position = (t - t0) * (rate / 1000.0)  # in frames from the first
     frame = np.rint(position)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import float_columns, read_table, write_table
+from .table import read_columns, write_table
 
 JOINT_NAMES = ("coxa", "trochanter", "femur", "tibia")
 
@@ -939,8 +939,7 @@ TRAJECTORY_HEADER = ("t_ms", "x_mm", "y_mm", "z_mm")
 
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory CSV with header t_ms,x_mm,y_mm,z_mm."""
-    _, rows = read_table(path, TRAJECTORY_HEADER)
-    data = float_columns(path, rows, range(4))
+    data, = read_columns(path, TRAJECTORY_HEADER, range(4))
     return Trajectory(data[:, 0], data[:, 1:])
 
 

@@ -6,6 +6,20 @@ a cell holding a comma, a quote or a line break (``\\n`` or ``\\r``) is
 quoted (stdlib ``csv``, minimal quoting).  Reads skip blank lines and
 accept CRLF; errors name the file line as ``row N``, the header being
 row 1.
+
+``read_table`` and ``float_columns`` define the format and are its only
+error reporter.  ``read_columns`` takes a faster path for a plain file:
+printable ASCII but ``"``, ``\\n`` or ``\\r\\n`` line ends, the expected
+header and no line past the ``csv`` field size limit.  There no cell is
+quoted and ``\\n`` is the only line break, so splitting on ``,`` is what
+``csv`` does, and the one blank both ``loadtxt`` and ``float`` strip
+around a number, the space, is the only one that can occur; tabs and
+other control or Unicode blanks, which the two treat apart, cannot.  Such
+a file is parsed in one ``np.loadtxt`` call and kept if every number is
+finite.  Any other file, a cell ``loadtxt`` rejects (such as ``1_0``,
+which ``float`` reads) or a non-finite number goes through ``read_table``
+and ``float_columns``, which return the same values or raise the
+``row N`` error.
 """
 
 from __future__ import annotations
@@ -82,6 +96,57 @@ def float_columns(path, rows, columns) -> np.ndarray:
             raise ValueError(f"row {line_of(path, i)}: not a finite number "
                              f"in {cells}")
     return values
+
+
+# the bytes of a plain table, in which ``,`` and ``\n`` are the only syntax
+_PLAIN_BYTES = b"\n" + bytes(c for c in range(0x20, 0x7F) if c != ord('"'))
+
+
+def read_columns(path, header, floats) -> tuple:
+    """(values, *texts) of a table with ``header``: the ``floats`` columns
+    as an (N, k) float array, then each other column, in header order, as
+    an object array of ``str``.
+
+    Accepts, rejects and reports as ``read_table(path, header)`` followed
+    by ``float_columns(path, rows, floats)`` (see the module docstring).
+    """
+    floats = list(floats)
+    texts = [j for j in range(len(header)) if j not in floats]
+    cells = _plain_cells(path, header, floats)
+    if cells is not None:
+        values = np.column_stack([cells[str(j)] for j in floats])
+        if np.isfinite(values).all():
+            return (values, *(cells[str(j)] for j in texts))
+    _, rows = read_table(path, header)
+    return (float_columns(path, rows, floats),
+            *(np.array([row[j] for row in rows], dtype=object)
+              for j in texts))
+
+
+def _plain_cells(path, header, floats):
+    """The rows of a plain table as one structured array, else None."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # replace copies the text even when nothing matches
+        data = data.replace(b"\r\n", b"\n")
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    # each copy of the text is dropped before the next one is built
+    lines = data.decode("ascii").split("\n")
+    del data
+    if (lines[0].split(",") != list(header)
+            or max(map(len, lines)) >= csv.field_size_limit()):
+        return None
+    rows = list(filter(None, lines[1:]))
+    del lines
+    dtype = [(str(j), float if j in floats else object)
+             for j in range(len(header))]
+    if not rows:
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(rows, dtype, comments=None, delimiter=",", ndmin=1)
+    except ValueError:
+        return None
 
 
 def parse_row(text: str) -> list[str]:

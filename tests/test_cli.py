@@ -282,6 +282,16 @@ class TestLegCommand:
         assert "row 3: not a finite number" in capsys.readouterr().err
         assert not (out / "retargeted.csv").exists()
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_retarget_unreadable_file_is_domain_error(self, tmp_path, capsys,
+                                                      name):
+        rc, out = run(["leg", "--retarget", str(tmp_path / name)], tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --retarget: [Errno ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSimCommand:
     def test_walk_cycle_exit_zero(self, tmp_path):
@@ -560,6 +570,16 @@ class TestGaitCommand:
         p.write_text("t_ms,label,x_mm,y_mm,z_mm\n0.0,R1,a,b,c\n")
         rc, _ = run(["gait", "--input", str(p)], tmp_path)
         assert rc == 1
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_input_is_domain_error(self, tmp_path, capsys, name):
+        p = tmp_path / name
+        rc, out = run(["gait", "--input", str(p)], tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: [Errno ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestConfigAndManifest:

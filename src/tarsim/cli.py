@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +162,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         if ctx.csv:
             write_table(ctx.path("bend_vs_pull.csv"),
                         ["pull_mm", "total_bend_deg"],
-                        zip(pulls, bends))
+                        zip(pulls.tolist(), bends.tolist()))
         if ctx.svg:
             svgplot.line_chart(ctx.path("bend_vs_pull.svg"),
                                [("total bend", pulls, bends)],
@@ -181,7 +182,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
             if ctx.csv:
                 write_table(ctx.path(f"stiffness_{mode}.csv"),
                             ["displacement_mm", "force_N"],
-                            zip(disp, force))
+                            zip(disp.tolist(), force.tolist()))
         if ctx.svg:
             svgplot.line_chart(
                 ctx.path("stiffness.svg"),
@@ -248,8 +249,8 @@ def cmd_leg(args, ctx: RunContext) -> int:
                 write_table(ctx.path("joints.csv"),
                             ["t_ms", "coxa_deg", "trochanter_deg",
                              "femur_deg", "tibia_deg"],
-                            [[t, *np.degrees(q)]
-                             for t, q in zip(scaled.t_ms, qs)])
+                            np.column_stack([scaled.t_ms,
+                                             np.degrees(qs)]).tolist())
             print(f"joint series written ({len(qs)} samples)")
     return 0
 
@@ -275,12 +276,12 @@ def cmd_sim(args, ctx: RunContext) -> int:
                     ["t_ms", "event"],
                     [[float(t), kind] for t, kind in final.events])
     if ctx.svg and samples:
-        t = [s.t_ms for s in samples]
+        t, claw_z, mesh_z = np.array(
+            [*map(attrgetter("t_ms", "claw_z", "mesh_z"), samples)]).T
         svgplot.line_chart(
             ctx.path(f"{scenario.name}_heights.svg"),
-            [("claw", t, [s.claw_z for s in samples]),
-             ("mesh", t, [s.mesh_z for s in samples]),
-             ("rest", t, [mesh.rest_height] * len(samples))],
+            [("claw", t, claw_z), ("mesh", t, mesh_z),
+             ("rest", t, np.full(len(t), mesh.rest_height))],
             title=f"Scenario {scenario.name}",
             xlabel="time (ms)", ylabel="height (mm)")
     for t, kind in final.events:

@@ -142,12 +142,11 @@ class Config:
         else:
             base = chain_mod.default_chain_geometry(
                 socket_slack=self.getbool("chain", "socket_slack", False))
-        return _build(
-            "chain", replace, base,
-            k_spring=self.getfloat("chain", "k_spring_n_per_mm", base.k_spring),
-            k_flex=self.getfloat("chain", "k_flex_n_per_mm", base.k_flex),
-            k_rigid=self.getfloat("chain", "k_rigid_n_per_mm", base.k_rigid),
-        )
+        slopes = {name: self.getfloat("chain", f"{name}_n_per_mm", None)
+                  for name in ("k_spring", "k_flex", "k_rigid")}
+        slopes = {name: v for name, v in slopes.items() if v is not None}
+        # the chain is built a second time only for a slope the config sets
+        return _build("chain", replace, base, **slopes) if slopes else base
 
     def build_leg(self) -> leg_mod.LegModel:
         present = [s for s in LEG_SECTIONS if self.has_section(s)]

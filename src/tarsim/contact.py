@@ -10,9 +10,13 @@ and nothing kinematic depends on the contact state: the leg-tip path is
 scripted, the mode follows the command, and the chain only ever takes its
 rigid state (every joint at its bend limit, the full-bend pull) or its
 flexible one (at rest, zero pull).  So a run solves the whole joint path
-and every claw tip first, then one scan over the ticks runs the contact
-rules.  The mesh state is the hooked cell and its strand's deflection;
-identical inputs always produce identical samples and event logs.
+and every claw tip first, then runs the contact rules as array passes:
+the hook law and the release test on every tick at once, then one pass
+per hold over its slice of ticks, from its Hook to its Release or
+ClawFailure, and one for RepeatSwing.  Python steps once per hold, not
+once per tick.  The mesh state is the hooked cell and its strand's
+deflection; identical inputs always produce identical samples and event
+logs.
 
 Event kinds appearing in the log: Hook, Release, Saturation (vertical
 force cap reached, deflection clamped), ClawFailure (hooking force limit
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -87,15 +92,23 @@ class MeshGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """Containing cell of a horizontal point, or None on a strand/outside."""
+        inside, i, j = self._cells(np.array([x], dtype=float),
+                                   np.array([y], dtype=float))
+        return (int(i[0]), int(j[0])) if inside[0] else None
+
+    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """The opening test over arrays of horizontal points: (inside, i, j),
+        whether each point is strictly inside a cell opening and its cell
+        indices there (0 elsewhere)."""
         gx = (x - self.origin[0]) / self.spacing
         gy = (y - self.origin[1]) / self.spacing
-        if gx % 1.0 == 0.0 or gy % 1.0 == 0.0:
-            return None  # exactly on a strand: no opening here
-        i, j = int(math.floor(gx)), int(math.floor(gy))
+        i, j = np.floor(gx), np.floor(gy)
         nx, ny = self.cells
-        if 0 <= i < nx and 0 <= j < ny:
-            return (i, j)
-        return None
+        # exactly on a strand: no opening there
+        inside = ((gx % 1.0 != 0.0) & (gy % 1.0 != 0.0)
+                  & (0 <= i) & (i < nx) & (0 <= j) & (j < ny))
+        return (inside, np.where(inside, i, 0).astype(int),
+                np.where(inside, j, 0).astype(int))
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         i, j = cell
@@ -140,12 +153,20 @@ def hook_check(tip, mode: str, mesh: MeshGrid) -> Attachment:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tip = np.asarray(tip, dtype=float).reshape(3)
-    if mode != RIGID or not tip[2] < mesh.rest_height - HOOK_TOL_MM:
+    hooks, i, j = _hooks(tip[None], mode == RIGID, mesh)
+    if not hooks[0]:
         return FREE
-    cell = mesh.cell_of(tip[0], tip[1])
-    if cell is None:
-        return FREE
-    return Attachment(cell, tip.copy())
+    return Attachment((int(i[0]), int(j[0])), tip.copy())
+
+
+def _hooks(tips: np.ndarray, rigid, mesh: MeshGrid) -> tuple:
+    """The hook law over an (N, 3) array of claw tips: (hooks, i, j), where
+    a tip hooks when ``rigid`` (a mask, or one bool for all), more than
+    ``HOOK_TOL_MM`` below rest and inside a cell opening, and (i, j) is
+    that cell."""
+    inside, i, j = mesh._cells(tips[:, 0], tips[:, 1])
+    below = tips[:, 2] < mesh.rest_height - HOOK_TOL_MM
+    return rigid & below & inside, i, j
 
 
 def _claw_offset(chain: ChainGeometry, mode: str,
@@ -237,14 +258,14 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     each tick's IK from the tick before (``ik_kwargs`` go to the IK; a
     NotReachable carries the index of its tick, 0 being the home point),
     the rigid and flexible claw offsets, and every claw tip from one
-    batched FK call.  Last, one scan over the ticks runs the contact
-    rules: hook while free, else release on a flexible lift, else the
-    strand rides the claw (its deflection clamped at the vertical cap)
-    until the hooking limit tears it free; then the RepeatSwing check.
-    Limit violations become events, never exceptions.  While hooked the
-    forces are stiffness times the deflection and times the tangential
-    stretch since engagement; on a ClawFailure tick they are the loads
-    that broke the hold.
+    batched FK call.  Last, the contact rules (see ``_scan``): hook while
+    free, else release on a flexible lift, else the strand rides the claw
+    (its deflection clamped at the vertical cap) until the hooking limit
+    tears it free; then the RepeatSwing check.  Limit violations become
+    events, never exceptions.  While hooked the forces are stiffness
+    times the deflection and times the tangential stretch since
+    engagement; on a ClawFailure tick they are the loads that broke the
+    hold.
 
     Returns the per-tick samples and the final state with the event log.
     """
@@ -252,70 +273,120 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
         raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
     limits = limits or ForceLimits()
     home = np.asarray(script.home_tip, dtype=float)
-    commanded, targets, prev = [], [], np.zeros(3)
+    counts, targets, prev = [], [], np.zeros(3)
     for phase in script.phases:
         n = max(1, int(round(phase.duration_ms / dt_ms)))
         goal = np.asarray(phase.tip_offset, dtype=float)
         frac = np.arange(1, n + 1)[:, None] / n
         targets.append(home + prev + frac * (goal - prev))
-        commanded += [phase.mode] * n
+        counts.append(n)
         prev = goal
-    if not commanded:
+    if not counts:
         return [], FinalState(0.0, FREE)
-    modes = [m if script.allow_flexible else RIGID for m in commanded]
+    commanded_flexible = np.repeat(
+        [phase.mode == FLEXIBLE for phase in script.phases], counts)
 
     path = trajectory_to_joints(leg, Trajectory(
-        np.arange(len(modes) + 1) * dt_ms, np.vstack([home, *targets])),
+        np.arange(sum(counts) + 1) * dt_ms, np.vstack([home, *targets])),
         **ik_kwargs)
     offsets = {}
     for mode in MODES:
         dx, dz = _claw_offset(chain, mode, claw_length)
         offsets[mode] = (dx, 0.0, dz)
+    # the mode in effect: rigid throughout when flexible is forbidden
+    rigid = ~commanded_flexible | (not script.allow_flexible)
     # row 0 is the start, at the first commanded mode
-    tips = (forward_kinematics(leg, path).position + np.array(
-        [offsets[m] for m in [commanded[0]] + modes])).tolist()
+    tips = forward_kinematics(leg, path).position + np.where(
+        np.r_[not commanded_flexible[0], rigid][:, None],
+        offsets[RIGID], offsets[FLEXIBLE])
+    # the flexible command is forbidden on these ticks
+    swings = commanded_flexible & (not script.allow_flexible)
+    return _scan(tips, rigid, swings, mesh, limits, dt_ms)
 
+
+def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
+          mesh: MeshGrid, limits: ForceLimits,
+          dt_ms: float) -> tuple[list[DemoSample], FinalState]:
+    """The contact rules of ``run_demo_cycle`` over whole arrays of ticks.
+
+    ``tips`` holds the claw tip of the start (row 0) and of each tick;
+    the ``rigid`` mask gives each tick's mode in effect, and ``swings``
+    marks the ticks whose flexible command is forbidden.  The hook law
+    and the release test run on every tick at once.  A hold runs from its
+    Hook to the first tick that releases (flexible, tip above rest) or
+    whose tangential force tears the claw free, and each hold is one pass
+    over its slice: the strand deflection, clamped at the vertical cap,
+    Saturation where a tick saturates after one that did not, and the
+    forces.  The next hold is looked for from the tick after the one that
+    ended this one.  Last, RepeatSwing opens each run of ticks that are
+    hooked, moving up and forbidden a flexible command.
+    """
+    n = len(rigid)
+    modes = np.where(rigid, RIGID, FLEXIBLE).tolist()
+    x, y, z = tips[1:].T
     rest, k = mesh.rest_height, mesh.node_stiffness
     cap = limits.vertical_max / k
-    samples, events = [], []
-    attachment, deflection, blocked, t = FREE, 0.0, False, 0.0
-    for i, mode in enumerate(modes, 1):
-        t += dt_ms
-        x, y, z = tips[i]
-        kinds = []
-        vertical = horizontal = 0.0
-        if attachment.free:
-            attachment = hook_check(tips[i], mode, mesh)
-            if attachment.hooked:
-                kinds.append("Hook")
-        elif mode == FLEXIBLE and z > rest:
-            attachment, deflection = FREE, 0.0
-            kinds.append("Release")
+    t = np.cumsum(np.full(n, float(dt_ms))).tolist()
+    hooks, cell_i, cell_j = _hooks(tips[1:], rigid, mesh)
+    hook_ticks = np.flatnonzero(hooks)
+    release_ticks = np.flatnonzero(~rigid & (z > rest))
+    mesh_z = np.full(n, rest)
+    vertical, horizontal = np.zeros(n), np.zeros(n)
+    hooked = np.zeros(n, dtype=bool)  # still hooked when the tick ends
+    attachments = ["free"] * n
+    events = []  # (tick, kind)
+    final, tick = FREE, 0
+    while (p := np.searchsorted(hook_ticks, tick)) < hook_ticks.size:
+        h = int(hook_ticks[p])
+        hx, hy, hz = tips[h + 1]
+        cell = (int(cell_i[h]), int(cell_j[h]))
+        q = np.searchsorted(release_ticks, h + 1)
+        end = int(release_ticks[q]) if q < release_ticks.size else n
+        hold = slice(h + 1, end)
+        # the strand rides the claw
+        deflection = z[hold] + (rest - hz) - rest
+        over = np.abs(deflection) > cap
+        deflection = np.where(over, np.copysign(cap, deflection), deflection)
+        saturated = np.abs(deflection) >= cap * (1.0 - 1e-12)
+        pull = k * np.hypot(x[hold] - hx, y[hold] - hy)
+        # the hold ends on its first tick past the hooking limit, which
+        # carries the loads that broke it, else on the release tick
+        torn = np.flatnonzero(pull > limits.hooking_max)
+        if torn.size:
+            end = h + 1 + int(torn[0])
+        m = end - h if torn.size else end - h - 1  # ticks with forces
+        vertical[h + 1:h + 1 + m] = np.minimum(k * np.abs(deflection[:m]),
+                                               limits.vertical_max)
+        horizontal[h + 1:h + 1 + m] = pull[:m]
+        mesh_z[h] = rest + 0.0  # the hook tick's deflection is 0.0
+        mesh_z[h + 1:end] = rest + deflection[:end - h - 1]
+        hooked[h:end] = True
+        attachments[h:end] = [f"hooked:{cell[0]}:{cell[1]}"] * (end - h)
+        events.append((h, "Hook"))
+        saturates = (over & ~np.r_[False, saturated][:-1])[:m]
+        events += [(h + 1 + i, "Saturation")
+                   for i in np.flatnonzero(saturates).tolist()]
+        if torn.size:
+            events.append((end, "ClawFailure"))
+        elif end < n:
+            events.append((end, "Release"))
         else:
-            hx, hy, hz = attachment.tip_at_hook
-            was_saturated = abs(deflection) >= cap * (1.0 - 1e-12)
-            deflection = z + (rest - hz) - rest  # the strand rides the claw
-            if abs(deflection) > cap:
-                deflection = math.copysign(cap, deflection)
-                if not was_saturated:
-                    kinds.append("Saturation")
-            vertical = min(k * abs(deflection), limits.vertical_max)
-            horizontal = k * float(np.hypot(x - hx, y - hy))
-            if horizontal > limits.hooking_max:
-                attachment, deflection = FREE, 0.0
-                kinds.append("ClawFailure")
-        # a swing that cannot release: flexible commanded but forbidden,
-        # still hooked, tip moving up; one event per contiguous attempt
-        was_blocked, blocked = blocked, (
-            commanded[i - 1] == FLEXIBLE and not script.allow_flexible
-            and attachment.hooked and z > tips[i - 1][2])
-        if blocked and not was_blocked:
-            kinds.append("RepeatSwing")
-        events += [(t, kind) for kind in kinds]
-        samples.append(DemoSample(
-            t, z, rest + deflection if attachment.hooked else rest, mode,
-            str(attachment), ";".join(kinds), vertical, horizontal))
-    return samples, FinalState(t, attachment, tuple(events))
+            final = Attachment(cell, tips[h + 1].copy())
+        tick = end + 1
+    # a swing that cannot release: flexible commanded but forbidden, still
+    # hooked, tip moving up; one event per contiguous attempt
+    blocked = swings & hooked & (z > tips[:-1, 2])
+    events += [(i, "RepeatSwing") for i in np.flatnonzero(
+        blocked & ~np.r_[False, blocked][:-1]).tolist()]
+    events.sort(key=lambda event: event[0])  # stable: RepeatSwing last
+    labels = [""] * n
+    for i, kind in events:
+        labels[i] = f"{labels[i]};{kind}" if labels[i] else kind
+    samples = list(map(DemoSample, t, z.tolist(), mesh_z.tolist(), modes,
+                       attachments, labels, vertical.tolist(),
+                       horizontal.tolist()))
+    return samples, FinalState(t[-1], final,
+                               tuple((t[i], kind) for i, kind in events))
 
 
 def rigid_claw_offset(chain: ChainGeometry,
@@ -363,11 +434,19 @@ DEMO_HEADER = ("t_ms", "claw_z_mm", "mesh_z_mm", "mode", "attachment",
                "event", "vertical_N", "horizontal_N")
 
 
+# a sample's fields in DEMO_HEADER order
+_DEMO_ROW = attrgetter("t_ms", "claw_z", "mesh_z", "mode", "attachment",
+                       "events", "vertical", "horizontal")
+
+
 def save_demo_csv(path, samples) -> None:
-    write_table(path, DEMO_HEADER,
-                [[float(s.t_ms), float(s.claw_z), float(s.mesh_z), s.mode,
-                  s.attachment, s.events, float(s.vertical),
-                  float(s.horizontal)] for s in samples])
+    t, claw_z, mesh_z, mode, attachment, events, vertical, horizontal = (
+        list(zip(*map(_DEMO_ROW, samples))) or [()] * len(DEMO_HEADER))
+    # the numbers as floats, one array for all five columns
+    t, claw_z, mesh_z, vertical, horizontal = np.array(
+        [t, claw_z, mesh_z, vertical, horizontal], dtype=float).tolist()
+    write_table(path, DEMO_HEADER, zip(t, claw_z, mesh_z, mode, attachment,
+                                       events, vertical, horizontal))
 
 
 def load_demo_csv(path) -> list[DemoSample]:

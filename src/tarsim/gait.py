@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import line_of, read_columns, read_table, write_table
+from .table import read_columns, row_at, write_table
 
 # the marker axis of TrialRecording.markers, which is also the order in
 # which save_recording writes the rows of a frame
@@ -257,9 +257,8 @@ def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
              f"timestamp off the {rate:g} fps grid"),
             (repeat, "second row for this label in this frame")):
         if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"row {line_of(path, i)}: {why}: "
-                             f"{','.join(read_table(path)[1][i])}")
+            line, row = row_at(path, int(np.argmax(bad)))
+            raise ValueError(f"row {line}: {why}: {','.join(row)}")
     markers = np.full((int(frame.max(initial=-1)) + 1, len(LABELS), 3),
                       np.nan)
     markers[frame.astype(int), column] = values[:, 1:]

@@ -21,15 +21,14 @@ def _ticks(lo: float, hi: float, n: int = 5):
 def _runs(x, y, px, py) -> list[str]:
     """Polyline points ``"px,py"`` (2 decimals), joined by spaces, one
     string per run of points with finite x and y; ``px`` and ``py`` map
-    arrays of data to pixels."""
+    arrays of data to pixels.  Each run is formatted by one ``%``."""
     n = min(len(x), len(y))
     x, y = x[:n], y[:n]
     finite = np.isfinite(x) & np.isfinite(y)
-    points = [f"{u:.2f},{v:.2f}" for u, v in
-              zip(px(x[finite]).tolist(), py(y[finite]).tolist())]
+    coords = np.column_stack([px(x[finite]), py(y[finite])]).ravel().tolist()
     cuts = (np.flatnonzero(np.diff(np.flatnonzero(finite)) > 1) + 1).tolist()
-    return [" ".join(points[a:b])
-            for a, b in zip([0] + cuts, cuts + [len(points)]) if b > a]
+    return [" ".join(["%.2f,%.2f"] * (b - a)) % tuple(coords[2 * a:2 * b])
+            for a, b in zip([0] + cuts, cuts + [len(coords) // 2]) if b > a]
 
 
 def line_chart(path, series, title: str = "", xlabel: str = "",

@@ -7,6 +7,14 @@ quoted (stdlib ``csv``, minimal quoting).  Reads skip blank lines and
 accept CRLF; errors name the file line as ``row N``, the header being
 row 1.
 
+``write_table`` hands whole rows to the ``csv`` writer, which formats
+every cell in C: ``None`` as empty, any other cell as its ``str``, which
+for a Python float is its ``repr``.  Callers pass float columns as Python
+floats (``ndarray.tolist()``); a table holding a numpy float, which
+formats itself, has its float cells made Python floats first.  The text
+is formatted with ``\\n`` line ends, and a table holding a ``\\r`` again
+with ``\\r\\n`` ones, which quote it.
+
 ``read_table`` and ``float_columns`` define the format and are its only
 error reporter.  ``read_columns`` takes a faster path for a plain file:
 printable ASCII but ``"``, ``\\n`` or ``\\r\\n`` line ends, the expected
@@ -25,6 +33,7 @@ and ``float_columns``, which return the same values or raise the
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from types import SimpleNamespace
 
@@ -33,17 +42,29 @@ import numpy as np
 
 def write_table(path, header, rows) -> None:
     """Write ``header`` and ``rows`` (sequences of cells) to ``path``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    rows = list(rows)
+    # csv writes str() of a cell, which for a float subclass such as
+    # numpy's float64 is that type's own format: such cells become Python
+    # floats, whose str is their repr.  The cell types are collected in C,
+    # so a table of Python floats, text, ints and None takes no Python
+    # step per cell.
+    if any(issubclass(kind, float) and kind is not float
+           for kind in set(map(type, itertools.chain.from_iterable(rows)))):
+        rows = [[float(v) if isinstance(v, float) else v for v in row]
+                for row in rows]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header, *rows])
+    text = out.getvalue()
+    if "\r" in text:
         # csv quotes a cell only for the characters of its line terminator,
-        # so it gets "\r\n" to quote a "\r" too; each row comes in one
-        # write call, whose terminator becomes "\n"
-        out = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
-        writer = csv.writer(out, lineterminator="\r\n")
-        writer.writerow(header)
-        # csv writes None as "" and str() of other cells, but the repr of a
-        # numpy float is "np.float64(...)", hence float() first
-        writer.writerows([repr(float(v)) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        # so a table holding a "\r" is written again with "\r\n", one row
+        # per write call, whose terminator becomes "\n"
+        out = io.StringIO()
+        writer = SimpleNamespace(write=lambda row: out.write(row[:-2] + "\n"))
+        csv.writer(writer, lineterminator="\r\n").writerows([header, *rows])
+        text = out.getvalue()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_table(path, header=None):
@@ -67,11 +88,16 @@ def read_table(path, header=None):
 
 def line_of(path, index: int) -> int:
     """File line of ``read_table(path)[1][index]``."""
+    return row_at(path, index)[0]
+
+
+def row_at(path, index: int) -> tuple[int, list[str]]:
+    """(file line, cells) of ``read_table(path)[1][index]``, in one pass."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)
-        lines = (reader.line_num for row in reader if row)
-        return next(itertools.islice(lines, index, None))
+        rows = ((reader.line_num, row) for row in reader if row)
+        return next(itertools.islice(rows, index, None))
 
 
 def float_columns(path, rows, columns) -> np.ndarray:

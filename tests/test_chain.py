@@ -7,6 +7,7 @@ measures Euclidean distances.
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -202,6 +203,31 @@ class TestDefaultGeometry:
         g = default_chain_geometry(socket_slack=True)
         assert max_chain_pull(g) == pytest.approx(13.1, abs=1e-9)
         assert g.socket_slack[1] == pytest.approx(2.9, abs=1e-12)
+
+    # repr of (radius, anchor_long, anchor_trans, max_bend, rest_span,
+    # axial_cap) of each calibrated segment; the socket slack only adds
+    # capacity, so both chains have these segments
+    CALIBRATED = [
+        ("5.9565580637406415", "7.624394321588021", "1.1913116127481282",
+         "0.18456856839840033", "7.71690431000231", "1.07"),
+        ("5.48003341864139", "7.147869676488769", "1.0721804514733155",
+         "0.18456856839840033", "7.227835902439208", "0.74"),
+        ("5.003508773542139", "6.671345031389518", "0.9530492901985026",
+         "0.18456856839840033", "6.7390761590438695", "1.9"),
+        ("4.526984128442887", "6.194820386290267", "0.8339181289236898",
+         "0.18456856839840033", "6.250697486212645", "0.31"),
+        ("4.050459483343636", "5.718295741191016", "0.714786967648877",
+         "0.41015237421866746", "5.7627967683099826", "0.68"),
+    ]
+
+    @pytest.mark.parametrize("slack, capacity", [(False, "10.2"),
+                                                 (True, "13.1")])
+    def test_calibration_bit_for_bit(self, slack, capacity):
+        g = default_chain_geometry(slack)
+        assert [tuple(repr(getattr(seg, f.name)) for f in fields(seg))
+                for seg in g.segments] == self.CALIBRATED
+        assert repr(full_bend_pull(g)) == "5.5"
+        assert repr(max_chain_pull(g)) == capacity
 
     def test_segment_pull_monotone(self):
         for seg in default_chain_geometry().segments:

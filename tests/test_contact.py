@@ -5,6 +5,7 @@ one-tick rigid phase that hooks, then one tick per move of the leg tip.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -508,3 +509,261 @@ def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
                           s.horizontal] for s in samples])
 
     assert np.max(np.abs(numbers(new) - numbers(old))) <= 1e-9
+
+
+# -- the scan against the per-tick loop it replaced ---------------------------
+
+def loop_cell_of(mesh, x, y):
+    """The opening test as one scalar step per point: the oracle for the
+    array test ``MeshGrid.cell_of`` and the scan share."""
+    gx = (x - mesh.origin[0]) / mesh.spacing
+    gy = (y - mesh.origin[1]) / mesh.spacing
+    if gx % 1.0 == 0.0 or gy % 1.0 == 0.0:
+        return None
+    i, j = int(math.floor(gx)), int(math.floor(gy))
+    nx, ny = mesh.cells
+    if 0 <= i < nx and 0 <= j < ny:
+        return (i, j)
+    return None
+
+
+def loop_hook_check(tip, mode, mesh):
+    tip = np.asarray(tip, dtype=float).reshape(3)
+    if mode != "rigid" or not tip[2] < mesh.rest_height - contact.HOOK_TOL_MM:
+        return FREE
+    cell = loop_cell_of(mesh, tip[0], tip[1])
+    if cell is None:
+        return FREE
+    return Attachment(cell, tip.copy())
+
+
+@settings(max_examples=300, deadline=None)
+@given(spacing=st.floats(0.5, 50.0), origin=st.tuples(
+    st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
+    cells=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    # on a strand crossing or off it, inside the mesh or beyond its edge
+    at=st.tuples(st.integers(-2, 8), st.integers(-2, 8)),
+    off=st.tuples(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                  st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+    z=st.floats(-1.0, 1.0), mode=st.sampled_from(("rigid", "flexible")))
+def test_hook_law_matches_the_scalar_test(spacing, origin, cells, at, off, z,
+                                          mode):
+    mesh = MeshGrid(spacing=spacing, cells=cells, origin=origin,
+                    rest_height=0.0)
+    x, y = (o + (k + d) * spacing for o, k, d in zip(origin, at, off))
+    assert mesh.cell_of(x, y) == loop_cell_of(mesh, x, y)
+    got, want = hook_check((x, y, z), mode, mesh), \
+        loop_hook_check((x, y, z), mode, mesh)
+    assert got.node == want.node
+    assert (got.tip_at_hook is None) == (want.tip_at_hook is None)
+
+
+def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
+              limits=None, claw_length=contact.DEFAULT_CLAW_LENGTH_MM,
+              **ik_kwargs):
+    """``run_demo_cycle`` as one Python step per tick: the oracle the
+    array scan must match field for field."""
+    limits = limits or ForceLimits()
+    home = np.asarray(script.home_tip, dtype=float)
+    commanded, targets, prev = [], [], np.zeros(3)
+    for phase in script.phases:
+        n = max(1, int(round(phase.duration_ms / dt_ms)))
+        goal = np.asarray(phase.tip_offset, dtype=float)
+        frac = np.arange(1, n + 1)[:, None] / n
+        targets.append(home + prev + frac * (goal - prev))
+        commanded += [phase.mode] * n
+        prev = goal
+    if not commanded:
+        return [], contact.FinalState(0.0, FREE)
+    modes = [m if script.allow_flexible else "rigid" for m in commanded]
+
+    path = leg_mod.trajectory_to_joints(leg, leg_mod.Trajectory(
+        np.arange(len(modes) + 1) * dt_ms, np.vstack([home, *targets])),
+        **ik_kwargs)
+    offsets = {}
+    for mode in contact.MODES:
+        dx, dz = contact._claw_offset(chain, mode, claw_length)
+        offsets[mode] = (dx, 0.0, dz)
+    tips = (forward_kinematics(leg, path).position + np.array(
+        [offsets[m] for m in [commanded[0]] + modes])).tolist()
+
+    rest, k = mesh.rest_height, mesh.node_stiffness
+    cap = limits.vertical_max / k
+    samples, events = [], []
+    attachment, deflection, blocked, t = FREE, 0.0, False, 0.0
+    for i, mode in enumerate(modes, 1):
+        t += dt_ms
+        x, y, z = tips[i]
+        kinds = []
+        vertical = horizontal = 0.0
+        if attachment.free:
+            attachment = loop_hook_check(tips[i], mode, mesh)
+            if attachment.hooked:
+                kinds.append("Hook")
+        elif mode == "flexible" and z > rest:
+            attachment, deflection = FREE, 0.0
+            kinds.append("Release")
+        else:
+            hx, hy, hz = attachment.tip_at_hook
+            was_saturated = abs(deflection) >= cap * (1.0 - 1e-12)
+            deflection = z + (rest - hz) - rest
+            if abs(deflection) > cap:
+                deflection = math.copysign(cap, deflection)
+                if not was_saturated:
+                    kinds.append("Saturation")
+            vertical = min(k * abs(deflection), limits.vertical_max)
+            horizontal = k * float(np.hypot(x - hx, y - hy))
+            if horizontal > limits.hooking_max:
+                attachment, deflection = FREE, 0.0
+                kinds.append("ClawFailure")
+        was_blocked, blocked = blocked, (
+            commanded[i - 1] == "flexible" and not script.allow_flexible
+            and attachment.hooked and z > tips[i - 1][2])
+        if blocked and not was_blocked:
+            kinds.append("RepeatSwing")
+        events += [(t, kind) for kind in kinds]
+        samples.append(contact.DemoSample(
+            t, z, rest + deflection if attachment.hooked else rest, mode,
+            str(attachment), ";".join(kinds), vertical, horizontal))
+    return samples, contact.FinalState(t, attachment, tuple(events))
+
+
+def assert_scan_matches_loop(*args, **kwargs):
+    """Both runs on the same inputs: equal samples, log, end time and
+    final attachment.  Returns the scan's run."""
+    samples, final = run_demo_cycle(*args, **kwargs)
+    want_samples, want = tick_loop(*args, **kwargs)
+    assert samples == want_samples
+    assert final.events == want.events
+    assert final.t_ms == want.t_ms
+    assert final.attachment.node == want.attachment.node
+    if want.attachment.hooked:
+        assert final.attachment.tip_at_hook.tolist() \
+            == want.attachment.tip_at_hook.tolist()
+    return samples, final
+
+
+# a leg-tip offset across the mesh: none, or a drag that may cross
+# strands, leave the mesh and tear the claw free
+SIDEWAYS = st.one_of(st.just(0.0), st.floats(-40.0, 40.0))
+# a leg-tip height offset; below -35 mm the rigid claw is under the strands
+HEIGHT = st.one_of(st.floats(-60.0, -35.0), st.floats(-60.0, 30.0))
+
+
+@st.composite
+def scan_inputs(draw):
+    """A random mesh near the default leg and a script around it.
+
+    The home point puts the rigid claw mid-cell 5 mm under the strands
+    after a 40 mm descent (as the built-in scripts do); phase offsets
+    reach past the mesh edge sideways and above and below it.
+    """
+    spacing = draw(st.floats(8.0, 40.0))
+    cells = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    # the cell the built-in scripts aim at is centred near x = 137.5 mm,
+    # as on the default mesh
+    aim = max(0, cells[0] // 2 - 1) + 0.5
+    mesh = MeshGrid(spacing=spacing,
+                    node_stiffness=draw(st.floats(0.05, 1.0)),
+                    rest_height=draw(st.floats(-125.0, 0.0)), cells=cells,
+                    origin=(137.5 - aim * spacing + draw(st.floats(-5.0, 5.0)),
+                            -50.0 + draw(st.floats(-10.0, 10.0))))
+    home = builtin_scenario("walk_cycle", CHAIN, mesh).home_tip
+    dt_ms = draw(st.floats(1.0, 20.0))
+    phases = draw(st.lists(st.builds(
+        Phase, st.just("p"), st.floats(dt_ms, 4.0 * dt_ms + 40.0),
+        st.sampled_from(("rigid", "flexible")),
+        st.tuples(SIDEWAYS, SIDEWAYS, HEIGHT)),
+        min_size=1, max_size=6))
+    script = Scenario("random", home, phases,
+                      allow_flexible=draw(st.booleans()))
+    limits = ForceLimits(draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 30.0)))
+    return mesh, script, limits, dt_ms
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=scan_inputs())
+def test_scan_matches_the_tick_loop(run):
+    mesh, script, limits, dt_ms = run
+    try:
+        tick_loop(LEG, CHAIN, mesh, script, dt_ms=dt_ms, limits=limits)
+    except leg_mod.NotReachable:
+        with pytest.raises(leg_mod.NotReachable):
+            run_demo_cycle(LEG, CHAIN, mesh, script, dt_ms=dt_ms,
+                           limits=limits)
+        return
+    assert_scan_matches_loop(LEG, CHAIN, mesh, script, dt_ms=dt_ms,
+                             limits=limits)
+
+
+def scan_then(moves, limits=None, **kwargs):
+    """``hook_then`` checked against the tick loop."""
+    samples, final = hook_then(MESH, moves, depth_mm=2.0, limits=limits,
+                               **kwargs)
+    dx, dz = rigid_claw_offset(CHAIN)
+    cx, cy = MESH.cell_center((1, 2))
+    phases = [Phase("hook", 10.0, "rigid", (0.0, 0.0, 0.0))]
+    phases += [Phase(f"move_{i}", 10.0, mode, tuple(map(float, delta)))
+               for i, (delta, mode) in enumerate(moves)]
+    script = Scenario("probe", (cx - dx, cy, MESH.rest_height - 2.0 - dz),
+                      phases, **kwargs)
+    assert_scan_matches_loop(LEG, CHAIN, MESH, script, limits=limits)
+    return samples, final
+
+
+WEAK = ForceLimits(vertical_max=2.46, hooking_max=0.5)
+
+
+@pytest.mark.parametrize("moves, limits, want", [
+    # a hold that fails on the tick after its Hook
+    ([((0.0, 6.0, 0.0), "rigid")], WEAK,
+     [(10.0, "Hook"), (20.0, "ClawFailure")]),
+    # a re-hook after a failure: the torn claw is still in the opening
+    ([((0.0, 6.0, 0.0), "rigid"), ((0.0, 6.0, 0.0), "rigid")], WEAK,
+     [(10.0, "Hook"), (20.0, "ClawFailure"), (30.0, "Hook")]),
+    # a re-hook after a release: lift flexible, come back down rigid
+    ([((0.0, 0.0, 30.0), "flexible"), ((0.0, 0.0, 0.0), "rigid")], None,
+     [(10.0, "Hook"), (20.0, "Release"), (30.0, "Hook")]),
+    # a hook on the last tick
+    ([], None, [(10.0, "Hook")]),
+    # saturation, then a drag that tears the saturated hold
+    ([((0.0, 0.0, -30.0), "rigid"), ((0.0, 0.0, -31.0), "rigid"),
+      ((0.0, 6.0, -31.0), "rigid")], WEAK,
+     [(10.0, "Hook"), (20.0, "Saturation"), (40.0, "ClawFailure")]),
+])
+def test_named_scan_cases_match_the_tick_loop(moves, limits, want):
+    _, final = scan_then(moves, limits)
+    assert list(final.events) == want
+    assert final.attachment.hooked == (want[-1][1] == "Hook")
+
+
+def test_hook_on_the_last_tick_after_free_ticks():
+    dx, dz = rigid_claw_offset(CHAIN)
+    cx, cy = MESH.cell_center((2, 1))
+    home = (cx - dx, cy, MESH.rest_height - 3.0 - dz + 30.0)
+    script = Scenario("late", home, [
+        Phase("hover", 30.0, "rigid", (0.0, 0.0, 0.0)),
+        Phase("dip", 10.0, "rigid", (0.0, 0.0, -30.0))])
+    samples, final = assert_scan_matches_loop(LEG, CHAIN, MESH, script)
+    assert final.events == ((40.0, "Hook"),)
+    assert samples[-1].attachment == "hooked:2:1"
+
+
+def test_repeat_swing_on_a_hook_tick_matches_the_tick_loop():
+    # tubed: a forbidden flexible lift after a rigid approach
+    _, final = scan_then([((0.0, 0.0, 10.0), "flexible"),
+                          ((0.0, 0.0, 5.0), "rigid"),
+                          ((0.0, 0.0, 12.0), "flexible")],
+                         allow_flexible=False)
+    assert kinds(final) == ["Hook", "RepeatSwing", "RepeatSwing"]
+
+
+@pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
+def test_scan_matches_the_tick_loop_on_bench_inputs(spacing, rest, name, dt):
+    cfg = parse_config(f"[mesh]\nspacing_mm = {spacing}\n"
+                       f"rest_height_mm = {rest}\n[sim]\ndt_ms = {dt}\n")
+    chain, leg, mesh = cfg.build_chain(), cfg.build_leg(), cfg.build_mesh()
+    assert_scan_matches_loop(leg, chain, mesh,
+                             cfg.build_scenario(name, chain, mesh),
+                             dt_ms=dt, limits=cfg.build_limits(),
+                             **cfg.ik_params())

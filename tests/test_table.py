@@ -1,5 +1,8 @@
 """The shared CSV table format: round trips, quoting and reader errors."""
 
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,34 @@ def test_round_trip_is_lossless(tmp_path_factory, rows):
         for cell, text in zip(row, back):
             if isinstance(cell, float):
                 assert float(text) == cell
+
+
+def frozen_write_table(path, header, rows):
+    """The writer as it was with a Python step per cell: the oracle for
+    the bytes ``write_table`` writes."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        out = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(out, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+ANY_CELL = st.one_of(st.none(), TEXT, st.floats(), FINITE.map(np.float64),
+                     st.integers(), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.tuples(
+    st.lists(TEXT, min_size=w, max_size=w),
+    st.lists(st.lists(ANY_CELL, min_size=w, max_size=w), max_size=8))))
+def test_writer_keeps_its_bytes(tmp_path_factory, table):
+    header, rows = table
+    where = tmp_path_factory.mktemp("bytes")
+    write_table(where / "new.csv", header, rows)
+    frozen_write_table(where / "old.csv", header, rows)
+    assert (where / "new.csv").read_bytes() == (where / "old.csv").read_bytes()
 
 
 def test_cells_with_commas_quotes_newlines_are_quoted(tmp_path):

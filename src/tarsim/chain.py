@@ -497,12 +497,7 @@ def default_chain_geometry(socket_slack: bool = False) -> ChainGeometry:
         for r, h1, h2, am in zip(_BASE_RADIUS, _BASE_ANCHOR_LONG,
                                  _BASE_ANCHOR_TRANS, _MAX_BEND_DEG)
     ]
-    # the base chain's full-bend pull, every joint in one kernel call
-    unscaled = float(_pull_and_slope(
-        np.array([s.radius for s in base]),
-        np.array([s.rest_span for s in base]),
-        np.array([math.atan2(s.anchor_trans, s.anchor_long) for s in base]),
-        np.array([s.max_bend for s in base]))[0].sum())
+    unscaled = sum(segment_pull(s, s.max_bend) for s in base)
     scale = FULL_BEND_PULL_MM / unscaled
     segments = tuple(
         SegmentGeometry(

@@ -92,14 +92,14 @@ class MeshGrid:
 
     def cell_of(self, x: float, y: float) -> tuple[int, int] | None:
         """Containing cell of a horizontal point, or None on a strand/outside."""
-        inside, i, j = self._cells(np.array([x], dtype=float),
-                                   np.array([y], dtype=float))
-        return (int(i[0]), int(j[0])) if inside[0] else None
+        inside, i, j = self._cells(float(x), float(y))
+        return (int(i), int(j)) if inside else None
 
-    def _cells(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """The opening test over arrays of horizontal points: (inside, i, j),
-        whether each point is strictly inside a cell opening and its cell
-        indices there (0 elsewhere)."""
+    def _cells(self, x, y) -> tuple:
+        """The opening test over horizontal points, floats or arrays:
+        (inside, i, j), whether each point is strictly inside a cell
+        opening and the floors of its grid coordinates, which are that
+        cell's indices where it is inside."""
         gx = (x - self.origin[0]) / self.spacing
         gy = (y - self.origin[1]) / self.spacing
         i, j = np.floor(gx), np.floor(gy)
@@ -107,8 +107,7 @@ class MeshGrid:
         # exactly on a strand: no opening there
         inside = ((gx % 1.0 != 0.0) & (gy % 1.0 != 0.0)
                   & (0 <= i) & (i < nx) & (0 <= j) & (j < ny))
-        return (inside, np.where(inside, i, 0).astype(int),
-                np.where(inside, j, 0).astype(int))
+        return inside, i, j
 
     def cell_center(self, cell: tuple[int, int]) -> tuple[float, float]:
         i, j = cell
@@ -153,19 +152,19 @@ def hook_check(tip, mode: str, mesh: MeshGrid) -> Attachment:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     tip = np.asarray(tip, dtype=float).reshape(3)
-    hooks, i, j = _hooks(tip[None], mode == RIGID, mesh)
-    if not hooks[0]:
+    hooks, i, j = _hooks(*tip.tolist(), mode == RIGID, mesh)
+    if not hooks:
         return FREE
-    return Attachment((int(i[0]), int(j[0])), tip.copy())
+    return Attachment((int(i), int(j)), tip.copy())
 
 
-def _hooks(tips: np.ndarray, rigid, mesh: MeshGrid) -> tuple:
-    """The hook law over an (N, 3) array of claw tips: (hooks, i, j), where
-    a tip hooks when ``rigid`` (a mask, or one bool for all), more than
-    ``HOOK_TOL_MM`` below rest and inside a cell opening, and (i, j) is
-    that cell."""
-    inside, i, j = mesh._cells(tips[:, 0], tips[:, 1])
-    below = tips[:, 2] < mesh.rest_height - HOOK_TOL_MM
+def _hooks(x, y, z, rigid, mesh: MeshGrid) -> tuple:
+    """The hook law over claw tips, floats or arrays of coordinates:
+    (hooks, i, j), where a tip hooks when ``rigid`` (a mask, or one bool
+    for all), more than ``HOOK_TOL_MM`` below rest and inside a cell
+    opening, and (i, j) is that cell where it hooks."""
+    inside, i, j = mesh._cells(x, y)
+    below = z < mesh.rest_height - HOOK_TOL_MM
     return rigid & below & inside, i, j
 
 
@@ -327,7 +326,7 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
     rest, k = mesh.rest_height, mesh.node_stiffness
     cap = limits.vertical_max / k
     t = np.cumsum(np.full(n, float(dt_ms))).tolist()
-    hooks, cell_i, cell_j = _hooks(tips[1:], rigid, mesh)
+    hooks, cell_i, cell_j = _hooks(x, y, z, rigid, mesh)
     hook_ticks = np.flatnonzero(hooks)
     release_ticks = np.flatnonzero(~rigid & (z > rest))
     mesh_z = np.full(n, rest)
@@ -440,13 +439,7 @@ _DEMO_ROW = attrgetter("t_ms", "claw_z", "mesh_z", "mode", "attachment",
 
 
 def save_demo_csv(path, samples) -> None:
-    t, claw_z, mesh_z, mode, attachment, events, vertical, horizontal = (
-        list(zip(*map(_DEMO_ROW, samples))) or [()] * len(DEMO_HEADER))
-    # the numbers as floats, one array for all five columns
-    t, claw_z, mesh_z, vertical, horizontal = np.array(
-        [t, claw_z, mesh_z, vertical, horizontal], dtype=float).tolist()
-    write_table(path, DEMO_HEADER, zip(t, claw_z, mesh_z, mode, attachment,
-                                       events, vertical, horizontal))
+    write_table(path, DEMO_HEADER, map(_DEMO_ROW, samples))
 
 
 def load_demo_csv(path) -> list[DemoSample]:

@@ -110,6 +110,12 @@ class TestHookCheck:
         tip = [112.5, -37.5, mesh.rest_height]
         assert hook_check(tip, "rigid", mesh).free
 
+    def test_hooks_only_strictly_past_the_tolerance(self, mesh):
+        edge = mesh.rest_height - contact.HOOK_TOL_MM
+        assert hook_check([112.5, -37.5, edge], "rigid", mesh).free
+        below = np.nextafter(edge, -np.inf)
+        assert hook_check([112.5, -37.5, below], "rigid", mesh).hooked
+
     def test_exhaustive_predicate_space(self, mesh):
         # hook iff rigid (claws open) AND below AND inside a cell opening
         below = mesh.rest_height - 1.0

@@ -40,7 +40,7 @@ VALID_KEYS = {
     "chain": {"k_spring_n_per_mm", "k_flex_n_per_mm", "k_rigid_n_per_mm",
               "socket_slack"},
     "claw": {"length_mm"},
-    "ik": {"damping", "step_clamp_rad", "tol_mm", "max_iter"},
+    "ik": {"tol_mm"},
     "solver": {"tol_mm", "max_iter"},
     "mesh": {"spacing_mm", "node_stiffness_n_per_mm", "rest_height_mm",
              "cells_x", "cells_y", "origin_x_mm", "origin_y_mm"},
@@ -55,8 +55,7 @@ for _s in TARSOMERE_SECTIONS:
                       "rest_span_mm", "max_bend_deg", "axial_cap_mm",
                       "slack_mm", "length_mm"}
 for _s in LEG_SECTIONS:
-    VALID_KEYS[_s] = {"a_mm", "alpha_twist_deg", "d_mm", "theta_offset_deg",
-                      "min_deg", "max_deg"}
+    VALID_KEYS[_s] = {"a_mm", "theta_offset_deg", "min_deg", "max_deg"}
 
 SCENARIO_PREFIX = "scenario:"
 SCENARIO_KEYS = {"allow_flexible", "expect_failures", "home"}  # + phase_N
@@ -163,8 +162,6 @@ class Config:
             rows.append(_build(
                 s, leg_mod.DHRow,
                 a=self.getfloat(s, "a_mm", 0.0),
-                alpha_twist=math.radians(self.getfloat(s, "alpha_twist_deg", 0.0)),
-                d=self.getfloat(s, "d_mm", 0.0),
                 theta_offset=math.radians(
                     self.getfloat(s, "theta_offset_deg", 0.0)),
             ))
@@ -174,7 +171,8 @@ class Config:
                 raise ConfigError(f"[{s}] min_deg must be < max_deg, got "
                                   f"{lo} and {hi}")
             limits.append((math.radians(lo), math.radians(hi)))
-        return leg_mod.LegModel(tuple(rows), tuple(limits))
+        return _build("leg_coxa..tibia", leg_mod.LegModel, tuple(rows),
+                      tuple(limits))
 
     def build_mesh(self) -> contact_mod.MeshGrid:
         base = contact_mod.MeshGrid()
@@ -296,19 +294,18 @@ class Config:
         )
 
     def ik_params(self) -> dict:
-        """``[ik]`` solver settings: each finite and > 0, max_iter >= 1."""
-        return self._solver_settings(
-            "ik", (("damping", "damping", leg_mod.IK_DAMPING),
-                   ("step_clamp", "step_clamp_rad", leg_mod.IK_STEP_CLAMP_RAD),
-                   ("tol_mm", "tol_mm", leg_mod.IK_TOL_MM)),
-            leg_mod.IK_MAX_ITER)
+        """``[ik] tol_mm``, finite and > 0; keyword arguments of the IK."""
+        return {"tol_mm": self._positive("ik", "tol_mm", leg_mod.IK_TOL_MM)}
 
     def solver_params(self) -> dict:
         """``[solver]`` chain-solve settings: tol_mm finite and > 0,
         max_iter >= 1; keyword arguments of the chain's inverse pull map."""
-        return self._solver_settings(
-            "solver", (("tol", "tol_mm", chain_mod.SOLVE_TOL_MM),),
-            chain_mod.SOLVE_MAX_ITER)
+        tol = self._positive("solver", "tol_mm", chain_mod.SOLVE_TOL_MM)
+        max_iter = self.getint("solver", "max_iter", chain_mod.SOLVE_MAX_ITER)
+        if max_iter < 1:
+            raise ConfigError(f"solver.max_iter must be >= 1, got {max_iter}",
+                              self._line("solver", "max_iter"))
+        return {"tol": tol, "max_iter": max_iter}
 
     def sim_params(self) -> dict:
         """``[sim]`` run settings: dt_ms and penetration_mm, each finite
@@ -316,20 +313,6 @@ class Config:
         return {key: self._positive("sim", key, default) for key, default in
                 (("dt_ms", contact_mod.DEFAULT_DT_MS),
                  ("penetration_mm", contact_mod.DEFAULT_PENETRATION_MM))}
-
-    def _solver_settings(self, section: str, floats, max_iter_default: int
-                         ) -> dict:
-        """Keyword arguments ``arg`` -> value for (arg, key, default) floats
-        that must be finite and > 0, plus a ``max_iter`` that must be >= 1."""
-        params = {arg: self._positive(section, key, default)
-                  for arg, key, default in floats}
-        max_iter = self.getint(section, "max_iter", max_iter_default)
-        if max_iter < 1:
-            raise ConfigError(f"{section}.max_iter must be >= 1, "
-                              f"got {max_iter}",
-                              self._line(section, "max_iter"))
-        params["max_iter"] = max_iter
-        return params
 
     def _positive(self, section: str, key: str, default: float) -> float:
         return self._number(section, key, default, "finite and > 0",

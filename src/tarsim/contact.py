@@ -36,7 +36,8 @@ import numpy as np
 # tarsim.contact
 from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
                     ChainState, chain_pose, solve_bend_from_pull)
-from .leg import LegModel, Trajectory, forward_kinematics, trajectory_to_joints
+from .leg import (IK_TOL_MM, LegModel, Trajectory, forward_kinematics,
+                  trajectory_to_joints)
 from .table import read_columns, write_table
 
 DEFAULT_CLAW_LENGTH_MM = 8.0
@@ -246,7 +247,8 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
                    script: Scenario, dt_ms: float = DEFAULT_DT_MS,
                    limits: ForceLimits | None = None,
                    claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                   **ik_kwargs) -> tuple[list[DemoSample], FinalState]:
+                   tol_mm: float = IK_TOL_MM
+                   ) -> tuple[list[DemoSample], FinalState]:
     """Run a scripted stand/swing schedule and log claw vs mesh heights.
 
     First the schedule: each tick's commanded mode, its mode in effect
@@ -254,7 +256,7 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     leg-tip target interpolated linearly within its phase.  Then the
     kinematics: the joint path from ``trajectory_to_joints``, which
     starts at the home point from a mid-limit warm start and warm-starts
-    each tick's IK from the tick before (``ik_kwargs`` go to the IK; a
+    each tick's IK from the tick before (``tol_mm`` goes to the IK; a
     NotReachable carries the index of its tick, 0 being the home point),
     the rigid and flexible claw offsets, and every claw tip from one
     batched FK call.  Last, the contact rules (see ``_scan``): hook while
@@ -287,7 +289,7 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
 
     path = trajectory_to_joints(leg, Trajectory(
         np.arange(sum(counts) + 1) * dt_ms, np.vstack([home, *targets])),
-        **ik_kwargs)
+        tol_mm=tol_mm)
     offsets = {}
     for mode in MODES:
         dx, dz = _claw_offset(chain, mode, claw_length)

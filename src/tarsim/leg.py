@@ -1,20 +1,19 @@
 """Four-joint robotic leg: DH kinematics, closed-form IK, retargeting.
 
 The leg chain is coxa, trochanter, femur, tibia — four revolute joints
-described by standard Denavit-Hartenberg rows.  IK tracks tip position
-only (3 constraints, 4 DOF).  A yawing coxa carrying a planar
-trochanter/femur/tibia chain (the default leg, with any theta offsets)
-is solved in closed form; the candidate nearest the warm start resolves
-the redundancy, and ``iterations`` counts the candidates evaluated.
-Other twists or a nonzero d, and targets where no closed-form candidate
-fits the joint limits, fall back to damped least squares (DLS), whose
-``iterations`` are DLS steps.  Forward kinematics is one batched DH
-product over joint vectors of shape (..., 4).
+described by standard Denavit-Hartenberg rows: a yawing coxa carrying a
+planar trochanter/femur/tibia chain.  The twists are fixed (``TWIST_RAD``)
+and every d is 0, so a row is a link length and a theta offset.  IK
+tracks tip position only (3 constraints, 4 DOF) and is closed form: the
+candidate nearest the warm start resolves the redundancy, and
+``iterations`` counts the candidates evaluated.  A target where no
+candidate lands within the joint limits raises ``NotReachable``.
+Forward kinematics is one batched DH product over joint vectors of
+shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
-started IK call per sample, but on the closed-form geometry most
-samples are solved in numpy batch rounds that build every closed-form
-candidate of the path at once and accept each pick that the rule of
-the last scalar pick predicted.
+started IK call per sample, but most samples are solved in numpy batch
+rounds that build every closed-form candidate of the path at once and
+accept each pick that the rule of the last scalar pick predicted.
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -30,10 +29,13 @@ from .table import read_columns, write_table
 
 JOINT_NAMES = ("coxa", "trochanter", "femur", "tibia")
 
-IK_DAMPING = 1e-3
-IK_STEP_CLAMP_RAD = 0.2
 IK_TOL_MM = 1e-6
-IK_MAX_ITER = 200
+
+# the DH twists: the coxa's pi/2 makes the trochanter, femur and tibia
+# axes parallel, so those three move in one plane that the coxa yaws.
+# FK takes np.cos and np.sin of them, so the coxa row carries
+# cos(pi/2) = 6.1e-17, not 0.
+TWIST_RAD = (math.pi / 2, 0.0, 0.0, 0.0)
 
 JOINT_LIMIT_DEG = 150.0
 RETARGET_SCALE = 8.0
@@ -61,16 +63,14 @@ class NotReachable(RuntimeError):
 
 @dataclass(frozen=True)
 class DHRow:
-    """One Denavit-Hartenberg row: a (mm), twist (rad), d (mm), offset (rad)."""
+    """One Denavit-Hartenberg row: link length a (mm) and theta offset
+    (rad); the twist is the joint's ``TWIST_RAD`` and d is 0."""
 
     a: float
-    alpha_twist: float
-    d: float
     theta_offset: float = 0.0
 
     def __post_init__(self):
-        vals = (self.a, self.alpha_twist, self.d, self.theta_offset)
-        if not all(math.isfinite(v) for v in vals):
+        if not (math.isfinite(self.a) and math.isfinite(self.theta_offset)):
             raise ValueError("DH parameters must be finite")
         if self.a < 0:
             raise ValueError("link length a must be >= 0")
@@ -78,7 +78,11 @@ class DHRow:
 
 @dataclass(frozen=True)
 class LegModel:
-    """Four revolute joints plus per-joint angle limits (rad)."""
+    """Four revolute joints plus per-joint angle limits (rad).
+
+    The femur and tibia need a length: the closed-form IK closes the
+    loop with them.  The coxa and trochanter may have none.
+    """
 
     rows: tuple[DHRow, ...]
     joint_limits: tuple[tuple[float, float], ...]
@@ -90,6 +94,10 @@ class LegModel:
                                 for lo, hi in self.joint_limits))
         if len(self.rows) != 4:
             raise ValueError(f"leg model needs 4 joints, got {len(self.rows)}")
+        for name, row in zip(JOINT_NAMES[2:], self.rows[2:]):
+            if row.a == 0.0:
+                raise ValueError(f"{name} link length a must be > 0, got "
+                                 f"{row.a}")
         if len(self.joint_limits) != 4:
             raise ValueError("joint_limits must have 4 (min, max) pairs")
         for lo, hi in self.joint_limits:
@@ -106,7 +114,7 @@ class LegModel:
 
     def reach_mm(self) -> float:
         """Radius of the sphere certainly containing the workspace."""
-        return float(sum(r.a for r in self.rows) + sum(abs(r.d) for r in self.rows))
+        return float(sum(r.a for r in self.rows))
 
 
 @dataclass(frozen=True)
@@ -147,16 +155,15 @@ def _frames(model: LegModel, q) -> np.ndarray:
     """
     rows = model.rows
     a = np.array([r.a for r in rows])
-    alpha = np.array([r.alpha_twist for r in rows])
     th = q + np.array([r.theta_offset for r in rows])
     ct, st = np.cos(th), np.sin(th)
-    ca, sa = np.cos(alpha), np.sin(alpha)
+    ca, sa = np.cos(TWIST_RAD), np.sin(TWIST_RAD)
     A = np.zeros(q.shape + (4, 4))
     A[..., 0, 0], A[..., 0, 1], A[..., 0, 2], A[..., 0, 3] = \
         ct, -st * ca, st * sa, a * ct
     A[..., 1, 0], A[..., 1, 1], A[..., 1, 2], A[..., 1, 3] = \
         st, ct * ca, -ct * sa, a * st
-    A[..., 2, 1], A[..., 2, 2], A[..., 2, 3] = sa, ca, [r.d for r in rows]
+    A[..., 2, 1], A[..., 2, 2] = sa, ca
     A[..., 3, 3] = 1.0
     T = np.empty(q.shape[:-1] + (5, 4, 4))
     T[..., 0, :, :] = np.eye(4)
@@ -178,17 +185,16 @@ def forward_kinematics(model: LegModel, q) -> Pose:
     return Pose(tip[..., 3].copy(), tip[..., :3].copy())
 
 
-def _jacobian_of(frames: np.ndarray) -> np.ndarray:
-    """Position Jacobian from ``_frames``: z_{i-1} x (p_tip - p_{i-1})."""
+def jacobian(model: LegModel, q) -> np.ndarray:
+    """3x4 position Jacobian (mm/rad); (..., 3, 4) for a batch of q.
+
+    Column i is z_{i-1} x (p_tip - p_{i-1}), from the ``_frames``.
+    """
+    frames = _frames(model, np.asarray(q, dtype=float))
     origins = frames[..., :4, :3, 3]
     tip = frames[..., 4:, :3, 3]
     return np.swapaxes(np.cross(frames[..., :4, :3, 2], tip - origins),
                        -1, -2)
-
-
-def jacobian(model: LegModel, q) -> np.ndarray:
-    """3x4 position Jacobian (mm/rad); (..., 3, 4) for a batch of q."""
-    return _jacobian_of(_frames(model, np.asarray(q, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -199,75 +205,46 @@ class IKResult:
 
 
 def inverse_kinematics(model: LegModel, target, q0,
-                       damping: float = IK_DAMPING,
-                       step_clamp: float = IK_STEP_CLAMP_RAD,
-                       tol_mm: float = IK_TOL_MM,
-                       max_iter: int = IK_MAX_ITER) -> IKResult:
-    """Position-only IK: closed form for the yaw + planar-3R leg, else DLS.
+                       tol_mm: float = IK_TOL_MM) -> IKResult:
+    """Position-only IK in closed form; see ``_closed_form``.
 
-    A leg whose DH rows have twists (pi/2, 0, 0, 0), every d = 0 and
-    nonzero femur and tibia lengths (the default leg), with any theta
-    offsets, is solved in closed form; see ``_closed_form``.  That works
-    on the DH angles ``q + theta_offset``: the warm start and the limits
-    are shifted by the offsets and the answer is shifted back.  Of its
-    candidates that lie inside the joint limits and land within
-    ``tol_mm``, the one nearest ``q0`` is returned.  Any other geometry,
-    and this one when no candidate survives, runs damped least squares
-    (DLS).
+    That works on the DH angles ``q + theta_offset``: the warm start and
+    the limits are shifted by the offsets and the answer is shifted back.
+    Of the candidates that lie inside the joint limits and land within
+    ``tol_mm``, the one nearest ``q0`` is returned.
 
     Args:
         model: leg model.
         target: 3D tip target, mm.
         q0: warm start (clipped to the joint limits).
-        damping: DLS damping factor.
-        step_clamp: per-iteration DLS joint step bound, rad.
         tol_mm: convergence threshold on the position residual.
-        max_iter: DLS iteration budget.
 
     Returns:
         IKResult with the solution and its residual.  ``iterations`` is 0
-        when ``q0`` already lands within ``tol_mm``.  On the closed-form
-        path it counts the candidates evaluated: each coxa yaw tried and
-        each joint vector checked by FK.  On the DLS path it counts DLS
-        iterations.
+        when ``q0`` already lands within ``tol_mm``; otherwise it counts
+        the candidates evaluated: each coxa yaw tried and each joint
+        vector checked by FK.
 
     Raises:
-        NotReachable: on the closed-form geometry at once when the target
-            lies ``tol_mm`` or more outside the workspace (the residual is
-            that distance, whatever the joint limits); otherwise when DLS
-            is still above ``tol_mm`` after ``max_iter`` iterations
-            (carrying the best residual seen).
+        NotReachable: at once when the target lies ``tol_mm`` or more
+            outside the workspace (the residual is that distance,
+            whatever the joint limits); otherwise when no candidate inside
+            the limits lands (the residual is the smallest of the warm
+            start's and the candidates').
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or not np.all(np.isfinite(target)):
         raise ValueError("target must be a finite 3D point")
     q0 = np.clip(np.asarray(q0, dtype=float), model.lower, model.upper)
-    links = _planar_links(model)
-    if links is not None:
-        off = [r.theta_offset for r in model.rows]
-        limits = [(lo + o, hi + o)
-                  for (lo, hi), o in zip(model.joint_limits, off)]
-        warm = [w + o for w, o in zip(q0.tolist(), off)]
-        found = _closed_form(links, limits, target.tolist(), warm, tol_mm)
-        if found is not None:
-            if any(off):
-                found = IKResult(np.clip(found.q - off, model.lower,
-                                         model.upper),
-                                 found.residual_mm, found.iterations)
-            return found
-    return _damped_least_squares(model, target, q0, damping, step_clamp,
-                                 tol_mm, max_iter)
-
-
-def _planar_links(model: LegModel):
-    """Link lengths (a0..a3) if the leg is a yawing base plus a planar 3R."""
-    rows = model.rows
-    if rows[0].alpha_twist != math.pi / 2 \
-            or any(r.alpha_twist != 0.0 for r in rows[1:]) \
-            or any(r.d != 0.0 for r in rows) \
-            or rows[2].a == 0.0 or rows[3].a == 0.0:
-        return None
-    return tuple(r.a for r in rows)
+    off = [r.theta_offset for r in model.rows]
+    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
+    warm = [w + o for w, o in zip(q0.tolist(), off)]
+    found = _closed_form(tuple(r.a for r in model.rows), limits,
+                         target.tolist(), warm, tol_mm)
+    if any(off):
+        found = IKResult(np.clip(found.q - off, model.lower, model.upper),
+                         found.residual_mm, found.iterations)
+    return found
 
 
 def _planar_tip(links, q):
@@ -314,15 +291,17 @@ def _closed_form(links, limits, target, warm, tol_mm):
     same way.
 
     Returns the IKResult nearest ``warm`` (the warm start itself, with 0
-    iterations, if it already lands), or None when no candidate survives.
-    Raises NotReachable when the target lies ``tol_mm`` or more outside
-    the workspace on both yaws.
+    iterations, if it already lands).  Raises NotReachable when the
+    target lies ``tol_mm`` or more outside the workspace on both yaws,
+    and when no candidate lands; then the residual is the smallest of
+    the warm start's and those of the candidates checked by FK, and the
+    iterations are the candidates evaluated.
     """
     a0, a1, a2, a3 = links
     x, y, z = target
-    res = math.dist(_planar_tip(links, warm), target)
-    if res < tol_mm:
-        return IKResult(np.array(warm), res, 0)
+    best = math.dist(_planar_tip(links, warm), target)
+    if best < tol_mm:
+        return IKResult(np.array(warm), best, 0)
     r = math.hypot(x, y)
     if r == 0.0:
         branches = ((warm[0], -a0),)
@@ -374,7 +353,8 @@ def _closed_form(links, limits, target, warm, tol_mm):
             res = math.dist(_planar_tip(links, q), target)
             if res < tol_mm:
                 return IKResult(np.array(q), res, evaluated)
-    return None
+            best = min(best, res)
+    raise NotReachable(best, evaluated)
 
 
 def _arc_angles(links, limits, rho, phi, warm):
@@ -436,74 +416,6 @@ def _pinned_angles(links, limits, rho, phi, warm):
     return angles
 
 
-def _damped_least_squares(model: LegModel, target, q0, damping, step_clamp,
-                          tol_mm, max_iter) -> IKResult:
-    """Position-only IK via damped least squares.
-
-    Iterates dq = J^T (J J^T + damping*I)^-1 err, with the step scaled so
-    no joint moves more than ``step_clamp`` per iteration and the result
-    clamped to the joint limits.  If a run stalls in a local minimum it
-    restarts from a short deterministic seed list; all restarts share the
-    single ``max_iter`` iteration budget, so the reported iteration count
-    stays below it.  Raises NotReachable with the best residual seen.
-    The tip and the Jacobian both come from one ``_frames`` call per q.
-    """
-    best_res = math.inf
-    eye3 = np.eye(3)
-    spent = 0
-    for seed in _restart_seeds(model, q0):
-        if spent >= max_iter:
-            break
-        q = np.clip(np.asarray(seed, dtype=float), model.lower, model.upper)
-        frames = _frames(model, q)
-        err = target - frames[4, :3, 3]
-        res = float(np.linalg.norm(err))
-        lam = damping
-        rejected = 0
-        used = 0
-        while True:
-            if res < best_res:
-                best_res = res
-            if res < tol_mm:
-                return IKResult(q, res, spent)
-            if spent >= max_iter or used >= 60 or lam > 1e8 or rejected > 8:
-                break  # bogged down; move on to the next seed
-            J = _jacobian_of(frames)
-            dq = J.T @ np.linalg.solve(J @ J.T + lam * eye3, err)
-            biggest = np.max(np.abs(dq))
-            if biggest > step_clamp:
-                dq *= step_clamp / biggest
-            q_new = np.clip(q + dq, model.lower, model.upper)
-            frames_new = _frames(model, q_new)
-            err_new = target - frames_new[4, :3, 3]
-            res_new = float(np.linalg.norm(err_new))
-            spent += 1
-            used += 1
-            if res_new < res:
-                q, frames, err, res = q_new, frames_new, err_new, res_new
-                lam = max(lam / 3.0, damping)
-                rejected = 0
-            else:
-                # step made things worse: grow damping, keep the old q
-                lam *= 5.0
-                rejected += 1
-    raise NotReachable(best_res, spent)
-
-
-def _restart_seeds(model: LegModel, q0):
-    """Deterministic DLS starting points, warm start first (lazy).
-
-    After the warm start come the middle of the limits and eight fixed
-    spread-out points.
-    """
-    yield np.asarray(q0, dtype=float)
-    yield 0.5 * (model.lower + model.upper)
-    rng = np.random.default_rng(0)  # fixed: restarts stay deterministic
-    span = model.upper - model.lower
-    for _ in range(8):
-        yield model.lower + rng.random(4) * span
-
-
 def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
                         origin=None) -> Trajectory:
     """Scale a recorded trajectory onto the robot: p' = o + scale*(p - o).
@@ -521,7 +433,7 @@ def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
 
 
 def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
-                         **ik_kwargs) -> np.ndarray:
+                         tol_mm: float = IK_TOL_MM) -> np.ndarray:
     """IK along a trajectory with warm starts; returns an (N, 4) array.
 
     The first sample starts from ``q0`` (default the middle of the joint
@@ -539,8 +451,8 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     samples up to the first whose pick is not bitwise its guess are
     what the one-by-one loop would have found, so they are accepted;
     that sample is solved by the scalar path and the next round starts
-    after it.  A leg outside the closed form, or with a joint that spans
-    a turn or more, runs the scalar path alone.
+    after it.  A leg with a joint that spans a turn or more runs the
+    scalar path alone.
 
     numpy's arctan2, arccos and hypot can differ from ``math``'s in the
     last place, so a batched sample may differ from the scalar answer by
@@ -550,7 +462,7 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     ``ACOS_EDGE``).
 
     Raises NotReachable (tagged with the failing sample index) if any
-    sample fails to converge; it is the scalar path's, residual and
+    sample is not reachable; it is the scalar path's, residual and
     iterations included.
     """
     if q0 is None:
@@ -561,17 +473,16 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     out = np.empty((n, 4))
     off = np.array([r.theta_offset for r in model.rows])
     limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
-    links = _planar_links(model)
     batch = None
-    if links is not None and n > 1 and all(
-            hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau for lo, hi in limits):
+    if n > 1 and all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
+                     for lo, hi in limits):
         with np.errstate(invalid="ignore", divide="ignore"):
-            batch = _PathCandidates(links, limits, traj.points,
-                                    ik_kwargs.get("tol_mm", IK_TOL_MM))
+            batch = _PathCandidates(tuple(r.a for r in model.rows), limits,
+                                    traj.points, tol_mm)
     rule, i, wait, backoff = None, 0, 0, 0
     while i < n:
         try:
-            sol = inverse_kinematics(model, traj.points[i], q, **ik_kwargs)
+            sol = inverse_kinematics(model, traj.points[i], q, tol_mm=tol_mm)
         except NotReachable as err:
             raise NotReachable(err.residual_mm, err.iterations,
                                sample_index=i) from None
@@ -752,7 +663,7 @@ class _PathCandidates:
         landing candidate (ties to the first) of the held and arc-end
         ones, else of the pinned ones, which are looked at only for the
         samples before the first miss that need them.  A sample misses
-        if it has no pick (``_closed_form`` would raise or return None)
+        if it has no pick (``_closed_form`` would raise)
         or if its pick is in doubt (see ``_nearest``).
         """
         n = len(warms)
@@ -951,10 +862,10 @@ def save_trajectory(path, traj: Trajectory) -> None:
 def default_leg_model() -> LegModel:
     """Leg proportioned like the prototype: yawing coxa, pitching distal joints."""
     rows = (
-        DHRow(a=30.0, alpha_twist=math.pi / 2, d=0.0),
-        DHRow(a=25.0, alpha_twist=0.0, d=0.0),
-        DHRow(a=80.0, alpha_twist=0.0, d=0.0),
-        DHRow(a=120.0, alpha_twist=0.0, d=0.0),
+        DHRow(a=30.0),
+        DHRow(a=25.0),
+        DHRow(a=80.0),
+        DHRow(a=120.0),
     )
     lim = math.radians(JOINT_LIMIT_DEG)
     return LegModel(rows, ((-lim, lim),) * 4)

@@ -24,10 +24,11 @@ quoted and ``\\n`` is the only line break, so splitting on ``,`` is what
 around a number, the space, is the only one that can occur; tabs and
 other control or Unicode blanks, which the two treat apart, cannot.  Such
 a file is parsed in one ``np.loadtxt`` call and kept if every number is
-finite.  Any other file, a cell ``loadtxt`` rejects (such as ``1_0``,
-which ``float`` reads) or a non-finite number goes through ``read_table``
-and ``float_columns``, which return the same values or raise the
-``row N`` error.
+finite.  Any other file, a cell ``loadtxt`` rejects or a non-finite
+number goes through ``read_table`` and ``float_columns``, which return
+the same values or raise the ``row N`` error; ``float_columns`` rejects
+the spellings ``float`` reads but ``loadtxt`` does not, a number with a
+``_`` (``1_0``) or a non-ASCII character.
 """
 
 from __future__ import annotations
@@ -108,20 +109,31 @@ def float_columns(path, rows, columns) -> np.ndarray:
     """
     try:
         values = np.column_stack([
-            np.array([row[j] for row in rows], dtype=float) for j in columns])
+            _floats([row[j] for row in rows]) for j in columns])
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
         for i, row in enumerate(rows):
             cells = [row[j] for j in columns]
             try:
-                if np.isfinite(np.array(cells, dtype=float)).all():
+                if np.isfinite(_floats(cells)).all():
                     continue
             except ValueError:
                 pass
             raise ValueError(f"row {line_of(path, i)}: not a finite number "
                              f"in {cells}")
     return values
+
+
+def _floats(cells) -> np.ndarray:
+    """The cells as a float array.  Raises ValueError, as for any cell
+    ``float`` rejects, for a ``_`` or a non-ASCII character: ``float``
+    reads ``1_0`` as 10 and Arabic-Indic digits as digits, but no CSV
+    writer writes them, and ``np.loadtxt`` rejects them."""
+    text = "".join(cells)
+    if "_" in text or not text.isascii():
+        raise ValueError("not a plain number")
+    return np.array(cells, dtype=float)
 
 
 # the bytes of a plain table, in which ``,`` and ``\n`` are the only syntax

@@ -23,7 +23,6 @@ from tarsim.chain import (SegmentGeometry, default_chain_geometry,
 from tarsim.contact import (ForceLimits, MeshGrid, Phase, Scenario,
                             builtin_scenario, rigid_claw_offset,
                             run_demo_cycle)
-from tarsim import leg as leg_mod
 from tarsim.gait import segment_cycles
 from tarsim.leg import (Trajectory, default_leg_model, forward_kinematics,
                         inverse_kinematics, jacobian, retarget_trajectory)
@@ -161,15 +160,7 @@ def test_criterion_3_statistics_reproduction():
                     "test on their printed summaries; see printed detail")
 
 
-def test_criterion_4_fk_ik_round_trip_and_jacobian(monkeypatch):
-    fallbacks = []
-    dls = leg_mod._damped_least_squares
-
-    def counted_dls(*args, **kwargs):
-        fallbacks.append(args[1])
-        return dls(*args, **kwargs)
-
-    monkeypatch.setattr(leg_mod, "_damped_least_squares", counted_dls)
+def test_criterion_4_fk_ik_round_trip_and_jacobian():
     t0 = time.perf_counter()
     model = default_leg_model()
     rng = np.random.default_rng(104)
@@ -198,8 +189,7 @@ def test_criterion_4_fk_ik_round_trip_and_jacobian(monkeypatch):
     ok = worst_res < 1e-6 and worst_iters < 200 and worst_jac < 1e-6 \
         and elapsed < 10.0
     report(4, ok, f"1000 IK round trips: max residual {worst_res:.2e} mm, "
-                  f"max iterations {worst_iters}, {len(fallbacks)} DLS "
-                  f"fallbacks; Jacobian vs central "
+                  f"max iterations {worst_iters}; Jacobian vs central "
                   f"differences max |err| {worst_jac:.2e}; {elapsed:.2f} s")
     assert worst_res < 1e-6
     assert worst_iters < 200

@@ -26,6 +26,17 @@ slack_mm = {0.4 if i == 2 else 0.0}
 length_mm = 15.0
 """ for i in range(1, 6))
 
+LEG_KEYS = "a_mm, max_deg, min_deg, theta_offset_deg"
+# removed keys: the claw ramp's, and the IK solver settings and DH
+# geometry keys that only the closed form is left of
+REMOVED_KEYS = [("claw", "threshold", "length_mm"),
+                ("claw", "max_opening_deg", "length_mm"),
+                ("ik", "damping", "tol_mm"),
+                ("ik", "step_clamp_rad", "tol_mm"),
+                ("ik", "max_iter", "tol_mm"),
+                ("leg_coxa", "alpha_twist_deg", LEG_KEYS),
+                ("leg_femur", "d_mm", LEG_KEYS)]
+
 
 class TestParsing:
     def test_empty_is_default(self):
@@ -47,11 +58,13 @@ class TestParsing:
             parse_config("[chain]\nspring = 3\n")
         assert "k_spring_n_per_mm" in str(err.value)
 
-    @pytest.mark.parametrize("key", ["threshold", "max_opening_deg"])
-    def test_removed_claw_keys_rejected(self, key):
+    @pytest.mark.parametrize("section, key, valid", REMOVED_KEYS,
+                             ids=[key for _, key, _ in REMOVED_KEYS])
+    def test_removed_claw_keys_rejected(self, section, key, valid):
         with pytest.raises(ConfigError, match="line 2") as err:
-            parse_config(f"[claw]\n{key} = 0.5\n")
-        assert "valid keys: length_mm" in str(err.value)
+            parse_config(f"[{section}]\n{key} = 0.5\n")
+        assert f"unknown key {key!r} in [{section}]; valid keys: {valid}" \
+            in str(err.value)
 
     def test_key_outside_section(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -108,8 +121,8 @@ class TestBuilders:
 
     def test_leg_from_sections(self):
         text = "".join(
-            f"[leg_{name}]\na_mm = {10 * (i + 1)}\nalpha_twist_deg = 0\n"
-            f"d_mm = 0\ntheta_offset_deg = 0\nmin_deg = -90\nmax_deg = 90\n"
+            f"[leg_{name}]\na_mm = {10 * (i + 1)}\ntheta_offset_deg = 0\n"
+            f"min_deg = -90\nmax_deg = 90\n"
             for i, name in enumerate(("coxa", "trochanter", "femur", "tibia")))
         leg = parse_config(text).build_leg()
         assert [r.a for r in leg.rows] == [10.0, 20.0, 30.0, 40.0]

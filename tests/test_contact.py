@@ -566,7 +566,7 @@ def test_hook_law_matches_the_scalar_test(spacing, origin, cells, at, off, z,
 
 def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
               limits=None, claw_length=contact.DEFAULT_CLAW_LENGTH_MM,
-              **ik_kwargs):
+              tol_mm=leg_mod.IK_TOL_MM):
     """``run_demo_cycle`` as one Python step per tick: the oracle the
     array scan must match field for field."""
     limits = limits or ForceLimits()
@@ -585,7 +585,7 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
 
     path = leg_mod.trajectory_to_joints(leg, leg_mod.Trajectory(
         np.arange(len(modes) + 1) * dt_ms, np.vstack([home, *targets])),
-        **ik_kwargs)
+        tol_mm=tol_mm)
     offsets = {}
     for mode in contact.MODES:
         dx, dz = contact._claw_offset(chain, mode, claw_length)

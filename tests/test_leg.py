@@ -27,7 +27,8 @@ TIGHT_JOINTS = st.tuples(*(st.floats(lo, hi) for lo, hi in TIGHT.joint_limits))
 
 
 def oracle_fk_position(model, q):
-    """Independent route: compose elementary 4x4 matrices one by one."""
+    """Independent route: compose elementary 4x4 matrices one by one; the
+    coxa twists the rest of the leg by pi/2, every d is 0."""
     def rot_z(t):
         c, s = math.cos(t), math.sin(t)
         return np.array([[c, -s, 0, 0], [s, c, 0, 0],
@@ -44,9 +45,9 @@ def oracle_fk_position(model, q):
         return T
 
     T = np.eye(4)
-    for row, qi in zip(model.rows, q):
-        T = T @ rot_z(qi + row.theta_offset) @ trans(0, 0, row.d) \
-            @ trans(row.a, 0, 0) @ rot_x(row.alpha_twist)
+    for row, qi, twist in zip(model.rows, q, (math.pi / 2, 0.0, 0.0, 0.0)):
+        T = T @ rot_z(qi + row.theta_offset) @ trans(row.a, 0, 0) \
+            @ rot_x(twist)
     return T[:3, 3]
 
 
@@ -57,16 +58,14 @@ def model():
 
 @pytest.fixture
 def straight_model():
-    rows = tuple(DHRow(a=a, alpha_twist=0.0, d=d)
-                 for a, d in ((10.0, 1.0), (20.0, 2.0), (30.0, 3.0),
-                              (40.0, 4.0)))
+    rows = tuple(DHRow(a=a) for a in (10.0, 20.0, 30.0, 40.0))
     return LegModel(rows, ((-3.0, 3.0),) * 4)
 
 
 class TestForwardKinematics:
     def test_straight_chain(self, straight_model):
         pose = forward_kinematics(straight_model, np.zeros(4))
-        assert pose.position == pytest.approx([100.0, 0.0, 10.0], abs=1e-12)
+        assert pose.position == pytest.approx([100.0, 0.0, 0.0], abs=1e-12)
 
     def test_against_matrix_product_oracle(self, model):
         rng = np.random.default_rng(31)
@@ -136,11 +135,6 @@ class TestJacobian:
         assert abs(np.dot(J[:, 0], axis)) < 1e-12
         assert np.linalg.norm(J[:, 0]) > 0
 
-    def test_zero_length_chain(self):
-        rows = (DHRow(0.0, 0.0, 0.0),) * 4
-        m = LegModel(rows, ((-3.0, 3.0),) * 4)
-        assert np.allclose(jacobian(m, np.array([0.5, -0.2, 0.9, 1.4])), 0.0)
-
 
 class TestInverseKinematics:
     def test_already_converged(self, model):
@@ -176,6 +170,17 @@ class TestInverseKinematics:
         with pytest.raises(NotReachable) as err:
             inverse_kinematics(model, [1.2 * reach, 0.0, 0.0], np.zeros(4))
         assert err.value.residual_mm == pytest.approx(0.2 * reach, abs=1e-9)
+
+    def test_limit_blocked_residual_is_the_best_pose_checked(self, model):
+        # inside the reach sphere, but reaching it needs the tibia folded
+        # or the coxa turned past its limit: no candidate fits, so the
+        # best pose checked is the warm start, after the two coxa yaws
+        target = np.array([15.5, 0.0, -7.5])
+        with pytest.raises(NotReachable) as err:
+            inverse_kinematics(model, target, np.zeros(4))
+        assert err.value.residual_mm == pytest.approx(np.linalg.norm(
+            forward_kinematics(model, np.zeros(4)).position - target))
+        assert err.value.iterations == 2
 
     def test_deterministic(self, model):
         target = np.array([100.0, 40.0, -80.0])
@@ -219,53 +224,34 @@ def offset_leg(**femur):
     return LegModel(tuple(rows), LEG.joint_limits)
 
 
-@pytest.fixture
-def dls_calls(monkeypatch):
-    calls = []
-    real = leg._damped_least_squares
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(leg, "_damped_least_squares", counted)
-    return calls
-
-
 class TestClosedFormGuard:
-    @pytest.mark.parametrize("which", ["straight", "d_offset"])
-    def test_other_geometry_round_trips_through_dls(self, which,
-                                                    straight_model,
-                                                    dls_calls):
-        # a femur d offset takes the tibia out of the trochanter's plane
-        m = straight_model if which == "straight" else offset_leg(d=5.0)
-        rng = np.random.default_rng(37)
-        for _ in range(40):
-            qstar = rng.uniform(m.lower, m.upper)
-            target = forward_kinematics(m, qstar).position
-            warm = np.clip(qstar + rng.uniform(-0.3, 0.3, 4),
-                           m.lower, m.upper)
-            r = inverse_kinematics(m, target, warm)
-            assert np.linalg.norm(forward_kinematics(m, r.q).position
-                                  - target) < IK_TOL_MM
-        assert len(dls_calls) == 40
-
     @settings(max_examples=300, deadline=None)
     @given(qstar=TIGHT_JOINTS, warm=TIGHT_JOINTS)
     def test_tight_limits_solved_without_dls(self, qstar, warm):
-        def refuse(*args, **kwargs):
-            raise AssertionError("fell back to DLS")
-
         target = forward_kinematics(TIGHT, np.array(qstar)).position
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(leg, "_damped_least_squares", refuse)
-            q = inverse_kinematics(TIGHT, target, np.array(warm)).q
+        q = inverse_kinematics(TIGHT, target, np.array(warm)).q
         assert np.linalg.norm(forward_kinematics(TIGHT, q).position
                               - target) < IK_TOL_MM
         assert np.all(q >= TIGHT.lower) and np.all(q <= TIGHT.upper)
 
+    @settings(max_examples=300, deadline=None)
+    @given(target=st.tuples(*[st.floats(-TIGHT.reach_mm(), TIGHT.reach_mm())]
+                            * 3),
+           warm=TIGHT_JOINTS, tol=st.sampled_from([IK_TOL_MM, 0.5, 5.0]))
+    def test_reach_box_lands_or_raises(self, target, warm, tol):
+        # a point of the reach box either lands inside the limits or
+        # raises with a residual no better than the tolerance
+        try:
+            q = inverse_kinematics(TIGHT, target, np.array(warm), tol).q
+        except NotReachable as err:
+            assert err.residual_mm >= tol
+            return
+        assert np.linalg.norm(forward_kinematics(TIGHT, q).position
+                              - target) < tol
+        assert np.all(q >= TIGHT.lower) and np.all(q <= TIGHT.upper)
+
     @pytest.mark.parametrize("offset", [0.3, -0.5])
-    def test_theta_offsets_solved_without_dls(self, offset, dls_calls):
+    def test_theta_offsets_solved_without_dls(self, offset):
         m = offset_leg(theta_offset=offset)
         rng = np.random.default_rng(1)
         warm = np.array([0.0, -0.3, 0.6, -0.9])
@@ -276,9 +262,8 @@ class TestClosedFormGuard:
             assert np.linalg.norm(forward_kinematics(m, r.q).position
                                   - target) < IK_TOL_MM
             assert np.all(r.q >= m.lower) and np.all(r.q <= m.upper)
-        assert dls_calls == []
 
-    def test_default_leg_never_reaches_dls(self, dls_calls):
+    def test_default_leg_never_reaches_dls(self):
         # criterion 4's targets: seed 104, cold start q_start
         rng = np.random.default_rng(104)
         q_start = np.array([0.0, -0.3, 0.6, -0.9])
@@ -287,7 +272,6 @@ class TestClosedFormGuard:
             target = forward_kinematics(LEG, qstar).position
             r = inverse_kinematics(LEG, target, q_start)
             assert r.residual_mm < 1e-9
-        assert dls_calls == []
 
 
 class TestRetarget:
@@ -369,7 +353,7 @@ class TestTrajectoryToJoints:
         assert err.value.sample_index == 1
 
 
-def scalar_joints(model, traj, q0=None, **ik_kwargs):
+def scalar_joints(model, traj, q0=None, tol_mm=IK_TOL_MM):
     """Oracle: one scalar inverse_kinematics call per sample, each warm
     started from the sample before (the loop trajectory_to_joints ran
     before it solved in batches)."""
@@ -378,7 +362,7 @@ def scalar_joints(model, traj, q0=None, **ik_kwargs):
     out = np.empty((len(traj), 4))
     for i, p in enumerate(traj.points):
         try:
-            q = inverse_kinematics(model, p, q, **ik_kwargs).q
+            q = inverse_kinematics(model, p, q, tol_mm).q
         except NotReachable as err:
             raise NotReachable(err.residual_mm, err.iterations,
                                sample_index=i) from None
@@ -387,8 +371,7 @@ def scalar_joints(model, traj, q0=None, **ik_kwargs):
 
 
 def planar_leg(links, limits_deg, offsets=(0.0,) * 4):
-    rows = (DHRow(links[0], math.pi / 2, 0.0, offsets[0]),) + tuple(
-        DHRow(a, 0.0, 0.0, o) for a, o in zip(links[1:], offsets[1:]))
+    rows = tuple(DHRow(a, o) for a, o in zip(links, offsets))
     return LegModel(rows, tuple((math.radians(lo), math.radians(hi))
                                 for lo, hi in limits_deg))
 
@@ -420,13 +403,13 @@ def joint_path(model, seed, n, wiggle):
                       forward_kinematics(model, q).position)
 
 
-def solve_both(model, traj, q0=None, **ik_kwargs):
+def solve_both(model, traj, q0=None, tol_mm=IK_TOL_MM):
     """(joints or the NotReachable fields) from the oracle and the
     batched path."""
     out = []
     for solve in (scalar_joints, trajectory_to_joints):
         try:
-            out.append(solve(model, traj, q0, **ik_kwargs))
+            out.append(solve(model, traj, q0, tol_mm))
         except NotReachable as err:
             out.append((err.sample_index, err.residual_mm, err.iterations))
     return out
@@ -489,17 +472,14 @@ class TestBatchedJointPath:
         assert np.max(np.abs(batched - oracle)) <= 1e-12
         assert np.all(batched >= m.lower) and np.all(batched <= m.upper)
 
-    @pytest.mark.parametrize("which", ["d_offset", "wide_limits"])
+    @pytest.mark.parametrize("which", ["wide_limits", "wide_tibia"])
     def test_scalar_geometry_is_the_scalar_loop(self, which):
-        # a femur d offset leaves the closed form; a joint spanning a
-        # whole turn leaves the batch: both run the scalar loop alone
-        if which == "d_offset":
-            m = offset_leg(d=5.0)
-            traj = synthetic_workspace_arc(m, n=30)
-        else:
-            m = LegModel(LEG.rows,
-                         ((-math.pi, math.pi),) + LEG.joint_limits[1:])
-            traj = synthetic_workspace_arc(m)
+        # a joint spanning a whole turn leaves the batch: the coxa or the
+        # tibia, the path runs the scalar loop alone
+        limits = list(LEG.joint_limits)
+        limits[0 if which == "wide_limits" else 3] = (-math.pi, math.pi)
+        m = LegModel(LEG.rows, limits)
+        traj = synthetic_workspace_arc(m)
         oracle, batched = solve_both(m, traj)
         assert np.array_equal(batched, oracle)
 
@@ -515,17 +495,15 @@ class TestClosedFormCompleteness:
     @settings(max_examples=300, deadline=None)
     @given(model=planar_legs(), data=st.data())
     def test_fk_images_always_land(self, model, data):
-        # no DLS fallback needed: on its own geometry the closed form
-        # finds every in-limit pose from any warm start
+        # the closed form finds every in-limit pose from any warm start
         q, warm = ([data.draw(st.floats(lo, hi)) for lo, hi in
                     model.joint_limits] for _ in range(2))
         target = forward_kinematics(model, np.array(q)).position
         off = [r.theta_offset for r in model.rows]
         found = leg._closed_form(
-            leg._planar_links(model),
+            tuple(r.a for r in model.rows),
             [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)],
             target.tolist(), [w + o for w, o in zip(warm, off)], IK_TOL_MM)
-        assert found is not None
         assert found.residual_mm < IK_TOL_MM
 
 
@@ -564,17 +542,30 @@ class TestTrajectoryCsv:
 
 class TestModelValidation:
     def test_needs_four_rows(self):
-        rows = (DHRow(1.0, 0.0, 0.0),) * 3
+        rows = (DHRow(1.0),) * 3
         with pytest.raises(ValueError):
             LegModel(rows, ((-1.0, 1.0),) * 3)
 
     def test_limits_ordered(self):
-        rows = (DHRow(1.0, 0.0, 0.0),) * 4
+        rows = (DHRow(1.0),) * 4
         with pytest.raises(ValueError):
             LegModel(rows, ((1.0, -1.0),) * 4)
 
     def test_dh_row_finite(self):
         with pytest.raises(ValueError):
-            DHRow(math.nan, 0.0, 0.0)
+            DHRow(math.nan)
         with pytest.raises(ValueError):
-            DHRow(-1.0, 0.0, 0.0)
+            DHRow(1.0, math.inf)
+        with pytest.raises(ValueError):
+            DHRow(-1.0)
+
+    @pytest.mark.parametrize("joint", [2, 3])
+    def test_femur_and_tibia_need_a_length(self, joint):
+        # the closed form closes the loop with the femur and the tibia;
+        # the coxa and the trochanter may have no length
+        rows = [DHRow(0.0), DHRow(0.0), DHRow(80.0), DHRow(120.0)]
+        LegModel(rows, LEG.joint_limits)
+        rows[joint] = DHRow(0.0)
+        with pytest.raises(ValueError, match=f"{leg.JOINT_NAMES[joint]} "
+                                             f"link length a must be > 0"):
+            LegModel(rows, LEG.joint_limits)

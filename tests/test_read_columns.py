@@ -3,7 +3,9 @@
 The one-pass numpy read must give the same values, or the same error, as
 ``read_table`` followed by ``float_columns``.  It and the loaders built on
 it are checked against frozen copies of the reader and the loaders as
-they were when every table went through the csv module.
+they were when every table went through the csv module.  The copied
+number reader rejects a number holding ``_`` or a non-ASCII character,
+as ``float_columns`` does.
 """
 
 import csv
@@ -46,17 +48,24 @@ def old_line_of(path, index):
         return next(itertools.islice(lines, index, None))
 
 
+def old_floats(cells):
+    # a number holding "_" or a non-ASCII character is not a number
+    if any("_" in c or not c.isascii() for c in cells):
+        raise ValueError("not a plain number")
+    return np.array(cells, dtype=float)
+
+
 def old_float_columns(path, rows, columns):
     try:
         values = np.column_stack([
-            np.array([row[j] for row in rows], dtype=float) for j in columns])
+            old_floats([row[j] for row in rows]) for j in columns])
     except ValueError:
         values = None
     if values is None or not np.isfinite(values).all():
         for i, row in enumerate(rows):
             cells = [row[j] for j in columns]
             try:
-                if np.isfinite(np.array(cells, dtype=float)).all():
+                if np.isfinite(old_floats(cells)).all():
                     continue
             except ValueError:
                 pass
@@ -211,8 +220,10 @@ def test_trap_values(tmp_path):
                      ",".join(RECORDING) + "\n" + TRAPS[name])
         return read_columns(path, RECORDING, FLOATS)
 
-    values, labels = read("underscore in a number")
-    assert values.tolist() == [[10.0, 1.0, 2.0, 3.0]]
+    with pytest.raises(ValueError, match="row 2: not a finite number"):
+        read("underscore in a number")
+    with pytest.raises(ValueError, match="row 2: not a finite number"):
+        read("Arabic-Indic digit")
     assert read("quoted label with a comma")[1].tolist() == ["B,1"]
     assert read("lone CR")[1].tolist() == ["B1", "R1"]
     values, labels = read("header only")

@@ -203,18 +203,26 @@ class TestLegCommand:
         assert rc == 1
 
     @pytest.mark.parametrize("key, value", [
+        ("damping", "nan"), ("damping", "-1e-3"), ("damping", "0"),
+        ("max_iter", "0"), ("max_iter", "-5"),
+        ("step_clamp_rad", "0"), ("step_clamp_rad", "inf"),
         ("tol_mm", "nan"), ("tol_mm", "-1"), ("tol_mm", "0"),
         ("tol_mm", "inf"),
     ])
     def test_bad_ik_setting_is_config_error(self, tmp_path, capsys, key,
                                             value):
+        # The closed form reads only tol_mm; the damped least squares keys
+        # it replaced are now unknown keys, still refused on their line.
         conf = tmp_path / "ik.conf"
         conf.write_text(f"[ik]\n{key} = {value}\n")
         rc, out = run(["leg", "--ik", "120,30,-60", "--config", str(conf)],
                       tmp_path)
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"line 2: ik.{key} must be" in err
+        if key == "tol_mm":
+            assert f"line 2: ik.{key} must be" in err
+        else:
+            assert f"line 2: unknown key {key!r} in [ik]" in err
         assert not (out / "leg_ik.csv").exists()
 
     def test_retarget_scales_distances(self, tmp_path):

@@ -11,9 +11,10 @@ candidate lands within the joint limits raises ``NotReachable``.
 Forward kinematics is one batched DH product over joint vectors of
 shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
-started IK call per sample, but most samples are solved in numpy batch
-rounds that build every closed-form candidate of the path at once and
-accept each pick that the rule of the last scalar pick predicted.
+started IK call per sample, but solves them in numpy batch rounds that
+build every closed-form candidate of the path at once: a round accepts
+each pick that the rule of the pick before it predicted, and the first
+pick it did not predict.
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -366,21 +367,34 @@ def _arc_angles(links, limits, rho, phi, warm):
     |q1 - phi| <= beta_out`` from two ``acos`` calls.  On each arc,
     within the trochanter limits, the point nearest ``warm`` and both
     ends are returned.
+
+    An arc end is a point and a number of turns added to it.  Arc 1
+    mirrors arc 0 about ``phi``; where a mirrored end falls on ``phi -
+    pi`` (``beta`` clamped to pi), it is written as arc 0's end ``phi +
+    pi`` a turn back, so that a point where the arcs meet is one
+    candidate, to the bit, at every shift (``_arc_windows`` does the
+    same).  With no trochanter or no rho, one arc runs all the way
+    round, from its own end a turn back.
     """
     _, a1, a2, a3 = links
     lo1, hi1 = limits[1]
     if a1 * rho == 0.0:
-        arcs = ((phi - math.pi, phi + math.pi),)
+        arcs = (((phi + math.pi, -1), (phi + math.pi, 0)),)
     else:
         base = rho * rho + a1 * a1
         b_in = _acos_clamped((base - (a2 - a3) ** 2) / (2.0 * a1 * rho))
         b_out = _acos_clamped((base - (a2 + a3) ** 2) / (2.0 * a1 * rho))
-        arcs = ((phi + b_in, phi + b_out), (phi - b_out, phi - b_in))
+        arcs = (((phi + b_in, 0), (phi + b_out, 0)),
+                ((phi + b_out, -1) if b_out == math.pi else (phi - b_out, 0),
+                 (phi + b_in, -1) if b_in == math.pi else (phi - b_in, 0)))
     angles = {}
-    for s, e in arcs:
-        for k in range(math.ceil((lo1 - e - LIMIT_SLACK_RAD) / math.tau),
-                       math.floor((hi1 - s + LIMIT_SLACK_RAD) / math.tau) + 1):
-            lo, hi = max(s + k * math.tau, lo1), min(e + k * math.tau, hi1)
+    for (s, s_turn), (e, e_turn) in arcs:
+        for k in range(math.ceil((lo1 - (e + e_turn * math.tau)
+                                  - LIMIT_SLACK_RAD) / math.tau),
+                       math.floor((hi1 - (s + s_turn * math.tau)
+                                   + LIMIT_SLACK_RAD) / math.tau) + 1):
+            lo = max(s + (k + s_turn) * math.tau, lo1)
+            hi = min(e + (k + e_turn) * math.tau, hi1)
             if lo <= hi + LIMIT_SLACK_RAD:
                 for q1 in (min(max(warm, lo), hi), lo, hi):
                     angles[min(max(q1, lo1), hi1)] = None
@@ -441,25 +455,29 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     the joint series on one solution branch for smooth inputs.
 
     The answer is that of one ``inverse_kinematics`` call per sample,
-    but most samples are solved in batch rounds.  A round follows a
-    scalar solve: every later sample gets a guess built by the rule that
-    produced the last pick (the same plane and elbow, and the same
-    trochanter source: the warm angle held, an arc end, a limit or a
-    pin; or the warm start itself when it landed).  Then each sample's
-    closed-form pick is taken in numpy, exactly as ``_closed_form``
-    takes it, from the previous sample's guess as warm start.  The
-    samples up to the first whose pick is not bitwise its guess are
-    what the one-by-one loop would have found, so they are accepted;
-    that sample is solved by the scalar path and the next round starts
-    after it.  A leg with a joint that spans a turn or more runs the
-    scalar path alone.
+    but the samples are solved in numpy batch rounds.  The first
+    sample's closed-form pick is taken from its warm start, exactly as
+    ``_closed_form`` takes it, and its rule (the plane and elbow, and
+    the trochanter's source: the warm angle held, an arc end, a limit
+    or a pin; or the warm start itself when it landed) starts the first
+    round.  A round guesses every later sample by that rule and takes
+    each one's pick in numpy from the previous sample's guess as warm
+    start.  The samples up to the first whose pick is not bitwise its
+    guess are what the one-by-one loop would have found, so they are
+    accepted, and so is that sample's own pick, whose warm start was
+    right; its rule starts the next round.  Only a sample with no sure
+    pick (see below; a target on the z axis; no candidate that lands)
+    goes to the scalar path.  A round that takes nothing ends the
+    batching, and the scalar path solves the rest of the path; so does
+    a first sample with no sure pick.  A leg with a joint that spans a
+    turn or more runs the scalar path alone.
 
     numpy's arctan2, arccos and hypot can differ from ``math``'s in the
     last place, so a batched sample may differ from the scalar answer by
     a few ulp (well within 1e-12 rad).  Near an acos argument of +-1 (a
     straight or folded elbow, a stretched pin) such a difference grows
-    to 1e-8 rad, so those samples are left to the scalar path (see
-    ``ACOS_EDGE``).
+    to 1e-8 rad, so a pick with such a candidate near it is not sure,
+    and its sample is left to the scalar path (see ``ACOS_EDGE``).
 
     Raises NotReachable (tagged with the failing sample index) if any
     sample is not reachable; it is the scalar path's, residual and
@@ -473,14 +491,38 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     out = np.empty((n, 4))
     off = np.array([r.theta_offset for r in model.rows])
     limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
-    batch = None
-    if n > 1 and all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
-                     for lo, hi in limits):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            batch = _PathCandidates(tuple(r.a for r in model.rows), limits,
-                                    traj.points, tol_mm)
-    rule, i, wait, backoff = None, 0, 0, 0
+    links = tuple(r.a for r in model.rows)
+    batchable = n > 1 and all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
+                              for lo, hi in limits)
+    batch, rule, i = None, None, 0
     while i < n:
+        if batchable:
+            warm = np.minimum(np.maximum(q, model.lower), model.upper) + off
+            with np.errstate(invalid="ignore", divide="ignore"):
+                if batch is None:
+                    batch = _PathCandidates(links, limits, traj.points, tol_mm)
+                if rule is None:
+                    m, (rule, pick) = 0, batch.pick(i, warm)
+                else:
+                    guess = batch.guess(i, warm, rule)
+                    rows = np.minimum(np.maximum(guess - off, model.lower),
+                                      model.upper)
+                    m, rule, pick = batch.first_miss(
+                        i, np.vstack([warm, rows[:-1] + off]), guess, rule)
+                    out[i:i + m] = rows[:m]
+            if m:
+                q = rows[m - 1]
+                i += m
+            if pick is not None:
+                q = out[i] = np.minimum(np.maximum(pick - off, model.lower),
+                                        model.upper)
+                i += 1
+                continue
+            # a round that takes nothing (a stretched leg) ends the
+            # batching: the scalar path solves the rest of the path
+            batchable = m > 0
+            if i == n:
+                break
         try:
             sol = inverse_kinematics(model, traj.points[i], q, tol_mm=tol_mm)
         except NotReachable as err:
@@ -488,27 +530,6 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
                                sample_index=i) from None
         q = out[i] = sol.q
         i += 1
-        if batch is None or i == n:
-            continue
-        if wait:
-            wait -= 1
-            continue
-        warm = np.minimum(np.maximum(q, model.lower), model.upper) + off
-        with np.errstate(invalid="ignore", divide="ignore"):
-            guess = batch.guess(i, warm, rule)
-            rows = np.minimum(np.maximum(guess - off, model.lower),
-                              model.upper)
-            m, rule = batch.first_miss(i, np.vstack([warm, rows[:-1] + off]),
-                                       guess, rule)
-        out[i:i + m] = rows[:m]
-        if m:
-            q = rows[m - 1]
-            i += m
-            backoff = 0
-        else:
-            # a batch that takes nothing costs a few scalar solves: wait
-            # twice as long after each one in a row
-            backoff = wait = 2 * backoff + 1
     return out
 
 
@@ -518,6 +539,7 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
 # UNSOUND_GAP_RAD of it, and the scalar path solves that sample
 ACOS_EDGE = 1e-2
 UNSOUND_GAP_RAD = 1e-6
+
 
 # the rules of the held trochanter candidates, in _held's column order
 HELD_KEYS = [("held", plane, elbow) for plane in range(2) for elbow in (1, -1)]
@@ -534,7 +556,7 @@ class _PathCandidates:
     limits and the pins, and the femur and tibia closing the loop from
     each.  Those are built here once (the pinned ones when first
     needed).  The one left, the trochanter's warm angle where it lies
-    on an arc, is built per batch, and so are the ordering by step and
+    on an arc, is built per round, and so are the ordering by step and
     the warm-start shortcut.  A target on the z axis, whose yaw is the
     warm one, gets no batched pick.
 
@@ -545,7 +567,9 @@ class _PathCandidates:
     ``ACOS_EDGE`` of +-1.  A rule names the source of a pick: ``"warm"``
     (the warm start landed), ``("held", plane, elbow)``, ``("end",
     plane, arc, shift, end, elbow)`` or ``("pin", plane, pin, sign,
-    elbow)``.
+    elbow)``.  A pick is sure when no unsound landing candidate lies
+    within ``UNSOUND_GAP_RAD`` of it (see ``_nearest``): the scalar path
+    then picks the same candidate.
     """
 
     def __init__(self, links, limits, targets, tol_mm):
@@ -572,6 +596,7 @@ class _PathCandidates:
         self.ends = self._columns(
             "end", np.minimum(np.maximum(ends, limits[1][0]), limits[1][1]),
             np.repeat(self.windows, 2, axis=-1), True, keys)
+        self.keys = HELD_KEYS + list(self.ends[0])
         self.pins = None
         self.last_held = None, np.empty(0), None
 
@@ -582,18 +607,36 @@ class _PathCandidates:
         n, _, m = q1.shape
         ok = (ok & self.tried[:, :, None]).reshape(n, -1)
         cols = np.flatnonzero(ok.any(axis=0))
-        q, fits, elbow_sound = _close(
-            self.links, self.limits, self.yaw[:, cols // m],
-            self.u[:, cols // m], self.z, q1.reshape(n, -1)[:, cols])
-        q = q.reshape(n, -1, 4)
-        sound = elbow_sound & np.broadcast_to(sound, q1.shape).reshape(
-            n, -1)[:, cols, None]
-        lands = (fits & ok[:, cols, None]).reshape(n, -1) & (
-            _residual(self.links, q, self.targets[:, None, :]) < self.tol_mm)
+        row, col = np.nonzero(ok[:, cols])
+        flat = cols[col]
+        q, lands, sound_at = self._close_at(row, flat // m,
+                                            q1.reshape(n, -1)[row, flat])
+        sound_at = sound_at & np.broadcast_to(sound, q1.shape).reshape(
+            n, -1)[row, flat, None]
         keys = [(kind, c // m) + keys[c % m] + (e,)
                 for c in cols.tolist() for e in (1, -1)]
-        return ({key: c for c, key in enumerate(keys)}, q, lands,
-                sound.reshape(n, -1))
+        return ({key: c for c, key in enumerate(keys)},
+                *self._scatter((n, len(cols)), (row, col), q, lands, sound_at))
+
+    def _close_at(self, at, plane, q1):
+        """``_close`` from trochanter angles q1 for samples ``at`` on
+        planes ``plane``, all (k,)."""
+        return _close(self.links, self.limits, self.yaw[at, plane],
+                      self.u[at, plane], self.z[at, 0], q1, self.targets[at],
+                      self.tol_mm)
+
+    @staticmethod
+    def _scatter(shape, where, q, lands, sound):
+        """``_close``'s output for the entries ``where`` of a grid of
+        trochanter angles ``shape`` (n, M): candidates (n, 2M, 4) (NaN
+        elsewhere), landing mask and soundness (n, 2M)."""
+        full = [np.full(shape + (2, 4), np.nan), np.zeros(shape + (2,), bool),
+                np.ones(shape + (2,), bool)]
+        for a, got in zip(full, (q, lands, sound)):
+            a[where] = got
+        n = shape[0]
+        return full[0].reshape(n, -1, 4), full[1].reshape(n, -1), \
+            full[2].reshape(n, -1)
 
     def _pinned(self):
         if self.pins is None:
@@ -613,29 +656,18 @@ class _PathCandidates:
         w = w1[:, None, None]
         on = (self.windows[i:i + n] & (self.lo[i:i + n] <= w)
               & (w <= self.hi[i:i + n])).any(axis=-1) & self.tried[i:i + n]
-        q = np.full((n, 4, 4), np.nan)
-        lands = np.zeros((n, 4), dtype=bool)
-        sound = np.ones((n, 4), dtype=bool)
-        rows = np.flatnonzero(on.any(axis=1))
-        if rows.size:
-            at = i + rows
-            close, fits, ok = _close(
-                self.links, self.limits, self.yaw[at], self.u[at], self.z[at],
-                np.broadcast_to(w1[rows, None], (rows.size, 2)))
-            q[rows] = close.reshape(-1, 4, 4)
-            sound[rows] = ok.reshape(-1, 4)
-            lands[rows] = (fits & on[rows, :, None]).reshape(-1, 4) & (
-                _residual(self.links, q[rows], self.targets[at, None, :])
-                < self.tol_mm)
-        self.last_held = i, w1, (q, lands, sound)
-        return q, lands, sound
+        row, plane = np.nonzero(on)
+        held = self._scatter((n, 2), (row, plane),
+                             *self._close_at(i + row, plane, w1[row]))
+        self.last_held = i, w1, held
+        return held
 
     def guess(self, i, warm, rule):
         """Samples i..'s candidates under ``rule`` from one warm start,
-        up to the first that does not land (NaN); ``None`` or ``"warm"``
-        holds the warm start."""
+        up to the first that does not land (NaN); ``"warm"`` holds the
+        warm start."""
         n = len(self.targets) - i
-        if rule is None or rule == "warm":
+        if rule == "warm":
             q = np.broadcast_to(warm, (n, 1, 4))
             lands = _residual(self.links, q, self.targets[i:, None, :]) \
                 < self.tol_mm
@@ -646,25 +678,39 @@ class _PathCandidates:
         else:
             index, q, lands, _ = self.ends if rule[0] == "end" \
                 else self._pinned()
-            q, lands = q[i:], lands[i:]
-            c = index.get(rule)
-            if c is None:
-                return np.full((1, 4), np.nan)
+            q, lands, c = q[i:], lands[i:], index[rule]
         lands = lands[:, c]
         q = np.where(lands[:, None], q[:, c], np.nan)
         return q if lands.all() else q[:lands.argmin() + 1]
 
     def first_miss(self, i, warms, guess, rule):
         """The first of samples i.. whose ``_closed_form`` pick from
-        ``warms`` is not its guess (len(warms) if none), and the rule of
-        that pick (``rule`` if none misses).
+        ``warms`` is not its guess (len(warms) if none), the rule of
+        that pick (``rule`` if none misses), and that pick if it is sure
+        (else None; see ``_picks``)."""
+        picks, rule_of = self._picks(i, warms, guess)
+        same = (picks == guess).all(axis=1)
+        if same.all():
+            return len(warms), rule, None
+        m = int(same.argmin())
+        return m, rule_of(m), None if np.isnan(picks[m, 0]) else picks[m]
+
+    def pick(self, i, warm):
+        """Sample i's pick from ``warm``, as ``first_miss`` gives a
+        missed sample's: its rule and the pick if sure, else None."""
+        picks, rule_of = self._picks(i, warm[None], np.full((1, 4), np.nan))
+        return rule_of(0), None if np.isnan(picks[0, 0]) else picks[0]
+
+    def _picks(self, i, warms, guess):
+        """Samples i..'s sure picks from ``warms`` (NaN where there is
+        none), and a function that gives a sample's rule.
 
         A pick is the warm start when that lands, else the nearest
         landing candidate (ties to the first) of the held and arc-end
         ones, else of the pinned ones, which are looked at only for the
-        samples before the first miss that need them.  A sample misses
-        if it has no pick (``_closed_form`` would raise)
-        or if its pick is in doubt (see ``_nearest``).
+        samples up to the first miss of ``guess`` that need them.  A
+        sample has no sure pick if it has no pick (``_closed_form``
+        would raise) or if its pick is in doubt (see ``_nearest``).
         """
         n = len(warms)
         picks = np.full((n, 4), np.nan)
@@ -672,8 +718,7 @@ class _PathCandidates:
             < self.tol_mm
         picks[short] = warms[short]
         todo = ~short & self.reach[i:i + n]
-        index, q, lands, sound = self.ends
-        keys = HELD_KEYS + list(index)
+        _, q, lands, sound = self.ends
         q, lands, sound = (np.concatenate([h, e[i:i + n]], axis=1)
                            for h, e in zip(self._held(i, warms[:, 1]),
                                            (q, lands, sound)))
@@ -681,7 +726,7 @@ class _PathCandidates:
         has &= todo
         take = has & sure
         picks[take] = q[take, col[take]]
-        found = [(has, col, keys)]
+        found = [(has, col, self.keys)]
         need = todo & ~has
         miss = ~need & ~(picks == guess).all(axis=1)
         rows = np.flatnonzero(need[:miss.argmax() if miss.any() else n])
@@ -697,16 +742,16 @@ class _PathCandidates:
             at = np.zeros(n, dtype=int)
             at[rows] = col
             found.append((has, at, list(index)))
-        same = (picks == guess).all(axis=1)
-        if same.all():
-            return n, rule
-        m = int(same.argmin())
-        if short[m]:
-            return m, "warm"
-        for has, col, keys in found:
-            if has[m]:
-                return m, keys[col[m]]
-        return m, None
+
+        def rule_of(m):
+            if short[m]:
+                return "warm"
+            for has, col, keys in found:
+                if has[m]:
+                    return keys[col[m]]
+            return None
+
+        return picks, rule_of
 
 
 def _nearest(q, lands, sound, warms):
@@ -743,12 +788,13 @@ def _residual(links, q, target):
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _close(links, limits, yaw, u, z, q1):
+def _close(links, limits, yaw, u, z, q1, target, tol_mm):
     """Femur and tibia closing the loop from trochanter angles q1, as
     ``_closed_form`` does, per elbow (bent +, bent -; the second is
-    dropped on a straight elbow): candidates (..., 2, 4), whether the
-    femur and tibia fit their limits and whether the elbow's acos
-    argument is sound, each (..., 2)."""
+    dropped on a straight elbow): candidates (..., 2, 4), whether each
+    lands (the femur and tibia fit their limits and ``_residual`` to
+    ``target`` (..., 3) is below ``tol_mm``) and whether the elbow's
+    acos argument is sound, each (..., 2)."""
     _, a1, a2, a3 = links
     wu = u - a1 * np.cos(q1)
     wv = z - a1 * np.sin(q1)
@@ -764,20 +810,22 @@ def _close(links, limits, yaw, u, z, q1):
     t2 = q1 + q2
     q3 = _wrap_batch(np.arctan2(wv - a2 * np.sin(t2), wu - a2 * np.cos(t2))
                      - t2, *limits[3])
-    fits = ~np.isnan(q2) & ~np.isnan(q3)
-    fits[..., 1] &= elbow != 0.0
     q = np.empty(q2.shape + (4,))
     q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[..., None], q1, q2, q3
+    lands = ~np.isnan(q2) & ~np.isnan(q3) & (
+        _residual(links, q, target[..., None, :]) < tol_mm)
+    lands[..., 1] &= elbow != 0.0
     sound = np.broadcast_to((np.abs(c) <= 1.0 - ACOS_EDGE)[..., None],
-                            fits.shape)
-    return q, fits, sound
+                            lands.shape)
+    return q, lands, sound
 
 
 def _arc_windows(links, limits, rho, phi):
     """``_arc_angles``'s trochanter windows for (N, 2) planes.
 
     Each of the two arcs is shifted by every multiple of 2*pi any row
-    needs.  Returns the window ends lo and hi and whether each window is
+    needs; the arc ends are written as in ``_arc_angles``, with their
+    turns.  Returns the window ends lo and hi and whether each window is
     kept, all (N, 2, W), and a key (arc, shift, end) per window end.
     """
     _, a1, a2, a3 = links
@@ -788,16 +836,27 @@ def _arc_windows(links, limits, rho, phi):
         (base - (a2 - a3) ** 2) / (2.0 * a1 * rho), -1.0), 1.0))
     b_out = np.arccos(np.minimum(np.maximum(
         (base - (a2 + a3) ** 2) / (2.0 * a1 * rho), -1.0), 1.0))
-    s = np.stack([np.where(one, phi - math.pi, phi + b_in), phi - b_out], -1)
-    e = np.stack([np.where(one, phi + math.pi, phi + b_out), phi - b_in], -1)
-    k_lo = np.ceil((lo1 - e - LIMIT_SLACK_RAD) / math.tau)
-    k_hi = np.floor((hi1 - s + LIMIT_SLACK_RAD) / math.tau)
+
+    def mirrored(b):
+        back = b == math.pi
+        return np.where(back, phi + b, phi - b), np.where(back, -1.0, 0.0)
+
+    s1, s1_turn = mirrored(b_out)
+    e1, e1_turn = mirrored(b_in)
+    s = np.stack([np.where(one, phi + math.pi, phi + b_in), s1], -1)
+    s_turn = np.stack([np.where(one, -1.0, 0.0), s1_turn], -1)
+    e = np.stack([np.where(one, phi + math.pi, phi + b_out), e1], -1)
+    e_turn = np.stack([np.zeros_like(phi), e1_turn], -1)
+    k_lo = np.ceil((lo1 - (e + e_turn * math.tau) - LIMIT_SLACK_RAD)
+                   / math.tau)
+    k_hi = np.floor((hi1 - (s + s_turn * math.tau) + LIMIT_SLACK_RAD)
+                    / math.tau)
     k_hi[..., 1][one] = -np.inf
     some = k_lo <= k_hi
     ks = np.arange(k_lo[some].min(), k_hi[some].max() + 1) if some.any() \
         else np.empty(0)
-    lo = np.maximum(s[..., None] + ks * math.tau, lo1)
-    hi = np.minimum(e[..., None] + ks * math.tau, hi1)
+    lo = np.maximum(s[..., None] + (ks + s_turn[..., None]) * math.tau, lo1)
+    hi = np.minimum(e[..., None] + (ks + e_turn[..., None]) * math.tau, hi1)
     kept = (k_lo[..., None] <= ks) & (ks <= k_hi[..., None]) \
         & (lo <= hi + LIMIT_SLACK_RAD)
     n = rho.shape[0]

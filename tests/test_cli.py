@@ -252,6 +252,15 @@ class TestLegCommand:
         header, rows = read_table(out / "joints.csv")
         assert header[0] == "t_ms" and len(rows) == len(t)
 
+    def test_retarget_header_only_to_joints(self, tmp_path):
+        src = tmp_path / "beetle.csv"
+        save_trajectory(src, Trajectory(np.empty(0), np.empty((0, 3))))
+        rc, out = run(["leg", "--retarget", str(src), "--to-joints"],
+                      tmp_path)
+        assert rc == 0
+        header, rows = read_table(out / "joints.csv")
+        assert header[0] == "t_ms" and rows == []
+
     @pytest.mark.parametrize("scale", ["-1", "0", "nan", "inf"])
     def test_retarget_bad_scale_is_domain_error(self, tmp_path, capsys,
                                                 scale):

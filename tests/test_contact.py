@@ -22,7 +22,7 @@ from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
                             run_demo_cycle, save_demo_csv)
 from tarsim.config import parse_config
 from tarsim.leg import default_leg_model, forward_kinematics
-from test_leg import scalar_joints
+from test_leg import count_calls, scalar_joints
 
 LEG = default_leg_model()
 CHAIN = default_chain_geometry()
@@ -483,6 +483,9 @@ class TestScan:
 # the bench's sim inputs: mesh spacing x rest height x scenario x tick
 BENCH_SIMS = list(itertools.product((20, 25, 30), (-120, -60, 0),
                                     ("walk_cycle", "tubed"), (5, 10)))
+# the most batch rounds and scalar solves any BENCH_SIMS joint path took
+# when this guard was set (1.56 rounds per path on average)
+MAX_ROUNDS, MAX_SCALAR_SOLVES = 3, 0
 
 
 @pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
@@ -492,6 +495,9 @@ def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
                        f"rest_height_mm = {rest}\n[sim]\ndt_ms = {dt}\n")
     chain, leg, mesh = cfg.build_chain(), cfg.build_leg(), cfg.build_mesh()
     script = cfg.build_scenario(name, chain, mesh)
+    # the oracle calls neither: these count the batched path's work
+    rounds = count_calls(monkeypatch, leg_mod._PathCandidates, "first_miss")
+    scalar = count_calls(monkeypatch, leg_mod, "inverse_kinematics")
     runs = []
     for solve in (scalar_joints, leg_mod.trajectory_to_joints):
         paths = []
@@ -506,6 +512,7 @@ def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
             **cfg.ik_params())))
     (old_q, old, old_final), (new_q, new, new_final) = runs
     assert np.max(np.abs(new_q[0] - old_q[0])) <= 1e-12
+    assert len(rounds) <= MAX_ROUNDS and len(scalar) <= MAX_SCALAR_SOLVES
     assert new_final.events == old_final.events
     assert [(s.mode, s.attachment, s.events) for s in new] \
         == [(s.mode, s.attachment, s.events) for s in old]

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tarsim import leg
@@ -403,6 +403,31 @@ def joint_path(model, seed, n, wiggle):
                       forward_kinematics(model, q).position)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to log each call; returns the log."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def stretch_path(model, straight=(0.0, 1.0), n=135):
+    """FK of a path whose femur and tibia are straight over the fraction
+    ``straight`` of it and bend away from it: every pick there has its
+    elbow at the acos edge."""
+    s = np.linspace(0.0, 1.0, n)
+    knee = 1.2 * np.maximum(np.maximum(straight[0] - s, s - straight[1]), 0.0)
+    q = np.column_stack([0.6 * np.sin(2 * np.pi * s), -0.4 + 0.8 * s,
+                         -knee, 2.0 * knee])
+    return Trajectory(np.arange(n) * 10.0,
+                      forward_kinematics(model, q).position)
+
+
 def solve_both(model, traj, q0=None, tol_mm=IK_TOL_MM):
     """(joints or the NotReachable fields) from the oracle and the
     batched path."""
@@ -441,19 +466,40 @@ class TestBatchedJointPath:
             assert np.max(np.abs(batched - oracle)) <= 1e-12
 
     def test_solves_most_samples_in_batches(self, model, monkeypatch):
+        # a smooth path: one pick, one round, no scalar solve
         traj = synthetic_workspace_arc(model)
-        calls = []
-        real = leg.inverse_kinematics
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(leg, "inverse_kinematics", counted)
+        rounds = count_calls(monkeypatch, leg._PathCandidates, "first_miss")
+        calls = count_calls(monkeypatch, leg, "inverse_kinematics")
         qs = trajectory_to_joints(model, traj)
         monkeypatch.undo()
-        assert len(calls) < len(traj) // 4
+        assert len(rounds) == 1 and calls == []
         assert np.max(np.abs(qs - scalar_joints(model, traj))) <= 1e-12
+
+    @pytest.mark.parametrize("straight", [(0.0, 1.0), (0.0, 0.3),
+                                          (0.45, 0.55)])
+    def test_a_stretched_leg_ends_the_batching(self, model, monkeypatch,
+                                               straight):
+        # the first sample the batch cannot take (a straight elbow) ends
+        # the batching: the scalar path solves it and the rest of the path
+        traj = stretch_path(model, straight)
+        rounds = count_calls(monkeypatch, leg._PathCandidates, "first_miss")
+        scalar = count_calls(monkeypatch, leg, "inverse_kinematics")
+        qs = trajectory_to_joints(model, traj)
+        monkeypatch.undo()
+        oracle = scalar_joints(model, traj)
+        stretched = np.abs(np.cos(oracle[:, 3])) > 1.0 - leg.ACOS_EDGE
+        first = int(stretched.argmax())
+        assert len(scalar) == len(traj) - first
+        assert len(rounds) <= (2 if first else 0)
+        assert np.max(np.abs(qs - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_path(self, model, n):
+        traj = synthetic_workspace_arc(model)
+        traj = Trajectory(traj.t_ms[:n], traj.points[:n])
+        qs = trajectory_to_joints(model, traj)
+        assert qs.shape == (n, 4)
+        assert np.array_equal(qs, scalar_joints(model, traj))
 
     def test_not_reachable_mid_batch(self, model):
         traj = synthetic_workspace_arc(model)
@@ -489,6 +535,42 @@ class TestBatchedJointPath:
         oracle, batched = solve_both(model, traj)
         assert np.max(np.abs(batched - oracle)) <= 1e-12
         assert (batched[40:90] == batched[40]).all()
+
+
+class TestArcMeetingPoint:
+    """Where b_out clamps to pi the two trochanter arcs meet; the point
+    they share is one candidate, on the scalar and the batched path."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(links=st.tuples(*(st.floats(5.0, 150.0) for _ in range(3))),
+           frac=st.floats(0.001, 0.999), phi=st.floats(-math.pi, math.pi),
+           lo=st.floats(-179.0, 178.0), span=st.floats(1.0, 358.0),
+           warm=st.floats(-math.pi, math.pi))
+    def test_the_meeting_point_is_one_candidate(self, links, frac, phi, lo,
+                                                span, warm):
+        a1, a2, a3 = links
+        assume(a2 + a3 - a1 > 1.0)
+        # rho + a1 <= a2 + a3: every trochanter angle keeps the wrist
+        # within the femur and tibia's outer reach
+        rho = frac * (a2 + a3 - a1)
+        lo1 = math.radians(lo)
+        hi1 = math.radians(min(lo + span, 179.0))
+        limits = [None, (lo1, hi1)]
+        meets = [phi + math.pi + k * math.tau for k in (-2, -1, 0, 1)]
+        meets = [m for m in meets if lo1 < m < hi1]
+        # the warm angle and the limits are candidates of their own
+        assume(all(abs(c - m) > 1e-6 for m in meets for c in (warm, lo1, hi1)))
+        angles = leg._arc_angles((0.0, a1, a2, a3), limits, rho, phi, warm)
+        for m in meets:
+            assert sum(abs(a - m) < 1e-9 for a in angles) == 1
+        lo_w, hi_w, _, keys = leg._arc_windows(
+            (0.0, a1, a2, a3), limits, np.array([[rho]]), np.array([[phi]]))
+        ends = dict(zip(keys, np.stack([lo_w, hi_w], -1).ravel().tolist()))
+        for (arc, k, end), v in ends.items():
+            if arc == 0 and end == "hi" and lo1 < v < hi1:
+                # arc 0's end, one turn on, is arc 1's start to the bit
+                assert ends[(1, k + 1, "lo")] == v
+                assert v in angles
 
 
 class TestClosedFormCompleteness:

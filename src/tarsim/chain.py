@@ -464,7 +464,13 @@ def chain_pose(chain: ChainGeometry, state: ChainState) -> np.ndarray:
     lengths = np.asarray(chain.segment_lengths) - state.compression - state.slack
     if np.any(lengths <= 0):
         raise ValueError("compression/slack exceed a segment body length")
-    heading = -np.cumsum(state.theta)
+    return _pose(lengths, state.theta)
+
+
+def _pose(lengths: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``chain_pose`` without its checks: the end positions of segments
+    of ``lengths`` (mm) bent by ``theta`` (rad)."""
+    heading = -np.cumsum(theta)
     steps = lengths[:, None] * np.column_stack([np.cos(heading), np.sin(heading)])
     return np.cumsum(steps, axis=0)
 

@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +154,10 @@ def cmd_chain(args, ctx: RunContext) -> int:
                               f"got {args.sweep!r}")
         if step_ <= 0 or stop < start or start < 0:
             raise DomainError("--sweep: need 0 <= start <= stop and step > 0")
-        pulls = np.arange(start, stop + 0.5 * step_, step_)
+        try:
+            pulls = np.arange(start, stop + 0.5 * step_, step_)
+        except ValueError as err:  # more points than an array can hold
+            raise DomainError(f"--sweep {args.sweep!r}: {err}") from None
         capacity = chain_mod.max_chain_pull(chain)
         clamped = int(np.count_nonzero(pulls > capacity))
         bends = chain_mod.bend_angles(chain, pulls, **solver)
@@ -276,8 +278,8 @@ def cmd_sim(args, ctx: RunContext) -> int:
                     ["t_ms", "event"],
                     [[float(t), kind] for t, kind in final.events])
     if ctx.svg and samples:
-        t, claw_z, mesh_z = np.array(
-            [*map(attrgetter("t_ms", "claw_z", "mesh_z"), samples)]).T
+        # a sample's first three fields: t_ms, claw_z, mesh_z
+        t, claw_z, mesh_z = np.array([s[:3] for s in samples]).T
         svgplot.line_chart(
             ctx.path(f"{scenario.name}_heights.svg"),
             [("claw", t, claw_z), ("mesh", t, mesh_z),
@@ -481,6 +483,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # the output directory, or the nearest part of its path that exists,
+    # must be a directory
+    found = args.out
+    while found and not os.path.exists(found):
+        found = os.path.dirname(found)
+    if found and not os.path.isdir(found):
+        print(f"error: --out {args.out}: {found} is not a directory",
+              file=sys.stderr)
+        return 2
     try:
         cfg, config_path = _resolve_config(args)
         ctx = RunContext(cfg, Path(args.out), args.format, config_path)

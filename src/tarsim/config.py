@@ -427,5 +427,13 @@ def parse_config(text: str) -> Config:
 
 
 def load_config(path) -> Config:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text: "
+                          f"{err}") from None
+    return parse_config(text)

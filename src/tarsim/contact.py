@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 # solve_bend_from_pull is not used here; it stays importable from
 # tarsim.contact
 from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
-                    ChainState, chain_pose, solve_bend_from_pull)
+                    _pose, solve_bend_from_pull)
 from .leg import (IK_TOL_MM, LegModel, Trajectory, forward_kinematics,
                   trajectory_to_joints)
 from .table import read_columns, write_table
@@ -183,7 +183,9 @@ def _claw_offset(chain: ChainGeometry, mode: str,
     theta = chain.max_bend if rigid else np.zeros(len(chain.segments))
     opening = DEFAULT_CLAW_MAX_OPENING if rigid else 0.0
     heading = -float(np.sum(theta)) - opening
-    tip = chain_pose(chain, ChainState(theta, np.zeros_like(theta)))[-1] \
+    # theta is the chain's own bend limits or zeros, which pass every
+    # check of chain_pose
+    tip = _pose(np.asarray(chain.segment_lengths), theta)[-1] \
         + claw_length * np.array([math.cos(heading), math.sin(heading)])
     return float(tip[0]), float(tip[1])
 
@@ -218,10 +220,10 @@ class Scenario:
         object.__setattr__(self, "phases", tuple(self.phases))
 
 
-@dataclass(frozen=True)
-class DemoSample:
+class DemoSample(NamedTuple):
     """One tick: claw and hooked-strand heights (mm), mode, attachment,
-    the tick's events joined by ``;`` and the coupling forces (N)."""
+    the tick's events joined by ``;`` and the coupling forces (N).  The
+    fields follow ``DEMO_HEADER``, so a sample is a row of the demo CSV."""
 
     t_ms: float
     claw_z: float
@@ -435,13 +437,8 @@ DEMO_HEADER = ("t_ms", "claw_z_mm", "mesh_z_mm", "mode", "attachment",
                "event", "vertical_N", "horizontal_N")
 
 
-# a sample's fields in DEMO_HEADER order
-_DEMO_ROW = attrgetter("t_ms", "claw_z", "mesh_z", "mode", "attachment",
-                       "events", "vertical", "horizontal")
-
-
 def save_demo_csv(path, samples) -> None:
-    write_table(path, DEMO_HEADER, map(_DEMO_ROW, samples))
+    write_table(path, DEMO_HEADER, samples)
 
 
 def load_demo_csv(path) -> list[DemoSample]:

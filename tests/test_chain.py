@@ -561,6 +561,24 @@ class TestClawActuation:
         assert dx == pytest.approx(sum(g.segment_lengths) + 8.0, abs=1e-12)
         assert dz == 0.0
 
+    @pytest.mark.parametrize("socket_slack", [False, True])
+    @pytest.mark.parametrize("mode", ["rigid", "flexible"])
+    @pytest.mark.parametrize("claw_length", [8.0, 3.3, 0.0])
+    def test_offset_is_the_checked_pose_bit_for_bit(self, socket_slack, mode,
+                                                    claw_length):
+        # the reference builds the state and goes through chain_pose's
+        # checks, as _claw_offset did before it called the pose kernel
+        g = default_chain_geometry(socket_slack=socket_slack)
+        rigid = mode == "rigid"
+        theta = g.max_bend if rigid else np.zeros(len(g.segments))
+        heading = -float(np.sum(theta)) - (
+            DEFAULT_CLAW_MAX_OPENING if rigid else 0.0)
+        tip = chain_pose(g, ChainState(theta, np.zeros_like(theta)))[-1] \
+            + claw_length * np.array([math.cos(heading), math.sin(heading)])
+        want = (float(tip[0]), float(tip[1]))
+        assert [v.hex() for v in _claw_offset(g, mode, claw_length)] \
+            == [v.hex() for v in want]
+
     def test_full_pull_open(self):
         # rigid: every joint at its bend limit, the claw opened down from
         # the last tarsomere by the full opening angle

@@ -76,6 +76,15 @@ class TestChainCommand:
             assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_sweep_too_long_for_an_array_is_domain_error(self, tmp_path,
+                                                           capsys):
+        rc, out = run(["chain", "--sweep", "0:1e308:1e-300"], tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: --sweep '0:1e308:1e-300': ")
+        assert "Traceback" not in err
+        assert not (out / "bend_vs_pull.csv").exists()
+
     def test_sweep_counts_clamped_points(self, tmp_path, capsys):
         # capacity without slack is 5.5 + 4.7 = 10.2 mm; the grid
         # 0, 0.25, ..., 13.0 has 12 points above it (10.25 .. 13.0)
@@ -625,6 +634,41 @@ class TestConfigAndManifest:
                    str(tmp_path / "absent.conf"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    @pytest.mark.parametrize("route", ["--config", "TARSIM_CONFIG"])
+    @pytest.mark.parametrize("cause", ["directory", "not utf-8"])
+    def test_unreadable_config_exit_2(self, tmp_path, monkeypatch, capsys,
+                                      route, cause):
+        conf = tmp_path / "t.conf"
+        if cause == "directory":
+            conf.mkdir()
+        else:
+            conf.write_bytes(b"[sim]\n# \xff\xfe\n")
+        args = ["sim", "--scenario", "walk_cycle"]
+        if route == "--config":
+            args += ["--config", str(conf)]
+        else:
+            monkeypatch.setenv(route, str(conf))
+        rc, out = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ")
+        assert str(conf) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_through_a_file_exit_2(self, tmp_path, capsys, sub):
+        # --out names a regular file, or a directory under one
+        blocker = tmp_path / "out"
+        blocker.write_text("keep\n")
+        rc, _ = run(["chain", "--pull", "1"], tmp_path,
+                    out=f"out/{sub}" if sub else "out")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{blocker} is not a directory" in err
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
 
     def test_bad_config_line_number(self, tmp_path, capsys):
         conf = tmp_path / "t.conf"

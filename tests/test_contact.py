@@ -23,6 +23,7 @@ from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
 from tarsim.config import parse_config
 from tarsim.leg import default_leg_model, forward_kinematics
 from test_leg import count_calls, scalar_joints
+from test_table import frozen_write_table
 
 LEG = default_leg_model()
 CHAIN = default_chain_geometry()
@@ -282,6 +283,30 @@ class TestDemoCycle:
         save_demo_csv(p, samples)
         back = load_demo_csv(p)
         assert back == samples
+
+    def test_sample_fields_follow_the_header(self):
+        column = {"t_ms": "t_ms", "claw_z": "claw_z_mm",
+                  "mesh_z": "mesh_z_mm", "mode": "mode",
+                  "attachment": "attachment", "events": "event",
+                  "vertical": "vertical_N", "horizontal": "horizontal_N"}
+        assert tuple(map(column.get, contact.DemoSample._fields)) \
+            == DEMO_HEADER
+
+    @pytest.mark.parametrize("name, dt", [("walk_cycle", 5.0),
+                                          ("walk_cycle", 10.0),
+                                          ("tubed", 5.0), ("tubed", 10.0)])
+    def test_demo_csv_bytes_match_per_attribute_rows(self, leg, chain, mesh,
+                                                      tmp_path, name, dt):
+        # the samples go to the writer as they are; the oracle is the
+        # per-cell writer fed each row attribute by attribute
+        sc = builtin_scenario(name, chain, mesh)
+        samples, _ = run_demo_cycle(leg, chain, mesh, sc, dt_ms=dt)
+        save_demo_csv(tmp_path / "new.csv", samples)
+        frozen_write_table(tmp_path / "old.csv", DEMO_HEADER, [
+            [s.t_ms, s.claw_z, s.mesh_z, s.mode, s.attachment, s.events,
+             s.vertical, s.horizontal] for s in samples])
+        assert (tmp_path / "new.csv").read_bytes() \
+            == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("row, match", [
         ("20.0,1.0,2.0,rigid,free", "row 3: expected 8 fields, got 7"),

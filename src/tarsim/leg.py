@@ -11,10 +11,13 @@ candidate lands within the joint limits raises ``NotReachable``.
 Forward kinematics is one batched DH product over joint vectors of
 shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
-started IK call per sample, but solves them in numpy batch rounds that
-build every closed-form candidate of the path at once: a round accepts
-each pick that the rule of the pick before it predicted, and the first
-pick it did not predict.
+started IK call per sample, bit for bit, but solves them in numpy batch
+rounds that build every closed-form candidate of the path at once: a
+round accepts each pick that the rule of the pick before it predicted,
+and the first pick it did not predict.  The two paths share one
+arithmetic (numpy's arccos, arctan2, hypot, cos and sin in the same
+formulas) and one pick rule (the landing candidate with the smallest
+step from the warm start, ties to the first in one candidate order).
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -217,7 +220,7 @@ def inverse_kinematics(model: LegModel, target, q0,
     Args:
         model: leg model.
         target: 3D tip target, mm.
-        q0: warm start (clipped to the joint limits).
+        q0: warm start, 4 finite joint angles (clipped to the limits).
         tol_mm: convergence threshold on the position residual.
 
     Returns:
@@ -234,147 +237,119 @@ def inverse_kinematics(model: LegModel, target, q0,
             start's and the candidates').
     """
     target = np.asarray(target, dtype=float)
-    if target.shape != (3,) or not np.all(np.isfinite(target)):
+    if target.shape != (3,) or not np.isfinite(target).all():
         raise ValueError("target must be a finite 3D point")
-    q0 = np.clip(np.asarray(q0, dtype=float), model.lower, model.upper)
-    off = [r.theta_offset for r in model.rows]
-    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
-    warm = [w + o for w, o in zip(q0.tolist(), off)]
-    found = _closed_form(tuple(r.a for r in model.rows), limits,
-                         target.tolist(), warm, tol_mm)
-    if any(off):
-        found = IKResult(np.clip(found.q - off, model.lower, model.upper),
+    lower, upper = model.lower, model.upper
+    q0 = np.minimum(np.maximum(_checked_q0(q0), lower), upper)
+    off = np.array([r.theta_offset for r in model.rows])
+    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits,
+                                                      off.tolist())]
+    found = _closed_form(tuple(r.a for r in model.rows), limits, target,
+                         q0 + off, tol_mm)
+    if off.any():
+        found = IKResult(np.clip(found.q - off, lower, upper),
                          found.residual_mm, found.iterations)
     return found
 
 
-def _planar_tip(links, q):
-    """FK of the yaw + planar-3R leg in plain math: tip (x, y, z), mm."""
-    a0, a1, a2, a3 = links
-    yaw, t1, q2, q3 = q
-    t2 = t1 + q2
-    t3 = t2 + q3
-    out = a0 + a1 * math.cos(t1) + a2 * math.cos(t2) + a3 * math.cos(t3)
-    return (out * math.cos(yaw), out * math.sin(yaw),
-            a1 * math.sin(t1) + a2 * math.sin(t2) + a3 * math.sin(t3))
-
-
-def _wrap_into(angle, ref, lo, hi):
-    """The 2*pi-representative of ``angle`` in [lo, hi] nearest ``ref``."""
-    if lo <= angle <= hi and abs(angle - ref) <= math.pi:
-        return angle
-    k = round((ref - angle) / math.tau)
-    best = None
-    for j in (k, k - 1, k + 1):
-        v = angle + j * math.tau
-        if lo - LIMIT_SLACK_RAD <= v <= hi + LIMIT_SLACK_RAD:
-            v = min(max(v, lo), hi)
-            if best is None or abs(v - ref) < abs(best - ref):
-                best = v
-    return best
-
-
-def _acos_clamped(c):
-    return math.acos(min(1.0, max(-1.0, c)))
+def _checked_q0(q0) -> np.ndarray:
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (4,) or not np.isfinite(q0).all():
+        raise ValueError("q0 must be finite joint angles of shape (4,)")
+    return q0
 
 
 def _closed_form(links, limits, target, warm, tol_mm):
     """Closed-form IK candidates for the yaw + planar-3R leg.
 
-    The coxa yaw puts the target in the leg plane: ``atan2(y, x)`` and
+    The coxa yaw puts the target in the leg plane: ``arctan2(y, x)`` and
     that angle plus pi (on the z axis the warm yaw is kept).  In that
     plane the target sits at polar ``(rho, phi)``; ``_arc_angles`` lists
-    the trochanter angles to try, and femur and tibia close the loop in
-    closed form with either elbow.  Candidates outside the joint limits
-    are dropped; the rest are checked by FK nearest ``warm`` first, so
-    the first that lands within ``tol_mm`` is the valid one nearest
-    ``warm``.  Only if none lands are the ``_pinned_angles`` tried the
-    same way.
+    the trochanter angles to try, and ``_close`` closes the loop with
+    the femur and tibia from all of them at once, with either elbow.
+    Candidates outside the joint limits are dropped; of the rest that
+    land within ``tol_mm`` the one nearest ``warm`` is taken (ties to
+    the first).  Only if none lands are the ``_pinned_batch`` angles
+    tried the same way.  The arithmetic, the candidate order and the
+    tie rule are the batched path's (see ``_PathCandidates``).
 
     Returns the IKResult nearest ``warm`` (the warm start itself, with 0
     iterations, if it already lands).  Raises NotReachable when the
     target lies ``tol_mm`` or more outside the workspace on both yaws,
     and when no candidate lands; then the residual is the smallest of
-    the warm start's and those of the candidates checked by FK, and the
-    iterations are the candidates evaluated.
+    the warm start's and those of the candidates, and the iterations
+    are the candidates evaluated (checked by FK nearest ``warm`` first,
+    up to the one that lands).
     """
-    a0, a1, a2, a3 = links
-    x, y, z = target
-    best = math.dist(_planar_tip(links, warm), target)
+    a0 = links[0]
+    target = np.asarray(target, dtype=float)
+    warm = np.asarray(warm, dtype=float)
+    best = float(_residual(links, warm.tolist(), target.tolist()))
     if best < tol_mm:
-        return IKResult(np.array(warm), best, 0)
-    r = math.hypot(x, y)
+        return IKResult(warm, best, 0)
+    x, y, z = target.tolist()
+    r = np.hypot(x, y)
     if r == 0.0:
-        branches = ((warm[0], -a0),)
+        psi, u = warm[:1], np.array([-a0])
     else:
-        aim = math.atan2(y, x)
-        branches = ((aim, r - a0), (aim + math.pi, -r - a0))
-    far = a1 + a2 + a3
-    near = max(a1 - a2 - a3, abs(a2 - a3) - a1, 0.0)
-    gap = math.inf
-    planes = []
-    for psi, u in branches:
-        rho = math.hypot(u, z)
-        outside = max(rho - far, near - rho, 0.0)
-        gap = min(gap, outside)
-        yaw = _wrap_into(psi, warm[0], *limits[0])
-        if outside < tol_mm and yaw is not None:
-            planes.append((yaw, u, rho, math.atan2(z, u)))
-    evaluated = len(branches)
+        aim = np.arctan2(y, x)
+        psi, u = np.array([aim, aim + math.pi]), np.array([r - a0, -r - a0])
+    rho = np.hypot(u, z)
+    outside = _outside(links, rho)
+    evaluated = len(u)
+    gap = min(outside.tolist())
     if gap >= tol_mm:
         raise NotReachable(gap, evaluated)
-    for angles in (_arc_angles, _pinned_angles):
-        candidates = []
-        for yaw, u, rho, phi in planes:
-            for q1 in angles(links, limits, rho, phi, warm[1]):
-                wu = u - a1 * math.cos(q1)
-                wv = z - a1 * math.sin(q1)
-                aim_w = math.atan2(wv, wu)
-                elbow = _acos_clamped((wu * wu + wv * wv - a2 * a2 - a3 * a3)
-                                      / (2.0 * a2 * a3))
-                for bend in ((elbow, -elbow) if elbow else (elbow,)):
-                    q2 = _wrap_into(aim_w - q1 - math.atan2(
-                        a3 * math.sin(bend), a2 + a3 * math.cos(bend)),
-                        warm[2], *limits[2])
-                    if q2 is None:
-                        continue
-                    # the tibia aims from the knee at the target: near a
-                    # straight elbow this is exact where acos is not
-                    t2 = q1 + q2
-                    q3 = _wrap_into(math.atan2(wv - a2 * math.sin(t2),
-                                               wu - a2 * math.cos(t2)) - t2,
-                                    warm[3], *limits[3])
-                    if q3 is not None:
-                        step = ((yaw - warm[0]) ** 2 + (q1 - warm[1]) ** 2
-                                + (q2 - warm[2]) ** 2 + (q3 - warm[3]) ** 2)
-                        candidates.append((step, (yaw, q1, q2, q3)))
-        candidates.sort(key=lambda c: c[0])
-        for _, q in candidates:
-            evaluated += 1
-            res = math.dist(_planar_tip(links, q), target)
-            if res < tol_mm:
-                return IKResult(np.array(q), res, evaluated)
-            best = min(best, res)
+    yaw = _wrap(psi, *limits[0], warm[0])
+    tried = (outside < tol_mm) & ~np.isnan(yaw)
+    if not tried.any():
+        raise NotReachable(best, evaluated)
+    yaw, u, rho = yaw[tried], u[tried], rho[tried]
+    phi = np.arctan2(z, u)
+    w1 = float(warm[1])
+    held, ends = [], []
+    for p, plane in enumerate(zip(rho.tolist(), phi.tolist())):
+        on, at = _arc_angles(links, limits, *plane, w1)
+        held += [(p, w1)] * on
+        ends += [(p, q1) for q1 in at]
+    pairs = held + ends
+    for pinned in (False, True):
+        if pinned:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                q1, ok, _ = _pinned_batch(links, limits, rho, phi, w1)
+            pairs = zip(np.nonzero(ok)[0].tolist(), q1[ok].tolist())
+        # each (plane, trochanter angle) once, in order
+        pairs = list(dict.fromkeys(pairs))
+        if not pairs:
+            continue
+        plane, q1 = np.array(pairs).T
+        plane = plane.astype(int)
+        q, trig = _close(links, limits, yaw[plane], u[plane], z, q1, warm)
+        flat = q.reshape(-1, 4)
+        step = _steps(flat, warm)
+        step[np.isnan(step)] = np.inf
+        # nearest first: it lands unless a limit or the reach clamped it
+        c = int(step.argmin())
+        res = float(_residual(links, flat[c].tolist(), target.tolist()))
+        if res < tol_mm:
+            return IKResult(flat[c], res, evaluated + 1)
+        res = _residual(links, q.transpose(2, 0, 1), target, trig).ravel()
+        lands = res < tol_mm
+        if lands.any():
+            c = int(np.where(lands, step, np.inf).argmin())
+            evaluated += int((step < step[c]).sum()
+                             + (step[:c] == step[c]).sum()) + 1
+            return IKResult(flat[c], float(res[c]), evaluated)
+        checked = res[~np.isnan(res)]
+        evaluated += len(checked)
+        best = min(best, float(checked.min(initial=np.inf)))
     raise NotReachable(best, evaluated)
 
 
 def _arc_angles(links, limits, rho, phi, warm):
-    """Trochanter angles from the reachable arcs, for a planar target.
-
-    The wrist, past the trochanter, sits at ``|w|^2 = rho^2 + a1^2 -
-    2 a1 rho cos(q1 - phi)``, and the femur/tibia pair reaches it iff
-    ``|w|`` lies in ``[|a2 - a3|, a2 + a3]``: two arcs ``beta_in <=
-    |q1 - phi| <= beta_out`` from two ``acos`` calls.  On each arc,
-    within the trochanter limits, the point nearest ``warm`` and both
-    ends are returned.
-
-    An arc end is a point and a number of turns added to it.  Arc 1
-    mirrors arc 0 about ``phi``; where a mirrored end falls on ``phi -
-    pi`` (``beta`` clamped to pi), it is written as arc 0's end ``phi +
-    pi`` a turn back, so that a point where the arcs meet is one
-    candidate, to the bit, at every shift (``_arc_windows`` does the
-    same).  With no trochanter or no rho, one arc runs all the way
-    round, from its own end a turn back.
+    """Trochanter angles from the reachable arcs, for a planar target:
+    whether ``warm`` lies on an arc, and the window ends, in the order
+    and with the arithmetic of ``_arc_windows``, which has the geometry.
     """
     _, a1, a2, a3 = links
     lo1, hi1 = limits[1]
@@ -382,12 +357,14 @@ def _arc_angles(links, limits, rho, phi, warm):
         arcs = (((phi + math.pi, -1), (phi + math.pi, 0)),)
     else:
         base = rho * rho + a1 * a1
-        b_in = _acos_clamped((base - (a2 - a3) ** 2) / (2.0 * a1 * rho))
-        b_out = _acos_clamped((base - (a2 + a3) ** 2) / (2.0 * a1 * rho))
+        b_in, b_out = np.arccos([
+            min(1.0, max(-1.0, (base - (a2 - a3) ** 2) / (2.0 * a1 * rho))),
+            min(1.0, max(-1.0, (base - (a2 + a3) ** 2) / (2.0 * a1 * rho)))
+        ]).tolist()
         arcs = (((phi + b_in, 0), (phi + b_out, 0)),
                 ((phi + b_out, -1) if b_out == math.pi else (phi - b_out, 0),
                  (phi + b_in, -1) if b_in == math.pi else (phi - b_in, 0)))
-    angles = {}
+    held, ends = False, []
     for (s, s_turn), (e, e_turn) in arcs:
         for k in range(math.ceil((lo1 - (e + e_turn * math.tau)
                                   - LIMIT_SLACK_RAD) / math.tau),
@@ -396,38 +373,9 @@ def _arc_angles(links, limits, rho, phi, warm):
             lo = max(s + (k + s_turn) * math.tau, lo1)
             hi = min(e + (k + e_turn) * math.tau, hi1)
             if lo <= hi + LIMIT_SLACK_RAD:
-                for q1 in (min(max(warm, lo), hi), lo, hi):
-                    angles[min(max(q1, lo1), hi1)] = None
-    return angles
-
-
-def _pinned_angles(links, limits, rho, phi, warm):
-    """Trochanter angles that put the femur or the tibia on a limit.
-
-    Where the femur/tibia limits cut an arc short, the stretches of
-    valid trochanter angles end at these; with the arc ends and the
-    trochanter limits, every stretch then has an end among the
-    candidates.  A pinned joint makes the chain a two-link one: a link
-    of length b at angle q1 + gamma, then one of length c.
-    """
-    _, a1, a2, a3 = links
-    pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
-                                * math.cos(lim))) for lim in limits[3]]
-    pins += [(math.hypot(a1 + a2 * math.cos(lim), a2 * math.sin(lim)),
-              math.atan2(a2 * math.sin(lim), a1 + a2 * math.cos(lim)), a3)
-             for lim in limits[2]]
-    angles = {}
-    for b, gamma, c in pins:
-        if b * rho == 0.0:
-            continue
-        cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
-        if abs(cos_beta) <= 1.0:
-            beta = math.acos(cos_beta)
-            for q1 in (phi - gamma + beta, phi - gamma - beta):
-                q1 = _wrap_into(q1, warm, *limits[1])
-                if q1 is not None:
-                    angles[q1] = None
-    return angles
+                held = held or lo <= warm <= hi
+                ends += [min(lo, hi1), max(hi, lo1)]
+    return held, ends
 
 
 def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
@@ -455,38 +403,35 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     the joint series on one solution branch for smooth inputs.
 
     The answer is that of one ``inverse_kinematics`` call per sample,
-    but the samples are solved in numpy batch rounds.  The first
-    sample's closed-form pick is taken from its warm start, exactly as
-    ``_closed_form`` takes it, and its rule (the plane and elbow, and
-    the trochanter's source: the warm angle held, an arc end, a limit
-    or a pin; or the warm start itself when it landed) starts the first
-    round.  A round guesses every later sample by that rule and takes
-    each one's pick in numpy from the previous sample's guess as warm
-    start.  The samples up to the first whose pick is not bitwise its
-    guess are what the one-by-one loop would have found, so they are
-    accepted, and so is that sample's own pick, whose warm start was
-    right; its rule starts the next round.  Only a sample with no sure
-    pick (see below; a target on the z axis; no candidate that lands)
-    goes to the scalar path.  A round that takes nothing ends the
-    batching, and the scalar path solves the rest of the path; so does
-    a first sample with no sure pick.  A leg with a joint that spans a
-    turn or more runs the scalar path alone.
+    bit for bit, but the samples are solved in numpy batch rounds.  The
+    scalar and the batched path share one arithmetic: numpy's arccos,
+    arctan2, hypot, cos and sin in the same formulas (``_close``,
+    ``_residual``, ``_pinned_batch`` and ``_wrap`` serve both; the
+    scalar ``_arc_angles`` gives ``_arc_windows``'s arc ends), and one
+    rule for the pick: the landing candidate with the smallest step
+    from the warm start, ties to the first in one candidate order.  The first
+    sample's pick is taken from its warm start, and its rule (the plane
+    and elbow, and the trochanter's source: the warm angle held, an arc
+    end, a limit or a pin; or the warm start itself when it landed)
+    starts the first round.  A round guesses every later sample by that
+    rule and takes each one's pick in numpy from the previous sample's
+    guess as warm start.  The samples up to the first whose pick is not
+    bitwise its guess are what the one-by-one loop would have found, so
+    they are accepted, and so is that sample's own pick, whose warm
+    start was right; its rule starts the next round.  Only a sample with
+    no pick (a target on the z axis, or no candidate that lands) goes to
+    the scalar path, and batching goes on after it.  A leg with a joint
+    that spans a turn or more runs the scalar path alone.
 
-    numpy's arctan2, arccos and hypot can differ from ``math``'s in the
-    last place, so a batched sample may differ from the scalar answer by
-    a few ulp (well within 1e-12 rad).  Near an acos argument of +-1 (a
-    straight or folded elbow, a stretched pin) such a difference grows
-    to 1e-8 rad, so a pick with such a candidate near it is not sure,
-    and its sample is left to the scalar path (see ``ACOS_EDGE``).
-
-    Raises NotReachable (tagged with the failing sample index) if any
-    sample is not reachable; it is the scalar path's, residual and
-    iterations included.
+    Raises ValueError for a ``q0`` that is not 4 finite angles, and
+    NotReachable (tagged with the failing sample index) if any sample is
+    not reachable; it is the scalar path's, residual and iterations
+    included.
     """
     if q0 is None:
         q = 0.5 * (model.lower + model.upper)
     else:
-        q = np.asarray(q0, dtype=float).copy()
+        q = _checked_q0(q0).copy()
     n = len(traj)
     out = np.empty((n, 4))
     off = np.array([r.theta_offset for r in model.rows])
@@ -518,9 +463,6 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
                                         model.upper)
                 i += 1
                 continue
-            # a round that takes nothing (a stretched leg) ends the
-            # batching: the scalar path solves the rest of the path
-            batchable = m > 0
             if i == n:
                 break
         try:
@@ -533,14 +475,6 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     return out
 
 
-# an acos whose argument lies within this of +-1 turns a last-place
-# difference (numpy's arctan2, arccos and hypot are not math's) into
-# up to ~1e-8 rad; a batch takes no pick with such a candidate within
-# UNSOUND_GAP_RAD of it, and the scalar path solves that sample
-ACOS_EDGE = 1e-2
-UNSOUND_GAP_RAD = 1e-6
-
-
 # the rules of the held trochanter candidates, in _held's column order
 HELD_KEYS = [("held", plane, elbow) for plane in range(2) for elbow in (1, -1)]
 
@@ -549,31 +483,29 @@ class _PathCandidates:
     """``_closed_form``'s candidates for every sample of a path at once.
 
     Built for a yaw + planar-3R leg whose every joint spans less than a
-    turn (less twice ``LIMIT_SLACK_RAD``).  Then each ``_wrap_into`` in
-    ``_closed_form`` has at most one representative to take, whatever
-    the warm start, so every candidate but one is the same for any warm
-    start: the coxa yaws, the trochanter angles at the arc ends, the
-    limits and the pins, and the femur and tibia closing the loop from
-    each.  Those are built here once (the pinned ones when first
-    needed).  The one left, the trochanter's warm angle where it lies
-    on an arc, is built per round, and so are the ordering by step and
-    the warm-start shortcut.  A target on the z axis, whose yaw is the
-    warm one, gets no batched pick.
+    turn (less twice ``LIMIT_SLACK_RAD``).  Then each ``_wrap`` has at
+    most one representative to take, whatever the warm start, so every
+    candidate but one is the same for any warm start: the coxa yaws, the
+    trochanter angles at the arc ends, the limits and the pins, and the
+    femur and tibia closing the loop from each.  Those are built here
+    once (the pinned ones when first needed).  The one left, the
+    trochanter's warm angle where it lies on an arc, is built per round,
+    and so are the ordering by step and the warm-start shortcut.  A
+    target on the z axis, whose yaw is the warm one, gets no batched
+    pick.
 
     Angles are DH angles.  Each column set is (index, candidates (N, C,
-    4), landing mask (N, C), soundness (N, C)): a candidate lands if it
-    fits the limits on a tried plane within ``tol_mm`` of its target,
-    and is sound if none of its acos arguments lies within
-    ``ACOS_EDGE`` of +-1.  A rule names the source of a pick: ``"warm"``
-    (the warm start landed), ``("held", plane, elbow)``, ``("end",
-    plane, arc, shift, end, elbow)`` or ``("pin", plane, pin, sign,
-    elbow)``.  A pick is sure when no unsound landing candidate lies
-    within ``UNSOUND_GAP_RAD`` of it (see ``_nearest``): the scalar path
-    then picks the same candidate.
+    4), landing mask (N, C)): a candidate lands if it fits the limits on
+    a tried plane within ``tol_mm`` of its target.  The columns run in
+    ``_closed_form``'s candidate order: the held ones, then the arc
+    ends, by plane; the pinned ones by plane.  A rule names the source
+    of a pick: ``"warm"`` (the warm start landed), ``("held", plane,
+    elbow)``, ``("end", plane, arc, shift, end, elbow)`` or ``("pin",
+    plane, pin, sign, elbow)``.
     """
 
     def __init__(self, links, limits, targets, tol_mm):
-        a0, a1, a2, a3 = links
+        a0 = links[0]
         self.links, self.limits, self.tol_mm = links, limits, tol_mm
         self.targets = targets
         x, y, z = targets.T
@@ -581,62 +513,52 @@ class _PathCandidates:
         aim = np.arctan2(y, x)
         u = np.column_stack([r - a0, -r - a0])
         rho = np.hypot(u, z[:, None])
-        near = max(a1 - a2 - a3, abs(a2 - a3) - a1, 0.0)
-        outside = np.maximum(np.maximum(rho - (a1 + a2 + a3), near - rho),
-                             0.0)
+        outside = _outside(links, rho)
         self.reach = (outside.min(axis=1) < tol_mm) & (r != 0.0)
-        self.yaw = _wrap_batch(np.column_stack([aim, aim + math.pi]),
-                               *limits[0])
+        self.yaw = _wrap(np.column_stack([aim, aim + math.pi]), *limits[0])
         self.tried = (outside < tol_mm) & ~np.isnan(self.yaw)
         self.u, self.rho, self.z = u, rho, z[:, None]
         self.phi = np.arctan2(self.z, u)
-        self.lo, self.hi, self.windows, keys = _arc_windows(
+        self.lo, self.hi, self.windows, ends, keys = _arc_windows(
             links, limits, rho, self.phi)
-        ends = np.stack([self.lo, self.hi], axis=-1).reshape(len(z), 2, -1)
-        self.ends = self._columns(
-            "end", np.minimum(np.maximum(ends, limits[1][0]), limits[1][1]),
-            np.repeat(self.windows, 2, axis=-1), True, keys)
+        self.ends = self._columns("end", ends,
+                                  np.repeat(self.windows, 2, axis=-1), keys)
         self.keys = HELD_KEYS + list(self.ends[0])
         self.pins = None
         self.last_held = None, np.empty(0), None
 
-    def _columns(self, kind, q1, ok, sound, keys):
+    def _columns(self, kind, q1, ok, keys):
         """The column set of trochanter angles q1 (N, 2, M), kept where
-        ok and sound where sound, on the tried planes; ``keys`` names
-        the M sources."""
+        ok, on the tried planes; ``keys`` names the M sources."""
         n, _, m = q1.shape
         ok = (ok & self.tried[:, :, None]).reshape(n, -1)
         cols = np.flatnonzero(ok.any(axis=0))
         row, col = np.nonzero(ok[:, cols])
         flat = cols[col]
-        q, lands, sound_at = self._close_at(row, flat // m,
-                                            q1.reshape(n, -1)[row, flat])
-        sound_at = sound_at & np.broadcast_to(sound, q1.shape).reshape(
-            n, -1)[row, flat, None]
+        q, lands = self._close_at(row, flat // m, q1.reshape(n, -1)[row, flat])
         keys = [(kind, c // m) + keys[c % m] + (e,)
                 for c in cols.tolist() for e in (1, -1)]
         return ({key: c for c, key in enumerate(keys)},
-                *self._scatter((n, len(cols)), (row, col), q, lands, sound_at))
+                *self._scatter((n, len(cols)), (row, col), q, lands))
 
     def _close_at(self, at, plane, q1):
         """``_close`` from trochanter angles q1 for samples ``at`` on
-        planes ``plane``, all (k,)."""
-        return _close(self.links, self.limits, self.yaw[at, plane],
-                      self.u[at, plane], self.z[at, 0], q1, self.targets[at],
-                      self.tol_mm)
+        planes ``plane``, all (k,): candidates and landing mask."""
+        q, trig = _close(self.links, self.limits, self.yaw[at, plane],
+                         self.u[at, plane], self.z[at, 0], q1)
+        return q, _residual(self.links, q.transpose(2, 0, 1),
+                            self.targets[at].T[..., None], trig) < self.tol_mm
 
     @staticmethod
-    def _scatter(shape, where, q, lands, sound):
-        """``_close``'s output for the entries ``where`` of a grid of
+    def _scatter(shape, where, q, lands):
+        """``_close_at``'s output for the entries ``where`` of a grid of
         trochanter angles ``shape`` (n, M): candidates (n, 2M, 4) (NaN
-        elsewhere), landing mask and soundness (n, 2M)."""
-        full = [np.full(shape + (2, 4), np.nan), np.zeros(shape + (2,), bool),
-                np.ones(shape + (2,), bool)]
-        for a, got in zip(full, (q, lands, sound)):
-            a[where] = got
+        elsewhere) and landing mask (n, 2M)."""
+        full_q = np.full(shape + (2, 4), np.nan)
+        full_lands = np.zeros(shape + (2,), bool)
+        full_q[where], full_lands[where] = q, lands
         n = shape[0]
-        return full[0].reshape(n, -1, 4), full[1].reshape(n, -1), \
-            full[2].reshape(n, -1)
+        return full_q.reshape(n, -1, 4), full_lands.reshape(n, -1)
 
     def _pinned(self):
         if self.pins is None:
@@ -646,8 +568,7 @@ class _PathCandidates:
 
     def _held(self, i, w1):
         """The held trochanter angles w1 (n,) of samples i..: candidates
-        (n, 4, 4), landing mask and soundness (n, 4), per plane and
-        elbow."""
+        (n, 4, 4) and landing mask (n, 4), per plane and elbow."""
         n = len(w1)
         last_i, last_w1, last = self.last_held
         if last_i == i and n <= len(last_w1) \
@@ -669,14 +590,14 @@ class _PathCandidates:
         n = len(self.targets) - i
         if rule == "warm":
             q = np.broadcast_to(warm, (n, 1, 4))
-            lands = _residual(self.links, q, self.targets[i:, None, :]) \
+            lands = _residual(self.links, warm, self.targets[i:].T)[:, None] \
                 < self.tol_mm
             c = 0
         elif rule[0] == "held":
-            q, lands, _ = self._held(i, np.full(n, warm[1]))
+            q, lands = self._held(i, np.full(n, warm[1]))
             c = HELD_KEYS.index(rule)
         else:
-            index, q, lands, _ = self.ends if rule[0] == "end" \
+            index, q, lands = self.ends if rule[0] == "end" \
                 else self._pinned()
             q, lands, c = q[i:], lands[i:], index[rule]
         lands = lands[:, c]
@@ -686,8 +607,8 @@ class _PathCandidates:
     def first_miss(self, i, warms, guess, rule):
         """The first of samples i.. whose ``_closed_form`` pick from
         ``warms`` is not its guess (len(warms) if none), the rule of
-        that pick (``rule`` if none misses), and that pick if it is sure
-        (else None; see ``_picks``)."""
+        that pick (``rule`` if none misses, None if it has no pick), and
+        that pick (None if none misses or it has no pick)."""
         picks, rule_of = self._picks(i, warms, guess)
         same = (picks == guess).all(axis=1)
         if same.all():
@@ -697,46 +618,41 @@ class _PathCandidates:
 
     def pick(self, i, warm):
         """Sample i's pick from ``warm``, as ``first_miss`` gives a
-        missed sample's: its rule and the pick if sure, else None."""
+        missed sample's: its rule and the pick, or None for both."""
         picks, rule_of = self._picks(i, warm[None], np.full((1, 4), np.nan))
         return rule_of(0), None if np.isnan(picks[0, 0]) else picks[0]
 
     def _picks(self, i, warms, guess):
-        """Samples i..'s sure picks from ``warms`` (NaN where there is
-        none), and a function that gives a sample's rule.
+        """Samples i..'s picks from ``warms`` (NaN where there is none,
+        and ``_closed_form`` would raise), and a function that gives a
+        sample's rule.
 
         A pick is the warm start when that lands, else the nearest
         landing candidate (ties to the first) of the held and arc-end
         ones, else of the pinned ones, which are looked at only for the
-        samples up to the first miss of ``guess`` that need them.  A
-        sample has no sure pick if it has no pick (``_closed_form``
-        would raise) or if its pick is in doubt (see ``_nearest``).
+        samples up to the first miss of ``guess`` that need them.
         """
         n = len(warms)
         picks = np.full((n, 4), np.nan)
-        short = _residual(self.links, warms, self.targets[i:i + n]) \
+        short = _residual(self.links, warms.T, self.targets[i:i + n].T) \
             < self.tol_mm
         picks[short] = warms[short]
         todo = ~short & self.reach[i:i + n]
-        _, q, lands, sound = self.ends
-        q, lands, sound = (np.concatenate([h, e[i:i + n]], axis=1)
-                           for h, e in zip(self._held(i, warms[:, 1]),
-                                           (q, lands, sound)))
-        col, has, sure = _nearest(q, lands, sound, warms)
+        _, q, lands = self.ends
+        q, lands = (np.concatenate([h, e[i:i + n]], axis=1)
+                    for h, e in zip(self._held(i, warms[:, 1]), (q, lands)))
+        col, has = _nearest(q, lands, warms)
         has &= todo
-        take = has & sure
-        picks[take] = q[take, col[take]]
+        picks[has] = q[has, col[has]]
         found = [(has, col, self.keys)]
         need = todo & ~has
         miss = ~need & ~(picks == guess).all(axis=1)
         rows = np.flatnonzero(need[:miss.argmax() if miss.any() else n])
         if rows.size:
-            index, q, lands, sound = self._pinned()
+            index, q, lands = self._pinned()
             q = q[i + rows]
-            col, got, sure = _nearest(q, lands[i + rows], sound[i + rows],
-                                      warms[rows])
-            take = got & sure
-            picks[rows[take]] = q[take, col[take]]
+            col, got = _nearest(q, lands[i + rows], warms[rows])
+            picks[rows[got]] = q[got, col[got]]
             has = np.zeros(n, dtype=bool)
             has[rows[got]] = True
             at = np.zeros(n, dtype=int)
@@ -754,79 +670,110 @@ class _PathCandidates:
         return picks, rule_of
 
 
-def _nearest(q, lands, sound, warms):
+def _nearest(q, lands, warms):
     """Per row of candidates q (n, C, 4): the landing one nearest the
-    warm start by squared step (ties to the first), whether there is
-    one, and whether no unsound landing one lies within
-    ``UNSOUND_GAP_RAD`` of it in step (it might be nearer on the scalar
-    path)."""
+    warm start by ``_steps`` (ties to the first), and whether there is
+    one."""
     n = len(q)
     if q.shape[1] == 0:
-        return np.zeros(n, dtype=int), np.zeros(n, dtype=bool), \
-            np.ones(n, dtype=bool)
-    d = q - warms[:, None, :]
+        return np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    col = np.where(lands, _steps(q, warms[:, None, :]), np.inf).argmin(axis=1)
+    return col, lands[np.arange(n), col]
+
+
+def _steps(q, warm):
+    """Squared step from ``warm`` to each candidate of q (..., 4)."""
+    d = q - warm
     d *= d
-    step = np.where(lands, d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3],
-                    np.inf)
-    col = step.argmin(axis=1)
-    best = np.sqrt(step[np.arange(n), col])
-    doubt = np.sqrt(np.where(sound, np.inf, step).min(axis=1))
-    return col, np.isfinite(best), doubt > best + UNSOUND_GAP_RAD
+    return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
 
 
-def _residual(links, q, target):
-    """Distance from the yaw + planar-3R tip of q (..., 4) to target."""
+def _residual(links, q, target, trig=None):
+    """Distance from the yaw + planar-3R tip of q to target.
+
+    ``q`` is the coxa yaw and the three planar joint angles and
+    ``target`` is x, y and z: each a sequence of floats or of arrays
+    that broadcast (a (4, ...) and a (3, ...) array will do).  ``trig``
+    may give the cos and sin of the trochanter's and the femur's
+    absolute angles, as ``_close`` has them.
+    """
     a0, a1, a2, a3 = links
-    t1 = q[..., 1]
-    t2 = t1 + q[..., 2]
-    t3 = t2 + q[..., 3]
-    out = a0 + a1 * np.cos(t1) + a2 * np.cos(t2) + a3 * np.cos(t3)
-    dx = out * np.cos(q[..., 0]) - target[..., 0]
-    dy = out * np.sin(q[..., 0]) - target[..., 1]
-    dz = (a1 * np.sin(t1) + a2 * np.sin(t2) + a3 * np.sin(t3)
-          - target[..., 2])
+    yaw, t1, q2, q3 = q
+    x, y, z = target
+    t2 = t1 + q2
+    t3 = t2 + q3
+    c1, s1, c2, s2 = trig or (np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2))
+    out = a0 + a1 * c1 + a2 * c2 + a3 * np.cos(t3)
+    dx = out * np.cos(yaw) - x
+    dy = out * np.sin(yaw) - y
+    dz = a1 * s1 + a2 * s2 + a3 * np.sin(t3) - z
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def _close(links, limits, yaw, u, z, q1, target, tol_mm):
-    """Femur and tibia closing the loop from trochanter angles q1, as
-    ``_closed_form`` does, per elbow (bent +, bent -; the second is
-    dropped on a straight elbow): candidates (..., 2, 4), whether each
-    lands (the femur and tibia fit their limits and ``_residual`` to
-    ``target`` (..., 3) is below ``tol_mm``) and whether the elbow's
-    acos argument is sound, each (..., 2)."""
+def _outside(links, rho):
+    """How far planar targets at distance rho from the trochanter lie
+    outside the femur and tibia's reach (0 inside)."""
     _, a1, a2, a3 = links
-    wu = u - a1 * np.cos(q1)
-    wv = z - a1 * np.sin(q1)
-    aim = np.arctan2(wv, wu)[..., None]
-    c = np.minimum(np.maximum(
-        (wu * wu + wv * wv - a2 * a2 - a3 * a3) / (2.0 * a2 * a3), -1.0), 1.0)
-    elbow = np.arccos(c)
-    bend = elbow[..., None] * np.array([1.0, -1.0])
-    q1, wu, wv = q1[..., None], wu[..., None], wv[..., None]
-    q2 = _wrap_batch(aim - q1 - np.arctan2(a3 * np.sin(bend),
-                                           a2 + a3 * np.cos(bend)),
-                     *limits[2])
+    near = max(a1 - a2 - a3, abs(a2 - a3) - a1, 0.0)
+    return np.maximum(np.maximum(rho - (a1 + a2 + a3), near - rho), 0.0)
+
+
+def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
+    """Femur and tibia closing the loop from trochanter angles q1 (k,),
+    per elbow (bent +, bent -), in the planes of coxa yaws ``yaw`` (k,)
+    where the target lies at ``(u, z)`` (each (k,) or a float) from the
+    trochanter's axis.  Returns the candidates (k, 2, 4), NaN where the
+    femur or the tibia misses its limits and for the second elbow where
+    the elbow is straight; and ``_residual``'s ``trig`` for them.
+    ``warm`` gives ``_wrap`` its reference angles, needed only for a
+    joint that spans a turn.
+
+    The tibia aims from the knee at the target: near a straight elbow
+    this is exact where arccos is not.
+    """
+    _, a1, a2, a3 = links
+    c1, s1 = np.cos(q1), np.sin(q1)
+    wu = u - a1 * c1
+    wv = z - a1 * s1
+    elbow = np.arccos(np.minimum(np.maximum(
+        (wu * wu + wv * wv - a2 * a2 - a3 * a3) / (2.0 * a2 * a3), -1.0), 1.0))
+    bend = elbow[:, None] * np.array([1.0, -1.0])
+    bend[:, 1][elbow == 0.0] = np.nan
+    q1, wu, wv = q1[:, None], wu[:, None], wv[:, None]
+    q2 = _wrap(np.arctan2(wv, wu) - q1
+               - np.arctan2(a3 * np.sin(bend), a2 + a3 * np.cos(bend)),
+               *limits[2], warm[2])
     t2 = q1 + q2
-    q3 = _wrap_batch(np.arctan2(wv - a2 * np.sin(t2), wu - a2 * np.cos(t2))
-                     - t2, *limits[3])
+    c2, s2 = np.cos(t2), np.sin(t2)
+    q3 = _wrap(np.arctan2(wv - a2 * s2, wu - a2 * c2) - t2, *limits[3],
+               warm[3])
     q = np.empty(q2.shape + (4,))
-    q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[..., None], q1, q2, q3
-    lands = ~np.isnan(q2) & ~np.isnan(q3) & (
-        _residual(links, q, target[..., None, :]) < tol_mm)
-    lands[..., 1] &= elbow != 0.0
-    sound = np.broadcast_to((np.abs(c) <= 1.0 - ACOS_EDGE)[..., None],
-                            lands.shape)
-    return q, lands, sound
+    q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[:, None], q1, q2, q3
+    return q, (c1[:, None], s1[:, None], c2, s2)
 
 
 def _arc_windows(links, limits, rho, phi):
-    """``_arc_angles``'s trochanter windows for (N, 2) planes.
+    """The trochanter windows of the reachable arcs, for planar targets
+    at polar ``(rho, phi)`` of any shape S.
 
-    Each of the two arcs is shifted by every multiple of 2*pi any row
-    needs; the arc ends are written as in ``_arc_angles``, with their
-    turns.  Returns the window ends lo and hi and whether each window is
-    kept, all (N, 2, W), and a key (arc, shift, end) per window end.
+    The wrist, past the trochanter, sits at ``|w|^2 = rho^2 + a1^2 -
+    2 a1 rho cos(q1 - phi)``, and the femur/tibia pair reaches it iff
+    ``|w|`` lies in ``[|a2 - a3|, a2 + a3]``: two arcs ``beta_in <=
+    |q1 - phi| <= beta_out`` from two arccos calls.  Each arc is shifted
+    by every multiple of 2*pi any target needs and cut to the
+    trochanter limits.
+
+    An arc end is a point and a number of turns added to it.  Arc 1
+    mirrors arc 0 about ``phi``; where a mirrored end falls on ``phi -
+    pi`` (``beta`` clamped to pi), it is written as arc 0's end ``phi +
+    pi`` a turn back, so that a point where the arcs meet is one
+    candidate, to the bit, at every shift.  With no trochanter or no
+    rho, one arc runs all the way round, from its own end a turn back.
+
+    Returns the window ends lo and hi and whether each window is kept,
+    all S + (W,); the window ends taken onto the trochanter limits,
+    S + (2W,), lo then hi per window; and a key (arc, shift, end) per
+    window end.
     """
     _, a1, a2, a3 = links
     lo1, hi1 = limits[1]
@@ -859,49 +806,67 @@ def _arc_windows(links, limits, rho, phi):
     hi = np.minimum(e[..., None] + (ks + e_turn[..., None]) * math.tau, hi1)
     kept = (k_lo[..., None] <= ks) & (ks <= k_hi[..., None]) \
         & (lo <= hi + LIMIT_SLACK_RAD)
-    n = rho.shape[0]
+    shape = np.shape(rho) + (-1,)
+    ends = np.minimum(np.maximum(np.stack([lo, hi], axis=-1), lo1), hi1)
     keys = [(a, k, end) for a in range(2) for k in ks.tolist()
             for end in ("lo", "hi")]
-    return (lo.reshape(n, 2, -1), hi.reshape(n, 2, -1),
-            kept.reshape(n, 2, -1), keys)
+    return (lo.reshape(shape), hi.reshape(shape), kept.reshape(shape),
+            ends.reshape(shape), keys)
 
 
-def _pinned_batch(links, limits, rho, phi):
-    """``_pinned_angles`` for (N, 2) planes: trochanter angles, whether
-    each is kept and whether its acos is sound, all (N, 2, 8), and
-    their keys (pin, sign)."""
+def _pinned_batch(links, limits, rho, phi, ref=None):
+    """Trochanter angles that put the femur or the tibia on a limit, for
+    planar targets at polar ``(rho, phi)`` of any shape S.
+
+    Where the femur/tibia limits cut an arc short, the stretches of
+    valid trochanter angles end at these; with the arc ends and the
+    trochanter limits, every stretch then has an end among the
+    candidates.  A pinned joint makes the chain a two-link one: a link
+    of length b at angle q1 + gamma, then one of length c.  Returns the
+    angles, wrapped near ``ref``, and whether each is kept, both S +
+    (8,), and their keys (pin, sign).
+    """
     _, a1, a2, a3 = links
     pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
                                 * math.cos(lim))) for lim in limits[3]]
     pins += [(math.hypot(a1 + a2 * math.cos(lim), a2 * math.sin(lim)),
               math.atan2(a2 * math.sin(lim), a1 + a2 * math.cos(lim)), a3)
              for lim in limits[2]]
-    q1, ok, sound = [], [], []
-    for b, gamma, c in pins:
-        cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
-        fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0)
-        beta = np.arccos(cos_beta)
-        for q in (phi - gamma + beta, phi - gamma - beta):
-            q = _wrap_batch(q, *limits[1])
-            q1.append(q)
-            ok.append(fits & ~np.isnan(q))
-            sound.append(np.abs(cos_beta) <= 1.0 - ACOS_EDGE)
+    b, gamma, c = (np.array(v) for v in zip(*pins))
+    rho, phi = rho[..., None], phi[..., None]
+    cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
+    beta = np.arccos(cos_beta)
+    # per pin, the angle on either side of the line to the target
+    q1 = np.stack([phi - gamma + beta, phi - gamma - beta], axis=-1)
+    q1 = _wrap(q1.reshape(q1.shape[:-2] + (-1,)), *limits[1], ref)
+    fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0)
     keys = [(p, sign) for p in range(len(pins)) for sign in (1, -1)]
-    return (np.stack(q1, axis=-1), np.stack(ok, axis=-1),
-            np.stack(sound, axis=-1), keys)
+    return q1, np.repeat(fits, 2, axis=-1) & ~np.isnan(q1), keys
 
 
-def _wrap_batch(angle, lo, hi):
-    """``_wrap_into`` elementwise for limits spanning less than a turn
-    (less twice ``LIMIT_SLACK_RAD``); NaN where it returns None.
+def _wrap(angle, lo, hi, ref=None):
+    """The 2*pi-representative of each angle of the array ``angle`` in
+    [lo, hi] nearest ``ref`` (itself in them); NaN where none fits.  One
+    that misses the limits by no more than ``LIMIT_SLACK_RAD`` is taken
+    onto them.
 
-    Only the representative nearest the middle of the limits can then
-    fit them, so the result is the same for every reference in them.
+    Where the limits span less than a turn (less twice the slack), only
+    the representative nearest their middle can fit them, so that is
+    taken whatever ``ref`` (which may then be None).  Where they span
+    more, the one nearest ``ref`` may miss them by a little while the
+    next one round, a turn toward them, fits.
     """
-    j = np.round((0.5 * (lo + hi) - angle) / math.tau)
-    v = np.where(j == 0.0, angle, angle + j * math.tau)
-    return np.where((lo - LIMIT_SLACK_RAD <= v) & (v <= hi + LIMIT_SLACK_RAD),
-                    np.minimum(np.maximum(v, lo), hi), np.nan)
+    if hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau:
+        turns = np.rint((angle - 0.5 * (lo + hi)) / math.tau)
+    else:
+        turns = np.rint((angle - ref) / math.tau)
+        v = angle - turns * math.tau
+        turns = turns - (v < lo - LIMIT_SLACK_RAD) + (v > hi + LIMIT_SLACK_RAD)
+    # + 0.0 makes a zero turn +0.0, so that angle comes back as it was
+    v = angle - (turns + 0.0) * math.tau
+    out = np.minimum(np.maximum(v, lo), hi)
+    out[(v < lo - LIMIT_SLACK_RAD) | (v > hi + LIMIT_SLACK_RAD)] = np.nan
+    return out
 
 
 TRAJECTORY_HEADER = ("t_ms", "x_mm", "y_mm", "z_mm")

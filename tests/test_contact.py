@@ -536,7 +536,7 @@ def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
             leg, chain, mesh, script, dt_ms=dt, limits=cfg.build_limits(),
             **cfg.ik_params())))
     (old_q, old, old_final), (new_q, new, new_final) = runs
-    assert np.max(np.abs(new_q[0] - old_q[0])) <= 1e-12
+    assert np.array_equal(new_q[0], old_q[0])
     assert len(rounds) <= MAX_ROUNDS and len(scalar) <= MAX_SCALAR_SOLVES
     assert new_final.events == old_final.events
     assert [(s.mode, s.attachment, s.events) for s in new] \

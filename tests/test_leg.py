@@ -191,6 +191,26 @@ class TestInverseKinematics:
         assert r1.iterations == r2.iterations
 
 
+BAD_Q0 = [[math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0],
+          [0.0, 0.0, 0.0], [[0.0] * 4] * 2, 0.0]
+
+
+class TestBadWarmStart:
+    @pytest.mark.parametrize("q0", BAD_Q0)
+    def test_inverse_kinematics_rejects_it(self, model, q0):
+        with pytest.raises(ValueError, match=r"q0 must be finite joint "
+                                             r"angles of shape \(4,\)"):
+            inverse_kinematics(model, [120.0, 0.0, -60.0], q0)
+
+    @pytest.mark.parametrize("q0", BAD_Q0)
+    def test_trajectory_to_joints_rejects_it(self, model, q0):
+        # the batch never calls inverse_kinematics on this path
+        traj = synthetic_workspace_arc(model)
+        with pytest.raises(ValueError, match=r"q0 must be finite joint "
+                                             r"angles of shape \(4,\)"):
+            trajectory_to_joints(model, traj, q0)
+
+
 class TestInverseKinematicsProperties:
     @settings(max_examples=300, deadline=None)
     @given(qstar=JOINTS, warm=JOINTS)
@@ -442,7 +462,7 @@ def solve_both(model, traj, q0=None, tol_mm=IK_TOL_MM):
 
 class TestBatchedJointPath:
     """trajectory_to_joints solves in batches; the scalar loop is the
-    oracle: joints within 1e-12 rad, the same NotReachable."""
+    oracle: the same joints bit for bit, the same NotReachable."""
 
     @settings(max_examples=150, deadline=None)
     @given(model=planar_legs(), seed=st.integers(0, 2 ** 32 - 1),
@@ -463,7 +483,7 @@ class TestBatchedJointPath:
         if isinstance(oracle, tuple):
             assert batched == oracle
         else:
-            assert np.max(np.abs(batched - oracle)) <= 1e-12
+            assert np.array_equal(batched, oracle)
 
     def test_solves_most_samples_in_batches(self, model, monkeypatch):
         # a smooth path: one pick, one round, no scalar solve
@@ -473,25 +493,29 @@ class TestBatchedJointPath:
         qs = trajectory_to_joints(model, traj)
         monkeypatch.undo()
         assert len(rounds) == 1 and calls == []
-        assert np.max(np.abs(qs - scalar_joints(model, traj))) <= 1e-12
+        assert np.array_equal(qs, scalar_joints(model, traj))
 
     @pytest.mark.parametrize("straight", [(0.0, 1.0), (0.0, 0.3),
                                           (0.45, 0.55)])
-    def test_a_stretched_leg_ends_the_batching(self, model, monkeypatch,
-                                               straight):
-        # the first sample the batch cannot take (a straight elbow) ends
-        # the batching: the scalar path solves it and the rest of the path
+    def test_a_stretched_leg_is_batched(self, model, monkeypatch, straight):
+        # a straight elbow is a pick like any other: the batch takes it,
+        # with no scalar solve, as the scalar loop does to the bit
         traj = stretch_path(model, straight)
-        rounds = count_calls(monkeypatch, leg._PathCandidates, "first_miss")
         scalar = count_calls(monkeypatch, leg, "inverse_kinematics")
         qs = trajectory_to_joints(model, traj)
         monkeypatch.undo()
-        oracle = scalar_joints(model, traj)
-        stretched = np.abs(np.cos(oracle[:, 3])) > 1.0 - leg.ACOS_EDGE
-        first = int(stretched.argmax())
-        assert len(scalar) == len(traj) - first
-        assert len(rounds) <= (2 if first else 0)
-        assert np.max(np.abs(qs - oracle)) <= 1e-12
+        assert scalar == []
+        assert np.array_equal(qs, scalar_joints(model, traj))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_a_smooth_joint_path_is_batched(self, model, monkeypatch, seed):
+        # some of these meet a straight elbow midway
+        traj = joint_path(model, seed, 120, 0.05)
+        scalar = count_calls(monkeypatch, leg, "inverse_kinematics")
+        qs = trajectory_to_joints(model, traj)
+        monkeypatch.undo()
+        assert scalar == []
+        assert np.array_equal(qs, scalar_joints(model, traj))
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_short_path(self, model, n):
@@ -515,7 +539,7 @@ class TestBatchedJointPath:
                        offsets)
         traj = joint_path(m, 7, 120, 0.05)
         oracle, batched = solve_both(m, traj)
-        assert np.max(np.abs(batched - oracle)) <= 1e-12
+        assert np.array_equal(batched, oracle)
         assert np.all(batched >= m.lower) and np.all(batched <= m.upper)
 
     @pytest.mark.parametrize("which", ["wide_limits", "wide_tibia"])
@@ -533,8 +557,65 @@ class TestBatchedJointPath:
         traj = synthetic_workspace_arc(model)
         traj.points[40:90] = traj.points[40]
         oracle, batched = solve_both(model, traj)
-        assert np.max(np.abs(batched - oracle)) <= 1e-12
+        assert np.array_equal(batched, oracle)
         assert (batched[40:90] == batched[40]).all()
+
+
+# the numpy functions both IK paths take, with the domains they take them on
+NUMPY_FUNCS = {
+    "arccos": (np.arccos, st.floats(-1.0, 1.0)),
+    "arctan2": (np.arctan2, st.floats(-1e3, 1e3)),
+    "hypot": (np.hypot, st.floats(-1e3, 1e3)),
+    "cos": (np.cos, st.floats(-20.0, 20.0)),
+    "sin": (np.sin, st.floats(-20.0, 20.0)),
+}
+
+
+class TestOneArithmetic:
+    """The batched path equals the scalar loop to the bit because both
+    take numpy's functions, and numpy gives an argument the same bits in
+    any layout: a long contiguous array, a strided view, a 0-d array, a
+    float, or the short arrays of one target's candidates.  Should a
+    platform's SIMD loops break that, this names the function."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(sorted(NUMPY_FUNCS)),
+           n=st.integers(1, 70))
+    def test_numpy_gives_the_same_bits_in_every_layout(self, data, name, n):
+        f, floats = NUMPY_FUNCS[name]
+        binary = f.nin == 2
+        args = [np.array(data.draw(st.lists(floats, min_size=n, max_size=n)))
+                for _ in range(f.nin)]
+        whole = f(*args)
+
+        def strided(a):
+            wide = np.full(3 * n + 1, 7.0)
+            wide[1::3] = a
+            return wide[1::3]
+
+        layouts = {
+            "strided": f(*map(strided, args)),
+            "0-d": np.array([f(*(np.array(a[i]) for a in args))
+                             for i in range(n)]),
+            "float": np.array([f(*(float(a[i]) for a in args))
+                               for i in range(n)]),
+            "7-element chunk": np.concatenate(
+                [f(*(a[k:k + 7] for a in args)) for k in range(0, n, 7)]),
+            "offset chunk": np.concatenate(
+                [f(*(a[:1] for a in args))]
+                + [f(*(a[k:k + 5] for a in args)) for k in range(1, n, 5)]),
+        }
+        if binary:
+            # one argument a float, as a plane's z against its u
+            layouts["broadcast float"] = np.array(
+                [f(args[0][i], args[1]).tolist()[i] for i in range(n)])
+        for layout, got in layouts.items():
+            bad = np.flatnonzero(got != whole)
+            assert bad.size == 0, (
+                f"np.{name} gives other bits in a {layout} layout than in a "
+                f"contiguous array of {n}: at "
+                f"{[a[bad[0]] for a in args]} {got[bad[0]]!r} != "
+                f"{whole[bad[0]]!r}")
 
 
 class TestArcMeetingPoint:
@@ -560,11 +641,16 @@ class TestArcMeetingPoint:
         meets = [m for m in meets if lo1 < m < hi1]
         # the warm angle and the limits are candidates of their own
         assume(all(abs(c - m) > 1e-6 for m in meets for c in (warm, lo1, hi1)))
-        angles = leg._arc_angles((0.0, a1, a2, a3), limits, rho, phi, warm)
+        held, angles = leg._arc_angles((0.0, a1, a2, a3), limits, rho, phi,
+                                       warm)
         for m in meets:
-            assert sum(abs(a - m) < 1e-9 for a in angles) == 1
-        lo_w, hi_w, _, keys = leg._arc_windows(
+            # the arcs' ends there are bitwise one angle: one candidate
+            assert len({a for a in angles if abs(a - m) < 1e-9}) == 1
+        lo_w, hi_w, kept, ends_w, keys = leg._arc_windows(
             (0.0, a1, a2, a3), limits, np.array([[rho]]), np.array([[phi]]))
+        # the scalar and the batched arc ends are the same, to the bit
+        assert angles == ends_w[np.repeat(kept, 2, axis=-1)].tolist()
+        assert held == bool((kept & (lo_w <= warm) & (warm <= hi_w)).any())
         ends = dict(zip(keys, np.stack([lo_w, hi_w], -1).ravel().tolist()))
         for (arc, k, end), v in ends.items():
             if arc == 0 and end == "hi" and lo1 < v < hi1:

@@ -307,18 +307,21 @@ def _closed_form(links, limits, target, warm, tol_mm):
     yaw, u, rho = yaw[tried], u[tried], rho[tried]
     phi = np.arctan2(z, u)
     w1 = float(warm[1])
-    held, ends = [], []
-    for p, plane in enumerate(zip(rho.tolist(), phi.tolist())):
-        on, at = _arc_angles(links, limits, *plane, w1)
-        held += [(p, w1)] * on
-        ends += [(p, q1) for q1 in at]
-    pairs = held + ends
-    for pinned in (False, True):
-        if pinned:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                q1, ok, _ = _pinned_batch(links, limits, rho, phi, w1)
-            pairs = zip(np.nonzero(ok)[0].tolist(), q1[ok].tolist())
-        # each (plane, trochanter angle) once, in order
+
+    def stages():
+        """(plane, trochanter angle) pairs: the arcs', then the pins'."""
+        held, ends = [], []
+        for p, plane in enumerate(zip(rho.tolist(), phi.tolist())):
+            on, at = _arc_angles(links, limits, *plane, w1)
+            held += [(p, w1)] * on
+            ends += [(p, q1) for q1 in at]
+        yield held + ends
+        with np.errstate(invalid="ignore", divide="ignore"):
+            q1, ok, _ = _pinned_batch(links, limits, rho, phi, w1)
+        yield zip(np.nonzero(ok)[0].tolist(), q1[ok].tolist())
+
+    for pairs in stages():
+        # each pair once, so that iterations count distinct candidates
         pairs = list(dict.fromkeys(pairs))
         if not pairs:
             continue
@@ -357,10 +360,9 @@ def _arc_angles(links, limits, rho, phi, warm):
         arcs = (((phi + math.pi, -1), (phi + math.pi, 0)),)
     else:
         base = rho * rho + a1 * a1
-        b_in, b_out = np.arccos([
-            min(1.0, max(-1.0, (base - (a2 - a3) ** 2) / (2.0 * a1 * rho))),
-            min(1.0, max(-1.0, (base - (a2 + a3) ** 2) / (2.0 * a1 * rho)))
-        ]).tolist()
+        b_in, b_out = (float(np.arccos(min(1.0, max(-1.0, c)))) for c in (
+            (base - (a2 - a3) ** 2) / (2.0 * a1 * rho),
+            (base - (a2 + a3) ** 2) / (2.0 * a1 * rho)))
         arcs = (((phi + b_in, 0), (phi + b_out, 0)),
                 ((phi + b_out, -1) if b_out == math.pi else (phi - b_out, 0),
                  (phi + b_in, -1) if b_in == math.pi else (phi - b_in, 0)))

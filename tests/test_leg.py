@@ -659,20 +659,32 @@ class TestArcMeetingPoint:
                 assert v in angles
 
 
+def lands_from_any_warm_start(model, data):
+    q, warm = ([data.draw(st.floats(lo, hi)) for lo, hi in
+                model.joint_limits] for _ in range(2))
+    target = forward_kinematics(model, np.array(q)).position
+    off = [r.theta_offset for r in model.rows]
+    found = leg._closed_form(
+        tuple(r.a for r in model.rows),
+        [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)],
+        target.tolist(), [w + o for w, o in zip(warm, off)], IK_TOL_MM)
+    assert found.residual_mm < IK_TOL_MM
+
+
 class TestClosedFormCompleteness:
     @settings(max_examples=300, deadline=None)
     @given(model=planar_legs(), data=st.data())
     def test_fk_images_always_land(self, model, data):
         # the closed form finds every in-limit pose from any warm start
-        q, warm = ([data.draw(st.floats(lo, hi)) for lo, hi in
-                    model.joint_limits] for _ in range(2))
-        target = forward_kinematics(model, np.array(q)).position
-        off = [r.theta_offset for r in model.rows]
-        found = leg._closed_form(
-            tuple(r.a for r in model.rows),
-            [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)],
-            target.tolist(), [w + o for w, o in zip(warm, off)], IK_TOL_MM)
-        assert found.residual_mm < IK_TOL_MM
+        lands_from_any_warm_start(model, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=planar_legs(widest_deg=400.0), data=st.data())
+    def test_fk_images_land_on_joints_spanning_turns(self, model, data):
+        # where a joint spans a turn or more, two representatives of an
+        # angle can fit its limits: the one nearest the warm angle is
+        # wrapped a turn toward the limits when it misses them
+        lands_from_any_warm_start(model, data)
 
 
 class TestTrajectoryCsv:

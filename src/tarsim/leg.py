@@ -724,7 +724,7 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
     """Femur and tibia closing the loop from trochanter angles q1 (k,),
     per elbow (bent +, bent -), in the planes of coxa yaws ``yaw`` (k,)
     where the target lies at ``(u, z)`` (each (k,) or a float) from the
-    trochanter's axis.  Returns the candidates (k, 2, 4), NaN where the
+    trochanter joint.  Returns the candidates (k, 2, 4), NaN where the
     femur or the tibia misses its limits and for the second elbow where
     the elbow is straight; and ``_residual``'s ``trig`` for them.
     ``warm`` gives ``_wrap`` its reference angles, needed only for a

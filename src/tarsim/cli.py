@@ -217,7 +217,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
     if args.ik is not None:
         target = _parse_vector(args.ik, 3, "--ik")
         q0 = np.radians(_parse_vector(args.q0, 4, "--q0")) \
-            if args.q0 else 0.5 * (model.lower + model.upper)
+            if args.q0 is not None else 0.5 * (model.lower + model.upper)
         result = leg_mod.inverse_kinematics(model, target, q0, **ik_kwargs)
         qd = np.degrees(result.q)
         if ctx.csv:
@@ -238,7 +238,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         scale = args.scale if args.scale is not None \
             else ctx.cfg.retarget_params()["scale"]
         origin = _parse_vector(args.origin, 3, "--origin") \
-            if args.origin else None
+            if args.origin is not None else None
         try:
             scaled = leg_mod.retarget_trajectory(traj, scale, origin)
         except ValueError as err:
@@ -418,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", help="pull sweep start:stop:step (mm)")
     p.add_argument("--stiffness", action="store_true",
                    help="emit force-displacement curves for both modes")
-    p.set_defaults(func=cmd_chain)
 
     p = sub.add_parser("leg", parents=[common],
                        help="leg forward/inverse kinematics and retargeting")
@@ -433,13 +432,11 @@ def build_parser() -> argparse.ArgumentParser:
                    "sample)")
     p.add_argument("--to-joints", action="store_true",
                    help="also solve the retargeted trajectory to joints")
-    p.set_defaults(func=cmd_leg)
 
     p = sub.add_parser("sim", parents=[common],
                        help="run a scripted leg-on-mesh scenario")
     p.add_argument("--scenario", required=True,
                    help="scenario name (walk_cycle, tubed, or from config)")
-    p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("gait", parents=[common],
                        help="marker-recording metrics and group statistics")
@@ -452,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bypass recordings; t-test summary pairs directly")
     p.add_argument("--pair", action="append",
                    help="label,mean_a,sd_a,n_a,mean_b,sd_b,n_b[,published_p]")
-    p.set_defaults(func=cmd_gait)
     return parser
 
 
@@ -475,12 +471,19 @@ def _resolve_config(args) -> tuple[Config, Path | None]:
     return Config.default(), None
 
 
+# Built by the first call to main and reused by every later one in the
+# process: parse_args keeps no state in the parser between calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
+    global _parser
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # the output directory, or the nearest part of its path that exists,
@@ -499,7 +502,9 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        rc = args.func(args, ctx)
+        # looked up per call, so a cmd_* rebound after the parser was
+        # built (a wrapper, a test's patch) is the one that runs
+        rc = globals()[f"cmd_{args.command}"](args, ctx)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+from tarsim import cli
 from tarsim.chain import default_chain_geometry, max_chain_pull
-from tarsim.cli import main, read_table
+from tarsim.cli import build_parser, main, read_table
 from tarsim.contact import load_demo_csv
 from tarsim.gait import LABELS, TrialRecording, save_recording
 from tarsim.leg import Trajectory, load_trajectory, save_trajectory
@@ -293,6 +294,22 @@ class TestLegCommand:
         rc, out = run(["leg", *args], tmp_path)
         assert rc == 1
         assert "values must be finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("args, message", [
+        (["--fk="], "--fk: expected 4 values, got 0"),
+        (["--ik=150,0,-50", "--q0="], "--q0: expected 4 values, got 0"),
+        (["--retarget", "beetle.csv", "--origin="],
+         "--origin: expected 3 values, got 0"),
+    ])
+    def test_empty_vector_is_domain_error(self, tmp_path, capsys,
+                                          monkeypatch, args, message):
+        # an empty --q0 or --origin is a bad vector, not "no value given"
+        monkeypatch.chdir(tmp_path)
+        save_trajectory("beetle.csv", Trajectory([0.0], np.zeros((1, 3))))
+        rc, out = run(["leg", *args], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("to_joints", [[], ["--to-joints"]])
@@ -713,6 +730,89 @@ class TestModuleEntry:
         assert proc.returncode == 0
         assert "65.8" in proc.stdout
 
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_reused_parser_carries_no_state(self, tmp_path, monkeypatch,
+                                            capsys):
+        seen = []
+        for name in ("cmd_chain", "cmd_leg", "cmd_gait"):
+            def spy(args, ctx, command=getattr(cli, name)):
+                seen.append(args)
+                return command(args, ctx)
+            monkeypatch.setattr(cli, name, spy)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        make_recording(a, 440.0, n=200)
+        make_recording(b, 450.0, n=200)
+        out = {name: str(tmp_path / name)
+               for name in ("two", "one", "fk", "ik", "both", "csv")}
+        steps = [
+            (["gait", "--input", str(a), "--input", str(b),
+              "--out", out["two"]], 0),
+            (["gait", "--input", str(a), "--out", out["one"]], 0),
+            (["leg", "--fk", "0,0,0,0", "--out", out["fk"]], 0),
+            (["chain", "--no-such-flag"], 2),
+            (["leg", "--ik=150,0,-50", "--out", out["ik"]], 0),
+            (["--help"], 0),
+            (["chain", "--sweep", "0:5:1", "--format", "both",
+              "--out", out["both"]], 0),
+            (["chain", "--sweep", "0:5:1", "--out", out["csv"]], 0),
+        ]
+        fresh = []
+        for argv, code in steps:
+            assert main(argv) == code, argv
+            if code == 0 and argv != ["--help"]:
+                fresh.append(build_parser().parse_args(argv))
+        assert seen == fresh
+        _, rows = read_table(tmp_path / "one" / "metrics.csv")
+        assert len(rows) == 1
+        assert sorted(p.name for p in (tmp_path / "ik").iterdir()) == \
+            ["leg_ik.csv", "manifest.json"]
+        assert (tmp_path / "both" / "bend_vs_pull.svg").exists()
+        assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == \
+            ["bend_vs_pull.csv", "manifest.json"]
+        assert "usage: tarsim" in capsys.readouterr().out
+
+    def test_dispatch_runs_a_command_patched_after_the_first_call(
+            self, tmp_path, monkeypatch):
+        rc, _ = run(["leg", "--ik=150,0,-50"], tmp_path)
+        assert rc == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_leg",
+                            lambda args, ctx: calls.append(args.ik) or 7)
+        rc, out = run(["leg", "--ik=150,0,-50"], tmp_path, out="patched")
+        assert rc == 7
+        assert calls == ["150,0,-50"]
+        assert not out.exists()
+
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_parser", None)
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        assert main(["chain", "--no-such-flag"]) == 2
+        assert main(["--help"]) == 0
+        assert run(["chain", "--pull", "1"], tmp_path)[0] == 0
+        assert run(["leg", "--ik=150,0,-50"], tmp_path, out="o2")[0] == 0
+        assert builds == [1]
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import tarsim.cli\n"
+                "print(len(built), tarsim.cli._parser)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 None\n"
 
 class TestConfigGeometryIntegration:
     def test_custom_tarsomere_set_drives_chain_command(self, tmp_path, capsys):

@@ -32,6 +32,12 @@ COLLINEAR_TOL = 1e-9
 GRID_TOL_FRAMES = 0.01  # how far off the frame grid a timestamp may lie
 
 
+def _check_rate(rate) -> None:
+    """Reject a frame rate that is not a finite number > 0."""
+    if not 0 < rate < np.inf:
+        raise ValueError("rate must be finite and > 0")
+
+
 class NoCyclesFound(ValueError):
     """The series contains no detectable step cycles."""
 
@@ -56,8 +62,7 @@ class TrialRecording:
                              f" got {markers.shape}")
         if np.isinf(markers).any():
             raise ValueError("marker coordinates must be finite or NaN")
-        if not self.rate > 0:
-            raise ValueError("rate must be > 0")
+        _check_rate(self.rate)
         markers.flags.writeable = False
         object.__setattr__(self, "markers", markers)
 
@@ -166,8 +171,7 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     Raises NoCyclesFound for flat series or fewer than two touchdowns.
     """
     s = np.asarray(series, dtype=float)
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
+    _check_rate(rate)
     finite = np.isfinite(s)
     if finite.sum() < 4:
         raise NoCyclesFound("series too short")
@@ -205,22 +209,25 @@ def segment_cycles(series, rate: float = DEFAULT_RATE_FPS,
     if len(merged) < 2:
         raise NoCyclesFound("fewer than two touchdowns detected")
 
-    cycles = []
-    for a, b in zip(merged, merged[1:]):
-        # a touchdown is low, so a liftoff at offset 0 means none
-        lift = int(np.argmax(high[a:b + 1]))
-        if lift == 0:
-            continue
-        cycles.append(StepCycle(
-            touchdown_t=a * dt,
-            liftoff_t=(a + lift) * dt,
-            next_touchdown_t=b * dt,
-            cycle_time=(b - a) * dt,
-            bend_amplitude=float(np.nanmax(s[a:b + 1]) - s[a]),
-        ))
-    if not cycles:
+    # each cycle runs from a touchdown to the next; its liftoff is the
+    # first high sample after the touchdown, and a cycle with none before
+    # the next touchdown (a touchdown is low) is left out
+    a, b = np.array(merged[:-1]), np.array(merged[1:])
+    lift = highs[np.searchsorted(highs, a)]
+    keep = lift < b
+    if not keep.any():
         raise NoCyclesFound("no complete touchdown-liftoff-touchdown cycle")
-    return cycles
+    a, b, lift = a[keep], b[keep], lift[keep]
+    return list(map(StepCycle, (a * dt).tolist(), (lift * dt).tolist(),
+                    (b * dt).tolist(), ((b - a) * dt).tolist(),
+                    (_window_max(s, a, b) - s[a]).tolist()))
+
+
+def _window_max(s, a, b) -> np.ndarray:
+    """NaN-ignoring max of each window ``s[a[k]:b[k] + 1]``; the windows
+    are in order, meeting at most at an end (a[k] < b[k] <= a[k + 1])."""
+    return np.fmax(np.fmax.reduceat(s, np.column_stack([a, b]).ravel())[::2],
+                   s[b])
 
 
 RECORDING_HEADER = ("t_ms", "label", "x_mm", "y_mm", "z_mm")
@@ -236,33 +243,39 @@ def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     rows, time going backwards, a timestamp more than 1% of a frame period
     off the grid and a second row for one label in one frame.
     """
-    if not rate > 0:
-        raise ValueError("rate must be > 0")
-    values, labels = read_columns(path, RECORDING_HEADER, (0, 2, 3, 4))
+    _check_rate(rate)
+    values, column = read_columns(path, RECORDING_HEADER, (0, 2, 3, 4),
+                                  codes={1: LABELS})
     t = values[:, 0]
-    index = {label: j for j, label in enumerate(LABELS)}
-    column = np.array([index.get(label, -1) for label in labels.tolist()],
-                      dtype=int)
     t0 = float(t[0]) if len(t) else 0.0
     position = (t - t0) * (rate / 1000.0)  # in frames from the first
     frame = np.rint(position)
-    # a row that is not the first of its (frame, label)
-    _, first = np.unique(frame * len(LABELS) + column, return_index=True)
-    repeat = np.bincount(first, minlength=len(t)) == 0
     for bad, why in (
             (column < 0, "unknown label"),
             (frame >= len(t), "more frames than the file has rows"),
             (np.diff(t, prepend=t0) < 0, "time goes backwards"),
             (np.abs(position - frame) > GRID_TOL_FRAMES,
-             f"timestamp off the {rate:g} fps grid"),
-            (repeat, "second row for this label in this frame")):
-        if bad.any():
-            line, row = row_at(path, int(np.argmax(bad)))
-            raise ValueError(f"row {line}: {why}: {','.join(row)}")
-    markers = np.full((int(frame.max(initial=-1)) + 1, len(LABELS), 3),
-                      np.nan)
-    markers[frame.astype(int), column] = values[:, 1:]
+             f"timestamp off the {rate:g} fps grid")):
+        _reject_first(path, bad, why)
+    # past those checks every (frame, label) key is an int from 0 up, and
+    # only a file with a repeated key needs the sort
+    frame = frame.astype(int)
+    key = frame * len(LABELS) + column
+    if np.bincount(key).max(initial=0) > 1:
+        # a row that is not the first of its (frame, label)
+        _, first = np.unique(key, return_index=True)
+        _reject_first(path, np.bincount(first, minlength=len(t)) == 0,
+                      "second row for this label in this frame")
+    markers = np.full((frame.max(initial=-1) + 1, len(LABELS), 3), np.nan)
+    markers[frame, column] = values[:, 1:]
     return TrialRecording(markers, rate, t0)
+
+
+def _reject_first(path, bad, why) -> None:
+    """Raise ValueError naming the file row of the first ``bad`` row."""
+    if bad.any():
+        line, row = row_at(path, int(np.argmax(bad)))
+        raise ValueError(f"row {line}: {why}: {','.join(row)}")
 
 
 def save_recording(path, recording: TrialRecording) -> None:
@@ -311,14 +324,11 @@ def trial_metrics(recording: TrialRecording, side: str,
         disp, ang = fill_gaps(disp), fill_gaps(ang)
     cycles = segment_cycles(disp, recording.rate, **cycle_kwargs)
     dt = 1000.0 / recording.rate
-    amps = []
-    for c in cycles:
-        a = int(round(c.touchdown_t / dt))
-        b = int(round(c.next_touchdown_t / dt))
-        if not np.isnan(ang[a]):
-            amps.append(float(np.nanmax(ang[a:b + 1]) - ang[a]))
+    a, b = np.rint(np.array([(c.touchdown_t, c.next_touchdown_t)
+                             for c in cycles]) / dt).astype(int).T
+    amps = _window_max(ang, a, b) - ang[a]
     return TrialMetrics(
         side=side,
         cycle_times=tuple(c.cycle_time for c in cycles),
-        bend_amplitudes=tuple(amps),
+        bend_amplitudes=tuple(amps[~np.isnan(ang[a])].tolist()),
     )

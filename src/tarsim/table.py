@@ -29,6 +29,11 @@ number goes through ``read_table`` and ``float_columns``, which return
 the same values or raise the ``row N`` error; ``float_columns`` rejects
 the spellings ``float`` reads but ``loadtxt`` does not, a number with a
 ``_`` (``1_0``) or a non-ASCII character.
+
+A text column with a closed vocabulary, such as a recording's marker
+label, can be read as int codes: ``loadtxt`` reads it as fixed-width
+text, which one ``np.searchsorted`` maps to codes, so no ``str`` object is
+made per row; the ``csv`` path maps its strings to the same codes.
 """
 
 from __future__ import annotations
@@ -140,29 +145,51 @@ def _floats(cells) -> np.ndarray:
 _PLAIN_BYTES = b"\n" + bytes(c for c in range(0x20, 0x7F) if c != ord('"'))
 
 
-def read_columns(path, header, floats) -> tuple:
+def read_columns(path, header, floats, codes=None) -> tuple:
     """(values, *texts) of a table with ``header``: the ``floats`` columns
     as an (N, k) float array, then each other column, in header order, as
-    an object array of ``str``.
+    an object array of ``str``.  ``codes`` maps a text column to its
+    closed vocabulary, a non-empty sequence of words: that column comes as
+    an int array of each cell's index in it, -1 for any other cell.
 
     Accepts, rejects and reports as ``read_table(path, header)`` followed
     by ``float_columns(path, rows, floats)`` (see the module docstring).
     """
     floats = list(floats)
+    codes = codes or {}
     texts = [j for j in range(len(header)) if j not in floats]
-    cells = _plain_cells(path, header, floats)
+    cells = _plain_cells(path, header, floats, codes)
     if cells is not None:
         values = np.column_stack([cells[str(j)] for j in floats])
         if np.isfinite(values).all():
-            return (values, *(cells[str(j)] for j in texts))
+            return (values, *(_word_codes(cells[str(j)], codes[j])
+                              if j in codes else cells[str(j)]
+                              for j in texts))
     _, rows = read_table(path, header)
+    index = {j: {word: k for k, word in enumerate(words)}
+             for j, words in codes.items()}
     return (float_columns(path, rows, floats),
-            *(np.array([row[j] for row in rows], dtype=object)
+            *(np.array([index[j].get(row[j], -1) for row in rows], dtype=int)
+              if j in codes else
+              np.array([row[j] for row in rows], dtype=object)
               for j in texts))
 
 
-def _plain_cells(path, header, floats):
-    """The rows of a plain table as one structured array, else None."""
+def _word_codes(cells, words) -> np.ndarray:
+    """Index of each fixed-width cell in ``words``, -1 where it is none."""
+    order = np.argsort(words)
+    ranked = np.asarray(words)[order]
+    at = np.searchsorted(ranked, cells).clip(max=len(ranked) - 1)
+    return np.where(ranked[at] == cells, order[at], -1)
+
+
+def _plain_cells(path, header, floats, codes):
+    """The rows of a plain table as one structured array, else None.
+
+    A ``codes`` column is read as text one character wider than its
+    longest word, so that ``loadtxt`` cuts a longer cell to a width no
+    word has.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:  # replace copies the text even when nothing matches
@@ -177,7 +204,8 @@ def _plain_cells(path, header, floats):
         return None
     rows = list(filter(None, lines[1:]))
     del lines
-    dtype = [(str(j), float if j in floats else object)
+    kinds = {j: f"U{1 + max(map(len, words))}" for j, words in codes.items()}
+    dtype = [(str(j), float if j in floats else kinds.get(j, object))
              for j in range(len(header))]
     if not rows:
         return np.zeros(0, dtype)

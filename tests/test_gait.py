@@ -272,6 +272,31 @@ def metrics_after_save(path, markers, rate=100.0):
     return trial_metrics(load_recording(path, rate), "right")
 
 
+class TestFrameRate:
+    """A frame rate that is not a finite number > 0 is one error."""
+
+    BAD = [0.0, -100.0, math.inf, math.nan]
+    ERROR = "^rate must be finite and > 0$"
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_recording_rejects_it(self, rate):
+        with pytest.raises(ValueError, match=self.ERROR):
+            TrialRecording(np.zeros((1, len(LABELS), 3)), rate=rate)
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_segment_cycles_rejects_it(self, rate):
+        s = -np.cos(2 * math.pi * np.arange(0, 800, 10.0) / 400.0)
+        with pytest.raises(ValueError, match=self.ERROR):
+            segment_cycles(s, rate)
+
+    @pytest.mark.parametrize("rate", BAD)
+    def test_load_recording_rejects_it(self, tmp_path, rate):
+        p = tmp_path / "trial.csv"
+        save_recording(p, synthetic_recording(n=20))
+        with pytest.raises(ValueError, match=self.ERROR):
+            load_recording(p, rate)
+
+
 class TestRecordingCsv:
     def test_round_trip(self, tmp_path):
         rec = synthetic_recording(n=20)

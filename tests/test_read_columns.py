@@ -128,6 +128,14 @@ def old_read_columns(path, header, floats):
               for j in range(len(header)) if j not in floats))
 
 
+def old_label_codes(path):
+    """The recording's numbers and its labels as indices in ``LABELS``."""
+    values, labels = old_read_columns(path, RECORDING, FLOATS)
+    index = {label: j for j, label in enumerate(gait.LABELS)}
+    return values, np.array([index.get(label, -1) for label in labels],
+                            dtype=int)
+
+
 # -- comparing results bit for bit -------------------------------------------
 
 def canon(x):
@@ -244,6 +252,40 @@ def test_plain_table_takes_one_numpy_pass(tmp_path, monkeypatch):
     assert [type(v) for v in labels] == [str, str]
 
 
+# -- label codes ------------------------------------------------------------
+
+@pytest.mark.parametrize("path_taken", ["plain", "csv"])
+@pytest.mark.parametrize("label", ["B1x", "B1xx", " B1", "B1 ", "b1", ""])
+def test_near_miss_label_is_unknown(tmp_path, monkeypatch, label,
+                                    path_taken):
+    rows = ["0.0,B1,1.0,2.0,3.0", "0.0,R1,4.0,5.0,6.0",
+            f"10.0,{label},7.0,8.0,9.0", "20.0,L3,1.0,2.0,3.0"]
+    if path_taken == "csv":  # one quoted cell sends the file to csv
+        rows[1] = rows[1].replace("R1", '"R1"')
+    path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n"
+                 + "".join(row + "\n" for row in rows))
+    if path_taken == "plain":
+        monkeypatch.setattr(table, "read_table", None)  # not reached
+    _, codes = read_columns(path, RECORDING, FLOATS, codes={1: gait.LABELS})
+    assert codes.tolist() == [gait.LABELS.index(word) if word else -1
+                              for word in ("B1", "R1", None, "L3")]
+    with pytest.raises(ValueError, match="^row 4: unknown label: "):
+        gait.load_recording(path)
+    assert outcome(gait.load_recording, path) == \
+        outcome(old_load_recording, path)
+
+
+def test_repeated_row_before_time_going_back_reports_the_time(tmp_path):
+    # the repeat check runs last and only on a file that passed the others
+    path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n"
+                 "0.0,B1,1.0,2.0,3.0\n0.0,B1,1.0,2.0,3.0\n"
+                 "10.0,R1,1.0,2.0,3.0\n0.0,R2,1.0,2.0,3.0\n")
+    with pytest.raises(ValueError, match="^row 5: time goes backwards"):
+        gait.load_recording(path)
+    assert outcome(gait.load_recording, path) == \
+        outcome(old_load_recording, path)
+
+
 def test_line_past_the_csv_field_limit_is_the_csv_error(tmp_path):
     path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n0.0,"
                  + "B" * csv.field_size_limit() + "1,1.0,2.0,3.0\n")
@@ -308,6 +350,9 @@ def test_mutated_tables_load_as_before(tmp_path_factory, case):
     assert outcome(read_columns, path, header, floats) == \
         outcome(old_read_columns, path, header, floats)
     assert outcome(load, path) == outcome(old_load, path)
+    if name == "recording":
+        assert outcome(read_columns, path, header, floats,
+                       {1: gait.LABELS}) == outcome(old_label_codes, path)
 
 
 def bench_shaped_recording(rng, frames):

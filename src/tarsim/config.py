@@ -229,15 +229,6 @@ class Config:
                                              "interpolate_gaps", False),
         }
 
-    def scenario_names(self) -> list[str]:
-        names = ["walk_cycle", "tubed"]
-        for section in self.data:
-            if section.startswith(SCENARIO_PREFIX):
-                name = section[len(SCENARIO_PREFIX):]
-                if name not in names:
-                    names.append(name)
-        return names
-
     def build_scenario(self, name: str, chain: chain_mod.ChainGeometry,
                        mesh: contact_mod.MeshGrid) -> contact_mod.Scenario:
         """A config-defined scenario, or the built-in one for known names.

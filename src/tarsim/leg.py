@@ -2,14 +2,16 @@
 
 The leg chain is coxa, trochanter, femur, tibia — four revolute joints
 described by standard Denavit-Hartenberg rows: a yawing coxa carrying a
-planar trochanter/femur/tibia chain.  The twists are fixed (``TWIST_RAD``)
-and every d is 0, so a row is a link length and a theta offset.  IK
-tracks tip position only (3 constraints, 4 DOF) and is closed form: the
-candidate nearest the warm start resolves the redundancy, and
-``iterations`` counts the candidates evaluated.  A target where no
-candidate lands within the joint limits raises ``NotReachable``.
-Forward kinematics is one batched DH product over joint vectors of
-shape (..., 4).
+planar trochanter/femur/tibia chain.  The twists are fixed (pi/2 at the
+coxa, 0 past it) and every d is 0, so a row is a link length and a
+theta offset, and the tip has one closed form (``_tip``) that FK, the
+Jacobian and the IK share: FK's position is bitwise the point the IK
+measures its residual from.  IK tracks tip position only (3
+constraints, 4 DOF) and is closed form: the candidate nearest the warm
+start resolves the redundancy, and ``iterations`` counts the candidates
+evaluated.  A target where no candidate lands within the joint limits
+raises ``NotReachable``.  FK and the Jacobian are batched over joint
+vectors of shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
 started IK call per sample, bit for bit, but solves them in numpy batch
 rounds that build every closed-form candidate of the path at once: a
@@ -34,12 +36,6 @@ from .table import read_columns, write_table
 JOINT_NAMES = ("coxa", "trochanter", "femur", "tibia")
 
 IK_TOL_MM = 1e-6
-
-# the DH twists: the coxa's pi/2 makes the trochanter, femur and tibia
-# axes parallel, so those three move in one plane that the coxa yaws.
-# FK takes np.cos and np.sin of them, so the coxa row carries
-# cos(pi/2) = 6.1e-17, not 0.
-TWIST_RAD = (math.pi / 2, 0.0, 0.0, 0.0)
 
 JOINT_LIMIT_DEG = 150.0
 RETARGET_SCALE = 8.0
@@ -68,7 +64,9 @@ class NotReachable(RuntimeError):
 @dataclass(frozen=True)
 class DHRow:
     """One Denavit-Hartenberg row: link length a (mm) and theta offset
-    (rad); the twist is the joint's ``TWIST_RAD`` and d is 0."""
+    (rad).  The twists are fixed, pi/2 at the coxa and 0 past it, and d
+    is 0, so FK, the Jacobian and the IK share one closed-form tip law
+    (``_tip``)."""
 
     a: float
     theta_offset: float = 0.0
@@ -150,55 +148,54 @@ class Trajectory:
         return self.t_ms.shape[0]
 
 
-def _frames(model: LegModel, q) -> np.ndarray:
-    """Base, joint and tip frames for joint angles of shape (..., 4).
-
-    Returns the cumulative standard DH transforms, shape (..., 5, 4, 4):
-    the identity, then the frame after each joint, the last being the
-    tip.  The products run in joint order, one batched matmul per joint.
-    """
-    rows = model.rows
-    a = np.array([r.a for r in rows])
-    th = q + np.array([r.theta_offset for r in rows])
-    ct, st = np.cos(th), np.sin(th)
-    ca, sa = np.cos(TWIST_RAD), np.sin(TWIST_RAD)
-    A = np.zeros(q.shape + (4, 4))
-    A[..., 0, 0], A[..., 0, 1], A[..., 0, 2], A[..., 0, 3] = \
-        ct, -st * ca, st * sa, a * ct
-    A[..., 1, 0], A[..., 1, 1], A[..., 1, 2], A[..., 1, 3] = \
-        st, ct * ca, -ct * sa, a * st
-    A[..., 2, 1], A[..., 2, 2] = sa, ca
-    A[..., 3, 3] = 1.0
-    T = np.empty(q.shape[:-1] + (5, 4, 4))
-    T[..., 0, :, :] = np.eye(4)
-    for i in range(4):
-        np.matmul(T[..., i, :, :], A[..., i, :, :], out=T[..., i + 1, :, :])
-    return T
+def _dh_angles(model: LegModel, q) -> np.ndarray:
+    """The DH angles ``q + theta_offset`` of joint angles (..., 4), joint
+    axis first: shape (4, ...), as ``_tip`` takes them."""
+    return np.moveaxis(q + np.array([r.theta_offset for r in model.rows]),
+                       -1, 0)
 
 
 def forward_kinematics(model: LegModel, q) -> Pose:
-    """Tip pose from joint angles of shape (..., 4): the DH product.
+    """Tip pose from joint angles of shape (..., 4), in closed form.
 
-    A single (4,) vector gives a (3,) position and a (3, 3) rotation; a
-    batch of shape (..., 4) gives (..., 3) and (..., 3, 3).
+    The position is ``_tip``'s, which the IK decides with.  The rotation
+    is Rz(yaw)·Rx(pi/2)·Rz(t3), t3 the tibia's absolute angle.  A single
+    (4,) vector gives a (3,) position and a (3, 3) rotation; a batch of
+    shape (..., 4) gives (..., 3) and (..., 3, 3).
     """
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != 4 or not np.all(np.isfinite(q)):
         raise ValueError("q must be finite joint angles of shape (..., 4)")
-    tip = _frames(model, q)[..., 4, :3, :]
-    return Pose(tip[..., 3].copy(), tip[..., :3].copy())
+    th = _dh_angles(model, q)
+    x, y, z, t3 = _tip(tuple(r.a for r in model.rows), th)
+    cy, sy, c3, s3 = np.cos(th[0]), np.sin(th[0]), np.cos(t3), np.sin(t3)
+    rotation = np.stack([cy * c3, -cy * s3, sy, sy * c3, -sy * s3, -cy,
+                         s3, c3, np.zeros_like(c3)], axis=-1)
+    return Pose(np.stack([x, y, z], axis=-1),
+                rotation.reshape(q.shape[:-1] + (3, 3)))
 
 
 def jacobian(model: LegModel, q) -> np.ndarray:
     """3x4 position Jacobian (mm/rad); (..., 3, 4) for a batch of q.
 
-    Column i is z_{i-1} x (p_tip - p_{i-1}), from the ``_frames``.
+    The derivative of ``_tip`` over the same angles: the coxa swings the
+    tip about z, and a planar joint turns the links past it in the leg
+    plane, whose reach h and height v they make.
     """
-    frames = _frames(model, np.asarray(q, dtype=float))
-    origins = frames[..., :4, :3, 3]
-    tip = frames[..., 4:, :3, 3]
-    return np.swapaxes(np.cross(frames[..., :4, :3, 2], tip - origins),
-                       -1, -2)
+    a0, a1, a2, a3 = (r.a for r in model.rows)
+    yaw, t1, q2, q3 = _dh_angles(model, np.asarray(q, dtype=float))
+    t2 = t1 + q2
+    t3 = t2 + q3
+    h3, v3 = a3 * np.cos(t3), a3 * np.sin(t3)
+    h2, v2 = h3 + a2 * np.cos(t2), v3 + a2 * np.sin(t2)
+    h1, v1 = h2 + a1 * np.cos(t1), v2 + a1 * np.sin(t1)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    out = a0 + h1
+    J = np.zeros(np.shape(yaw) + (3, 4))
+    J[..., 0, 0], J[..., 1, 0] = -out * sy, out * cy
+    for col, (h, v) in enumerate(((h1, v1), (h2, v2), (h3, v3)), 1):
+        J[..., 0, col], J[..., 1, col], J[..., 2, col] = -v * cy, -v * sy, h
+    return J
 
 
 @dataclass(frozen=True)
@@ -317,7 +314,7 @@ def _closed_form(links, limits, target, warm, tol_mm):
             ends += [(p, q1) for q1 in at]
         yield held + ends
         with np.errstate(invalid="ignore", divide="ignore"):
-            q1, ok, _ = _pinned_batch(links, limits, rho, phi, w1)
+            q1, ok = _pinned_batch(links, limits, rho, phi, w1)
         yield zip(np.nonzero(ok)[0].tolist(), q1[ok].tolist())
 
     for pairs in stages():
@@ -412,10 +409,11 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     scalar ``_arc_angles`` gives ``_arc_windows``'s arc ends), and one
     rule for the pick: the landing candidate with the smallest step
     from the warm start, ties to the first in one candidate order.  The first
-    sample's pick is taken from its warm start, and its rule (the plane
-    and elbow, and the trochanter's source: the warm angle held, an arc
-    end, a limit or a pin; or the warm start itself when it landed)
-    starts the first round.  A round guesses every later sample by that
+    sample's pick is taken from its warm start, and its rule (its
+    candidate's column, which fixes the plane, the elbow and the
+    trochanter's source: the warm angle held, an arc end, a limit or a
+    pin; or the warm start itself when it landed) starts the first
+    round.  A round guesses every later sample by that
     rule and takes each one's pick in numpy from the previous sample's
     guess as warm start.  The samples up to the first whose pick is not
     bitwise its guess are what the one-by-one loop would have found, so
@@ -477,8 +475,11 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     return out
 
 
-# the rules of the held trochanter candidates, in _held's column order
-HELD_KEYS = [("held", plane, elbow) for plane in range(2) for elbow in (1, -1)]
+# a pick's rule is its column: WARM when the warm start landed, else the
+# column of its candidate in _picks's order, the HELD columns of _held
+# (per plane and elbow) first
+WARM = -1
+HELD = 4
 
 
 class _PathCandidates:
@@ -496,14 +497,13 @@ class _PathCandidates:
     target on the z axis, whose yaw is the warm one, gets no batched
     pick.
 
-    Angles are DH angles.  Each column set is (index, candidates (N, C,
-    4), landing mask (N, C)): a candidate lands if it fits the limits on
-    a tried plane within ``tol_mm`` of its target.  The columns run in
+    Angles are DH angles.  Each column set is (candidates (N, C, 4),
+    landing mask (N, C)): a candidate lands if it fits the limits on a
+    tried plane within ``tol_mm`` of its target.  The columns run in
     ``_closed_form``'s candidate order: the held ones, then the arc
-    ends, by plane; the pinned ones by plane.  A rule names the source
-    of a pick: ``"warm"`` (the warm start landed), ``("held", plane,
-    elbow)``, ``("end", plane, arc, shift, end, elbow)`` or ``("pin",
-    plane, pin, sign, elbow)``.
+    ends, by plane; the pinned ones by plane.  A rule is a column: the
+    ``HELD`` held ones, then the arc ends, then the pinned ones from
+    ``first_pin`` on; or ``WARM``.
     """
 
     def __init__(self, links, limits, targets, tol_mm):
@@ -521,27 +521,23 @@ class _PathCandidates:
         self.tried = (outside < tol_mm) & ~np.isnan(self.yaw)
         self.u, self.rho, self.z = u, rho, z[:, None]
         self.phi = np.arctan2(self.z, u)
-        self.lo, self.hi, self.windows, ends, keys = _arc_windows(
+        self.lo, self.hi, self.windows, ends = _arc_windows(
             links, limits, rho, self.phi)
-        self.ends = self._columns("end", ends,
-                                  np.repeat(self.windows, 2, axis=-1), keys)
-        self.keys = HELD_KEYS + list(self.ends[0])
+        self.ends = self._columns(ends, np.repeat(self.windows, 2, axis=-1))
+        self.first_pin = HELD + self.ends[0].shape[1]
         self.pins = None
         self.last_held = None, np.empty(0), None
 
-    def _columns(self, kind, q1, ok, keys):
+    def _columns(self, q1, ok):
         """The column set of trochanter angles q1 (N, 2, M), kept where
-        ok, on the tried planes; ``keys`` names the M sources."""
+        ok, on the tried planes."""
         n, _, m = q1.shape
         ok = (ok & self.tried[:, :, None]).reshape(n, -1)
         cols = np.flatnonzero(ok.any(axis=0))
         row, col = np.nonzero(ok[:, cols])
         flat = cols[col]
         q, lands = self._close_at(row, flat // m, q1.reshape(n, -1)[row, flat])
-        keys = [(kind, c // m) + keys[c % m] + (e,)
-                for c in cols.tolist() for e in (1, -1)]
-        return ({key: c for c, key in enumerate(keys)},
-                *self._scatter((n, len(cols)), (row, col), q, lands))
+        return self._scatter((n, len(cols)), (row, col), q, lands)
 
     def _close_at(self, at, plane, q1):
         """``_close`` from trochanter angles q1 for samples ``at`` on
@@ -564,7 +560,7 @@ class _PathCandidates:
 
     def _pinned(self):
         if self.pins is None:
-            self.pins = self._columns("pin", *_pinned_batch(
+            self.pins = self._columns(*_pinned_batch(
                 self.links, self.limits, self.rho, self.phi))
         return self.pins
 
@@ -587,21 +583,21 @@ class _PathCandidates:
 
     def guess(self, i, warm, rule):
         """Samples i..'s candidates under ``rule`` from one warm start,
-        up to the first that does not land (NaN); ``"warm"`` holds the
+        up to the first that does not land (NaN); ``WARM`` holds the
         warm start."""
         n = len(self.targets) - i
-        if rule == "warm":
+        if rule == WARM:
             q = np.broadcast_to(warm, (n, 1, 4))
             lands = _residual(self.links, warm, self.targets[i:].T)[:, None] \
                 < self.tol_mm
             c = 0
-        elif rule[0] == "held":
+        elif rule < HELD:
             q, lands = self._held(i, np.full(n, warm[1]))
-            c = HELD_KEYS.index(rule)
+            c = rule
         else:
-            index, q, lands = self.ends if rule[0] == "end" \
-                else self._pinned()
-            q, lands, c = q[i:], lands[i:], index[rule]
+            start, (q, lands) = (HELD, self.ends) if rule < self.first_pin \
+                else (self.first_pin, self._pinned())
+            q, lands, c = q[i:], lands[i:], rule - start
         lands = lands[:, c]
         q = np.where(lands[:, None], q[:, c], np.nan)
         return q if lands.all() else q[:lands.argmin() + 1]
@@ -611,23 +607,23 @@ class _PathCandidates:
         ``warms`` is not its guess (len(warms) if none), the rule of
         that pick (``rule`` if none misses, None if it has no pick), and
         that pick (None if none misses or it has no pick)."""
-        picks, rule_of = self._picks(i, warms, guess)
+        picks, rules = self._picks(i, warms, guess)
         same = (picks == guess).all(axis=1)
         if same.all():
             return len(warms), rule, None
         m = int(same.argmin())
-        return m, rule_of(m), None if np.isnan(picks[m, 0]) else picks[m]
+        return (m, *_rule_and_pick(picks, rules, m))
 
     def pick(self, i, warm):
         """Sample i's pick from ``warm``, as ``first_miss`` gives a
         missed sample's: its rule and the pick, or None for both."""
-        picks, rule_of = self._picks(i, warm[None], np.full((1, 4), np.nan))
-        return rule_of(0), None if np.isnan(picks[0, 0]) else picks[0]
+        return _rule_and_pick(
+            *self._picks(i, warm[None], np.full((1, 4), np.nan)), 0)
 
     def _picks(self, i, warms, guess):
         """Samples i..'s picks from ``warms`` (NaN where there is none,
-        and ``_closed_form`` would raise), and a function that gives a
-        sample's rule.
+        and ``_closed_form`` would raise) and their rules (meaningless
+        where there is no pick).
 
         A pick is the warm start when that lands, else the nearest
         landing candidate (ties to the first) of the held and arc-end
@@ -640,36 +636,29 @@ class _PathCandidates:
             < self.tol_mm
         picks[short] = warms[short]
         todo = ~short & self.reach[i:i + n]
-        _, q, lands = self.ends
         q, lands = (np.concatenate([h, e[i:i + n]], axis=1)
-                    for h, e in zip(self._held(i, warms[:, 1]), (q, lands)))
-        col, has = _nearest(q, lands, warms)
+                    for h, e in zip(self._held(i, warms[:, 1]), self.ends))
+        rules, has = _nearest(q, lands, warms)
         has &= todo
-        picks[has] = q[has, col[has]]
-        found = [(has, col, self.keys)]
+        picks[has] = q[has, rules[has]]
         need = todo & ~has
         miss = ~need & ~(picks == guess).all(axis=1)
         rows = np.flatnonzero(need[:miss.argmax() if miss.any() else n])
         if rows.size:
-            index, q, lands = self._pinned()
+            q, lands = self._pinned()
             q = q[i + rows]
             col, got = _nearest(q, lands[i + rows], warms[rows])
             picks[rows[got]] = q[got, col[got]]
-            has = np.zeros(n, dtype=bool)
-            has[rows[got]] = True
-            at = np.zeros(n, dtype=int)
-            at[rows] = col
-            found.append((has, at, list(index)))
+            rules[rows] = self.first_pin + col
+        rules[short] = WARM
+        return picks, rules
 
-        def rule_of(m):
-            if short[m]:
-                return "warm"
-            for has, col, keys in found:
-                if has[m]:
-                    return keys[col[m]]
-            return None
 
-        return picks, rule_of
+def _rule_and_pick(picks, rules, m):
+    """Sample m's rule and pick, or None for both where it has none."""
+    if np.isnan(picks[m, 0]):
+        return None, None
+    return int(rules[m]), picks[m]
 
 
 def _nearest(q, lands, warms):
@@ -690,25 +679,31 @@ def _steps(q, warm):
     return d[..., 0] + d[..., 1] + d[..., 2] + d[..., 3]
 
 
-def _residual(links, q, target, trig=None):
-    """Distance from the yaw + planar-3R tip of q to target.
+def _tip(links, q, trig=None):
+    """The yaw + planar-3R tip of q: its x, y and z, and the tibia's
+    absolute angle.  FK, the Jacobian and both IK paths take this law.
 
-    ``q`` is the coxa yaw and the three planar joint angles and
-    ``target`` is x, y and z: each a sequence of floats or of arrays
-    that broadcast (a (4, ...) and a (3, ...) array will do).  ``trig``
-    may give the cos and sin of the trochanter's and the femur's
+    ``q`` is the coxa yaw and the three planar joint angles: a sequence
+    of floats or of arrays that broadcast (a (4, ...) array will do).
+    ``trig`` may give the cos and sin of the trochanter's and the femur's
     absolute angles, as ``_close`` has them.
     """
     a0, a1, a2, a3 = links
     yaw, t1, q2, q3 = q
-    x, y, z = target
     t2 = t1 + q2
     t3 = t2 + q3
     c1, s1, c2, s2 = trig or (np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2))
     out = a0 + a1 * c1 + a2 * c2 + a3 * np.cos(t3)
-    dx = out * np.cos(yaw) - x
-    dy = out * np.sin(yaw) - y
-    dz = a1 * s1 + a2 * s2 + a3 * np.sin(t3) - z
+    return (out * np.cos(yaw), out * np.sin(yaw),
+            a1 * s1 + a2 * s2 + a3 * np.sin(t3), t3)
+
+
+def _residual(links, q, target, trig=None):
+    """Distance from ``_tip`` of q to target (x, y and z, each a float or
+    an array that broadcasts with q's, such as a (3, ...) array)."""
+    x, y, z, _ = _tip(links, q, trig)
+    tx, ty, tz = target
+    dx, dy, dz = x - tx, y - ty, z - tz
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -773,9 +768,9 @@ def _arc_windows(links, limits, rho, phi):
     rho, one arc runs all the way round, from its own end a turn back.
 
     Returns the window ends lo and hi and whether each window is kept,
-    all S + (W,); the window ends taken onto the trochanter limits,
-    S + (2W,), lo then hi per window; and a key (arc, shift, end) per
-    window end.
+    all S + (W,), the W windows arc-major, then by shift; and the window
+    ends taken onto the trochanter limits, S + (2W,), lo then hi per
+    window.
     """
     _, a1, a2, a3 = links
     lo1, hi1 = limits[1]
@@ -810,10 +805,8 @@ def _arc_windows(links, limits, rho, phi):
         & (lo <= hi + LIMIT_SLACK_RAD)
     shape = np.shape(rho) + (-1,)
     ends = np.minimum(np.maximum(np.stack([lo, hi], axis=-1), lo1), hi1)
-    keys = [(a, k, end) for a in range(2) for k in ks.tolist()
-            for end in ("lo", "hi")]
     return (lo.reshape(shape), hi.reshape(shape), kept.reshape(shape),
-            ends.reshape(shape), keys)
+            ends.reshape(shape))
 
 
 def _pinned_batch(links, limits, rho, phi, ref=None):
@@ -826,7 +819,7 @@ def _pinned_batch(links, limits, rho, phi, ref=None):
     candidates.  A pinned joint makes the chain a two-link one: a link
     of length b at angle q1 + gamma, then one of length c.  Returns the
     angles, wrapped near ``ref``, and whether each is kept, both S +
-    (8,), and their keys (pin, sign).
+    (8,), pin-major, then by side.
     """
     _, a1, a2, a3 = links
     pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
@@ -842,8 +835,7 @@ def _pinned_batch(links, limits, rho, phi, ref=None):
     q1 = np.stack([phi - gamma + beta, phi - gamma - beta], axis=-1)
     q1 = _wrap(q1.reshape(q1.shape[:-2] + (-1,)), *limits[1], ref)
     fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0)
-    keys = [(p, sign) for p in range(len(pins)) for sign in (1, -1)]
-    return q1, np.repeat(fits, 2, axis=-1) & ~np.isnan(q1), keys
+    return q1, np.repeat(fits, 2, axis=-1) & ~np.isnan(q1)
 
 
 def _wrap(angle, lo, hi, ref=None):

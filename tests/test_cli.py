@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -723,10 +725,15 @@ class TestConfigAndManifest:
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
+        # the subprocess does not get pytest's pythonpath setting
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "tarsim", "chain", "--pull", "5.5",
              "--out", str(tmp_path / "out")],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "65.8" in proc.stdout
 

@@ -237,6 +237,34 @@ class TestInverseKinematicsProperties:
         assert r1.iterations == r2.iterations
 
 
+# the default leg with a theta offset on every joint
+OFFSET_LEG = LegModel(tuple(DHRow(r.a, o) for r, o in
+                            zip(LEG.rows, (0.2, -0.3, 0.4, 0.1))),
+                      LEG.joint_limits)
+
+
+class TestOneTipLaw:
+    """FK's position is, to the bit, the tip the IK measures residuals
+    from: both take ``leg._tip``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.sampled_from([LEG, OFFSET_LEG]), q=JOINTS)
+    def test_residual_is_zero_at_the_fk_tip(self, m, q):
+        q = np.array(q)
+        off = np.array([r.theta_offset for r in m.rows])
+        tip = forward_kinematics(m, q).position
+        assert leg._residual(tuple(r.a for r in m.rows), q + off,
+                             tip) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(qstar=JOINTS)
+    def test_residual_mm_is_the_distance_from_the_fk_tip(self, qstar):
+        target = forward_kinematics(LEG, np.array(qstar)).position
+        r = inverse_kinematics(LEG, target, 0.5 * (LEG.lower + LEG.upper))
+        dx, dy, dz = forward_kinematics(LEG, r.q).position - target
+        assert r.residual_mm == np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def offset_leg(**femur):
     """The default leg with its femur DH row changed by ``femur``."""
     rows = list(LEG.rows)
@@ -646,16 +674,17 @@ class TestArcMeetingPoint:
         for m in meets:
             # the arcs' ends there are bitwise one angle: one candidate
             assert len({a for a in angles if abs(a - m) < 1e-9}) == 1
-        lo_w, hi_w, kept, ends_w, keys = leg._arc_windows(
+        lo_w, hi_w, kept, ends_w = leg._arc_windows(
             (0.0, a1, a2, a3), limits, np.array([[rho]]), np.array([[phi]]))
         # the scalar and the batched arc ends are the same, to the bit
         assert angles == ends_w[np.repeat(kept, 2, axis=-1)].tolist()
         assert held == bool((kept & (lo_w <= warm) & (warm <= hi_w)).any())
-        ends = dict(zip(keys, np.stack([lo_w, hi_w], -1).ravel().tolist()))
-        for (arc, k, end), v in ends.items():
-            if arc == 0 and end == "hi" and lo1 < v < hi1:
+        # the windows run arc-major, then by shift
+        lo_w, hi_w = lo_w.reshape(2, -1), hi_w.reshape(2, -1)
+        for k, v in enumerate(hi_w[0].tolist()):
+            if lo1 < v < hi1:
                 # arc 0's end, one turn on, is arc 1's start to the bit
-                assert ends[(1, k + 1, "lo")] == v
+                assert lo_w[1, k + 1] == v
                 assert v in angles
 
 

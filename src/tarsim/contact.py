@@ -9,8 +9,10 @@ it or the horizontal force limit tears it free.  There are no dynamics,
 and nothing kinematic depends on the contact state: the leg-tip path is
 scripted, the mode follows the command, and the chain only ever takes its
 rigid state (every joint at its bend limit, the full-bend pull) or its
-flexible one (at rest, zero pull).  So a run solves the whole joint path
-and every claw tip first, then runs the contact rules as array passes:
+flexible one (at rest, zero pull).  So a run takes every claw tip first,
+the scripted leg-tip target plus the mode's claw offset, with one
+batched reach test of the leg, and then runs the contact rules as array
+passes:
 the hook law and the release test on every tick at once, then one pass
 per hold over its slice of ticks, from its Hook to its Release or
 ClawFailure, and one for RepeatSwing.  Python steps once per hold, not
@@ -36,7 +38,7 @@ import numpy as np
 # tarsim.contact
 from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
                     _pose, solve_bend_from_pull)
-from .leg import (IK_TOL_MM, LegModel, Trajectory, forward_kinematics,
+from .leg import (IK_TOL_MM, LegModel, Trajectory, _reaches,
                   trajectory_to_joints)
 from .table import read_columns, write_table
 
@@ -256,19 +258,21 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     First the schedule: each tick's commanded mode, its mode in effect
     (rigid throughout when the flexible transition is forbidden) and a
     leg-tip target interpolated linearly within its phase.  Then the
-    kinematics: the joint path from ``trajectory_to_joints``, which
-    starts at the home point from a mid-limit warm start and warm-starts
-    each tick's IK from the tick before (``tol_mm`` goes to the IK; a
-    NotReachable carries the index of its tick, 0 being the home point),
-    the rigid and flexible claw offsets, and every claw tip from one
-    batched FK call.  Last, the contact rules (see ``_scan``): hook while
-    free, else release on a flexible lift, else the strand rides the claw
-    (its deflection clamped at the vertical cap) until the hooking limit
-    tears it free; then the RepeatSwing check.  Limit violations become
-    events, never exceptions.  While hooked the forces are stiffness
-    times the deflection and times the tangential stretch since
-    engagement; on a ClawFailure tick they are the loads that broke the
-    hold.
+    kinematics: each claw tip is its tick's target plus the rigid or
+    flexible claw offset.  Reach is one batched test (``leg._reaches``):
+    a target that some warm-start-free IK candidate lands within
+    ``tol_mm`` is landed by the warm-started IK too.  Only if a tick
+    fails it is the joint path solved (``trajectory_to_joints``, from
+    the home point and a mid-limit warm start, each tick warm-started
+    from the one before), which raises NotReachable with the index of
+    its tick, 0 being the home point.  Last, the contact rules (see
+    ``_scan``): hook while free, else release on a flexible lift, else
+    the strand rides the claw (its deflection clamped at the vertical
+    cap) until the hooking limit tears it free; then the RepeatSwing
+    check.  Limit violations become events, never exceptions.  While
+    hooked the forces are stiffness times the deflection and times the
+    tangential stretch since engagement; on a ClawFailure tick they are
+    the loads that broke the hold.
 
     Returns the per-tick samples and the final state with the event log.
     """
@@ -289,9 +293,11 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     commanded_flexible = np.repeat(
         [phase.mode == FLEXIBLE for phase in script.phases], counts)
 
-    path = trajectory_to_joints(leg, Trajectory(
-        np.arange(sum(counts) + 1) * dt_ms, np.vstack([home, *targets])),
-        tol_mm=tol_mm)
+    points = np.vstack([home, *targets])
+    if not _reaches(leg, points, tol_mm).all():
+        # the warm-started joint path raises NotReachable at its tick
+        trajectory_to_joints(leg, Trajectory(
+            np.arange(len(points)) * dt_ms, points), tol_mm=tol_mm)
     offsets = {}
     for mode in MODES:
         dx, dz = _claw_offset(chain, mode, claw_length)
@@ -299,9 +305,8 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     # the mode in effect: rigid throughout when flexible is forbidden
     rigid = ~commanded_flexible | (not script.allow_flexible)
     # row 0 is the start, at the first commanded mode
-    tips = forward_kinematics(leg, path).position + np.where(
-        np.r_[not commanded_flexible[0], rigid][:, None],
-        offsets[RIGID], offsets[FLEXIBLE])
+    tips = points + np.where(np.r_[not commanded_flexible[0], rigid][:, None],
+                             offsets[RIGID], offsets[FLEXIBLE])
     # the flexible command is forbidden on these ticks
     swings = commanded_flexible & (not script.allow_flexible)
     return _scan(tips, rigid, swings, mesh, limits, dt_ms)

@@ -20,6 +20,8 @@ and the first pick it did not predict.  The two paths share one
 arithmetic (numpy's arccos, arctan2, hypot, cos and sin in the same
 formulas) and one pick rule (the landing candidate with the smallest
 step from the warm start, ties to the first in one candidate order).
+Whether a path is reachable at all needs no warm start: ``_reaches``
+tests every sample at once on the candidates that do not depend on it.
 Recorded walking trajectories are retargeted onto the leg by uniform
 scaling about a reference point.
 """
@@ -45,6 +47,10 @@ RETARGET_SCALE = 8.0
 # and a target on the workspace edge may be reachable only at a limit.
 # The FK check still decides whether such a candidate lands.
 LIMIT_SLACK_RAD = 1e-6
+# a pin's cos(beta) past +-1 by no more than an angle of LIMIT_SLACK_RAD
+# from 0 or pi would put it is rounding at full stretch or fold, and is
+# taken onto +-1
+COS_SLACK = 1.0 - math.cos(LIMIT_SLACK_RAD)
 
 
 class NotReachable(RuntimeError):
@@ -155,6 +161,24 @@ def _dh_angles(model: LegModel, q) -> np.ndarray:
                        -1, 0)
 
 
+def _links(model: LegModel) -> tuple:
+    return tuple(r.a for r in model.rows)
+
+
+def _dh_limits(model: LegModel) -> list:
+    """The joint limits of the DH angles: shifted by the theta offsets."""
+    return [(lo + r.theta_offset, hi + r.theta_offset)
+            for (lo, hi), r in zip(model.joint_limits, model.rows)]
+
+
+def _within_a_turn(limits) -> bool:
+    """Whether every joint spans less than a turn (less twice
+    ``LIMIT_SLACK_RAD``): then each ``_wrap`` has at most one
+    representative to take, whatever the warm start."""
+    return all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
+               for lo, hi in limits)
+
+
 def forward_kinematics(model: LegModel, q) -> Pose:
     """Tip pose from joint angles of shape (..., 4), in closed form.
 
@@ -167,7 +191,7 @@ def forward_kinematics(model: LegModel, q) -> Pose:
     if q.ndim == 0 or q.shape[-1] != 4 or not np.all(np.isfinite(q)):
         raise ValueError("q must be finite joint angles of shape (..., 4)")
     th = _dh_angles(model, q)
-    x, y, z, t3 = _tip(tuple(r.a for r in model.rows), th)
+    x, y, z, t3 = _tip(_links(model), th)
     cy, sy, c3, s3 = np.cos(th[0]), np.sin(th[0]), np.cos(t3), np.sin(t3)
     rotation = np.stack([cy * c3, -cy * s3, sy, sy * c3, -sy * s3, -cy,
                          s3, c3, np.zeros_like(c3)], axis=-1)
@@ -239,10 +263,8 @@ def inverse_kinematics(model: LegModel, target, q0,
     lower, upper = model.lower, model.upper
     q0 = np.minimum(np.maximum(_checked_q0(q0), lower), upper)
     off = np.array([r.theta_offset for r in model.rows])
-    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits,
-                                                      off.tolist())]
-    found = _closed_form(tuple(r.a for r in model.rows), limits, target,
-                         q0 + off, tol_mm)
+    found = _closed_form(_links(model), _dh_limits(model), target, q0 + off,
+                         tol_mm)
     if off.any():
         found = IKResult(np.clip(found.q - off, lower, upper),
                          found.residual_mm, found.iterations)
@@ -435,10 +457,8 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     n = len(traj)
     out = np.empty((n, 4))
     off = np.array([r.theta_offset for r in model.rows])
-    limits = [(lo + o, hi + o) for (lo, hi), o in zip(model.joint_limits, off)]
-    links = tuple(r.a for r in model.rows)
-    batchable = n > 1 and all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
-                              for lo, hi in limits)
+    limits, links = _dh_limits(model), _links(model)
+    batchable = n > 1 and _within_a_turn(limits)
     batch, rule, i = None, None, 0
     while i < n:
         if batchable:
@@ -482,28 +502,14 @@ WARM = -1
 HELD = 4
 
 
-class _PathCandidates:
-    """``_closed_form``'s candidates for every sample of a path at once.
-
-    Built for a yaw + planar-3R leg whose every joint spans less than a
-    turn (less twice ``LIMIT_SLACK_RAD``).  Then each ``_wrap`` has at
-    most one representative to take, whatever the warm start, so every
-    candidate but one is the same for any warm start: the coxa yaws, the
-    trochanter angles at the arc ends, the limits and the pins, and the
-    femur and tibia closing the loop from each.  Those are built here
-    once (the pinned ones when first needed).  The one left, the
-    trochanter's warm angle where it lies on an arc, is built per round,
-    and so are the ordering by step and the warm-start shortcut.  A
-    target on the z axis, whose yaw is the warm one, gets no batched
-    pick.
-
-    Angles are DH angles.  Each column set is (candidates (N, C, 4),
-    landing mask (N, C)): a candidate lands if it fits the limits on a
-    tried plane within ``tol_mm`` of its target.  The columns run in
-    ``_closed_form``'s candidate order: the held ones, then the arc
-    ends, by plane; the pinned ones by plane.  A rule is a column: the
-    ``HELD`` held ones, then the arc ends, then the pinned ones from
-    ``first_pin`` on; or ``WARM``.
+class _Planes:
+    """The leg planes of every target of a path, as ``_closed_form``
+    builds them for one target: the two coxa yaws, the target's polar
+    ``(rho, phi)`` from the trochanter in each plane, which planes are
+    tried, and whether any is (``reach``; False on the z axis, whose yaw
+    is the warm one).  Built for a leg whose every joint spans less than
+    a turn (``_within_a_turn``), so that no yaw depends on a warm start.
+    Angles are DH angles; arrays are (N, 2), by sample and plane.
     """
 
     def __init__(self, links, limits, targets, tol_mm):
@@ -521,8 +527,90 @@ class _PathCandidates:
         self.tried = (outside < tol_mm) & ~np.isnan(self.yaw)
         self.u, self.rho, self.z = u, rho, z[:, None]
         self.phi = np.arctan2(self.z, u)
+
+    def _close_at(self, at, plane, q1):
+        """``_close`` from trochanter angles q1 for samples ``at`` on
+        planes ``plane``, all (k,): candidates and landing mask."""
+        q, trig = _close(self.links, self.limits, self.yaw[at, plane],
+                         self.u[at, plane], self.z[at, 0], q1)
+        return q, _residual(self.links, q.transpose(2, 0, 1),
+                            self.targets[at].T[..., None], trig) < self.tol_mm
+
+    def landed(self, at, q1, ok):
+        """Which of samples ``at`` (k,) some candidate lands from: the
+        trochanter angles q1 (k, 2, M), by plane, kept where ok.  The
+        candidates are closed one column at a time, each on the samples
+        that no column before it landed."""
+        k, _, m = q1.shape
+        q1, ok = q1.reshape(k, -1), ok.reshape(k, -1)
+        some = ok.any(axis=1)
+        left = some.copy()
+        for col in np.flatnonzero(ok.any(axis=0)).tolist():
+            rows = np.flatnonzero(ok[:, col] & left)
+            if rows.size:
+                _, lands = self._close_at(at[rows], col // m, q1[rows, col])
+                left[rows[lands.any(axis=1)]] = False
+                if not left.any():
+                    break
+        return some & ~left
+
+
+def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
+    """A reach test of points (N, 3) that needs no warm start: True where
+    some in-limit arc-end or pinned candidate lands within ``tol_mm``.
+    ``_closed_form`` returns in its first stage as soon as any arc end
+    lands, and in its second as soon as any pin does, so a True point
+    lands from every warm start.  False on the z axis, whose yaw is the
+    warm one, and for every point of a leg with a joint that spans a
+    turn; the warm-started IK may still land those.  The pins are built
+    only for the points no arc end reached.
+    """
+    limits = _dh_limits(model)
+    out = np.zeros(len(points), dtype=bool)
+    if not (len(points) and _within_a_turn(limits)):
+        return out
+    links = _links(model)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = _Planes(links, limits, points, tol_mm)
+        tried = p.tried & p.reach[:, None]
+        _, _, windows, ends = _arc_windows(links, limits, p.rho, p.phi)
+        every = np.arange(len(points))
+        out = p.landed(every, ends, np.repeat(windows & tried[..., None], 2,
+                                              axis=-1))
+        rest = every[~out & p.reach]
+        if rest.size:
+            q1, ok = _pinned_batch(links, limits, p.rho[rest], p.phi[rest])
+            out[rest] = p.landed(rest, q1, ok & tried[rest, :, None])
+    return out
+
+
+class _PathCandidates(_Planes):
+    """``_closed_form``'s candidates for every sample of a path at once.
+
+    Built on the path's ``_Planes``, for a leg whose every joint spans
+    less than a turn.  Each ``_wrap`` has at most one representative to
+    take, whatever the warm start, so every candidate but one is the
+    same for any warm start: the coxa yaws, the trochanter angles at the
+    arc ends, the limits and the pins, and the femur and tibia closing
+    the loop from each.  Those are built here once (the pinned ones when
+    first needed).  The one left, the trochanter's warm angle where it
+    lies on an arc, is built per round, and so are the ordering by step
+    and the warm-start shortcut.  A target on the z axis gets no batched
+    pick.
+
+    Each column set is (candidates (N, C, 4), landing mask (N, C)): a
+    candidate lands if it fits the limits on a tried plane within
+    ``tol_mm`` of its target.  The columns run in ``_closed_form``'s
+    candidate order: the held ones, then the arc ends, by plane; the
+    pinned ones by plane.  A rule is a column: the ``HELD`` held ones,
+    then the arc ends, then the pinned ones from ``first_pin`` on; or
+    ``WARM``.
+    """
+
+    def __init__(self, links, limits, targets, tol_mm):
+        super().__init__(links, limits, targets, tol_mm)
         self.lo, self.hi, self.windows, ends = _arc_windows(
-            links, limits, rho, self.phi)
+            links, limits, self.rho, self.phi)
         self.ends = self._columns(ends, np.repeat(self.windows, 2, axis=-1))
         self.first_pin = HELD + self.ends[0].shape[1]
         self.pins = None
@@ -538,14 +626,6 @@ class _PathCandidates:
         flat = cols[col]
         q, lands = self._close_at(row, flat // m, q1.reshape(n, -1)[row, flat])
         return self._scatter((n, len(cols)), (row, col), q, lands)
-
-    def _close_at(self, at, plane, q1):
-        """``_close`` from trochanter angles q1 for samples ``at`` on
-        planes ``plane``, all (k,): candidates and landing mask."""
-        q, trig = _close(self.links, self.limits, self.yaw[at, plane],
-                         self.u[at, plane], self.z[at, 0], q1)
-        return q, _residual(self.links, q.transpose(2, 0, 1),
-                            self.targets[at].T[..., None], trig) < self.tol_mm
 
     @staticmethod
     def _scatter(shape, where, q, lands):
@@ -726,7 +806,11 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
     joint that spans a turn.
 
     The tibia aims from the knee at the target: near a straight elbow
-    this is exact where arccos is not.
+    this is exact where arccos is not.  Where that aim puts the tibia on
+    a limit, the arccos split of the bend between femur and tibia may be
+    off by its rounding (1e-8 rad near straight), so the tibia is held
+    on the limit and the femur re-aimed, and where that puts the femur
+    on a limit, the trochanter (``_hold_on_limits``).
     """
     _, a1, a2, a3 = links
     c1, s1 = np.cos(q1), np.sin(q1)
@@ -746,7 +830,47 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
                warm[3])
     q = np.empty(q2.shape + (4,))
     q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[:, None], q1, q2, q3
-    return q, (c1[:, None], s1[:, None], c2, s2)
+    trig = (c1[:, None], s1[:, None], c2, s2)
+    held = (q3 == limits[3][0]) | (q3 == limits[3][1])
+    if held.any():
+        trig = _hold_on_limits(links, limits, q, trig, held, u, z, wu, wv,
+                               warm)
+    return q, trig
+
+
+def _hold_on_limits(links, limits, q, trig, held, u, z, wu, wv, warm):
+    """``_close``'s candidates q (k, 2, 4) where ``held`` (k, 2), whose
+    tibia is on a limit, re-aimed in place: the femur at the target from
+    the trochanter's end with the tibia held (the femur and tibia one
+    rigid link), and where that puts the femur on a limit, the
+    trochanter at the target with both held.  A re-aim that misses its
+    joint's limits is not taken.  Returns ``_residual``'s ``trig`` for
+    the new q."""
+    _, a1, a2, a3 = links
+    c1, s1, c2, s2 = (np.array(np.broadcast_to(t, held.shape)) for t in trig)
+    at = np.nonzero(held)
+    q1, q3 = q[at][:, 1], q[at][:, 3]
+    wu, wv = (np.broadcast_to(w, held.shape)[at] for w in (wu, wv))
+    q2 = _wrap(np.arctan2(wv, wu) - q1
+               - np.arctan2(a3 * np.sin(q3), a2 + a3 * np.cos(q3)),
+               *limits[2], warm[2])
+    fits = ~np.isnan(q2)
+    # the trochanter, femur and tibia as one rigid link, aimed at the
+    # target where the femur is on a limit
+    on = fits & ((q2 == limits[2][0]) | (q2 == limits[2][1]))
+    lu = a1 + a2 * np.cos(q2) + a3 * np.cos(q2 + q3)
+    lv = a2 * np.sin(q2) + a3 * np.sin(q2 + q3)
+    u, z = (np.broadcast_to(np.reshape(v, (-1, 1)), held.shape)[at]
+            for v in (u, z))
+    turned = _wrap(np.arctan2(z, u) - np.arctan2(lv, lu), *limits[1],
+                   warm[1])
+    on &= ~np.isnan(turned)
+    q[at[0][fits], at[1][fits], 2] = q2[fits]
+    q[at[0][on], at[1][on], 1] = turned[on]
+    q1, q2 = q[at][:, 1], q[at][:, 2]
+    c1[at], s1[at] = np.cos(q1), np.sin(q1)
+    c2[at], s2[at] = np.cos(q1 + q2), np.sin(q1 + q2)
+    return c1, s1, c2, s2
 
 
 def _arc_windows(links, limits, rho, phi):
@@ -830,11 +954,11 @@ def _pinned_batch(links, limits, rho, phi, ref=None):
     b, gamma, c = (np.array(v) for v in zip(*pins))
     rho, phi = rho[..., None], phi[..., None]
     cos_beta = (rho * rho + b * b - c * c) / (2.0 * b * rho)
-    beta = np.arccos(cos_beta)
+    beta = np.arccos(np.minimum(np.maximum(cos_beta, -1.0), 1.0))
     # per pin, the angle on either side of the line to the target
     q1 = np.stack([phi - gamma + beta, phi - gamma - beta], axis=-1)
     q1 = _wrap(q1.reshape(q1.shape[:-2] + (-1,)), *limits[1], ref)
-    fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0)
+    fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0 + COS_SLACK)
     return q1, np.repeat(fits, 2, axis=-1) & ~np.isnan(q1)
 
 

@@ -382,22 +382,34 @@ class TestSimCommand:
             capsys.readouterr().err
         assert not out.exists()
 
-    def test_ik_settings_reach_the_sim(self, tmp_path):
-        # a 5 mm IK tolerance keeps each tick's warm start while it lands
-        # within 5 mm, so the claw lags the exact path by less than that
+    def test_ik_settings_reach_the_sim(self, tmp_path, capsys):
+        # [ik] tol_mm decides reach: a phase that ends 2 mm past the 255
+        # mm reach runs under a 5 mm tolerance, and not under the default
+        edge = ("[scenario:edge]\nhome = 200 0 0\n"
+                "phase_1 = out flexible 50 57 0 0\n")
+        loose, exact = tmp_path / "loose.conf", tmp_path / "exact.conf"
+        loose.write_text("[ik]\ntol_mm = 5\n" + edge)
+        exact.write_text(edge)
+        rc, out = run(["sim", "--scenario", "edge", "--config", str(loose)],
+                      tmp_path, "a")
+        assert rc == 0
+        assert len(load_demo_csv(out / "edge_demo.csv")) == 5
+        capsys.readouterr()
+        rc, _ = run(["sim", "--scenario", "edge", "--config", str(exact)],
+                    tmp_path, "b")
+        assert rc == 1
+        assert "not reachable at sample 5: best residual 2 mm" \
+            in capsys.readouterr().err
+
+    def test_a_loose_ik_tolerance_does_not_make_the_claw_lag(self, tmp_path):
+        # a claw tip is the scripted target plus its mode's offset
         conf = tmp_path / "ik.conf"
         conf.write_text("[ik]\ntol_mm = 5\n")
-        rc, exact = run(["sim", "--scenario", "walk_cycle"], tmp_path, "a")
-        assert rc == 0
-        rc, loose = run(["sim", "--scenario", "walk_cycle", "--config",
-                         str(conf)], tmp_path, "b")
-        assert rc == 0
-        lag = np.array([a.claw_z - b.claw_z for a, b in zip(
-            load_demo_csv(exact / "walk_cycle_demo.csv"),
-            load_demo_csv(loose / "walk_cycle_demo.csv"))])
-        assert len(lag) == 135
-        assert np.abs(lag).max() > 1.0
-        assert np.abs(lag).max() < 5.0
+        _, exact = run(["sim", "--scenario", "walk_cycle"], tmp_path, "a")
+        _, loose = run(["sim", "--scenario", "walk_cycle", "--config",
+                        str(conf)], tmp_path, "b")
+        assert (loose / "walk_cycle_demo.csv").read_bytes() \
+            == (exact / "walk_cycle_demo.csv").read_bytes()
 
     def test_empty_scenario_header_only(self, tmp_path):
         conf = tmp_path / "t.conf"

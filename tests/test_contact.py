@@ -22,7 +22,7 @@ from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
                             run_demo_cycle, save_demo_csv)
 from tarsim.config import parse_config
 from tarsim.leg import default_leg_model, forward_kinematics
-from test_leg import count_calls, scalar_joints
+from test_leg import OFFSET_LEG, count_calls, scalar_joints
 from test_table import frozen_write_table
 
 LEG = default_leg_model()
@@ -455,9 +455,11 @@ class TestScan:
         assert samples[-1].horizontal == pytest.approx(0.1 * drag, abs=1e-9)
         assert ("ClawFailure" in kinds(final)) == fails
 
-    def test_one_walk_cycle_solves_no_chain_and_fk_once(
+    def test_one_walk_cycle_solves_no_chain_and_no_joint_path(
             self, monkeypatch):
-        calls = {"solve": 0, "fk": 0}
+        # a claw tip is the scripted target plus its mode's offset: a
+        # reachable script needs no chain solve, no FK and no joint path
+        calls = {"solve": 0, "fk": 0, "path": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -466,16 +468,18 @@ class TestScan:
             return wrapper
 
         solve = counted("solve", chain_mod.solve_bend_from_pull)
-        fk = counted("fk", leg_mod.forward_kinematics)
         for module in (chain_mod, contact):
             monkeypatch.setattr(module, "solve_bend_from_pull", solve)
+        monkeypatch.setattr(leg_mod, "forward_kinematics",
+                            counted("fk", leg_mod.forward_kinematics))
+        path = counted("path", leg_mod.trajectory_to_joints)
         for module in (leg_mod, contact):
-            monkeypatch.setattr(module, "forward_kinematics", fk)
+            monkeypatch.setattr(module, "trajectory_to_joints", path)
         script = builtin_scenario("walk_cycle", CHAIN, MESH)
-        calls.update(solve=0, fk=0)
+        calls.update(solve=0, fk=0, path=0)
         samples, _ = run_demo_cycle(LEG, CHAIN, MESH, script)
         assert len(samples) == 135
-        assert calls == {"solve": 0, "fk": 1}
+        assert calls == {"solve": 0, "fk": 0, "path": 0}
 
     def test_tubed_at_dt_5_hooks_at_180_ms(self):
         # the approach ends with the rigid claw exactly on the rest height
@@ -516,37 +520,25 @@ MAX_ROUNDS, MAX_SCALAR_SOLVES = 3, 0
 @pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
 def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
                                                     rest, name, dt):
+    # the sim solves no joint path on these inputs, but their leg-tip
+    # paths (the home point, then every tick's target) are the smooth
+    # walking paths the batch rounds are guarded on
     cfg = parse_config(f"[mesh]\nspacing_mm = {spacing}\n"
                        f"rest_height_mm = {rest}\n[sim]\ndt_ms = {dt}\n")
     chain, leg, mesh = cfg.build_chain(), cfg.build_leg(), cfg.build_mesh()
     script = cfg.build_scenario(name, chain, mesh)
-    # the oracle calls neither: these count the batched path's work
+    points = np.vstack([script.home_tip, *leg_tip_targets(script, dt)])
+    traj = leg_mod.Trajectory(np.arange(len(points)) * float(dt), points)
+    want = scalar_joints(leg, traj, **cfg.ik_params())
     rounds = count_calls(monkeypatch, leg_mod._PathCandidates, "first_miss")
     scalar = count_calls(monkeypatch, leg_mod, "inverse_kinematics")
-    runs = []
-    for solve in (scalar_joints, leg_mod.trajectory_to_joints):
-        paths = []
-
-        def spy(*args, solve=solve, **kwargs):
-            paths.append(solve(*args, **kwargs))
-            return paths[-1]
-
-        monkeypatch.setattr(contact, "trajectory_to_joints", spy)
-        runs.append((paths, *run_demo_cycle(
-            leg, chain, mesh, script, dt_ms=dt, limits=cfg.build_limits(),
-            **cfg.ik_params())))
-    (old_q, old, old_final), (new_q, new, new_final) = runs
-    assert np.array_equal(new_q[0], old_q[0])
+    got = leg_mod.trajectory_to_joints(leg, traj, **cfg.ik_params())
+    assert np.array_equal(got, want)
     assert len(rounds) <= MAX_ROUNDS and len(scalar) <= MAX_SCALAR_SOLVES
-    assert new_final.events == old_final.events
-    assert [(s.mode, s.attachment, s.events) for s in new] \
-        == [(s.mode, s.attachment, s.events) for s in old]
-
-    def numbers(samples):
-        return np.array([[s.t_ms, s.claw_z, s.mesh_z, s.vertical,
-                          s.horizontal] for s in samples])
-
-    assert np.max(np.abs(numbers(new) - numbers(old))) <= 1e-9
+    # a claw tip is its scripted target: FK of the path is within tol_mm
+    miss = np.linalg.norm(forward_kinematics(leg, got).position - traj.points,
+                          axis=1)
+    assert miss.max() < cfg.ik_params()["tol_mm"]
 
 
 # -- the scan against the per-tick loop it replaced ---------------------------
@@ -615,14 +607,15 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
         return [], contact.FinalState(0.0, FREE)
     modes = [m if script.allow_flexible else "rigid" for m in commanded]
 
-    path = leg_mod.trajectory_to_joints(leg, leg_mod.Trajectory(
-        np.arange(len(modes) + 1) * dt_ms, np.vstack([home, *targets])),
-        tol_mm=tol_mm)
+    points = np.vstack([home, *targets])
+    # reach: one warm-started scalar IK per tick, raising with its index
+    scalar_joints(leg, leg_mod.Trajectory(
+        np.arange(len(points)) * dt_ms, points), tol_mm=tol_mm)
     offsets = {}
     for mode in contact.MODES:
         dx, dz = contact._claw_offset(chain, mode, claw_length)
         offsets[mode] = (dx, 0.0, dz)
-    tips = (forward_kinematics(leg, path).position + np.array(
+    tips = (points + np.array(
         [offsets[m] for m in [commanded[0]] + modes])).tolist()
 
     rest, k = mesh.rest_height, mesh.node_stiffness
@@ -719,19 +712,51 @@ def scan_inputs(draw):
     return mesh, script, limits, dt_ms
 
 
+def not_reachable(err):
+    return (err.sample_index, err.residual_mm, err.iterations, str(err))
+
+
+def assert_run_matches_loop(*args, **kwargs):
+    """``assert_scan_matches_loop``, or, where the tick loop's IK raises,
+    the same NotReachable from ``run_demo_cycle``: its tick, residual,
+    iterations and message."""
+    try:
+        tick_loop(*args, **kwargs)
+    except leg_mod.NotReachable as want:
+        with pytest.raises(leg_mod.NotReachable) as got:
+            run_demo_cycle(*args, **kwargs)
+        assert not_reachable(got.value) == not_reachable(want)
+        return
+    assert_scan_matches_loop(*args, **kwargs)
+
+
 @settings(max_examples=150, deadline=None)
 @given(run=scan_inputs())
 def test_scan_matches_the_tick_loop(run):
     mesh, script, limits, dt_ms = run
-    try:
-        tick_loop(LEG, CHAIN, mesh, script, dt_ms=dt_ms, limits=limits)
-    except leg_mod.NotReachable:
-        with pytest.raises(leg_mod.NotReachable):
-            run_demo_cycle(LEG, CHAIN, mesh, script, dt_ms=dt_ms,
-                           limits=limits)
-        return
-    assert_scan_matches_loop(LEG, CHAIN, mesh, script, dt_ms=dt_ms,
-                             limits=limits)
+    assert_run_matches_loop(LEG, CHAIN, mesh, script, dt_ms=dt_ms,
+                            limits=limits)
+
+
+# leg-tip points (and offsets) in a box past the default leg's 255 mm
+# reach, or near the trochanter, where the joint limits block the leg
+EDGE = st.one_of(*(st.tuples(*[st.floats(-w, w)] * 3) for w in (270.0, 60.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(leg=st.sampled_from([LEG, OFFSET_LEG]),
+       home=EDGE,
+       phases=st.lists(st.builds(
+           Phase, st.just("p"), st.integers(1, 6).map(lambda n: 10.0 * n),
+           st.sampled_from(contact.MODES), EDGE),
+           min_size=1, max_size=4),
+       tol=st.sampled_from([leg_mod.IK_TOL_MM, 0.5, 5.0]))
+def test_scripts_across_the_edge_raise_the_joint_paths_not_reachable(
+        leg, home, phases, tol):
+    # reach is one batched test; a script it fails runs the joint path,
+    # whose NotReachable the scalar loop of the tick oracle must match
+    assert_run_matches_loop(leg, CHAIN, MESH, Scenario("edge", home, phases),
+                            tol_mm=tol)
 
 
 def scan_then(moves, limits=None, **kwargs):

@@ -1,11 +1,12 @@
 """Leg FK/IK against independent transform-product and finite-difference oracles."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tarsim import leg
@@ -688,9 +689,17 @@ class TestArcMeetingPoint:
                 assert v in angles
 
 
-def lands_from_any_warm_start(model, data):
-    q, warm = ([data.draw(st.floats(lo, hi)) for lo, hi in
-                model.joint_limits] for _ in range(2))
+@st.composite
+def fk_images(draw, widest_deg=179.0):
+    """A leg, an in-limit pose (whose FK image is the target) and an
+    in-limit warm start."""
+    model = draw(planar_legs(widest_deg))
+    q, warm = ([draw(st.floats(lo, hi)) for lo, hi in model.joint_limits]
+               for _ in range(2))
+    return model, q, warm
+
+
+def lands_from_the_warm_start(model, q, warm):
     target = forward_kinematics(model, np.array(q)).position
     off = [r.theta_offset for r in model.rows]
     found = leg._closed_form(
@@ -700,20 +709,116 @@ def lands_from_any_warm_start(model, data):
     assert found.residual_mm < IK_TOL_MM
 
 
+# a pose at full stretch with the trochanter, femur and tibia on their
+# lower limits, the tibia's 1e-6 degrees off straight: arccos puts every
+# candidate's trochanter 1.5e-8 rad off that limit and the tibia on
+# straight, and the limits then cost 1.01e-6 mm
+STRETCHED = planar_leg((5.0, 5.0, 5.0, 58.0),
+                       ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (1e-6, 2.0)))
+STRETCHED_Q = [0.0, 0.0, 0.0, STRETCHED.joint_limits[3][0]]
+
+
 class TestClosedFormCompleteness:
     @settings(max_examples=300, deadline=None)
-    @given(model=planar_legs(), data=st.data())
-    def test_fk_images_always_land(self, model, data):
+    @given(case=fk_images())
+    @example(case=(STRETCHED, STRETCHED_Q, [0.0, 0.0, 0.0, 0.03125]))
+    def test_fk_images_always_land(self, case):
         # the closed form finds every in-limit pose from any warm start
-        lands_from_any_warm_start(model, data)
+        lands_from_the_warm_start(*case)
 
     @settings(max_examples=150, deadline=None)
-    @given(model=planar_legs(widest_deg=400.0), data=st.data())
-    def test_fk_images_land_on_joints_spanning_turns(self, model, data):
+    @given(case=fk_images(widest_deg=400.0))
+    def test_fk_images_land_on_joints_spanning_turns(self, case):
         # where a joint spans a turn or more, two representatives of an
         # angle can fit its limits: the one nearest the warm angle is
         # wrapped a turn toward the limits when it misses them
-        lands_from_any_warm_start(model, data)
+        lands_from_the_warm_start(*case)
+
+
+class TestFullStretch:
+    @pytest.mark.parametrize("free", [(), (1, 2)])
+    def test_lands_from_every_warm_start(self, free):
+        # the tibia held on its limit re-aims the femur; on STRETCHED that
+        # puts the femur on its own limit, which re-aims the trochanter
+        # onto its limit; with the two free of limits, the femur's re-aim
+        # is enough
+        model = LegModel(STRETCHED.rows, [
+            (-0.02, 0.02) if j in free else limits
+            for j, limits in enumerate(STRETCHED.joint_limits)])
+        target = forward_kinematics(model, np.array(STRETCHED_Q)).position
+        for warm in itertools.product(*(np.linspace(lo, hi, 3) for lo, hi
+                                        in model.joint_limits)):
+            r = inverse_kinematics(model, target, warm)
+            assert r.residual_mm < IK_TOL_MM
+        assert leg._reaches(model, target[None], IK_TOL_MM).all()
+
+    def test_a_pin_within_rounding_of_straight_is_kept(self):
+        # the tibia pin's cos(beta) is 1 + 2.4e-15 here: it is taken
+        # onto 1, as an arc end's is, not dropped
+        target = forward_kinematics(STRETCHED, np.array(STRETCHED_Q)).position
+        links = tuple(r.a for r in STRETCHED.rows)
+        u = np.array([target[0] - links[0]])
+        rho, phi = np.hypot(u, target[2]), np.arctan2(target[2], u)
+        with np.errstate(invalid="ignore"):
+            q1, ok = leg._pinned_batch(links, list(STRETCHED.joint_limits),
+                                       rho, phi)
+        assert ok[0, :2].all()
+        assert q1[0, 0] == q1[0, 1] == phi[0]
+
+
+def ik_lands(model, target, warm, tol_mm=IK_TOL_MM):
+    try:
+        inverse_kinematics(model, target, warm, tol_mm)
+    except NotReachable:
+        return False
+    return True
+
+
+def in_limits(model):
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in model.joint_limits))
+
+
+class TestReaches:
+    """``leg._reaches`` is True exactly where warm-started IK lands a
+    target, from any warm start in the limits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(st.sampled_from([LEG, OFFSET_LEG]), planar_legs()),
+           data=st.data())
+    def test_true_exactly_where_the_ik_lands(self, model, data):
+        reach = model.reach_mm()
+        images = data.draw(st.lists(in_limits(model), max_size=6))
+        box = data.draw(st.lists(st.tuples(*[st.floats(-reach, reach)] * 3),
+                                 max_size=6))
+        targets = np.array(
+            [forward_kinematics(model, np.array(q)).position for q in images]
+            + box).reshape(-1, 3)
+        reached = leg._reaches(model, targets, IK_TOL_MM)
+        assert reached.shape == (len(targets),)
+        for target, want in zip(targets, reached.tolist()):
+            if not target[:2].any():
+                # the z axis is left to the joint path (see below)
+                assert not want
+                continue
+            for _ in range(2):
+                warm = np.array(data.draw(in_limits(model)))
+                assert ik_lands(model, target, warm) == want
+
+    def test_a_target_on_the_z_axis_is_left_to_the_joint_path(self):
+        # its yaw is the warm start's, so no warm-free test is sound there
+        target = np.array([0.0, 0.0, -100.0])
+        assert ik_lands(LEG, target, 0.5 * (LEG.lower + LEG.upper))
+        assert not leg._reaches(LEG, target[None], IK_TOL_MM).any()
+
+    def test_a_joint_spanning_a_turn_is_left_to_the_joint_path(self):
+        model = planar_leg((30.0, 25.0, 80.0, 120.0),
+                           ((-200.0, 200.0), (-150.0, 150.0),
+                            (-150.0, 150.0), (-150.0, 150.0)))
+        targets = forward_kinematics(
+            model, np.zeros((3, 4)) + [0.0, 0.2, -0.3, 0.4]).position
+        assert not leg._reaches(model, targets, IK_TOL_MM).any()
+        assert trajectory_to_joints(
+            model, Trajectory(np.arange(3.0), targets)).shape == (3, 4)
 
 
 class TestTrajectoryCsv:

@@ -809,8 +809,9 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
     this is exact where arccos is not.  Where that aim puts the tibia on
     a limit, the arccos split of the bend between femur and tibia may be
     off by its rounding (1e-8 rad near straight), so the tibia is held
-    on the limit and the femur re-aimed, and where that puts the femur
-    on a limit, the trochanter (``_hold_on_limits``).
+    there and the femur re-aimed, and where that puts the femur on a
+    limit, the trochanter.  A re-aim that misses its joint's limits is
+    not taken.
     """
     _, a1, a2, a3 = links
     c1, s1 = np.cos(q1), np.sin(q1)
@@ -828,49 +829,26 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
     c2, s2 = np.cos(t2), np.sin(t2)
     q3 = _wrap(np.arctan2(wv - a2 * s2, wu - a2 * c2) - t2, *limits[3],
                warm[3])
-    q = np.empty(q2.shape + (4,))
-    q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[:, None], q1, q2, q3
-    trig = (c1[:, None], s1[:, None], c2, s2)
+    c1, s1 = c1[:, None], s1[:, None]
     held = (q3 == limits[3][0]) | (q3 == limits[3][1])
     if held.any():
-        trig = _hold_on_limits(links, limits, q, trig, held, u, z, wu, wv,
-                               warm)
-    return q, trig
-
-
-def _hold_on_limits(links, limits, q, trig, held, u, z, wu, wv, warm):
-    """``_close``'s candidates q (k, 2, 4) where ``held`` (k, 2), whose
-    tibia is on a limit, re-aimed in place: the femur at the target from
-    the trochanter's end with the tibia held (the femur and tibia one
-    rigid link), and where that puts the femur on a limit, the
-    trochanter at the target with both held.  A re-aim that misses its
-    joint's limits is not taken.  Returns ``_residual``'s ``trig`` for
-    the new q."""
-    _, a1, a2, a3 = links
-    c1, s1, c2, s2 = (np.array(np.broadcast_to(t, held.shape)) for t in trig)
-    at = np.nonzero(held)
-    q1, q3 = q[at][:, 1], q[at][:, 3]
-    wu, wv = (np.broadcast_to(w, held.shape)[at] for w in (wu, wv))
-    q2 = _wrap(np.arctan2(wv, wu) - q1
-               - np.arctan2(a3 * np.sin(q3), a2 + a3 * np.cos(q3)),
-               *limits[2], warm[2])
-    fits = ~np.isnan(q2)
-    # the trochanter, femur and tibia as one rigid link, aimed at the
-    # target where the femur is on a limit
-    on = fits & ((q2 == limits[2][0]) | (q2 == limits[2][1]))
-    lu = a1 + a2 * np.cos(q2) + a3 * np.cos(q2 + q3)
-    lv = a2 * np.sin(q2) + a3 * np.sin(q2 + q3)
-    u, z = (np.broadcast_to(np.reshape(v, (-1, 1)), held.shape)[at]
-            for v in (u, z))
-    turned = _wrap(np.arctan2(z, u) - np.arctan2(lv, lu), *limits[1],
-                   warm[1])
-    on &= ~np.isnan(turned)
-    q[at[0][fits], at[1][fits], 2] = q2[fits]
-    q[at[0][on], at[1][on], 1] = turned[on]
-    q1, q2 = q[at][:, 1], q[at][:, 2]
-    c1[at], s1[at] = np.cos(q1), np.sin(q1)
-    c2[at], s2[at] = np.cos(q1 + q2), np.sin(q1 + q2)
-    return c1, s1, c2, s2
+        # the tibia held on its limit, the femur and tibia are one link:
+        # aim it at the target, and where that puts the femur on a limit,
+        # aim the trochanter, femur and tibia as one link
+        aimed = _wrap(np.arctan2(wv, wu) - q1 - np.arctan2(
+            a3 * np.sin(q3), a2 + a3 * np.cos(q3)), *limits[2], warm[2])
+        held &= ~np.isnan(aimed)
+        q2 = np.where(held, aimed, q2)
+        turned = _wrap(np.reshape(np.arctan2(z, u), (-1, 1)) - np.arctan2(
+            a2 * np.sin(q2) + a3 * np.sin(q2 + q3),
+            a1 + a2 * np.cos(q2) + a3 * np.cos(q2 + q3)), *limits[1], warm[1])
+        q1 = np.where(held & ((q2 == limits[2][0]) | (q2 == limits[2][1]))
+                      & ~np.isnan(turned), turned, q1)
+        c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q1 + q2), np.sin(
+            q1 + q2)
+    q = np.empty(q2.shape + (4,))
+    q[..., 0], q[..., 1], q[..., 2], q[..., 3] = yaw[:, None], q1, q2, q3
+    return q, (c1, s1, c2, s2)
 
 
 def _arc_windows(links, limits, rho, phi):

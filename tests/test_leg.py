@@ -689,14 +689,16 @@ class TestArcMeetingPoint:
                 assert v in angles
 
 
+def in_limits(model):
+    return st.tuples(*(st.floats(lo, hi) for lo, hi in model.joint_limits))
+
+
 @st.composite
 def fk_images(draw, widest_deg=179.0):
     """A leg, an in-limit pose (whose FK image is the target) and an
     in-limit warm start."""
     model = draw(planar_legs(widest_deg))
-    q, warm = ([draw(st.floats(lo, hi)) for lo, hi in model.joint_limits]
-               for _ in range(2))
-    return model, q, warm
+    return model, draw(in_limits(model)), draw(in_limits(model))
 
 
 def lands_from_the_warm_start(model, q, warm):
@@ -710,9 +712,9 @@ def lands_from_the_warm_start(model, q, warm):
 
 
 # a pose at full stretch with the trochanter, femur and tibia on their
-# lower limits, the tibia's 1e-6 degrees off straight: arccos puts every
-# candidate's trochanter 1.5e-8 rad off that limit and the tibia on
-# straight, and the limits then cost 1.01e-6 mm
+# lower limits, the tibia's 1e-6 degrees off straight: arccos cannot put
+# a candidate's trochanter within 1.5e-8 rad of that limit nor its tibia
+# off straight, and 1.5e-8 rad there is a 1.01e-6 mm miss
 STRETCHED = planar_leg((5.0, 5.0, 5.0, 58.0),
                        ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (1e-6, 2.0)))
 STRETCHED_Q = [0.0, 0.0, 0.0, STRETCHED.joint_limits[3][0]]
@@ -766,16 +768,12 @@ class TestFullStretch:
         assert q1[0, 0] == q1[0, 1] == phi[0]
 
 
-def ik_lands(model, target, warm, tol_mm=IK_TOL_MM):
+def ik_lands(model, target, warm):
     try:
-        inverse_kinematics(model, target, warm, tol_mm)
+        inverse_kinematics(model, target, warm)
     except NotReachable:
         return False
     return True
-
-
-def in_limits(model):
-    return st.tuples(*(st.floats(lo, hi) for lo, hi in model.joint_limits))
 
 
 class TestReaches:

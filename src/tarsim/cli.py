@@ -310,9 +310,9 @@ def _parse_pair(text: str):
         b = stats_mod.GroupStats(float(parts[4]), float(parts[5]),
                                  int(parts[6]))
         pub = float(parts[7]) if len(parts) == 8 else None
+        return stats_mod.ConditionPair(parts[0], a, b, pub)
     except ValueError as err:
         raise DomainError(f"--pair {text!r}: {err}") from None
-    return stats_mod.ConditionPair(parts[0], a, b, pub)
 
 
 def _write_report(ctx: RunContext, pairs) -> None:

@@ -277,6 +277,12 @@ class Config:
                 raise ConfigError(f"{section}.phase_{idx}: {err}",
                                   line) from None
             idx += 1
+        for key, (_, line) in self.data[section].items():
+            if key.startswith("phase_") \
+                    and not 1 <= int(key[len("phase_"):]) < idx:
+                raise ConfigError(
+                    f"{section}.{key}: phases are numbered 1, 2, 3... "
+                    f"with no gap", line)
         # zero phases is legal: the run emits a header-only series
         return contact_mod.Scenario(
             name=name, home_tip=home, phases=tuple(phases),

@@ -15,8 +15,9 @@ vectors of shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
 started IK call per sample, bit for bit, but solves them in numpy batch
 rounds that build every closed-form candidate of the path at once: a
-round accepts each pick that the rule of the pick before it predicted,
-and the first pick it did not predict.  The two paths share one
+round guesses each later sample's pick from the round's warm start,
+checks every guess from the guess before it, and accepts the guesses up
+to the first miss and that sample's own pick.  The two paths share one
 arithmetic (numpy's arccos, arctan2, hypot, cos and sin in the same
 formulas) and one pick rule (the landing candidate with the smallest
 step from the warm start, ties to the first in one candidate order).
@@ -424,82 +425,46 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     the joint series on one solution branch for smooth inputs.
 
     The answer is that of one ``inverse_kinematics`` call per sample,
-    bit for bit, but the samples are solved in numpy batch rounds.  The
-    scalar and the batched path share one arithmetic: numpy's arccos,
-    arctan2, hypot, cos and sin in the same formulas (``_close``,
-    ``_residual``, ``_pinned_batch`` and ``_wrap`` serve both; the
-    scalar ``_arc_angles`` gives ``_arc_windows``'s arc ends), and one
-    rule for the pick: the landing candidate with the smallest step
-    from the warm start, ties to the first in one candidate order.  The first
-    sample's pick is taken from its warm start, and its rule (its
-    candidate's column, which fixes the plane, the elbow and the
-    trochanter's source: the warm angle held, an arc end, a limit or a
-    pin; or the warm start itself when it landed) starts the first
-    round.  A round guesses every later sample by that
-    rule and takes each one's pick in numpy from the previous sample's
-    guess as warm start.  The samples up to the first whose pick is not
-    bitwise its guess are what the one-by-one loop would have found, so
-    they are accepted, and so is that sample's own pick, whose warm
-    start was right; its rule starts the next round.  Only a sample with
-    no pick (a target on the z axis, or no candidate that lands) goes to
-    the scalar path, and batching goes on after it.  A leg with a joint
-    that spans a turn or more runs the scalar path alone.
+    bit for bit, but the samples are solved in numpy batch rounds
+    (``_PathCandidates.round``).  The scalar and the batched path share
+    one arithmetic: numpy's arccos, arctan2, hypot, cos and sin in the
+    same formulas (``_close``, ``_residual``, ``_pinned_batch`` and
+    ``_wrap`` serve both; the scalar ``_arc_angles`` gives
+    ``_arc_windows``'s arc ends), and one rule for the pick: the landing
+    candidate with the smallest step from the warm start, ties to the
+    first in one candidate order.  Only a sample with no pick (a target
+    on the z axis, or no candidate that lands) goes to the scalar path,
+    and batching goes on after it.  A leg with a joint that spans a turn
+    or more runs the scalar path alone.
 
     Raises ValueError for a ``q0`` that is not 4 finite angles, and
     NotReachable (tagged with the failing sample index) if any sample is
     not reachable; it is the scalar path's, residual and iterations
     included.
     """
-    if q0 is None:
-        q = 0.5 * (model.lower + model.upper)
-    else:
-        q = _checked_q0(q0).copy()
+    q = 0.5 * (model.lower + model.upper) if q0 is None else _checked_q0(q0)
     n = len(traj)
     out = np.empty((n, 4))
-    off = np.array([r.theta_offset for r in model.rows])
-    limits, links = _dh_limits(model), _links(model)
-    batchable = n > 1 and _within_a_turn(limits)
-    batch, rule, i = None, None, 0
-    while i < n:
-        if batchable:
-            warm = np.minimum(np.maximum(q, model.lower), model.upper) + off
-            with np.errstate(invalid="ignore", divide="ignore"):
-                if batch is None:
-                    batch = _PathCandidates(links, limits, traj.points, tol_mm)
-                if rule is None:
-                    m, (rule, pick) = 0, batch.pick(i, warm)
-                else:
-                    guess = batch.guess(i, warm, rule)
-                    rows = np.minimum(np.maximum(guess - off, model.lower),
-                                      model.upper)
-                    m, rule, pick = batch.first_miss(
-                        i, np.vstack([warm, rows[:-1] + off]), guess, rule)
-                    out[i:i + m] = rows[:m]
-            if m:
-                q = rows[m - 1]
-                i += m
-            if pick is not None:
-                q = out[i] = np.minimum(np.maximum(pick - off, model.lower),
-                                        model.upper)
-                i += 1
+    i = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        batch = _PathCandidates(model, traj.points, tol_mm) \
+            if n > 1 and _within_a_turn(_dh_limits(model)) else None
+        while i < n:
+            rows = batch.round(i, q) if batch is not None else ()
+            if len(rows):
+                out[i:i + len(rows)] = rows
+                q = rows[-1]
+                i += len(rows)
                 continue
-            if i == n:
-                break
-        try:
-            sol = inverse_kinematics(model, traj.points[i], q, tol_mm=tol_mm)
-        except NotReachable as err:
-            raise NotReachable(err.residual_mm, err.iterations,
-                               sample_index=i) from None
-        q = out[i] = sol.q
-        i += 1
+            try:
+                sol = inverse_kinematics(model, traj.points[i], q,
+                                         tol_mm=tol_mm)
+            except NotReachable as err:
+                raise NotReachable(err.residual_mm, err.iterations,
+                                   sample_index=i) from None
+            q = out[i] = sol.q
+            i += 1
     return out
-
-
-# a pick's rule is its column: WARM when the warm start landed, else the
-# column of its candidate in _picks's order, the HELD columns of _held
-# (per plane and elbow) first
-WARM = -1
-HELD = 4
 
 
 class _Planes:
@@ -594,27 +559,54 @@ class _PathCandidates(_Planes):
     arc ends, the limits and the pins, and the femur and tibia closing
     the loop from each.  Those are built here once (the pinned ones when
     first needed).  The one left, the trochanter's warm angle where it
-    lies on an arc, is built per round, and so are the ordering by step
-    and the warm-start shortcut.  A target on the z axis gets no batched
-    pick.
+    lies on an arc, is built per warm start, and so are the ordering by
+    step and the warm-start shortcut.  A target on the z axis gets no
+    batched pick.
 
     Each column set is (candidates (N, C, 4), landing mask (N, C)): a
     candidate lands if it fits the limits on a tried plane within
     ``tol_mm`` of its target.  The columns run in ``_closed_form``'s
     candidate order: the held ones, then the arc ends, by plane; the
-    pinned ones by plane.  A rule is a column: the ``HELD`` held ones,
-    then the arc ends, then the pinned ones from ``first_pin`` on; or
-    ``WARM``.
+    pinned ones by plane.  Picks are DH angles; ``round`` takes joint
+    angles and gives joint rows, as ``inverse_kinematics`` does.
     """
 
-    def __init__(self, links, limits, targets, tol_mm):
+    def __init__(self, model, targets, tol_mm):
+        links, limits = _links(model), _dh_limits(model)
         super().__init__(links, limits, targets, tol_mm)
+        self.lower, self.upper = model.lower, model.upper
+        self.off = np.array([r.theta_offset for r in model.rows])
         self.lo, self.hi, self.windows, ends = _arc_windows(
             links, limits, self.rho, self.phi)
         self.ends = self._columns(ends, np.repeat(self.windows, 2, axis=-1))
-        self.first_pin = HELD + self.ends[0].shape[1]
         self.pins = None
         self.last_held = None, np.empty(0), None
+
+    def _rows(self, picks):
+        """Joint rows of DH picks, clipped to the limits."""
+        return np.minimum(np.maximum(picks - self.off, self.lower), self.upper)
+
+    def round(self, i, q):
+        """The joint rows of samples i.. that one warm-started IK call
+        per sample gives from joint angles q, up to the first sample with
+        no pick (none if sample i has none).
+
+        Each sample's pick from the warm start of q is its guess; at
+        i == 0, q is ``q0``, not a pick, so only sample 0 is guessed.  A
+        second ``picks`` call takes each later sample's pick from the
+        guess before it.  The guesses up to the first that this misses
+        are what the one-by-one loop finds, and so is that sample's own
+        pick, whose warm start was right.
+        """
+        warm = np.minimum(np.maximum(q, self.lower), self.upper) + self.off
+        n = 1 if i == 0 else len(self.targets) - i
+        picks = self.picks(i, np.broadcast_to(warm, (n, 4)))
+        picks = picks[:_first(np.isnan(picks[:, 0])) + 1]
+        if len(picks) > 1:
+            check = self.picks(i, np.vstack([
+                warm, self._rows(picks[:-1]) + self.off]))
+            picks = check[:_first(~(check == picks).all(axis=1)) + 1]
+        return self._rows(picks[:_first(np.isnan(picks[:, 0]))])
 
     def _columns(self, q1, ok):
         """The column set of trochanter angles q1 (N, 2, M), kept where
@@ -661,54 +653,14 @@ class _PathCandidates(_Planes):
         self.last_held = i, w1, held
         return held
 
-    def guess(self, i, warm, rule):
-        """Samples i..'s candidates under ``rule`` from one warm start,
-        up to the first that does not land (NaN); ``WARM`` holds the
-        warm start."""
-        n = len(self.targets) - i
-        if rule == WARM:
-            q = np.broadcast_to(warm, (n, 1, 4))
-            lands = _residual(self.links, warm, self.targets[i:].T)[:, None] \
-                < self.tol_mm
-            c = 0
-        elif rule < HELD:
-            q, lands = self._held(i, np.full(n, warm[1]))
-            c = rule
-        else:
-            start, (q, lands) = (HELD, self.ends) if rule < self.first_pin \
-                else (self.first_pin, self._pinned())
-            q, lands, c = q[i:], lands[i:], rule - start
-        lands = lands[:, c]
-        q = np.where(lands[:, None], q[:, c], np.nan)
-        return q if lands.all() else q[:lands.argmin() + 1]
-
-    def first_miss(self, i, warms, guess, rule):
-        """The first of samples i.. whose ``_closed_form`` pick from
-        ``warms`` is not its guess (len(warms) if none), the rule of
-        that pick (``rule`` if none misses, None if it has no pick), and
-        that pick (None if none misses or it has no pick)."""
-        picks, rules = self._picks(i, warms, guess)
-        same = (picks == guess).all(axis=1)
-        if same.all():
-            return len(warms), rule, None
-        m = int(same.argmin())
-        return (m, *_rule_and_pick(picks, rules, m))
-
-    def pick(self, i, warm):
-        """Sample i's pick from ``warm``, as ``first_miss`` gives a
-        missed sample's: its rule and the pick, or None for both."""
-        return _rule_and_pick(
-            *self._picks(i, warm[None], np.full((1, 4), np.nan)), 0)
-
-    def _picks(self, i, warms, guess):
-        """Samples i..'s picks from ``warms`` (NaN where there is none,
-        and ``_closed_form`` would raise) and their rules (meaningless
-        where there is no pick).
+    def picks(self, i, warms):
+        """Samples i..'s ``_closed_form`` picks from the DH warm starts
+        ``warms`` (n, 4); NaN where there is none, and ``_closed_form``
+        would raise.
 
         A pick is the warm start when that lands, else the nearest
         landing candidate (ties to the first) of the held and arc-end
-        ones, else of the pinned ones, which are looked at only for the
-        samples up to the first miss of ``guess`` that need them.
+        ones, else of the pinned ones.
         """
         n = len(warms)
         picks = np.full((n, 4), np.nan)
@@ -718,27 +670,21 @@ class _PathCandidates(_Planes):
         todo = ~short & self.reach[i:i + n]
         q, lands = (np.concatenate([h, e[i:i + n]], axis=1)
                     for h, e in zip(self._held(i, warms[:, 1]), self.ends))
-        rules, has = _nearest(q, lands, warms)
+        col, has = _nearest(q, lands, warms)
         has &= todo
-        picks[has] = q[has, rules[has]]
-        need = todo & ~has
-        miss = ~need & ~(picks == guess).all(axis=1)
-        rows = np.flatnonzero(need[:miss.argmax() if miss.any() else n])
+        picks[has] = q[has, col[has]]
+        rows = np.flatnonzero(todo & ~has)
         if rows.size:
             q, lands = self._pinned()
             q = q[i + rows]
             col, got = _nearest(q, lands[i + rows], warms[rows])
             picks[rows[got]] = q[got, col[got]]
-            rules[rows] = self.first_pin + col
-        rules[short] = WARM
-        return picks, rules
+        return picks
 
 
-def _rule_and_pick(picks, rules, m):
-    """Sample m's rule and pick, or None for both where it has none."""
-    if np.isnan(picks[m, 0]):
-        return None, None
-    return int(rules[m]), picks[m]
+def _first(mask) -> int:
+    """The index of the first True of mask, or its length if none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
 
 
 def _nearest(q, lands, warms):

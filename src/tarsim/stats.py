@@ -26,6 +26,10 @@ class GroupStats:
     n: int
 
     def __post_init__(self):
+        for name in ("mean", "sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.sd < 0:
             raise ValueError("sd must be >= 0")
         if self.n < 2:
@@ -136,6 +140,11 @@ class ConditionPair:
     a: GroupStats
     b: GroupStats
     published_p_one_tail: float | None = None
+
+    def __post_init__(self):
+        p = self.published_p_one_tail
+        if p is not None and not 0.0 < p <= 1.0:
+            raise ValueError(f"published p must lie in (0, 1], got {p!r}")
 
 
 REPORT_COLUMNS = (

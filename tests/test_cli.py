@@ -421,6 +421,20 @@ class TestSimCommand:
         assert text.strip() == ("t_ms,claw_z_mm,mesh_z_mm,mode,attachment,"
                                 "event,vertical_N,horizontal_N")
 
+    @pytest.mark.parametrize("phases, key", [
+        ("phase_1 = down flexible 100 0 0 -10\n"
+         "phase_3 = up flexible 100 0 0 0\n", "phase_3"),
+        ("phase_0 = down flexible 100 0 0 -10\n", "phase_0")])
+    def test_phase_after_a_gap_is_config_error(self, tmp_path, capsys,
+                                               phases, key):
+        conf = tmp_path / "t.conf"
+        conf.write_text(f"[scenario:gap]\n{phases}")
+        rc = main(["sim", "--scenario", "gap", "--config", str(conf),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"gap.{key}: phases are numbered" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "gap_demo.csv").exists()
+
     @pytest.mark.parametrize("name", ["../../esc", "a&b<c"])
     def test_scenario_name_that_is_no_file_name_is_config_error(
             self, tmp_path, capsys, name):
@@ -621,6 +635,33 @@ class TestGaitCommand:
         header, rows = read_table(out / "metrics.csv")
         assert len(header) == 6
         assert [r[:3] for r in rows] == [[str(p), "mesh,wet", "right"]]
+
+    @pytest.mark.parametrize("pair, message", [
+        ("x,nan,1.0,5,2.0,1.0,5", "mean must be finite, got nan"),
+        ("x,1.0,1.0,5,-inf,1.0,5", "mean must be finite, got -inf"),
+        ("x,1.0,inf,5,2.0,1.0,5", "sd must be finite, got inf"),
+        ("x,1.0,1.0,5,2.0,nan,5", "sd must be finite, got nan"),
+        ("x,1.0,1.0,5,2.0,1.0,5,0", "published p must lie in (0, 1], got 0.0"),
+        ("x,1.0,1.0,5,2.0,1.0,5,-0.3",
+         "published p must lie in (0, 1], got -0.3"),
+        ("x,1.0,1.0,5,2.0,1.0,5,1.5",
+         "published p must lie in (0, 1], got 1.5"),
+        ("x,1.0,1.0,5,2.0,1.0,5,nan",
+         "published p must lie in (0, 1], got nan")])
+    def test_pair_value_out_of_domain_is_error(self, tmp_path, capsys, pair,
+                                               message):
+        rc, out = run(["gait", "--summary-stats", "--pair", pair], tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --pair {pair!r}: {message}\n"
+        assert not (out / "report.csv").exists()
+
+    def test_pair_published_p_of_one_is_taken(self, tmp_path):
+        rc, out = run(["gait", "--summary-stats", "--pair",
+                       "x,1.0,1.0,5,2.0,1.0,5,1"], tmp_path)
+        assert rc == 0
+        _, rows = read_table(out / "report.csv")
+        assert float(rows[0][11]) == 1.0
 
     def test_pair_without_flag_is_error(self, tmp_path):
         rc, _ = run(["gait", "--summary-stats"], tmp_path)

@@ -204,6 +204,22 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="phase_1"):
             cfg.build_scenario("bad", cfg.build_chain(), cfg.build_mesh())
 
+    @pytest.mark.parametrize("phases, key, line", [
+        ("phase_1 = down flexible 100 0 0 -10\n"
+         "phase_3 = up flexible 100 0 0 0\n", "phase_3", 4),
+        ("phase_0 = down flexible 100 0 0 -10\n", "phase_0", 3),
+        ("phase_2 = down flexible 100 0 0 -10\n"
+         "phase_1 = up flexible 100 0 0 0\n"
+         "phase_4 = up flexible 100 0 0 0\n"
+         "phase_7 = up flexible 100 0 0 0\n", "phase_4", 5)])
+    def test_phase_after_a_gap_is_config_error(self, phases, key, line):
+        # a phase the numbering skips to would be dropped without a word
+        cfg = parse_config(f"[scenario:gap]\nhome = 120 0 -60\n{phases}")
+        with pytest.raises(ConfigError, match=(
+                f"line {line}: scenario:gap.{key}: phases are numbered "
+                f"1, 2, 3... with no gap")):
+            cfg.build_scenario("gap", cfg.build_chain(), cfg.build_mesh())
+
     @pytest.mark.parametrize("name", ["../../esc", "a&b<c", "..", "", "a/b",
                                       "a b", "x\\y"])
     def test_scenario_name_must_be_a_file_name_stem(self, name):

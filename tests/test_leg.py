@@ -276,7 +276,7 @@ def offset_leg(**femur):
 class TestClosedFormGuard:
     @settings(max_examples=300, deadline=None)
     @given(qstar=TIGHT_JOINTS, warm=TIGHT_JOINTS)
-    def test_tight_limits_solved_without_dls(self, qstar, warm):
+    def test_tight_limits_land_inside_the_limits(self, qstar, warm):
         target = forward_kinematics(TIGHT, np.array(qstar)).position
         q = inverse_kinematics(TIGHT, target, np.array(warm)).q
         assert np.linalg.norm(forward_kinematics(TIGHT, q).position
@@ -300,7 +300,7 @@ class TestClosedFormGuard:
         assert np.all(q >= TIGHT.lower) and np.all(q <= TIGHT.upper)
 
     @pytest.mark.parametrize("offset", [0.3, -0.5])
-    def test_theta_offsets_solved_without_dls(self, offset):
+    def test_theta_offsets_land_inside_the_limits(self, offset):
         m = offset_leg(theta_offset=offset)
         rng = np.random.default_rng(1)
         warm = np.array([0.0, -0.3, 0.6, -0.9])
@@ -312,7 +312,7 @@ class TestClosedFormGuard:
                                   - target) < IK_TOL_MM
             assert np.all(r.q >= m.lower) and np.all(r.q <= m.upper)
 
-    def test_default_leg_never_reaches_dls(self):
+    def test_default_leg_lands_criterion_4_targets(self):
         # criterion 4's targets: seed 104, cold start q_start
         rng = np.random.default_rng(104)
         q_start = np.array([0.0, -0.3, 0.6, -0.9])
@@ -453,16 +453,46 @@ def joint_path(model, seed, n, wiggle):
 
 
 def count_calls(monkeypatch, owner, name):
-    """Patch ``owner.name`` to log each call; returns the log."""
+    """Patch ``owner.name`` to log each call's arguments; returns the
+    log."""
     calls = []
     real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def retarget_step(seed, k, n=40):
+    """A beetle step retargeted onto the default leg, shaped as a
+    ``leg --retarget`` input is: a stance stroke, then a swing arc, from
+    a home tip at a random pose, scaled x8 about that tip."""
+    rng = np.random.default_rng([seed, k])
+    home = forward_kinematics(LEG, rng.uniform(
+        (-0.5, -0.3, -1.2, -1.4), (0.5, 0.3, -0.6, -0.8))).position
+    stroke, lift = rng.uniform(2.0, 4.0), rng.uniform(0.6, 1.2)
+    heading = rng.uniform(-math.pi, math.pi)
+    phase = np.arange(n) / (n - 1)
+    stance = phase < 0.6
+    along = np.where(stance, -stroke * phase / 0.6,
+                     -stroke + stroke * (phase - 0.6) / 0.4)
+    up = np.where(stance, 0.0, lift * np.sin(math.pi * (phase - 0.6) / 0.4))
+    pts = home + np.column_stack([along * math.cos(heading),
+                                  along * math.sin(heading), up])
+    return retarget_trajectory(Trajectory(np.arange(n) * 10.0, pts))
+
+
+# the most rounds past sample 0 any retarget step of seeds 11 and 41
+# took when this guard was set (1.09 per step on average)
+MAX_STEP_ROUNDS = 3
+
+
+def later_rounds(rounds):
+    """The logged ``_PathCandidates.round`` calls past sample 0."""
+    return [args for args in rounds if args[1] > 0]
 
 
 def stretch_path(model, straight=(0.0, 1.0), n=135):
@@ -515,14 +545,29 @@ class TestBatchedJointPath:
             assert np.array_equal(batched, oracle)
 
     def test_solves_most_samples_in_batches(self, model, monkeypatch):
-        # a smooth path: one pick, one round, no scalar solve
+        # a smooth path: one pick, one round past it, no scalar solve
         traj = synthetic_workspace_arc(model)
-        rounds = count_calls(monkeypatch, leg._PathCandidates, "first_miss")
+        rounds = count_calls(monkeypatch, leg._PathCandidates, "round")
         calls = count_calls(monkeypatch, leg, "inverse_kinematics")
         qs = trajectory_to_joints(model, traj)
         monkeypatch.undo()
-        assert len(rounds) == 1 and calls == []
+        assert len(later_rounds(rounds)) == 1 and calls == []
         assert np.array_equal(qs, scalar_joints(model, traj))
+
+    @pytest.mark.parametrize("seed", [11, 41])
+    def test_retarget_steps_are_batched(self, model, monkeypatch, seed):
+        # the traffic of leg --retarget --to-joints: 40 bench-shaped steps
+        most = 0
+        for k in range(40):
+            traj = retarget_step(seed, k)
+            rounds = count_calls(monkeypatch, leg._PathCandidates, "round")
+            scalar = count_calls(monkeypatch, leg, "inverse_kinematics")
+            qs = trajectory_to_joints(model, traj)
+            monkeypatch.undo()
+            assert scalar == []
+            assert np.array_equal(qs, scalar_joints(model, traj))
+            most = max(most, len(later_rounds(rounds)))
+        assert most <= MAX_STEP_ROUNDS
 
     @pytest.mark.parametrize("straight", [(0.0, 1.0), (0.0, 0.3),
                                           (0.45, 0.55)])

@@ -424,7 +424,8 @@ class TestSimCommand:
     @pytest.mark.parametrize("phases, key", [
         ("phase_1 = down flexible 100 0 0 -10\n"
          "phase_3 = up flexible 100 0 0 0\n", "phase_3"),
-        ("phase_0 = down flexible 100 0 0 -10\n", "phase_0")])
+        ("phase_0 = down flexible 100 0 0 -10\n", "phase_0")],
+        ids=["gap", "phase_0"])
     def test_phase_after_a_gap_is_config_error(self, tmp_path, capsys,
                                                phases, key):
         conf = tmp_path / "t.conf"
@@ -647,7 +648,9 @@ class TestGaitCommand:
         ("x,1.0,1.0,5,2.0,1.0,5,1.5",
          "published p must lie in (0, 1], got 1.5"),
         ("x,1.0,1.0,5,2.0,1.0,5,nan",
-         "published p must lie in (0, 1], got nan")])
+         "published p must lie in (0, 1], got nan")],
+        ids=["nan_mean", "inf_mean", "inf_sd", "nan_sd", "p_zero",
+             "p_negative", "p_above_one", "p_nan"])
     def test_pair_value_out_of_domain_is_error(self, tmp_path, capsys, pair,
                                                message):
         rc, out = run(["gait", "--summary-stats", "--pair", pair], tmp_path)

@@ -211,7 +211,8 @@ class TestScenarios:
         ("phase_2 = down flexible 100 0 0 -10\n"
          "phase_1 = up flexible 100 0 0 0\n"
          "phase_4 = up flexible 100 0 0 0\n"
-         "phase_7 = up flexible 100 0 0 0\n", "phase_4", 5)])
+         "phase_7 = up flexible 100 0 0 0\n", "phase_4", 5)],
+        ids=["gap", "phase_0", "out_of_order"])
     def test_phase_after_a_gap_is_config_error(self, phases, key, line):
         # a phase the numbering skips to would be dropped without a word
         cfg = parse_config(f"[scenario:gap]\nhome = 120 0 -60\n{phases}")

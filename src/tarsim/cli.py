@@ -384,14 +384,20 @@ def cmd_gait(args, ctx: RunContext) -> int:
         for metric, pick in (("cycle_time_ms",
                               lambda m: m.mean_cycle_time),
                              ("bend_amplitude_deg",
-                              lambda m: m.mean_bend_amplitude)):
-            groups = []
-            for c in labels:
-                vals = np.array([pick(m) for m in grouped[c]])
-                groups.append(stats_mod.GroupStats(
-                    float(vals.mean()), float(vals.std(ddof=1)), len(vals)))
-            pairs.append(stats_mod.ConditionPair(
-                f"{metric}:{labels[0]}_vs_{labels[1]}", *groups))
+                              lambda m: m.mean_bend_amplitude
+                              if m.bend_amplitudes else None)):
+            label = f"{metric}:{labels[0]}_vs_{labels[1]}"
+            # a trial with no value for the metric is left out of it
+            groups = [np.array([v for v in map(pick, grouped[c])
+                                if v is not None]) for c in labels]
+            if min(map(len, groups)) < 2:
+                print(f"warning: {label}: fewer than 2 trials with a value "
+                      f"in a condition; row left out of the report",
+                      file=sys.stderr)
+                continue
+            pairs.append(stats_mod.ConditionPair(label, *(
+                stats_mod.GroupStats(float(v.mean()), float(v.std(ddof=1)),
+                                     len(v)) for v in groups)))
         _write_report(ctx, pairs)
     return 0
 

@@ -615,6 +615,29 @@ class TestGaitCommand:
         header, report = read_table(out / "report.csv")
         assert len(report) == 2  # cycle time + amplitude comparisons
 
+    def test_trial_without_amplitude_is_left_out_of_that_row(
+            self, tmp_path, capsys):
+        # one plate trial has no R2 marker, so no bend angle and no
+        # amplitude: the amplitude row has one plate trial and is dropped
+        paths = [tmp_path / f"{name}.csv" for name in ("m1", "m2", "p1", "p2")]
+        for path, period in zip(paths, (440.0, 450.0, 400.0, 410.0)):
+            make_recording(path, period)
+        _, rows = read_table(paths[3])
+        paths[3].write_text("t_ms,label,x_mm,y_mm,z_mm\n" + "".join(
+            ",".join(r) + "\n" for r in rows if r[1] != "R2"))
+        args = ["gait"]
+        for path, condition in zip(paths, ("mesh", "mesh", "plate", "plate")):
+            args += ["--input", str(path), "--condition", condition]
+        rc, out = run(args, tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert "bend_amplitude_deg:mesh_vs_plate" in err
+        assert "Traceback" not in err
+        _, metrics = read_table(out / "metrics.csv")
+        assert metrics[3][5] == ""
+        _, report = read_table(out / "report.csv")
+        assert [r[0] for r in report] == ["cycle_time_ms:mesh_vs_plate"]
+
     def test_single_frame_no_cycles_warning(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         p.write_text("t_ms,label,x_mm,y_mm,z_mm\n"
@@ -760,6 +783,29 @@ class TestConfigAndManifest:
         rc = main(["chain", "--pull", "5.5", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "5.5000 N" in capsys.readouterr().out
+
+    def test_env_var_naming_a_missing_file_exit_2(self, tmp_path,
+                                                  monkeypatch, capsys):
+        conf = tmp_path / "absent.conf"
+        monkeypatch.setenv("TARSIM_CONFIG", str(conf))
+        rc, out = run(["chain", "--pull", "1"], tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ")
+        assert "$TARSIM_CONFIG" in err and str(conf) in err
+        assert not out.exists()
+
+    def test_config_in_the_working_directory_is_read(self, tmp_path,
+                                                     monkeypatch, capsys):
+        (tmp_path / "tarsim.conf").write_text(
+            "[chain]\nk_spring_n_per_mm = 1.0\n")
+        monkeypatch.delenv("TARSIM_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc, out = run(["chain", "--pull", "5.5"], tmp_path)
+        assert rc == 0
+        assert "5.5000 N" in capsys.readouterr().out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_file"] == "tarsim.conf"
 
     def test_usage_error_exit_2(self, tmp_path, capsys):
         assert main(["chain", "--no-such-flag"]) == 2

@@ -204,6 +204,19 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="phase_1"):
             cfg.build_scenario("bad", cfg.build_chain(), cfg.build_mesh())
 
+    @pytest.mark.parametrize("phase, message", [
+        ("down flexible 0 0 0 -10", "duration must be > 0"),
+        ("down soft 100 0 0 -10",
+         "mode must be one of ('rigid', 'flexible')")],
+        ids=["duration-0", "unknown-mode"])
+    def test_phase_the_model_rejects_names_its_line(self, phase, message):
+        cfg = parse_config(f"[scenario:x]\nhome = 120 0 -60\n"
+                           f"phase_1 = {phase}\n")
+        with pytest.raises(ConfigError) as err:
+            cfg.build_scenario("x", cfg.build_chain(), cfg.build_mesh())
+        assert str(err.value).startswith(
+            f"line 3: scenario:x.phase_1: {message}")
+
     @pytest.mark.parametrize("phases, key, line", [
         ("phase_1 = down flexible 100 0 0 -10\n"
          "phase_3 = up flexible 100 0 0 0\n", "phase_3", 4),

@@ -183,6 +183,21 @@ class TestInverseKinematics:
             forward_kinematics(model, np.zeros(4)).position - target))
         assert err.value.iterations == 2
 
+    def test_a_farther_candidate_lands_where_the_nearest_misses(self, model):
+        # warm start = target pose, its femur 1.0e-7 rad past its limit:
+        # the nearest candidate is that pose clipped onto the limit, which
+        # misses, so the pick falls to a farther candidate that lands
+        q = np.array([2.267546886005938, 0.9170477727737065,
+                      -2.617993978952357, -1.7269953871528594])
+        assert q[2] < model.lower[2]
+        target = forward_kinematics(model, q).position
+        r = inverse_kinematics(model, target, q)
+        assert r.residual_mm < IK_TOL_MM
+        assert r.iterations == 4
+        path = trajectory_to_joints(
+            model, Trajectory(np.array([0.0]), target[None]), q0=q)
+        assert np.array_equal(path[0], r.q)
+
     def test_deterministic(self, model):
         target = np.array([100.0, 40.0, -80.0])
         q0 = np.array([0.1, -0.2, 0.3, -0.4])
@@ -813,6 +828,25 @@ class TestFullStretch:
         assert q1[0, 0] == q1[0, 1] == phi[0]
 
 
+# the default leg with no trochanter length: the trochanter then only
+# turns the femur-tibia pair about its own axis
+NO_TROCHANTER = LegModel((LEG.rows[0], DHRow(0.0), *LEG.rows[2:]),
+                         LEG.joint_limits)
+
+
+class TestZeroTrochanter:
+    @settings(max_examples=150, deadline=None)
+    @given(q=in_limits(NO_TROCHANTER), warm=in_limits(NO_TROCHANTER))
+    def test_fk_images_land(self, q, warm):
+        lands_from_the_warm_start(NO_TROCHANTER, q, warm)
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_batched_path_matches_the_scalar_loop(self, seed):
+        traj = joint_path(NO_TROCHANTER, seed, 60, 0.02)
+        oracle, batched = solve_both(NO_TROCHANTER, traj)
+        assert np.array_equal(batched, oracle)
+
+
 def ik_lands(model, target, warm):
     try:
         inverse_kinematics(model, target, warm)
@@ -915,6 +949,20 @@ class TestModelValidation:
             DHRow(1.0, math.inf)
         with pytest.raises(ValueError):
             DHRow(-1.0)
+
+    def test_numpy_scalar_parameters_are_taken_as_floats(self):
+        # numpy scalars in a row once made the IK's arc test a numpy bool,
+        # which cannot repeat a list
+        row = DHRow(np.float64(25.0), np.float64(0.3))
+        assert type(row.a) is float and type(row.theta_offset) is float
+        m = LegModel((LEG.rows[0], row, *LEG.rows[2:]), tuple(
+            (-0.5, 0.5) if j == 1 else limits
+            for j, limits in enumerate(LEG.joint_limits)))
+        rng = np.random.default_rng(7)
+        for q in rng.uniform(m.lower, m.upper, (60, 4)):
+            target = forward_kinematics(m, q).position
+            r = inverse_kinematics(m, target, 0.5 * (m.lower + m.upper))
+            assert r.residual_mm < IK_TOL_MM
 
     @pytest.mark.parametrize("joint", [2, 3])
     def test_femur_and_tibia_need_a_length(self, joint):

@@ -37,6 +37,10 @@ DEFAULT_K_RIGID_N_PER_MM = 0.54
 # contact.ForceLimits default to it (contact imports chain, not back)
 DEFAULT_VERTICAL_MAX_N = 2.46
 
+# the actuation modes: string tight (rigid tarsus) or relaxed (flexible)
+RIGID, FLEXIBLE = "rigid", "flexible"
+MODES = (RIGID, FLEXIBLE)
+
 NUM_TARSOMERES = 5
 SEGMENT_LENGTH_MM = (18.0, 16.0, 14.0, 12.0, 10.0)
 
@@ -447,9 +451,9 @@ def stiffness_curve(chain: ChainGeometry, mode: str, displacements,
         raise ValueError("displacements must be nonnegative")
     if np.any(np.diff(d) < 0):
         raise ValueError("displacements must be sorted ascending")
-    if mode == "rigid":
+    if mode == RIGID:
         return np.minimum(chain.k_rigid * d, vertical_max)
-    if mode == "flexible":
+    if mode == FLEXIBLE:
         return chain.k_flex * d
     raise ValueError(f"mode must be 'rigid' or 'flexible', got {mode!r}")
 

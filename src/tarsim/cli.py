@@ -55,18 +55,11 @@ class RunContext:
     def __init__(self, cfg: Config, out: Path, fmt: str, config_path=None):
         self.cfg = cfg
         self.out = out
-        self.fmt = fmt
+        self.csv = fmt in ("csv", "both")
+        self.svg = fmt in ("svg", "both")
         self.config_path = config_path
         self.inputs: dict = {}
         self.outputs: list = []
-
-    @property
-    def csv(self) -> bool:
-        return self.fmt in ("csv", "both")
-
-    @property
-    def svg(self) -> bool:
-        return self.fmt in ("svg", "both")
 
     def note_input(self, path) -> None:
         self.inputs[str(path)] = _sha256(path)
@@ -178,7 +171,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         cap = ctx.cfg.build_limits().vertical_max
         disp = np.linspace(0.0, 1.5 * cap / chain.k_rigid, 101)
         curves = {}
-        for mode in ("rigid", "flexible"):
+        for mode in chain_mod.MODES:
             force = chain_mod.stiffness_curve(chain, mode, disp, cap)
             curves[mode] = force
             if ctx.csv:
@@ -188,7 +181,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         if ctx.svg:
             svgplot.line_chart(
                 ctx.path("stiffness.svg"),
-                [(m, disp, curves[m]) for m in ("rigid", "flexible")],
+                [(m, disp, curves[m]) for m in chain_mod.MODES],
                 title="Force vs displacement",
                 xlabel="displacement (mm)", ylabel="force (N)")
         print(f"stiffness curves written (rigid caps at {cap} N)")
@@ -305,10 +298,8 @@ def _parse_pair(text: str):
             f"--pair: expected label,mean_a,sd_a,n_a,mean_b,sd_b,n_b"
             f"[,published_p], got {text!r}")
     try:
-        a = stats_mod.GroupStats(float(parts[1]), float(parts[2]),
-                                 int(parts[3]))
-        b = stats_mod.GroupStats(float(parts[4]), float(parts[5]),
-                                 int(parts[6]))
+        a, b = (stats_mod.GroupStats(float(mean), float(sd), int(n))
+                for mean, sd, n in (parts[1:4], parts[4:7]))
         pub = float(parts[7]) if len(parts) == 8 else None
         return stats_mod.ConditionPair(parts[0], a, b, pub)
     except ValueError as err:
@@ -381,15 +372,14 @@ def cmd_gait(args, ctx: RunContext) -> int:
     labels = [c for c in grouped if len(grouped[c]) >= 2]
     if len(labels) == 2:
         pairs = []
-        for metric, pick in (("cycle_time_ms",
-                              lambda m: m.mean_cycle_time),
+        for metric, pick in (("cycle_time_ms", lambda m: m.cycle_times),
                              ("bend_amplitude_deg",
-                              lambda m: m.mean_bend_amplitude
-                              if m.bend_amplitudes else None)):
+                              lambda m: m.bend_amplitudes)):
             label = f"{metric}:{labels[0]}_vs_{labels[1]}"
-            # a trial with no value for the metric is left out of it
-            groups = [np.array([v for v in map(pick, grouped[c])
-                                if v is not None]) for c in labels]
+            # per trial, the mean of its values; a trial with none is
+            # left out of the metric
+            groups = [np.array([np.mean(pick(m)) for m in grouped[c]
+                                if pick(m)]) for c in labels]
             if min(map(len, groups)) < 2:
                 print(f"warning: {label}: fewer than 2 trials with a value "
                       f"in a condition; row left out of the report",
@@ -459,22 +449,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> tuple[Config, Path | None]:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        return load_config(path), path
+    """The first of --config, $TARSIM_CONFIG and ./tarsim.conf that is
+    set, read; the built-in defaults when none is."""
     env = os.environ.get(CONFIG_ENV_VAR)
-    if env:
-        path = Path(env)
-        if not path.exists():
-            raise ConfigError(f"${CONFIG_ENV_VAR} points to a missing "
-                              f"file: {path}")
-        return load_config(path), path
-    path = Path(DEFAULT_CONFIG_NAME)
-    if path.exists():
-        return load_config(path), path
-    return Config.default(), None
+    path = args.config or env or (DEFAULT_CONFIG_NAME if os.path.exists(
+        DEFAULT_CONFIG_NAME) else None)
+    if path is None:
+        return Config.default(), None
+    try:
+        return load_config(path), Path(path)
+    except ConfigError as err:
+        if args.config or not env:
+            raise
+        raise ConfigError(f"${CONFIG_ENV_VAR}: {err}") from None
 
 
 # Built by the first call to main and reused by every later one in the
@@ -504,10 +491,6 @@ def main(argv=None) -> int:
     try:
         cfg, config_path = _resolve_config(args)
         ctx = RunContext(cfg, Path(args.out), args.format, config_path)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
         # looked up per call, so a cmd_* rebound after the parser was
         # built (a wrapper, a test's patch) is the one that runs
         rc = globals()[f"cmd_{args.command}"](args, ctx)

@@ -17,6 +17,7 @@ import hashlib
 import math
 import re
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from . import chain as chain_mod
 from . import contact as contact_mod
@@ -63,110 +64,149 @@ SCENARIO_KEYS = {"allow_flexible", "expect_failures", "home"}  # + phase_N
 SCENARIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+class _Kind(NamedTuple):
+    """How a value is read: ``parse`` turns its text into the value, or
+    raises ValueError saying what it expected; ``holds`` is the rule the
+    value must keep, which ``rule`` states."""
+
+    parse: Callable
+    rule: str = ""
+    holds: Callable = lambda value: True
+
+
+def _parse_as(convert, what: str):
+    """A parse by ``convert``, whose failure says the text is not
+    ``what``."""
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ValueError(f"not {what}: {raw!r}") from None
+    return parse
+
+
+_BOOLEAN_WORDS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+                  **dict.fromkeys(("false", "no", "off", "0"), False)}
+_number = _parse_as(float, "a number")
+_integer = _parse_as(int, "an integer")
+_boolean = _parse_as(lambda raw: _BOOLEAN_WORDS[raw.lower()], "a boolean")
+
+
+def _home(raw: str) -> tuple | None:
+    """A scenario's home tip; None for ``auto``."""
+    if raw == "auto":
+        return None
+    home = _finite_numbers(raw.split())
+    if home is None or len(home) != 3:
+        raise ValueError(f"expected 'auto' or three finite numbers, "
+                         f"got {raw!r}")
+    return home
+
+
+def _phase(raw: str) -> contact_mod.Phase:
+    parts = raw.split()
+    if len(parts) != 6:
+        raise ValueError("expected '<name> <mode> <duration_ms> <dx> <dy> "
+                         "<dz>'")
+    numbers = _finite_numbers(parts[2:])
+    if numbers is None:
+        raise ValueError(f"duration and offsets must be finite numbers, "
+                         f"got {' '.join(parts[2:])!r}")
+    return contact_mod.Phase(parts[0], numbers[0], parts[1], numbers[1:])
+
+
+# comparisons with nan are false, so each bounded rule also asks finite
+_FINITE = _Kind(_number, "finite", math.isfinite)
+_POSITIVE = _Kind(_number, "finite and > 0", lambda v: 0.0 < v < math.inf)
+_NONNEGATIVE = _Kind(_number, "finite and >= 0",
+                     lambda v: 0.0 <= v < math.inf)
+_FRACTION = _Kind(_number, "finite, >= 0 and < 1", lambda v: 0.0 <= v < 1.0)
+_INTEGER = _Kind(_integer)
+_COUNT = _Kind(_integer, ">= 1", lambda v: v >= 1)
+_BOOLEAN = _Kind(_boolean)
+_HOME = _Kind(_home)
+_PHASE = _Kind(_phase)
+
+
 class Config:
     """Parsed configuration: raw section/key table plus typed accessors."""
 
-    def __init__(self, data: dict | None = None, source_text: str = ""):
+    def __init__(self, data: dict | None = None):
         self.data = data or {}
-        self.source_text = source_text
 
     @classmethod
     def default(cls) -> "Config":
-        return cls({}, "")
+        return cls({})
 
-    # -- raw access -------------------------------------------------------
-
-    def get(self, section: str, key: str, default=None):
-        return self.data.get(section, {}).get(key, (default, None))[0]
-
-    def getfloat(self, section: str, key: str, default: float) -> float:
-        """The value as a finite float; ``default`` when the key is absent."""
-        return self._number(section, key, default, "finite", math.isfinite)
-
-    def getint(self, section: str, key: str, default: int) -> int:
+    def value(self, section: str, key: str, default, kind: _Kind = _FINITE):
+        """``[section] key`` read as ``kind``; ``default`` when the key is
+        absent.  A value that does not parse or keep the kind's rule is a
+        ConfigError naming the key and its line."""
         raw, line = self.data.get(section, {}).get(key, (None, None))
         if raw is None:
             return default
         try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: not an integer: {raw!r}", line)
+            value = kind.parse(raw)
+        except ValueError as err:
+            raise ConfigError(f"{section}.{key}: {err}", line) from None
+        if not kind.holds(value):
+            raise ConfigError(f"{section}.{key} must be {kind.rule}, got "
+                              f"{value}", line)
+        return value
 
-    def getbool(self, section: str, key: str, default: bool) -> bool:
-        raw, line = self.data.get(section, {}).get(key, (None, None))
-        if raw is None:
-            return default
-        low = raw.strip().lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ConfigError(f"{section}.{key}: not a boolean: {raw!r}", line)
-
-    def getstr(self, section: str, key: str, default: str) -> str:
-        raw = self.get(section, key)
-        return default if raw is None else raw
-
-    def has_section(self, section: str) -> bool:
-        return section in self.data
+    def _full_set(self, sections: tuple, what: str) -> bool:
+        """Whether ``sections`` are given: all of them, or none."""
+        missing = [s for s in sections if s not in self.data]
+        if 0 < len(missing) < len(sections):
+            raise ConfigError(
+                f"{what} sections must come as a full set of "
+                f"{len(sections)}; missing {sorted(missing)}")
+        return not missing
 
     # -- typed builders ---------------------------------------------------
 
     def build_chain(self) -> chain_mod.ChainGeometry:
         """Chain geometry: per-tarsomere sections if given, else calibrated."""
-        present = [s for s in TARSOMERE_SECTIONS if self.has_section(s)]
-        if present and len(present) != len(TARSOMERE_SECTIONS):
-            missing = sorted(set(TARSOMERE_SECTIONS) - set(present))
-            raise ConfigError(
-                f"tarsomere sections must come as a full set of 5; "
-                f"missing {missing}")
-        if present:
+        if self._full_set(TARSOMERE_SECTIONS, "tarsomere"):
             segments, lengths, slack = [], [], []
             for s in TARSOMERE_SECTIONS:
                 segments.append(_build(
                     s, chain_mod.SegmentGeometry,
-                    radius=self.getfloat(s, "radius_mm", 5.0),
-                    anchor_long=self.getfloat(s, "anchor_long_mm", 6.0),
-                    anchor_trans=self.getfloat(s, "anchor_trans_mm", 1.0),
-                    max_bend=math.radians(self.getfloat(s, "max_bend_deg", 10.0)),
-                    rest_span=self.getfloat(s, "rest_span_mm", None),
-                    axial_cap=self.getfloat(s, "axial_cap_mm", 0.0),
+                    radius=self.value(s, "radius_mm", 5.0),
+                    anchor_long=self.value(s, "anchor_long_mm", 6.0),
+                    anchor_trans=self.value(s, "anchor_trans_mm", 1.0),
+                    max_bend=math.radians(self.value(s, "max_bend_deg", 10.0)),
+                    rest_span=self.value(s, "rest_span_mm", None),
+                    axial_cap=self.value(s, "axial_cap_mm", 0.0),
                 ))
-                lengths.append(self.getfloat(s, "length_mm", 12.0))
-                slack.append(self.getfloat(s, "slack_mm", 0.0))
+                lengths.append(self.value(s, "length_mm", 12.0))
+                slack.append(self.value(s, "slack_mm", 0.0))
             base = _build(
                 "tarsomere_1..5", chain_mod.ChainGeometry,
                 segments=tuple(segments), segment_lengths=tuple(lengths),
                 socket_slack=tuple(slack))
         else:
-            base = chain_mod.default_chain_geometry(
-                socket_slack=self.getbool("chain", "socket_slack", False))
-        slopes = {name: self.getfloat("chain", f"{name}_n_per_mm", None)
+            base = chain_mod.default_chain_geometry(socket_slack=self.value(
+                "chain", "socket_slack", False, _BOOLEAN))
+        slopes = {name: self.value("chain", f"{name}_n_per_mm", None)
                   for name in ("k_spring", "k_flex", "k_rigid")}
         slopes = {name: v for name, v in slopes.items() if v is not None}
         # the chain is built a second time only for a slope the config sets
         return _build("chain", replace, base, **slopes) if slopes else base
 
     def build_leg(self) -> leg_mod.LegModel:
-        present = [s for s in LEG_SECTIONS if self.has_section(s)]
-        if not present:
+        if not self._full_set(LEG_SECTIONS, "leg joint"):
             return leg_mod.default_leg_model()
-        if len(present) != len(LEG_SECTIONS):
-            missing = sorted(set(LEG_SECTIONS) - set(present))
-            raise ConfigError(
-                f"leg joint sections must come as a full set of 4; "
-                f"missing {missing}")
         rows, limits = [], []
-        lim = leg_mod.JOINT_LIMIT_DEG
         for s in LEG_SECTIONS:
             rows.append(_build(
                 s, leg_mod.DHRow,
-                a=self.getfloat(s, "a_mm", 0.0),
+                a=self.value(s, "a_mm", 0.0),
                 theta_offset=math.radians(
-                    self.getfloat(s, "theta_offset_deg", 0.0)),
+                    self.value(s, "theta_offset_deg", 0.0)),
             ))
-            lo = self.getfloat(s, "min_deg", -lim)
-            hi = self.getfloat(s, "max_deg", lim)
+            lo = self.value(s, "min_deg", -leg_mod.JOINT_LIMIT_DEG)
+            hi = self.value(s, "max_deg", leg_mod.JOINT_LIMIT_DEG)
             if not lo < hi:
                 raise ConfigError(f"[{s}] min_deg must be < max_deg, got "
                                   f"{lo} and {hi}")
@@ -178,15 +218,15 @@ class Config:
         base = contact_mod.MeshGrid()
         return _build(
             "mesh", contact_mod.MeshGrid,
-            spacing=self.getfloat("mesh", "spacing_mm", base.spacing),
-            node_stiffness=self.getfloat("mesh", "node_stiffness_n_per_mm",
-                                         base.node_stiffness),
-            rest_height=self.getfloat("mesh", "rest_height_mm",
-                                      base.rest_height),
-            cells=(self.getint("mesh", "cells_x", base.cells[0]),
-                   self.getint("mesh", "cells_y", base.cells[1])),
-            origin=(self.getfloat("mesh", "origin_x_mm", base.origin[0]),
-                    self.getfloat("mesh", "origin_y_mm", base.origin[1])),
+            spacing=self.value("mesh", "spacing_mm", base.spacing),
+            node_stiffness=self.value("mesh", "node_stiffness_n_per_mm",
+                                      base.node_stiffness),
+            rest_height=self.value("mesh", "rest_height_mm",
+                                   base.rest_height),
+            cells=(self.value("mesh", "cells_x", base.cells[0], _INTEGER),
+                   self.value("mesh", "cells_y", base.cells[1], _INTEGER)),
+            origin=(self.value("mesh", "origin_x_mm", base.origin[0]),
+                    self.value("mesh", "origin_y_mm", base.origin[1])),
         )
 
     def build_limits(self) -> contact_mod.ForceLimits:
@@ -194,39 +234,37 @@ class Config:
         limit finite and > 0."""
         base = contact_mod.ForceLimits()
         return contact_mod.ForceLimits(
-            vertical_max=self._positive("limits", "vertical_max_n",
-                                        base.vertical_max),
-            hooking_max=self._positive("limits", "hooking_max_n",
-                                       base.hooking_max),
+            vertical_max=self.value("limits", "vertical_max_n",
+                                    base.vertical_max, _POSITIVE),
+            hooking_max=self.value("limits", "hooking_max_n",
+                                   base.hooking_max, _POSITIVE),
         )
 
     def claw_params(self) -> dict:
         """``[claw] length_mm``, finite and > 0."""
-        return {
-            "length_mm": self._positive("claw", "length_mm",
-                                        contact_mod.DEFAULT_CLAW_LENGTH_MM),
-        }
+        return {"length_mm": self.value(
+            "claw", "length_mm", contact_mod.DEFAULT_CLAW_LENGTH_MM,
+            _POSITIVE)}
 
     def retarget_params(self) -> dict:
         """``[retarget] scale``, finite and > 0."""
-        return {"scale": self._positive("retarget", "scale",
-                                        leg_mod.RETARGET_SCALE)}
+        return {"scale": self.value("retarget", "scale",
+                                    leg_mod.RETARGET_SCALE, _POSITIVE)}
 
     def analytics_params(self) -> dict:
         """``[analytics]``: rate_fps finite and > 0, hysteresis_frac
         finite, >= 0 and < 1, min_separation_ms finite and >= 0."""
         return {
-            "rate_fps": self._positive("analytics", "rate_fps",
-                                       gait_mod.DEFAULT_RATE_FPS),
-            "hysteresis_frac": self._number(
-                "analytics", "hysteresis_frac", gait_mod.HYSTERESIS_FRAC,
-                "finite, >= 0 and < 1",
-                lambda v: math.isfinite(v) and 0.0 <= v < 1.0),
-            "min_separation_ms": self._number(
-                "analytics", "min_separation_ms", gait_mod.MIN_SEPARATION_MS,
-                "finite and >= 0", lambda v: math.isfinite(v) and v >= 0.0),
-            "interpolate_gaps": self.getbool("analytics",
-                                             "interpolate_gaps", False),
+            "rate_fps": self.value("analytics", "rate_fps",
+                                   gait_mod.DEFAULT_RATE_FPS, _POSITIVE),
+            "hysteresis_frac": self.value("analytics", "hysteresis_frac",
+                                          gait_mod.HYSTERESIS_FRAC,
+                                          _FRACTION),
+            "min_separation_ms": self.value("analytics", "min_separation_ms",
+                                            gait_mod.MIN_SEPARATION_MS,
+                                            _NONNEGATIVE),
+            "interpolate_gaps": self.value("analytics", "interpolate_gaps",
+                                           False, _BOOLEAN),
         }
 
     def build_scenario(self, name: str, chain: chain_mod.ChainGeometry,
@@ -237,9 +275,9 @@ class Config:
         built-in ``walk_cycle`` does.
         """
         section = SCENARIO_PREFIX + name
-        custom = self.has_section(section)
-        home_raw = self.getstr(section, "home", "auto")
-        if home_raw == "auto":
+        custom = section in self.data
+        home = self.value(section, "home", None, _HOME)
+        if home is None:
             base = _build(
                 section, contact_mod.builtin_scenario,
                 "walk_cycle" if custom else name, chain, mesh,
@@ -248,98 +286,52 @@ class Config:
             if not custom:
                 return base
             home = base.home_tip
-        else:
-            home = _finite_numbers(home_raw.split())
-            if home is None or len(home) != 3:
-                raise ConfigError(
-                    f"{section}.home: expected 'auto' or three finite "
-                    f"numbers, got {home_raw!r}", self._line(section, "home"))
-        phases = []
-        idx = 1
-        while True:
-            raw, line = self.data[section].get(f"phase_{idx}", (None, None))
-            if raw is None:
-                break
-            parts = raw.split()
-            if len(parts) != 6:
-                raise ConfigError(
-                    f"{section}.phase_{idx}: expected "
-                    f"'<name> <mode> <duration_ms> <dx> <dy> <dz>'", line)
-            numbers = _finite_numbers(parts[2:])
-            if numbers is None:
-                raise ConfigError(
-                    f"{section}.phase_{idx}: duration and offsets must be "
-                    f"finite numbers, got {' '.join(parts[2:])!r}", line)
-            try:
-                phases.append(contact_mod.Phase(parts[0], numbers[0],
-                                                parts[1], numbers[1:]))
-            except ValueError as err:
-                raise ConfigError(f"{section}.phase_{idx}: {err}",
-                                  line) from None
-            idx += 1
-        for key, (_, line) in self.data[section].items():
+        keys = self.data[section]
+        count = next(n for n in range(len(keys) + 1)
+                     if f"phase_{n + 1}" not in keys)
+        for key, (_, line) in keys.items():
             if key.startswith("phase_") \
-                    and not 1 <= int(key[len("phase_"):]) < idx:
+                    and not 1 <= int(key[len("phase_"):]) <= count:
                 raise ConfigError(
                     f"{section}.{key}: phases are numbered 1, 2, 3... "
                     f"with no gap", line)
         # zero phases is legal: the run emits a header-only series
         return contact_mod.Scenario(
-            name=name, home_tip=home, phases=tuple(phases),
-            allow_flexible=self.getbool(section, "allow_flexible", True),
-            expect_failures=self.getbool(section, "expect_failures", False),
+            name=name, home_tip=home,
+            phases=tuple(self.value(section, f"phase_{i}", None, _PHASE)
+                         for i in range(1, count + 1)),
+            allow_flexible=self.value(section, "allow_flexible", True,
+                                      _BOOLEAN),
+            expect_failures=self.value(section, "expect_failures", False,
+                                       _BOOLEAN),
         )
 
     def ik_params(self) -> dict:
         """``[ik] tol_mm``, finite and > 0; keyword arguments of the IK."""
-        return {"tol_mm": self._positive("ik", "tol_mm", leg_mod.IK_TOL_MM)}
+        return {"tol_mm": self.value("ik", "tol_mm", leg_mod.IK_TOL_MM,
+                                     _POSITIVE)}
 
     def solver_params(self) -> dict:
         """``[solver]`` chain-solve settings: tol_mm finite and > 0,
         max_iter >= 1; keyword arguments of the chain's inverse pull map."""
-        tol = self._positive("solver", "tol_mm", chain_mod.SOLVE_TOL_MM)
-        max_iter = self.getint("solver", "max_iter", chain_mod.SOLVE_MAX_ITER)
-        if max_iter < 1:
-            raise ConfigError(f"solver.max_iter must be >= 1, got {max_iter}",
-                              self._line("solver", "max_iter"))
-        return {"tol": tol, "max_iter": max_iter}
+        return {"tol": self.value("solver", "tol_mm", chain_mod.SOLVE_TOL_MM,
+                                  _POSITIVE),
+                "max_iter": self.value("solver", "max_iter",
+                                       chain_mod.SOLVE_MAX_ITER, _COUNT)}
 
     def sim_params(self) -> dict:
         """``[sim]`` run settings: dt_ms and penetration_mm, each finite
         and > 0."""
-        return {key: self._positive("sim", key, default) for key, default in
+        return {key: self.value("sim", key, default, _POSITIVE)
+                for key, default in
                 (("dt_ms", contact_mod.DEFAULT_DT_MS),
                  ("penetration_mm", contact_mod.DEFAULT_PENETRATION_MM))}
 
-    def _positive(self, section: str, key: str, default: float) -> float:
-        return self._number(section, key, default, "finite and > 0",
-                            lambda v: math.isfinite(v) and v > 0)
-
-    def _number(self, section: str, key: str, default: float, rule: str,
-                holds) -> float:
-        """The value as a float for which ``holds`` is true (``rule`` says
-        what it asks in the error); ``default`` when the key is absent."""
-        raw, line = self.data.get(section, {}).get(key, (None, None))
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: not a number: {raw!r}", line)
-        if not holds(value):
-            raise ConfigError(f"{section}.{key} must be {rule}, got {value}",
-                              line)
-        return value
-
-    def _line(self, section: str, key: str) -> int | None:
-        return self.data.get(section, {}).get(key, (None, None))[1]
-
     def hash(self) -> str:
         """Stable digest of the effective configuration."""
-        lines = []
-        for section in sorted(self.data):
-            for key in sorted(self.data[section]):
-                lines.append(f"{section}.{key}={self.data[section][key][0]}")
+        lines = [f"{section}.{key}={self.data[section][key][0]}"
+                 for section in sorted(self.data)
+                 for key in sorted(self.data[section])]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
@@ -420,7 +412,7 @@ def parse_config(text: str) -> Config:
         if key in data[section]:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", line_no)
         data[section][key] = (value, line_no)
-    return Config(data, text)
+    return Config(data)
 
 
 def load_config(path) -> Config:

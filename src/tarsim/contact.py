@@ -36,8 +36,8 @@ import numpy as np
 
 # solve_bend_from_pull is not used here; it stays importable from
 # tarsim.contact
-from .chain import (DEFAULT_VERTICAL_MAX_N, ChainGeometry,  # noqa: F401
-                    _pose, solve_bend_from_pull)
+from .chain import (DEFAULT_VERTICAL_MAX_N, FLEXIBLE, MODES,  # noqa: F401
+                    RIGID, ChainGeometry, _pose, solve_bend_from_pull)
 from .leg import (IK_TOL_MM, LegModel, Trajectory, _reaches,
                   trajectory_to_joints)
 from .table import read_columns, write_table
@@ -50,9 +50,6 @@ DEFAULT_PENETRATION_MM = 5.0
 # a claw tip must dip this far below the rest height to hook, so a tip
 # scripted to end exactly on it hooks a tick later whatever the rounding
 HOOK_TOL_MM = 1e-9
-
-RIGID, FLEXIBLE = "rigid", "flexible"
-MODES = (RIGID, FLEXIBLE)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ class TestParsing:
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# hi\n\n; there\n[chain]\nk_spring_n_per_mm = 1\n")
-        assert cfg.getfloat("chain", "k_spring_n_per_mm", 0.0) == 1.0
+        assert cfg.value("chain", "k_spring_n_per_mm", 0.0) == 1.0
 
     def test_unknown_section_lists_valid(self):
         with pytest.raises(ConfigError, match="line 1") as err:
@@ -82,12 +82,12 @@ class TestParsing:
     def test_bad_number_reports_key(self):
         cfg = parse_config("[chain]\nk_spring_n_per_mm = soft\n")
         with pytest.raises(ConfigError, match="k_spring_n_per_mm"):
-            cfg.getfloat("chain", "k_spring_n_per_mm", 1.0)
+            cfg.value("chain", "k_spring_n_per_mm", 1.0)
 
     def test_bad_bool(self):
         cfg = parse_config("[chain]\nsocket_slack = maybe\n")
         with pytest.raises(ConfigError, match="boolean"):
-            cfg.getbool("chain", "socket_slack", False)
+            cfg.build_chain()
 
 
 class TestBuilders:

@@ -329,9 +329,10 @@ class Config:
 
     def hash(self) -> str:
         """Stable digest of the effective configuration."""
-        lines = [f"{section}.{key}={self.data[section][key][0]}"
-                 for section in sorted(self.data)
-                 for key in sorted(self.data[section])]
+        lines = []
+        for section in sorted(self.data):
+            for key in sorted(self.data[section]):
+                lines.append(f"{section}.{key}={self.data[section][key][0]}")
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 

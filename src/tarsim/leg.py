@@ -79,13 +79,13 @@ class DHRow:
     theta_offset: float = 0.0
 
     def __post_init__(self):
-        # plain floats: the IK's scalar geometry must not turn numpy
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "theta_offset", float(self.theta_offset))
         if not (math.isfinite(self.a) and math.isfinite(self.theta_offset)):
             raise ValueError("DH parameters must be finite")
         if self.a < 0:
             raise ValueError("link length a must be >= 0")
+        # plain floats: the IK's scalar geometry must not turn numpy
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "theta_offset", float(self.theta_offset))
 
 
 @dataclass(frozen=True)

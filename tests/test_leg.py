@@ -949,6 +949,8 @@ class TestModelValidation:
             DHRow(1.0, math.inf)
         with pytest.raises(ValueError):
             DHRow(-1.0)
+        with pytest.raises(TypeError):
+            DHRow("25")
 
     def test_numpy_scalar_parameters_are_taken_as_floats(self):
         # numpy scalars in a row once made the IK's arc test a numpy bool,

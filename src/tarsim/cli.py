@@ -1,8 +1,10 @@
 """Command-line entry point: ``tarsim chain|leg|sim|gait``.
 
-Every run writes its outputs into ``--out`` together with a
-``manifest.json`` recording the command line, the configuration hash and
-the input file hashes, so any result can be reproduced bit for bit.
+Every run that writes an output writes it into ``--out`` together with
+a ``manifest.json`` recording the command line, the configuration hash
+and the input file hashes, so any result can be reproduced bit for bit.
+``--format`` selects the CSV tables and the SVG charts; any other output,
+such as ``report.txt``, is always written.
 
 Exit codes: 0 success, 1 domain error (unreachable target, no cycles
 found, bad input data, chain solve not converged), 2 usage or
@@ -50,13 +52,14 @@ def _sha256(path) -> str:
 
 
 class RunContext:
-    """Output directory, format selection and manifest bookkeeping."""
+    """Output directory, format selection and manifest bookkeeping: the
+    one place that decides what a run writes."""
 
     def __init__(self, cfg: Config, out: Path, fmt: str, config_path=None):
         self.cfg = cfg
         self.out = out
-        self.csv = fmt in ("csv", "both")
-        self.svg = fmt in ("svg", "both")
+        # the file kinds --format leaves out
+        self.skip = {"csv": (".svg",), "svg": (".csv",), "both": ()}[fmt]
         self.config_path = config_path
         self.inputs: dict = {}
         self.outputs: list = []
@@ -64,11 +67,16 @@ class RunContext:
     def note_input(self, path) -> None:
         self.inputs[str(path)] = _sha256(path)
 
-    def path(self, name: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
-        p = self.out / name
-        self.outputs.append(str(p))
-        return p
+    def write(self, name: str, writer, *args, **kwargs) -> None:
+        """``writer(path, *args, **kwargs)`` on output ``name`` in --out,
+        unless --format leaves its kind out."""
+        if name.endswith(self.skip):
+            return
+        if not self.outputs:
+            self.out.mkdir(parents=True, exist_ok=True)
+        path = self.out / name
+        self.outputs.append(str(path))
+        writer(path, *args, **kwargs)
 
     def write_manifest(self, argv) -> None:
         if not self.outputs:
@@ -82,7 +90,6 @@ class RunContext:
             "outputs": sorted(self.outputs),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         }
-        self.out.mkdir(parents=True, exist_ok=True)
         with open(self.out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -104,6 +111,8 @@ def _parse_vector(text: str, n: int, what: str) -> np.ndarray:
 # -- chain command -----------------------------------------------------------
 
 def cmd_chain(args, ctx: RunContext) -> int:
+    if args.pull is None and args.sweep is None and not args.stiffness:
+        raise DomainError("chain needs --pull, --sweep or --stiffness")
     chain = ctx.cfg.build_chain()
     solver = ctx.cfg.solver_params()
 
@@ -125,10 +134,9 @@ def cmd_chain(args, ctx: RunContext) -> int:
         total_pull = chain_mod.chain_pull(chain, state)
         rows.append(["total", total_bend, state.compression.sum(),
                      state.slack.sum(), total_pull])
-        if ctx.csv:
-            write_table(ctx.path("chain_state.csv"),
-                        ["segment", "theta_deg", "compression_mm",
-                         "slack_mm", "pull_mm"], rows)
+        ctx.write("chain_state.csv", write_table,
+                  ["segment", "theta_deg", "compression_mm", "slack_mm",
+                   "pull_mm"], rows)
         clamped = (f", clamped at capacity {capacity:.6g} mm"
                    if args.pull > capacity else "")
         print(f"pull {args.pull} mm -> total bend {total_bend:.4f} deg, "
@@ -154,15 +162,13 @@ def cmd_chain(args, ctx: RunContext) -> int:
         capacity = chain_mod.max_chain_pull(chain)
         clamped = int(np.count_nonzero(pulls > capacity))
         bends = chain_mod.bend_angles(chain, pulls, **solver)
-        if ctx.csv:
-            write_table(ctx.path("bend_vs_pull.csv"),
-                        ["pull_mm", "total_bend_deg"],
-                        zip(pulls.tolist(), bends.tolist()))
-        if ctx.svg:
-            svgplot.line_chart(ctx.path("bend_vs_pull.svg"),
-                               [("total bend", pulls, bends)],
-                               title="Tarsal bend vs string pull",
-                               xlabel="pull (mm)", ylabel="bend (deg)")
+        ctx.write("bend_vs_pull.csv", write_table,
+                  ["pull_mm", "total_bend_deg"],
+                  zip(pulls.tolist(), bends.tolist()))
+        ctx.write("bend_vs_pull.svg", svgplot.line_chart,
+                  [("total bend", pulls, bends)],
+                  title="Tarsal bend vs string pull",
+                  xlabel="pull (mm)", ylabel="bend (deg)")
         print(f"sweep {start}..{stop} mm: bend {bends[0]:.3f} -> "
               f"{bends[-1]:.3f} deg over {len(pulls)} points, {clamped} "
               f"clamped at capacity {capacity:.6g} mm")
@@ -170,20 +176,16 @@ def cmd_chain(args, ctx: RunContext) -> int:
     if args.stiffness:
         cap = ctx.cfg.build_limits().vertical_max
         disp = np.linspace(0.0, 1.5 * cap / chain.k_rigid, 101)
-        curves = {}
-        for mode in chain_mod.MODES:
-            force = chain_mod.stiffness_curve(chain, mode, disp, cap)
-            curves[mode] = force
-            if ctx.csv:
-                write_table(ctx.path(f"stiffness_{mode}.csv"),
-                            ["displacement_mm", "force_N"],
-                            zip(disp.tolist(), force.tolist()))
-        if ctx.svg:
-            svgplot.line_chart(
-                ctx.path("stiffness.svg"),
-                [(m, disp, curves[m]) for m in chain_mod.MODES],
-                title="Force vs displacement",
-                xlabel="displacement (mm)", ylabel="force (N)")
+        curves = [(mode, disp,
+                   chain_mod.stiffness_curve(chain, mode, disp, cap))
+                  for mode in chain_mod.MODES]
+        for mode, _, force in curves:
+            ctx.write(f"stiffness_{mode}.csv", write_table,
+                      ["displacement_mm", "force_N"],
+                      zip(disp.tolist(), force.tolist()))
+        ctx.write("stiffness.svg", svgplot.line_chart, curves,
+                  title="Force vs displacement",
+                  xlabel="displacement (mm)", ylabel="force (N)")
         print(f"stiffness curves written (rigid caps at {cap} N)")
     return 0
 
@@ -191,6 +193,8 @@ def cmd_chain(args, ctx: RunContext) -> int:
 # -- leg command --------------------------------------------------------------
 
 def cmd_leg(args, ctx: RunContext) -> int:
+    if args.fk is None and args.ik is None and args.retarget is None:
+        raise DomainError("leg needs --fk, --ik or --retarget")
     model = ctx.cfg.build_leg()
     ik_kwargs = ctx.cfg.ik_params()
 
@@ -198,12 +202,10 @@ def cmd_leg(args, ctx: RunContext) -> int:
         q = np.radians(_parse_vector(args.fk, 4, "--fk"))
         pose = leg_mod.forward_kinematics(model, q)
         p, r = pose.position, pose.rotation
-        if ctx.csv:
-            write_table(ctx.path("leg_fk.csv"),
-                        ["x_mm", "y_mm", "z_mm",
-                         "r11", "r12", "r13", "r21", "r22", "r23",
-                         "r31", "r32", "r33"],
-                        [[*p, *r.flatten()]])
+        ctx.write("leg_fk.csv", write_table,
+                  ["x_mm", "y_mm", "z_mm", "r11", "r12", "r13",
+                   "r21", "r22", "r23", "r31", "r32", "r33"],
+                  [[*p, *r.flatten()]])
         print(f"fk({args.fk} deg) -> tip ({p[0]:.4f}, {p[1]:.4f}, "
               f"{p[2]:.4f}) mm")
 
@@ -213,11 +215,10 @@ def cmd_leg(args, ctx: RunContext) -> int:
             if args.q0 is not None else 0.5 * (model.lower + model.upper)
         result = leg_mod.inverse_kinematics(model, target, q0, **ik_kwargs)
         qd = np.degrees(result.q)
-        if ctx.csv:
-            write_table(ctx.path("leg_ik.csv"),
-                        ["coxa_deg", "trochanter_deg", "femur_deg",
-                         "tibia_deg", "residual_mm", "iterations"],
-                        [[*qd, result.residual_mm, result.iterations]])
+        ctx.write("leg_ik.csv", write_table,
+                  ["coxa_deg", "trochanter_deg", "femur_deg", "tibia_deg",
+                   "residual_mm", "iterations"],
+                  [[*qd, result.residual_mm, result.iterations]])
         print(f"ik({args.ik}) -> q = ({qd[0]:.4f}, {qd[1]:.4f}, "
               f"{qd[2]:.4f}, {qd[3]:.4f}) deg, residual "
               f"{result.residual_mm:.3e} mm, {result.iterations} iterations")
@@ -236,16 +237,14 @@ def cmd_leg(args, ctx: RunContext) -> int:
             scaled = leg_mod.retarget_trajectory(traj, scale, origin)
         except ValueError as err:
             raise DomainError(f"--retarget: {err}") from None
-        leg_mod.save_trajectory(ctx.path("retargeted.csv"), scaled)
+        ctx.write("retargeted.csv", leg_mod.save_trajectory, scaled)
         print(f"retargeted {len(traj)} samples by x{scale}")
         if args.to_joints:
             qs = leg_mod.trajectory_to_joints(model, scaled, **ik_kwargs)
-            if ctx.csv:
-                write_table(ctx.path("joints.csv"),
-                            ["t_ms", "coxa_deg", "trochanter_deg",
-                             "femur_deg", "tibia_deg"],
-                            np.column_stack([scaled.t_ms,
-                                             np.degrees(qs)]).tolist())
+            ctx.write("joints.csv", write_table,
+                      ["t_ms", "coxa_deg", "trochanter_deg", "femur_deg",
+                       "tibia_deg"],
+                      np.column_stack([scaled.t_ms, np.degrees(qs)]).tolist())
             print(f"joint series written ({len(qs)} samples)")
     return 0
 
@@ -264,21 +263,17 @@ def cmd_sim(args, ctx: RunContext) -> int:
     samples, final = contact_mod.run_demo_cycle(
         leg, chain, mesh, scenario, dt_ms=dt, limits=limits,
         claw_length=claw_len, **ctx.cfg.ik_params())
-    if ctx.csv:
-        contact_mod.save_demo_csv(ctx.path(f"{scenario.name}_demo.csv"),
-                                  samples)
-        write_table(ctx.path(f"{scenario.name}_events.csv"),
-                    ["t_ms", "event"],
-                    [[float(t), kind] for t, kind in final.events])
-    if ctx.svg and samples:
+    ctx.write(f"{scenario.name}_demo.csv", contact_mod.save_demo_csv, samples)
+    ctx.write(f"{scenario.name}_events.csv", write_table, ["t_ms", "event"],
+              [[float(t), kind] for t, kind in final.events])
+    if samples:
         # a sample's first three fields: t_ms, claw_z, mesh_z
         t, claw_z, mesh_z = np.array([s[:3] for s in samples]).T
-        svgplot.line_chart(
-            ctx.path(f"{scenario.name}_heights.svg"),
-            [("claw", t, claw_z), ("mesh", t, mesh_z),
-             ("rest", t, np.full(len(t), mesh.rest_height))],
-            title=f"Scenario {scenario.name}",
-            xlabel="time (ms)", ylabel="height (mm)")
+        ctx.write(f"{scenario.name}_heights.svg", svgplot.line_chart,
+                  [("claw", t, claw_z), ("mesh", t, mesh_z),
+                   ("rest", t, np.full(len(t), mesh.rest_height))],
+                  title=f"Scenario {scenario.name}",
+                  xlabel="time (ms)", ylabel="height (mm)")
     for t, kind in final.events:
         print(f"event t={t:.0f} ms: {kind}")
     failures = sum(1 for _, kind in final.events if kind == "ClawFailure")
@@ -311,11 +306,9 @@ def _write_report(ctx: RunContext, pairs) -> None:
     rows = stats_mod.comparison_report(pairs)
     text = stats_mod.format_report_text(rows)
     print(text)
-    if ctx.csv:
-        write_table(ctx.path("report.csv"), stats_mod.REPORT_COLUMNS,
-                    [[r[c] for c in stats_mod.REPORT_COLUMNS] for r in rows])
-    with open(ctx.path("report.txt"), "w") as fh:
-        fh.write(text + "\n")
+    ctx.write("report.csv", write_table, stats_mod.REPORT_COLUMNS,
+              [[r[c] for c in stats_mod.REPORT_COLUMNS] for r in rows])
+    ctx.write("report.txt", Path.write_text, text + "\n")
 
 
 def cmd_gait(args, ctx: RunContext) -> int:
@@ -361,10 +354,9 @@ def cmd_gait(args, ctx: RunContext) -> int:
             tm.mean_bend_amplitude if tm.bend_amplitudes else None,
         ])
         grouped.setdefault(condition, []).append(tm)
-    if ctx.csv:
-        write_table(ctx.path("metrics.csv"),
-                    ["input", "condition", "side", "n_cycles",
-                     "mean_cycle_ms", "mean_amplitude_deg"], metric_rows)
+    ctx.write("metrics.csv", write_table,
+              ["input", "condition", "side", "n_cycles", "mean_cycle_ms",
+               "mean_amplitude_deg"], metric_rows)
     for row in metric_rows:
         cyc = "n/a" if row[4] is None else f"{row[4]:.1f} ms"
         print(f"{row[0]} [{row[1]}]: {row[3]} cycles, mean cycle {cyc}")
@@ -459,9 +451,10 @@ def _resolve_config(args) -> tuple[Config, Path | None]:
     try:
         return load_config(path), Path(path)
     except ConfigError as err:
-        if args.config or not env:
+        if args.config:
             raise
-        raise ConfigError(f"${CONFIG_ENV_VAR}: {err}") from None
+        where = f"${CONFIG_ENV_VAR}" if env else f"./{DEFAULT_CONFIG_NAME}"
+        raise ConfigError(f"{where}: {err}") from None
 
 
 # Built by the first call to main and reused by every later one in the

@@ -61,6 +61,13 @@ class TestChainCommand:
         assert float(rows[-1][1]) == pytest.approx(2.46)
         assert (out / "stiffness.svg").read_text().startswith("<svg")
 
+    def test_no_action_is_domain_error(self, tmp_path, capsys):
+        rc, out = run(["chain"], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: chain needs --pull, --sweep or --stiffness\n"
+        assert not out.exists()
+
     def test_negative_pull_is_domain_error(self, tmp_path):
         rc, _ = run(["chain", "--pull", "-1"], tmp_path)
         assert rc == 1
@@ -209,6 +216,13 @@ class TestLegCommand:
         assert "residual" in text and "iterations" in text
         _, rows = read_table(out / "leg_ik.csv")
         assert float(rows[0][4]) < 1e-6
+
+    def test_no_action_is_domain_error(self, tmp_path, capsys):
+        rc, out = run(["leg", "--q0", "0,0,0,0"], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: leg needs --fk, --ik or --retarget\n"
+        assert not out.exists()
 
     def test_ik_unreachable_exit_code(self, tmp_path, capsys):
         rc, _ = run(["leg", "--ik", "900,0,0"], tmp_path)
@@ -776,6 +790,17 @@ class TestConfigAndManifest:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_config_in_the_working_directory_names_it_in_errors(
+            self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "tarsim.conf").write_text("[chain]\nbogus = 1\n")
+        monkeypatch.delenv("TARSIM_CONFIG", raising=False)
+        monkeypatch.chdir(tmp_path)
+        rc, out = run(["chain", "--pull", "1"], tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("config error: ./tarsim.conf: line 2: ")
+        assert not out.exists()
+
     def test_env_var_config(self, tmp_path, monkeypatch, capsys):
         conf = tmp_path / "env.conf"
         conf.write_text("[chain]\nk_spring_n_per_mm = 1.0\n")
@@ -823,6 +848,68 @@ class TestConfigAndManifest:
         _, out2 = run(["chain", "--sweep", "0:5.5:0.5"], tmp_path, out="o2")
         assert (out1 / "bend_vs_pull.csv").read_text() == \
             (out2 / "bend_vs_pull.csv").read_text()
+
+
+def _format_inputs(tmp_path):
+    """The input files the format-policy cases name."""
+    t = np.arange(0.0, 200.0, 10.0)
+    w = 2 * math.pi * t / 200.0
+    save_trajectory(tmp_path / "traj.csv", Trajectory(t, np.column_stack(
+        [15.0 + 0.5 * np.cos(w), 0.05 * np.sin(w), -7.5 + 0.5 * np.sin(w)])))
+    for name, period in (("m1", 440.0), ("m2", 450.0), ("p1", 400.0),
+                         ("p2", 410.0)):
+        make_recording(tmp_path / f"{name}.csv", period)
+
+
+GAIT_RECORDINGS = ["gait", "--input", "m1.csv", "--condition", "mesh",
+                   "--input", "m2.csv", "--condition", "mesh",
+                   "--input", "p1.csv", "--condition", "plate",
+                   "--input", "p2.csv", "--condition", "plate"]
+# argv, then the CSV tables, the SVG charts and the other files it writes
+FORMAT_CASES = {
+    "chain-pull": (["chain", "--pull", "1"], {"chain_state.csv"}, set(),
+                   set()),
+    "chain-sweep": (["chain", "--sweep", "0:5:1"], {"bend_vs_pull.csv"},
+                    {"bend_vs_pull.svg"}, set()),
+    "chain-stiffness": (["chain", "--stiffness"], {"stiffness_rigid.csv",
+                        "stiffness_flexible.csv"}, {"stiffness.svg"}, set()),
+    "leg-fk": (["leg", "--fk", "0,0,0,0"], {"leg_fk.csv"}, set(), set()),
+    "leg-ik": (["leg", "--ik=150,0,-50"], {"leg_ik.csv"}, set(), set()),
+    "leg-retarget": (["leg", "--retarget", "traj.csv", "--to-joints",
+                      "--origin", "0,0,0"],
+                     {"retargeted.csv", "joints.csv"}, set(), set()),
+    "sim": (["sim", "--scenario", "walk_cycle"],
+            {"walk_cycle_demo.csv", "walk_cycle_events.csv"},
+            {"walk_cycle_heights.svg"}, set()),
+    "gait-input": (GAIT_RECORDINGS, {"metrics.csv", "report.csv"}, set(),
+                   {"report.txt"}),
+    "gait-summary-stats": (["gait", "--summary-stats", "--pair",
+                            "angle,55.7,4.4,5,27.7,5.4,5,9.04E-06"],
+                           {"report.csv"}, set(), {"report.txt"}),
+}
+
+
+class TestFormatPolicy:
+    """--format selects every CSV table and every SVG chart; any other
+    file is always written, and manifest.json whenever some output is."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg", "both"])
+    @pytest.mark.parametrize("case", FORMAT_CASES)
+    def test_files_written(self, tmp_path, monkeypatch, fmt, case):
+        argv, tables, charts, always = FORMAT_CASES[case]
+        _format_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        rc, out = run([*argv, "--format", fmt], tmp_path)
+        assert rc == 0
+        expected = set(always)
+        if fmt in ("csv", "both"):
+            expected |= tables
+        if fmt in ("svg", "both"):
+            expected |= charts
+        if expected:
+            expected.add("manifest.json")
+        written = {p.name for p in out.iterdir()} if out.exists() else set()
+        assert written == expected
 
 
 class TestModuleEntry:

@@ -211,8 +211,8 @@ def cmd_leg(args, ctx: RunContext) -> int:
 
     if args.ik is not None:
         target = _parse_vector(args.ik, 3, "--ik")
-        q0 = np.radians(_parse_vector(args.q0, 4, "--q0")) \
-            if args.q0 is not None else 0.5 * (model.lower + model.upper)
+        q0 = None if args.q0 is None \
+            else np.radians(_parse_vector(args.q0, 4, "--q0"))
         result = leg_mod.inverse_kinematics(model, target, q0, **ik_kwargs)
         qd = np.degrees(result.q)
         ctx.write("leg_ik.csv", write_table,
@@ -251,6 +251,16 @@ def cmd_leg(args, ctx: RunContext) -> int:
 
 # -- sim command --------------------------------------------------------------
 
+def _heights_chart(path, samples, rest_height, title) -> None:
+    """The claw, mesh and rest heights of the samples over time, as an
+    SVG chart; its arrays are built only when the chart is written."""
+    # a sample's first three fields: t_ms, claw_z, mesh_z
+    t, claw_z, mesh_z = np.array([s[:3] for s in samples]).T
+    svgplot.line_chart(path, [("claw", t, claw_z), ("mesh", t, mesh_z),
+                              ("rest", t, np.full(len(t), rest_height))],
+                       title=title, xlabel="time (ms)", ylabel="height (mm)")
+
+
 def cmd_sim(args, ctx: RunContext) -> int:
     chain = ctx.cfg.build_chain()
     leg = ctx.cfg.build_leg()
@@ -267,13 +277,8 @@ def cmd_sim(args, ctx: RunContext) -> int:
     ctx.write(f"{scenario.name}_events.csv", write_table, ["t_ms", "event"],
               [[float(t), kind] for t, kind in final.events])
     if samples:
-        # a sample's first three fields: t_ms, claw_z, mesh_z
-        t, claw_z, mesh_z = np.array([s[:3] for s in samples]).T
-        ctx.write(f"{scenario.name}_heights.svg", svgplot.line_chart,
-                  [("claw", t, claw_z), ("mesh", t, mesh_z),
-                   ("rest", t, np.full(len(t), mesh.rest_height))],
-                  title=f"Scenario {scenario.name}",
-                  xlabel="time (ms)", ylabel="height (mm)")
+        ctx.write(f"{scenario.name}_heights.svg", _heights_chart, samples,
+                  mesh.rest_height, title=f"Scenario {scenario.name}")
     for t, kind in final.events:
         print(f"event t={t:.0f} ms: {kind}")
     failures = sum(1 for _, kind in final.events if kind == "ClawFailure")

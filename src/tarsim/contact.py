@@ -343,8 +343,9 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
     final, tick = FREE, 0
     while (p := np.searchsorted(hook_ticks, tick)) < hook_ticks.size:
         h = int(hook_ticks[p])
-        hx, hy, hz = tips[h + 1]
-        cell = (int(cell_i[h]), int(cell_j[h]))
+        # a copy: Attachment keeps a view of the row it is given
+        hx, hy, hz = tip = tips[h + 1].copy()
+        held = Attachment((int(cell_i[h]), int(cell_j[h])), tip)
         q = np.searchsorted(release_ticks, h + 1)
         end = int(release_ticks[q]) if q < release_ticks.size else n
         hold = slice(h + 1, end)
@@ -366,7 +367,7 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
         mesh_z[h] = rest + 0.0  # the hook tick's deflection is 0.0
         mesh_z[h + 1:end] = rest + deflection[:end - h - 1]
         hooked[h:end] = True
-        attachments[h:end] = [f"hooked:{cell[0]}:{cell[1]}"] * (end - h)
+        attachments[h:end] = [str(held)] * (end - h)
         events.append((h, "Hook"))
         saturates = (over & ~np.r_[False, saturated][:-1])[:m]
         events += [(h + 1 + i, "Saturation")
@@ -376,7 +377,7 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
         elif end < n:
             events.append((end, "Release"))
         else:
-            final = Attachment(cell, tips[h + 1].copy())
+            final = held
         tick = end + 1
     # a swing that cannot release: flexible commanded but forbidden, still
     # hooked, tip moving up; one event per contiguous attempt

@@ -94,6 +94,13 @@ class LegModel:
 
     The femur and tibia need a length: the closed-form IK closes the
     loop with them.  The coxa and trochanter may have none.
+
+    The joint space is derived once, read-only: the limits ``lower`` and
+    ``upper``, the mid-limit warm start, the link lengths, the theta
+    offsets, the limits of the DH angles ``q + theta_offset`` that the
+    IK kernels work on, and whether every DH joint spans less than a
+    turn (less twice ``LIMIT_SLACK_RAD``: then each ``_wrap`` has at
+    most one representative to take, whatever the warm start).
     """
 
     rows: tuple[DHRow, ...]
@@ -115,14 +122,30 @@ class LegModel:
         for lo, hi in self.joint_limits:
             if not lo < hi:
                 raise ValueError(f"joint limit min must be < max, got ({lo}, {hi})")
+        lower, upper = (np.array(v) for v in zip(*self.joint_limits))
+        offsets = np.array([r.theta_offset for r in self.rows])
+        for name, arr in (("lower", lower), ("upper", upper),
+                          ("_mid", 0.5 * (lower + upper)),
+                          ("_offsets", offsets)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        dh_limits = tuple(zip((lower + offsets).tolist(),
+                              (upper + offsets).tolist()))
+        object.__setattr__(self, "_lengths", tuple(r.a for r in self.rows))
+        object.__setattr__(self, "_dh_bounds", dh_limits)
+        object.__setattr__(self, "_single_turn", all(
+            hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau for lo, hi in dh_limits))
 
-    @property
-    def lower(self) -> np.ndarray:
-        return np.array([lo for lo, _ in self.joint_limits])
+    def _to_dh(self, q) -> np.ndarray:
+        """The DH angles of joint angles q (..., 4): clipped to the
+        limits, then shifted by the theta offsets."""
+        return np.minimum(np.maximum(q, self.lower), self.upper) + self._offsets
 
-    @property
-    def upper(self) -> np.ndarray:
-        return np.array([hi for _, hi in self.joint_limits])
+    def _to_joint(self, dh) -> np.ndarray:
+        """The joint angles of DH angles (..., 4): shifted back by the
+        theta offsets, then clipped to the limits."""
+        return np.minimum(np.maximum(dh - self._offsets, self.lower),
+                          self.upper)
 
     def reach_mm(self) -> float:
         """Radius of the sphere certainly containing the workspace."""
@@ -158,31 +181,6 @@ class Trajectory:
         return self.t_ms.shape[0]
 
 
-def _dh_angles(model: LegModel, q) -> np.ndarray:
-    """The DH angles ``q + theta_offset`` of joint angles (..., 4), joint
-    axis first: shape (4, ...), as ``_tip`` takes them."""
-    return np.moveaxis(q + np.array([r.theta_offset for r in model.rows]),
-                       -1, 0)
-
-
-def _links(model: LegModel) -> tuple:
-    return tuple(r.a for r in model.rows)
-
-
-def _dh_limits(model: LegModel) -> list:
-    """The joint limits of the DH angles: shifted by the theta offsets."""
-    return [(lo + r.theta_offset, hi + r.theta_offset)
-            for (lo, hi), r in zip(model.joint_limits, model.rows)]
-
-
-def _within_a_turn(limits) -> bool:
-    """Whether every joint spans less than a turn (less twice
-    ``LIMIT_SLACK_RAD``): then each ``_wrap`` has at most one
-    representative to take, whatever the warm start."""
-    return all(hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau
-               for lo, hi in limits)
-
-
 def forward_kinematics(model: LegModel, q) -> Pose:
     """Tip pose from joint angles of shape (..., 4), in closed form.
 
@@ -194,8 +192,8 @@ def forward_kinematics(model: LegModel, q) -> Pose:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != 4 or not np.all(np.isfinite(q)):
         raise ValueError("q must be finite joint angles of shape (..., 4)")
-    th = _dh_angles(model, q)
-    x, y, z, t3 = _tip(_links(model), th)
+    th = np.moveaxis(q + model._offsets, -1, 0)
+    x, y, z, t3 = _tip(model._lengths, th)
     cy, sy, c3, s3 = np.cos(th[0]), np.sin(th[0]), np.cos(t3), np.sin(t3)
     rotation = np.stack([cy * c3, -cy * s3, sy, sy * c3, -sy * s3, -cy,
                          s3, c3, np.zeros_like(c3)], axis=-1)
@@ -210,8 +208,9 @@ def jacobian(model: LegModel, q) -> np.ndarray:
     tip about z, and a planar joint turns the links past it in the leg
     plane, whose reach h and height v they make.
     """
-    a0, a1, a2, a3 = (r.a for r in model.rows)
-    yaw, t1, q2, q3 = _dh_angles(model, np.asarray(q, dtype=float))
+    a0, a1, a2, a3 = model._lengths
+    yaw, t1, q2, q3 = np.moveaxis(np.asarray(q, dtype=float) + model._offsets,
+                                  -1, 0)
     t2 = t1 + q2
     t3 = t2 + q3
     h3, v3 = a3 * np.cos(t3), a3 * np.sin(t3)
@@ -233,19 +232,21 @@ class IKResult:
     iterations: int
 
 
-def inverse_kinematics(model: LegModel, target, q0,
+def inverse_kinematics(model: LegModel, target, q0=None,
                        tol_mm: float = IK_TOL_MM) -> IKResult:
     """Position-only IK in closed form; see ``_closed_form``.
 
     That works on the DH angles ``q + theta_offset``: the warm start and
-    the limits are shifted by the offsets and the answer is shifted back.
+    the limits are shifted by the offsets and the answer is shifted back
+    and clipped to the limits (``LegModel._to_dh`` and ``_to_joint``).
     Of the candidates that lie inside the joint limits and land within
     ``tol_mm``, the one nearest ``q0`` is returned.
 
     Args:
         model: leg model.
         target: 3D tip target, mm.
-        q0: warm start, 4 finite joint angles (clipped to the limits).
+        q0: warm start, 4 finite joint angles (clipped to the limits);
+            None for the middle of the limits.
         tol_mm: convergence threshold on the position residual.
 
     Returns:
@@ -264,15 +265,10 @@ def inverse_kinematics(model: LegModel, target, q0,
     target = np.asarray(target, dtype=float)
     if target.shape != (3,) or not np.isfinite(target).all():
         raise ValueError("target must be a finite 3D point")
-    lower, upper = model.lower, model.upper
-    q0 = np.minimum(np.maximum(_checked_q0(q0), lower), upper)
-    off = np.array([r.theta_offset for r in model.rows])
-    found = _closed_form(_links(model), _dh_limits(model), target, q0 + off,
-                         tol_mm)
-    if off.any():
-        found = IKResult(np.clip(found.q - off, lower, upper),
-                         found.residual_mm, found.iterations)
-    return found
+    warm = model._to_dh(model._mid if q0 is None else _checked_q0(q0))
+    found = _closed_form(model._lengths, model._dh_bounds, target, warm, tol_mm)
+    return IKResult(model._to_joint(found.q), found.residual_mm,
+                    found.iterations)
 
 
 def _checked_q0(q0) -> np.ndarray:
@@ -445,13 +441,13 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     not reachable; it is the scalar path's, residual and iterations
     included.
     """
-    q = 0.5 * (model.lower + model.upper) if q0 is None else _checked_q0(q0)
+    q = model._mid if q0 is None else _checked_q0(q0)
     n = len(traj)
     out = np.empty((n, 4))
     i = 0
     with np.errstate(invalid="ignore", divide="ignore"):
         batch = _PathCandidates(model, traj.points, tol_mm) \
-            if n > 1 and _within_a_turn(_dh_limits(model)) else None
+            if n > 1 and model._single_turn else None
         while i < n:
             rows = batch.round(i, q) if batch is not None else ()
             if len(rows):
@@ -476,13 +472,15 @@ class _Planes:
     ``(rho, phi)`` from the trochanter in each plane, which planes are
     tried, and whether any is (``reach``; False on the z axis, whose yaw
     is the warm one).  Built for a leg whose every joint spans less than
-    a turn (``_within_a_turn``), so that no yaw depends on a warm start.
-    Angles are DH angles; arrays are (N, 2), by sample and plane.
+    a turn (``LegModel._single_turn``), so that no yaw depends on a warm
+    start.  Angles are DH angles; arrays are (N, 2), by sample and plane.
     """
 
-    def __init__(self, links, limits, targets, tol_mm):
+    def __init__(self, model, targets, tol_mm):
+        self.model, self.tol_mm = model, tol_mm
+        self.links = links = model._lengths
+        self.limits = limits = model._dh_bounds
         a0 = links[0]
-        self.links, self.limits, self.tol_mm = links, limits, tol_mm
         self.targets = targets
         x, y, z = targets.T
         r = np.hypot(x, y)
@@ -533,21 +531,20 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
     turn; the warm-started IK may still land those.  The pins are built
     only for the points no arc end reached.
     """
-    limits = _dh_limits(model)
     out = np.zeros(len(points), dtype=bool)
-    if not (len(points) and _within_a_turn(limits)):
+    if not (len(points) and model._single_turn):
         return out
-    links = _links(model)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p = _Planes(links, limits, points, tol_mm)
+        p = _Planes(model, points, tol_mm)
         tried = p.tried & p.reach[:, None]
-        _, _, windows, ends = _arc_windows(links, limits, p.rho, p.phi)
+        _, _, windows, ends = _arc_windows(p.links, p.limits, p.rho, p.phi)
         every = np.arange(len(points))
         out = p.landed(every, ends, np.repeat(windows & tried[..., None], 2,
                                               axis=-1))
         rest = every[~out & p.reach]
         if rest.size:
-            q1, ok = _pinned_batch(links, limits, p.rho[rest], p.phi[rest])
+            q1, ok = _pinned_batch(p.links, p.limits, p.rho[rest],
+                                   p.phi[rest])
             out[rest] = p.landed(rest, q1, ok & tried[rest, :, None])
     return out
 
@@ -575,19 +572,12 @@ class _PathCandidates(_Planes):
     """
 
     def __init__(self, model, targets, tol_mm):
-        links, limits = _links(model), _dh_limits(model)
-        super().__init__(links, limits, targets, tol_mm)
-        self.lower, self.upper = model.lower, model.upper
-        self.off = np.array([r.theta_offset for r in model.rows])
+        super().__init__(model, targets, tol_mm)
         self.lo, self.hi, self.windows, ends = _arc_windows(
-            links, limits, self.rho, self.phi)
+            self.links, self.limits, self.rho, self.phi)
         self.ends = self._columns(ends, np.repeat(self.windows, 2, axis=-1))
         self.pins = None
         self.last_held = None, np.empty(0), None
-
-    def _rows(self, picks):
-        """Joint rows of DH picks, clipped to the limits."""
-        return np.minimum(np.maximum(picks - self.off, self.lower), self.upper)
 
     def round(self, i, q):
         """The joint rows of samples i.. that one warm-started IK call
@@ -601,15 +591,15 @@ class _PathCandidates(_Planes):
         are what the one-by-one loop finds, and so is that sample's own
         pick, whose warm start was right.
         """
-        warm = np.minimum(np.maximum(q, self.lower), self.upper) + self.off
+        warm = self.model._to_dh(q)
         n = 1 if i == 0 else len(self.targets) - i
         picks = self.picks(i, np.broadcast_to(warm, (n, 4)))
         picks = picks[:_first(np.isnan(picks[:, 0])) + 1]
         if len(picks) > 1:
             check = self.picks(i, np.vstack([
-                warm, self._rows(picks[:-1]) + self.off]))
+                warm, self.model._to_dh(self.model._to_joint(picks[:-1]))]))
             picks = check[:_first(~(check == picks).all(axis=1)) + 1]
-        return self._rows(picks[:_first(np.isnan(picks[:, 0]))])
+        return self.model._to_joint(picks[:_first(np.isnan(picks[:, 0]))])
 
     def _columns(self, q1, ok):
         """The column set of trochanter angles q1 (N, 2, M), kept where

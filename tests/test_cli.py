@@ -1005,8 +1005,13 @@ class TestParserReuse:
                 "argparse.ArgumentParser.__init__ = counted\n"
                 "import tarsim.cli\n"
                 "print(len(built), tarsim.cli._parser)\n")
+        # the subprocess does not get pytest's pythonpath setting
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "0 None\n"
 

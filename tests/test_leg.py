@@ -259,6 +259,20 @@ OFFSET_LEG = LegModel(tuple(DHRow(r.a, o) for r, o in
                       LEG.joint_limits)
 
 
+class TestMidLimitWarmStart:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.sampled_from([LEG, OFFSET_LEG]), qstar=JOINTS)
+    def test_no_q0_is_the_mid_limit_warm_start(self, m, qstar):
+        # bit for bit: float.hex tells -0.0 from 0.0, as == does not
+        target = forward_kinematics(m, np.array(qstar)).position
+        r = inverse_kinematics(m, target)
+        mid = inverse_kinematics(m, target, 0.5 * (m.lower + m.upper))
+        assert list(map(float.hex, r.q.tolist())) == \
+            list(map(float.hex, mid.q.tolist()))
+        assert r.residual_mm.hex() == mid.residual_mm.hex()
+        assert r.iterations == mid.iterations
+
+
 class TestOneTipLaw:
     """FK's position is, to the bit, the tip the IK measures residuals
     from: both take ``leg._tip``."""
@@ -932,6 +946,13 @@ class TestTrajectoryCsv:
 
 
 class TestModelValidation:
+    def test_limits_are_stored_read_only(self):
+        assert LEG.lower is LEG.lower
+        assert LEG.upper is LEG.upper
+        for limits in (LEG.lower, LEG.upper):
+            with pytest.raises(ValueError):
+                limits[0] = 0.0
+
     def test_needs_four_rows(self):
         rows = (DHRow(1.0),) * 3
         with pytest.raises(ValueError):

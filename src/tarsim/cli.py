@@ -14,6 +14,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -124,12 +125,10 @@ def cmd_chain(args, ctx: RunContext) -> int:
         capacity = chain_mod.max_chain_pull(chain)
         state = chain_mod.solve_bend_from_pull(
             chain, min(args.pull, capacity), **solver)
-        rows = []
-        for i in range(len(chain.segments)):
-            rows.append([f"segment_{i + 1}", np.degrees(state.theta[i]),
-                         state.compression[i], state.slack[i],
-                         chain_mod.segment_pull(chain.segments[i],
-                                                float(state.theta[i]))])
+        pulls = chain_mod._joint_pulls(chain, state.theta)[0]
+        rows = [[f"segment_{i + 1}", *cells] for i, cells in enumerate(zip(
+            np.degrees(state.theta).tolist(), state.compression.tolist(),
+            state.slack.tolist(), pulls.tolist()))]
         total_bend = chain_mod.total_bend_angle(state)
         total_pull = chain_mod.chain_pull(chain, state)
         rows.append(["total", total_bend, state.compression.sum(),
@@ -227,7 +226,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         try:
             ctx.note_input(args.retarget)
             traj = leg_mod.load_trajectory(args.retarget)
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, csv.Error) as err:
             raise DomainError(f"--retarget: {err}") from None
         scale = args.scale if args.scale is not None \
             else ctx.cfg.retarget_params()["scale"]
@@ -341,7 +340,7 @@ def cmd_gait(args, ctx: RunContext) -> int:
         try:
             ctx.note_input(path)
             rec = gait_mod.load_recording(path, rate=ap["rate_fps"])
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, csv.Error) as err:
             raise DomainError(f"{path}: {err}") from None
         try:
             tm = gait_mod.trial_metrics(

@@ -23,12 +23,16 @@ quoted and ``\\n`` is the only line break, so splitting on ``,`` is what
 ``csv`` does, and the one blank both ``loadtxt`` and ``float`` strip
 around a number, the space, is the only one that can occur; tabs and
 other control or Unicode blanks, which the two treat apart, cannot.  Such
-a file is parsed in one ``np.loadtxt`` call and kept if every number is
-finite.  Any other file, a cell ``loadtxt`` rejects or a non-finite
-number goes through ``read_table`` and ``float_columns``, which return
-the same values or raise the ``row N`` error; ``float_columns`` rejects
-the spellings ``float`` reads but ``loadtxt`` does not, a number with a
-``_`` (``1_0``) or a non-ASCII character.
+a file is split into its lines once, and one ``np.loadtxt`` call parses
+that list, skipping the header and the empty lines itself; the result is
+kept if every number is finite.  The lines are measured against the
+limit only where a scan of the bytes, block by block, finds a stretch
+with no line break as long as half the limit.  Any other file, a cell
+``loadtxt`` rejects or a non-finite number goes through ``read_table``
+and ``float_columns``, which return the same values or raise the ``row
+N`` error; ``float_columns`` rejects the spellings ``float`` reads but
+``loadtxt`` does not, a number with a ``_`` (``1_0``) or a non-ASCII
+character.
 
 A text column with a closed vocabulary, such as a recording's marker
 label, can be read as int codes: ``loadtxt`` reads it as fixed-width
@@ -196,21 +200,28 @@ def _plain_cells(path, header, floats, codes):
         data = data.replace(b"\r\n", b"\n")
     if data.translate(None, _PLAIN_BYTES):
         return None
+    limit = csv.field_size_limit()
+    # a line of ``limit`` characters or more holds a whole block of
+    # ``half`` that starts at a multiple of ``half``, so the lines are
+    # measured only where such a block holds no line break
+    half = max(limit // 2, 1)
+    measure = any(data.find(b"\n", k, k + half) < 0
+                  for k in range(0, len(data) - half + 1, half))
     # each copy of the text is dropped before the next one is built
     lines = data.decode("ascii").split("\n")
     del data
     if (lines[0].split(",") != list(header)
-            or max(map(len, lines)) >= csv.field_size_limit()):
+            or measure and max(map(len, lines)) >= limit):
         return None
-    rows = list(filter(None, lines[1:]))
-    del lines
     kinds = {j: f"U{1 + max(map(len, words))}" for j, words in codes.items()}
     dtype = [(str(j), float if j in floats else kinds.get(j, object))
              for j in range(len(header))]
-    if not rows:
+    # loadtxt skips the empty lines, but warns when it reads no row at all
+    if not any(itertools.islice(lines, 1, None)):
         return np.zeros(0, dtype)
     try:
-        return np.loadtxt(rows, dtype, comments=None, delimiter=",", ndmin=1)
+        return np.loadtxt(lines, dtype, comments=None, delimiter=",",
+                          skiprows=1, ndmin=1)
     except ValueError:
         return None
 

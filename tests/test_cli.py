@@ -1,5 +1,6 @@
 """End-to-end CLI flows: commands, exit codes, outputs, manifest."""
 
+import csv
 import json
 import math
 import os
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from tarsim import cli
-from tarsim.chain import default_chain_geometry, max_chain_pull
+from tarsim.chain import (chain_pull, default_chain_geometry, max_chain_pull,
+                          segment_pull, solve_bend_from_pull,
+                          total_bend_angle)
 from tarsim.cli import build_parser, main, read_table
 from tarsim.contact import load_demo_csv
 from tarsim.gait import LABELS, TrialRecording, save_recording
@@ -197,6 +200,32 @@ class TestChainCommand:
                     [[r[0], *[float(v) for v in r[1:]]] for r in rows])
         assert again.read_text() == (out / "chain_state.csv").read_text()
 
+    @pytest.mark.parametrize("socket_slack", [False, True])
+    @pytest.mark.parametrize("pull", [0.0, 0.37, 2.0, 3.3, 5.5, 9.0, 13.1,
+                                      20.0])
+    def test_pull_table_is_the_per_segment_pull_table(self, tmp_path,
+                                                      socket_slack, pull):
+        # the table as built from one scalar segment_pull call per segment
+        chain = default_chain_geometry(socket_slack=socket_slack)
+        state = solve_bend_from_pull(chain, min(pull, max_chain_pull(chain)))
+        rows = [[f"segment_{i + 1}", np.degrees(state.theta[i]),
+                 state.compression[i], state.slack[i],
+                 segment_pull(chain.segments[i], float(state.theta[i]))]
+                for i in range(len(chain.segments))]
+        rows.append(["total", total_bend_angle(state),
+                     state.compression.sum(), state.slack.sum(),
+                     chain_pull(chain, state)])
+        expected = tmp_path / "expected.csv"
+        cli.write_table(expected, ["segment", "theta_deg", "compression_mm",
+                                   "slack_mm", "pull_mm"], rows)
+        conf = tmp_path / "t.conf"
+        conf.write_text("[chain]\nsocket_slack = "
+                        f"{str(socket_slack).lower()}\n")
+        rc, out = run(["chain", "--pull", repr(pull), "--config", str(conf)],
+                      tmp_path)
+        assert rc == 0
+        assert (out / "chain_state.csv").read_bytes() == expected.read_bytes()
+
 
 class TestLegCommand:
     def test_fk_straight(self, tmp_path, capsys):
@@ -346,6 +375,19 @@ class TestLegCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --retarget: [Errno ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_retarget_cell_past_the_csv_field_limit_is_domain_error(
+            self, tmp_path, capsys):
+        src = tmp_path / "beetle.csv"
+        src.write_text("t_ms,x_mm,y_mm,z_mm\n0.0,"
+                       + "1" * (csv.field_size_limit() + 1) + ",0.0,0.0\n")
+        rc, out = run(["leg", "--retarget", str(src)], tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --retarget: field larger than field "
+                              "limit")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -720,6 +762,18 @@ class TestGaitCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}: [Errno ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_cell_past_the_csv_field_limit_is_domain_error(self, tmp_path,
+                                                           capsys):
+        p = tmp_path / "huge.csv"
+        p.write_text("t_ms,label,x_mm,y_mm,z_mm\n0.0,"
+                     + "R" * csv.field_size_limit() + "1,1.0,2.0,3.0\n")
+        rc, out = run(["gait", "--input", str(p)], tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}: field larger than field limit")
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -11,6 +11,7 @@ as ``float_columns`` does.
 import csv
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,8 @@ TRAPS = {
     "Arabic-Indic digit": "0.0,B1,١,2.0,3.0\n",
     "comment mark": "0.0,B1,1.0,2.0,3.0#\n",
     "blank lines": "\n" + GOOD.replace("\n", "\n\n"),
+    "header then blank lines": "\n\n\n",
+    "blank lines between and after rows": GOOD.replace("\n", "\n\n\n"),
     "no final line break": GOOD.rstrip("\n"),
 }
 
@@ -252,6 +255,22 @@ def test_plain_table_takes_one_numpy_pass(tmp_path, monkeypatch):
     assert [type(v) for v in labels] == [str, str]
 
 
+@pytest.mark.parametrize("name", ["header only", "header then blank lines",
+                                  "blank lines",
+                                  "blank lines between and after rows",
+                                  "no final line break", "CRLF"])
+def test_plain_trap_takes_one_numpy_pass(tmp_path, monkeypatch, name):
+    path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n" + TRAPS[name])
+    expected = outcome(old_read_columns, path, RECORDING, FLOATS)
+    expected_codes = outcome(old_label_codes, path)
+    monkeypatch.setattr(table, "read_table", None)  # not reached
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a table of no rows
+        assert outcome(read_columns, path, RECORDING, FLOATS) == expected
+        assert outcome(read_columns, path, RECORDING, FLOATS,
+                       {1: gait.LABELS}) == expected_codes
+
+
 # -- label codes ------------------------------------------------------------
 
 @pytest.mark.parametrize("path_taken", ["plain", "csv"])
@@ -291,6 +310,23 @@ def test_line_past_the_csv_field_limit_is_the_csv_error(tmp_path):
                  + "B" * csv.field_size_limit() + "1,1.0,2.0,3.0\n")
     with pytest.raises(csv.Error):
         read_columns(path, RECORDING, FLOATS)
+
+
+@pytest.mark.parametrize("rows_before", [0, 1, 2000, 2345])
+@pytest.mark.parametrize("extra", [0, 1, 70000])
+@pytest.mark.parametrize("end", ["\n", ""])
+def test_long_label_anywhere_is_read_as_the_csv_path(tmp_path, rows_before,
+                                                     extra, end):
+    # a label cell from 131056 to 201056 characters long, after rows that
+    # shift it against any fixed block of the bytes, at the file's end or
+    # not: on the csv path the csv error or the cell itself
+    limit = csv.field_size_limit()
+    label = "B" * (limit - 16 + extra)
+    path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n"
+                 + "0.0,B1,1.0,2.0,3.0\n" * rows_before
+                 + f"0.0,{label},1.0,2.0,3.0" + end)
+    assert outcome(read_columns, path, RECORDING, FLOATS) == \
+        outcome(old_read_columns, path, RECORDING, FLOATS)
 
 
 # -- mutated tables: the loaders against their frozen copies -----------------

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +292,17 @@ def cmd_sim(args, ctx: RunContext) -> int:
 
 # -- gait command -------------------------------------------------------------
 
+def _printed_group(mean: str, sd: str, n: str):
+    """GroupStats of a group as printed: its half-step is half a unit in
+    the last decimal of the coarser of ``mean`` and ``sd``."""
+    group = stats_mod.GroupStats(float(mean), float(sd), int(n))
+    # mean and sd are finite here, so each exponent is an int
+    exponent = max(Decimal(mean).as_tuple().exponent,
+                   Decimal(sd).as_tuple().exponent)
+    # 5e(k-1) is half of 1ek; a string, so that no exponent overflows
+    return dataclasses.replace(group, half_step=float(f"5e{exponent - 1}"))
+
+
 def _parse_pair(text: str):
     parts = [p.strip() for p in parse_row(text)]
     if len(parts) not in (7, 8):
@@ -297,8 +310,7 @@ def _parse_pair(text: str):
             f"--pair: expected label,mean_a,sd_a,n_a,mean_b,sd_b,n_b"
             f"[,published_p], got {text!r}")
     try:
-        a, b = (stats_mod.GroupStats(float(mean), float(sd), int(n))
-                for mean, sd, n in (parts[1:4], parts[4:7]))
+        a, b = (_printed_group(*parts[1:4]), _printed_group(*parts[4:7]))
         pub = float(parts[7]) if len(parts) == 8 else None
         return stats_mod.ConditionPair(parts[0], a, b, pub)
     except ValueError as err:

@@ -5,6 +5,14 @@ gait comparisons usually report only group summaries.  The Student-t
 survival function is computed in-package through the regularized
 incomplete beta function (continued fraction), so tail probabilities down
 to 1e-8 carry full double precision.
+
+A published p is checked against the summaries it was computed from as
+they were printed: each mean and sd may lie up to half a unit of its last
+printed digit (``GroupStats.half_step``) from the true value, and the
+comparison report gives the span of one-tail p over every set of
+summaries that round to the printed ones.  A published p outside that
+span is flagged; the width of the span comes from the printed precision,
+not from a fixed margin.
 """
 
 from __future__ import annotations
@@ -19,19 +27,26 @@ class ZeroVariance(ValueError):
 
 @dataclass(frozen=True)
 class GroupStats:
-    """Summary of one condition group: mean, standard deviation, count."""
+    """Summary of one condition group: mean, standard deviation, count.
+
+    ``half_step`` is half a unit in the last printed digit of the mean and
+    sd (0.05 for one decimal); 0 means the summaries are exact.
+    """
 
     mean: float
     sd: float
     n: int
+    half_step: float = 0.0
 
     def __post_init__(self):
-        for name in ("mean", "sd"):
+        for name in ("mean", "sd", "half_step"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got "
                                  f"{getattr(self, name)!r}")
         if self.sd < 0:
             raise ValueError("sd must be >= 0")
+        if self.half_step < 0:
+            raise ValueError("half_step must be >= 0")
         if self.n < 2:
             raise ValueError("n must be >= 2")
 
@@ -125,6 +140,27 @@ def two_sample_ttest(a: GroupStats, b: GroupStats) -> TTestResult:
     return TTestResult(t, df, p_one, 2.0 * p_one)
 
 
+def _p_span(a: GroupStats, b: GroupStats) -> tuple[float, float]:
+    """Smallest and largest one-tail p over summaries that round to a, b.
+
+    The pooled p falls as |mean difference| grows and rises with either
+    sd, so its extremes over the rounding box lie at two corners: the far
+    one moves the means apart and lowers both sds by their half-steps, the
+    near one does the reverse.  A box that holds equal means has its near
+    end at t = 0, p = 0.5, and an sd is never lowered below 0.
+    """
+    gap = abs(a.mean - b.mean)
+    step = a.half_step + b.half_step
+
+    def p(diff, sign):
+        return two_sample_ttest(
+            GroupStats(diff, max(a.sd + sign * a.half_step, 0.0), a.n),
+            GroupStats(0.0, max(b.sd + sign * b.half_step, 0.0), b.n),
+        ).p_one_tail
+
+    return p(gap + step, -1.0), p(max(gap - step, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class ConditionPair:
     """One comparison row: two condition groups, optionally the published p."""
@@ -142,38 +178,37 @@ class ConditionPair:
 
 REPORT_COLUMNS = (
     "label", "mean_a", "sd_a", "n_a", "mean_b", "sd_b", "n_b",
-    "df", "t", "p_one_tail", "p_two_tail", "published_p_one_tail", "flag",
+    "df", "t", "p_one_tail", "p_two_tail", "published_p_one_tail",
+    "p_span_lo", "p_span_hi", "flag",
 )
-
-# published p values more than this relative margin from the p computed
-# from the printed summaries are flagged.  The flag does not show that the
-# summaries' rounding cannot explain the gap: one printed decimal alone can
-# move p by about 10% when n is small.
-PUBLISHED_P_REL_TOL = 0.02
 
 
 def comparison_report(pairs) -> list[dict]:
-    """t-test every condition pair; one dict per row, REPORT_COLUMNS keys."""
+    """t-test every condition pair; one dict per row, REPORT_COLUMNS keys.
+
+    ``p_span_lo``/``p_span_hi`` bound the one-tail p over the groups'
+    rounding boxes; a published p outside them is flagged
+    ``outside-rounding-span``.
+    """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("at least one condition pair is required")
     rows = []
     for pair in pairs:
         res = two_sample_ttest(pair.a, pair.b)
+        lo, hi = _p_span(pair.a, pair.b)
+        published = pair.published_p_one_tail
         flag = ""
-        if pair.published_p_one_tail is not None:
-            rel = abs(res.p_one_tail - pair.published_p_one_tail) \
-                / pair.published_p_one_tail
-            if rel > PUBLISHED_P_REL_TOL:
-                flag = "more-than-2pct-from-recomputed-p"
+        if published is not None and not lo <= published <= hi:
+            flag = "outside-rounding-span"
         rows.append({
             "label": pair.label,
             "mean_a": pair.a.mean, "sd_a": pair.a.sd, "n_a": pair.a.n,
             "mean_b": pair.b.mean, "sd_b": pair.b.sd, "n_b": pair.b.n,
             "df": res.df, "t": res.t,
             "p_one_tail": res.p_one_tail, "p_two_tail": res.p_two_tail,
-            "published_p_one_tail": pair.published_p_one_tail,
-            "flag": flag,
+            "published_p_one_tail": published,
+            "p_span_lo": lo, "p_span_hi": hi, "flag": flag,
         })
     return rows
 

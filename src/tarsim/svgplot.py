@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+SIZE = (640, 420)  # chart width and height, px
 
 
 def _xml_escape(text: str) -> str:
@@ -13,8 +14,6 @@ def _xml_escape(text: str) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     return np.linspace(lo, hi, n)
 
 
@@ -32,14 +31,14 @@ def _runs(x, y, px, py) -> list[str]:
 
 
 def line_chart(path, series, title: str = "", xlabel: str = "",
-               ylabel: str = "", size=(640, 420)) -> None:
+               ylabel: str = "") -> None:
     """Write an SVG line chart.
 
     ``series`` is a list of (label, x, y) with array-likes of equal
     length; NaNs break the polyline.  The title, axis labels and series
     labels are XML-escaped.
     """
-    w, h = size
+    w, h = SIZE
     ml, mr, mt, mb = 62, 16, 34, 46  # margins
     pw, ph = w - ml - mr, h - mt - mb
 

@@ -91,14 +91,9 @@ def read_table(path, header=None):
         rows = [row for row in reader if row]
     for i, row in enumerate(rows):
         if len(row) != len(first):
-            raise ValueError(f"row {line_of(path, i)}: expected "
+            raise ValueError(f"row {row_at(path, i)[0]}: expected "
                              f"{len(first)} fields, got {len(row)}")
     return first, rows
-
-
-def line_of(path, index: int) -> int:
-    """File line of ``read_table(path)[1][index]``."""
-    return row_at(path, index)[0]
 
 
 def row_at(path, index: int) -> tuple[int, list[str]]:
@@ -129,7 +124,7 @@ def float_columns(path, rows, columns) -> np.ndarray:
                     continue
             except ValueError:
                 pass
-            raise ValueError(f"row {line_of(path, i)}: not a finite number "
+            raise ValueError(f"row {row_at(path, i)[0]}: not a finite number "
                              f"in {cells}")
     return values
 

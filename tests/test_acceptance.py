@@ -3,10 +3,10 @@
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
 ``-rA``) and then asserts.  Criterion 3 checks the pooled t-test against
 the four published tables.  The tables print each mean and sd to one
-decimal, so every true value may lie up to 0.05 from its printed one; the
-p values at the two extreme corners of that box bound what the printed
-summaries allow.  Each published p must lie inside that span, with no
-tolerance, and each df must match exactly.  On the two rows whose span is
+decimal, so every true value may lie up to 0.05 from its printed one
+(``GroupStats.half_step``); ``tarsim.stats.comparison_report`` gives the
+span of p over that box.  Each published p must lie inside its span, with
+no tolerance, and each df must match exactly.  On the two rows whose span is
 narrower than +-2% (cycle time, mesh vs plate, and intact vs tubed) the
 published p must also lie within 2% of the p computed from the printed
 summaries; that bound is kept as stated rather than widened.
@@ -26,7 +26,7 @@ from tarsim.contact import (ForceLimits, MeshGrid, Phase, Scenario,
 from tarsim.gait import segment_cycles
 from tarsim.leg import (Trajectory, default_leg_model, forward_kinematics,
                         inverse_kinematics, jacobian, retarget_trajectory)
-from tarsim.stats import GroupStats, two_sample_ttest
+from tarsim.stats import ConditionPair, GroupStats, comparison_report
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -101,56 +101,39 @@ def test_criterion_2_published_aggregate_reproduction():
     assert abs(rt - 13.1) < 1e-9
 
 
-# printed precision of the published means and sds: one decimal
-PRINTED_HALF_STEP = 0.05
-
-
-def rounding_span(a: GroupStats, b: GroupStats):
-    """Smallest and largest one-tail p over summaries that round to a, b.
-
-    The pooled p falls as |mean difference| grows and rises with either
-    sd, so its extremes over the box lie at two corners.
-    """
-    half = PRINTED_HALF_STEP
-    s = 1.0 if a.mean >= b.mean else -1.0
-    far = two_sample_ttest(GroupStats(a.mean + s * half, a.sd - half, a.n),
-                           GroupStats(b.mean - s * half, b.sd - half, b.n))
-    near = two_sample_ttest(GroupStats(a.mean - s * half, a.sd + half, a.n),
-                            GroupStats(b.mean + s * half, b.sd + half, b.n))
-    return far.p_one_tail, near.p_one_tail
-
-
 def test_criterion_3_statistics_reproduction():
     t0 = time.perf_counter()
-    # the last column marks the rows whose rounding span is narrower than
-    # +-2%, where the 2% point bound is meaningful
+    # means and sds are printed to one decimal; the last column marks the
+    # rows whose rounding span is narrower than +-2%, where the 2% point
+    # bound is meaningful
+    def group(mean, sd, n):
+        return GroupStats(mean, sd, n, half_step=0.05)
+
     tables = (
         ("angular displacement, mesh vs plate",
-         GroupStats(55.7, 4.4, 5), GroupStats(27.7, 5.4, 5), 9.04e-06, 8,
-         False),
+         group(55.7, 4.4, 5), group(27.7, 5.4, 5), 9.04e-06, 8, False),
         ("cycle time, mesh vs plate",
-         GroupStats(446.1, 50.5, 5), GroupStats(406.6, 67.8, 5), 0.1631, 8,
-         True),
+         group(446.1, 50.5, 5), group(406.6, 67.8, 5), 0.1631, 8, True),
         ("angular displacement, intact vs cut membrane",
-         GroupStats(55.9, 2.3, 3), GroupStats(25.5, 1.6, 3), 2.42e-05, 4,
-         False),
+         group(55.9, 2.3, 3), group(25.5, 1.6, 3), 2.42e-05, 4, False),
         ("cycle time, intact vs tubed",
-         GroupStats(446.1, 50.5, 5), GroupStats(1594.4, 142.5, 5),
-         7.33e-08, 8, True),
+         group(446.1, 50.5, 5), group(1594.4, 142.5, 5), 7.33e-08, 8,
+         True),
     )
+    rows = comparison_report(ConditionPair(label, a, b, published)
+                             for label, a, b, published, _, _ in tables)
     all_ok = True
     details = []
-    for label, a, b, published, df, point_bound in tables:
-        r = two_sample_ttest(a, b)
-        lo, hi = rounding_span(a, b)
-        rel = abs(r.p_one_tail - published) / published
-        ok = (r.df == df and lo <= published <= hi
+    for (label, _, _, published, df, point_bound), r in zip(tables, rows):
+        p, lo, hi = r["p_one_tail"], r["p_span_lo"], r["p_span_hi"]
+        rel = abs(p - published) / published
+        ok = (r["df"] == df and lo <= published <= hi
               and (rel <= 0.02 or not point_bound))
         all_ok &= ok
-        details.append(f"{label}: p = {r.p_one_tail:.3e}, rounding span "
+        details.append(f"{label}: p = {p:.3e}, rounding span "
                        f"[{lo:.3e}, {hi:.3e}], published {published:.3e} "
                        f"({rel:.2%}{', 2% bound' if point_bound else ''}, "
-                       f"df = {r.df}) {'ok' if ok else 'MISMATCH'}")
+                       f"df = {r['df']}) {'ok' if ok else 'MISMATCH'}")
     elapsed = time.perf_counter() - t0
     report(3, all_ok and elapsed < 1.0,
            f"pooled t-test vs published tables ({elapsed:.3f} s); "

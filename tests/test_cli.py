@@ -20,6 +20,8 @@ from tarsim.cli import build_parser, main, read_table
 from tarsim.contact import load_demo_csv
 from tarsim.gait import LABELS, TrialRecording, save_recording
 from tarsim.leg import Trajectory, load_trajectory, save_trajectory
+from tarsim.stats import (ConditionPair, GroupStats, REPORT_COLUMNS,
+                          comparison_report)
 
 
 def run(args, tmp_path, out="out"):
@@ -737,6 +739,46 @@ class TestGaitCommand:
         err = capsys.readouterr().err
         assert err == f"error: --pair {pair!r}: {message}\n"
         assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("pair, half_a, half_b", [
+        ("x,55.7,4.4,5,27.7,5.4,5", 0.05, 0.05),
+        ("x,55.72,4.41,5,27.71,5.43,5", 0.005, 0.005),
+        ("x,56,4,5,28,5,5", 0.5, 0.5),
+        ("x,446.8,50.5,25,443.36,48.4,25", 0.05, 0.05),
+        ("x,55.7,4.4,5,27.71,5.43,5", 0.05, 0.005)],
+        ids=["one_decimal", "two_decimals", "integers", "mixed_in_a_group",
+             "mixed_across_groups"])
+    def test_pair_half_step_is_the_coarser_printed_digit(
+            self, tmp_path, pair, half_a, half_b):
+        rc, out = run(["gait", "--summary-stats", "--pair", pair], tmp_path)
+        assert rc == 0
+        cells = [c.strip() for c in pair.split(",")]
+        a, b = (GroupStats(float(m), float(s), int(n), half)
+                for (m, s, n), half in ((cells[1:4], half_a),
+                                        (cells[4:7], half_b)))
+        expected, = comparison_report([ConditionPair("x", a, b)])
+        _, rows = read_table(out / "report.csv")
+        row = dict(zip(REPORT_COLUMNS, rows[0]))
+        assert float(row["p_span_lo"]) == expected["p_span_lo"]
+        assert float(row["p_span_hi"]) == expected["p_span_hi"]
+        assert row["p_span_lo"] != row["p_span_hi"]
+
+    def test_published_rows_are_not_flagged(self, tmp_path):
+        rc, out = run([
+            "gait", "--summary-stats",
+            "--pair", "angle,55.7,4.4,5,27.7,5.4,5,9.04E-06",
+            "--pair", "cycle,446.1,50.5,5,406.6,67.8,5,0.1631",
+            "--pair", "membrane,55.9,2.3,3,25.5,1.6,3,2.42E-05",
+            "--pair", "tubed,446.1,50.5,5,1594.4,142.5,5,7.33E-08",
+        ], tmp_path)
+        assert rc == 0
+        header, rows = read_table(out / "report.csv")
+        assert header == list(REPORT_COLUMNS)
+        for row in (dict(zip(header, r)) for r in rows):
+            assert row["flag"] == ""
+            assert (float(row["p_span_lo"])
+                    <= float(row["published_p_one_tail"])
+                    <= float(row["p_span_hi"]))
 
     def test_pair_published_p_of_one_is_taken(self, tmp_path):
         rc, out = run(["gait", "--summary-stats", "--pair",

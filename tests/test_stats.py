@@ -5,28 +5,32 @@ scipy.stats serve purely as the independent oracle, alongside a numeric
 quadrature of the beta integrand as a second cross-check route.
 """
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tarsim.stats import (ConditionPair, GroupStats, ZeroVariance,
                           comparison_report, format_report_text,
                           regularized_incomplete_beta, t_sf,
                           two_sample_ttest)
 
-# published group summaries from the walking experiments
-ANGLE_MESH = GroupStats(55.7, 4.4, 5)
-ANGLE_PLATE = GroupStats(27.7, 5.4, 5)
-CYCLE_MESH = GroupStats(446.1, 50.5, 5)
-CYCLE_PLATE = GroupStats(406.6, 67.8, 5)
-ANGLE_INTACT3 = GroupStats(55.9, 2.3, 3)
-ANGLE_CUT3 = GroupStats(25.5, 1.6, 3)
-CYCLE_TUBED = GroupStats(1594.4, 142.5, 5)
-CYCLE_INTACT25 = GroupStats(446.8, 50.5, 25)
-CYCLE_RELEASED25 = GroupStats(443.36, 48.4, 25)
+# published group summaries from the walking experiments; the coarser of
+# each group's mean and sd is printed to one decimal
+ANGLE_MESH = GroupStats(55.7, 4.4, 5, 0.05)
+ANGLE_PLATE = GroupStats(27.7, 5.4, 5, 0.05)
+CYCLE_MESH = GroupStats(446.1, 50.5, 5, 0.05)
+CYCLE_PLATE = GroupStats(406.6, 67.8, 5, 0.05)
+ANGLE_INTACT3 = GroupStats(55.9, 2.3, 3, 0.05)
+ANGLE_CUT3 = GroupStats(25.5, 1.6, 3, 0.05)
+CYCLE_TUBED = GroupStats(1594.4, 142.5, 5, 0.05)
+CYCLE_INTACT25 = GroupStats(446.8, 50.5, 25, 0.05)
+CYCLE_RELEASED25 = GroupStats(443.36, 48.4, 25, 0.05)
 
 
 class TestIncompleteBeta:
@@ -138,6 +142,101 @@ class TestTwoSampleTTest:
         with pytest.raises(ValueError):
             GroupStats(1.0, 1.0, 1)
 
+    @pytest.mark.parametrize("half_step, message", [
+        (-0.05, "half_step must be >= 0"),
+        (math.nan, "half_step must be finite, got nan"),
+        (math.inf, "half_step must be finite, got inf")])
+    def test_half_step_validation(self, half_step, message):
+        with pytest.raises(ValueError, match=message):
+            GroupStats(1.0, 1.0, 5, half_step)
+
+
+HALF_STEPS = (0.0, 0.005, 0.05, 0.5)
+
+
+@st.composite
+def printed_pairs(draw):
+    """Two groups as printed.  The second mean lies from none to many
+    half-steps from the first, so that some boxes hold equal means, and an
+    sd may be printed below its half-step."""
+    mean_a = draw(st.floats(-500.0, 500.0))
+    offset = draw(st.sampled_from(
+        (0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 10.0, 100.0)))
+    groups = []
+    for mean in (mean_a, mean_a + draw(st.sampled_from((-1, 1))) * offset):
+        half = draw(st.sampled_from(HALF_STEPS))
+        sd = draw(st.one_of(st.floats(0.0, 1.0).map(lambda u: u * half),
+                            st.floats(0.0, 100.0)))
+        groups.append(GroupStats(mean, sd, draw(st.integers(2, 30)), half))
+    return groups
+
+
+def box_p(a, b, fa, fb, ga, gb):
+    """One-tail p at a point of the rounding box: each mean moved by fa,
+    fb and each sd by ga, gb of its half-step (an sd stops at 0).  The p
+    depends on the means only through their difference, which is taken
+    exactly, so that the box is the true one and not its rounded sums."""
+    diff = float(Fraction(a.mean) + Fraction(fa) * Fraction(a.half_step)
+                 - Fraction(b.mean) - Fraction(fb) * Fraction(b.half_step))
+    return two_sample_ttest(
+        GroupStats(diff, max(a.sd + ga * a.half_step, 0.0), a.n),
+        GroupStats(0.0, max(b.sd + gb * b.half_step, 0.0), b.n)).p_one_tail
+
+
+class TestRoundingSpan:
+    # t_sf is accurate to ~1e-13 relative (test_against_scipy asserts
+    # 1e-12), so a point of the box may compute a few ulps outside
+    REL = 1e-12
+    FRACTIONS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(printed_pairs())
+    # a box holding equal means: the printed point's p is 0.4878, and the
+    # near end must be 0.5, not the far side of t = 0
+    @example([GroupStats(10.0, 1.0, 5, 0.05), GroupStats(10.02, 1.0, 5, 0.05)])
+    # an sd printed below its half-step stops at 0 at the far corner
+    @example([GroupStats(3.0, 0.0, 5, 0.05), GroupStats(2.0, 0.04, 5, 0.05)])
+    def test_span_holds_every_point_of_the_box(self, groups):
+        a, b = groups
+        try:
+            row, = comparison_report([ConditionPair("box", a, b)])
+        except ZeroVariance:
+            assume(False)
+        lo, hi = row["p_span_lo"], row["p_span_hi"]
+        assert lo <= row["p_one_tail"] <= hi
+        for f in itertools.product(self.FRACTIONS, repeat=4):
+            try:
+                p = box_p(a, b, *f)
+            except ZeroVariance:
+                continue
+            assert lo * (1 - self.REL) <= p <= hi * (1 + self.REL), f
+
+    def test_straddling_box_reaches_half(self):
+        row, = comparison_report([ConditionPair(
+            "x", GroupStats(10.0, 1.0, 5, 0.05),
+            GroupStats(10.02, 1.0, 5, 0.05))])
+        assert row["p_one_tail"] == pytest.approx(0.4878, abs=1e-4)
+        assert row["p_span_hi"] == 0.5
+
+    def test_exact_summaries_give_a_point(self):
+        row, = comparison_report([ConditionPair(
+            "x", GroupStats(55.7, 4.4, 5), GroupStats(27.7, 5.4, 5))])
+        assert row["p_span_lo"] == row["p_one_tail"] == row["p_span_hi"]
+
+    def test_published_rows_lie_inside(self):
+        rows = comparison_report([
+            ConditionPair("angle", ANGLE_MESH, ANGLE_PLATE, 9.04e-06),
+            ConditionPair("cycle", CYCLE_MESH, CYCLE_PLATE, 0.1631),
+            ConditionPair("membrane", ANGLE_INTACT3, ANGLE_CUT3, 2.42e-05),
+            ConditionPair("tubed", CYCLE_MESH, CYCLE_TUBED, 7.33e-08),
+        ])
+        spans = [p for r in rows for p in (r["p_span_lo"], r["p_span_hi"])]
+        assert spans == pytest.approx([8.456e-06, 1.034e-05,
+                                       0.1626, 0.1641,
+                                       2.109e-05, 2.636e-05,
+                                       7.301e-08, 7.360e-08], rel=1e-3)
+        assert [r["flag"] for r in rows] == [""] * 4
+
 
 class TestComparisonReport:
     def test_layout_and_values(self):
@@ -147,12 +246,16 @@ class TestComparisonReport:
         ])
         assert [r["label"] for r in rows] == ["angle", "cycle"]
         assert rows[0]["df"] == 8
-        assert rows[1]["flag"] == ""  # 0.14% off: reproducible
-        assert rows[0]["flag"] != ""  # 3.5% off: beyond the 2% margin
+        # 3.5% and 0.14% from the printed point, and both inside the span
+        # that one printed decimal allows
+        assert [r["flag"] for r in rows] == ["", ""]
+        assert all(r["p_span_lo"] <= r["published_p_one_tail"]
+                   <= r["p_span_hi"] for r in rows)
 
     def test_known_nonreproducible_pairs_are_flagged(self):
-        # both published values are more than 2% from the pooled result
-        # recomputed from their rounded summaries
+        # no summaries that round to the printed ones give either
+        # published value: 0.4418 lies below [0.4585, 0.4865] and 0.4664
+        # above [0.4006, 0.4063]
         rows = comparison_report([
             ConditionPair("intact_vs_cut_leg", ANGLE_MESH, ANGLE_INTACT3,
                           0.4418),
@@ -161,8 +264,9 @@ class TestComparisonReport:
         ])
         assert rows[0]["df"] == 6
         assert rows[1]["df"] == 48
-        assert all(r["flag"] == "more-than-2pct-from-recomputed-p"
-                   for r in rows)
+        assert [(round(r["p_span_lo"], 4), round(r["p_span_hi"], 4))
+                for r in rows] == [(0.4585, 0.4865), (0.4006, 0.4063)]
+        assert all(r["flag"] == "outside-rounding-span" for r in rows)
 
     def test_empty_difference_pair(self):
         g = GroupStats(3.0, 1.0, 5)

@@ -14,7 +14,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -228,7 +227,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         try:
             ctx.note_input(args.retarget)
             traj = leg_mod.load_trajectory(args.retarget)
-        except (OSError, ValueError, csv.Error) as err:
+        except (OSError, ValueError) as err:
             raise DomainError(f"--retarget: {err}") from None
         scale = args.scale if args.scale is not None \
             else ctx.cfg.retarget_params()["scale"]
@@ -352,7 +351,7 @@ def cmd_gait(args, ctx: RunContext) -> int:
         try:
             ctx.note_input(path)
             rec = gait_mod.load_recording(path, rate=ap["rate_fps"])
-        except (OSError, ValueError, csv.Error) as err:
+        except (OSError, ValueError) as err:
             raise DomainError(f"{path}: {err}") from None
         try:
             tm = gait_mod.trial_metrics(

@@ -418,12 +418,16 @@ def parse_config(text: str) -> Config:
 
 def load_config(path) -> Config:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{err.strerror}") from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ConfigError(f"config file {path} is not UTF-8 text: "
-                          f"{err}") from None
+        # the line of the first bad byte, numbered as parse_config numbers
+        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"config file {path} is not UTF-8 text "
+                          f"(byte 0x{data[err.start]:02x})", line) from None
     return parse_config(text)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import read_columns, row_at, write_table
+from .table import _reject_first, read_columns, write_table
 
 # the marker axis of TrialRecording.markers, which is also the order in
 # which save_recording writes the rows of a frame
@@ -269,13 +269,6 @@ def load_recording(path, rate: float = DEFAULT_RATE_FPS) -> TrialRecording:
     markers = np.full((frame.max(initial=-1) + 1, len(LABELS), 3), np.nan)
     markers[frame, column] = values[:, 1:]
     return TrialRecording(markers, rate, t0)
-
-
-def _reject_first(path, bad, why) -> None:
-    """Raise ValueError naming the file row of the first ``bad`` row."""
-    if bad.any():
-        line, row = row_at(path, int(np.argmax(bad)))
-        raise ValueError(f"row {line}: {why}: {','.join(row)}")
 
 
 def save_recording(path, recording: TrialRecording) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .table import read_columns, write_table
+from .table import _reject_first, read_columns, write_table
 
 JOINT_NAMES = ("coxa", "trochanter", "femur", "tibia")
 
@@ -908,8 +908,14 @@ TRAJECTORY_HEADER = ("t_ms", "x_mm", "y_mm", "z_mm")
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory CSV with header t_ms,x_mm,y_mm,z_mm."""
+    """Read a trajectory CSV with header t_ms,x_mm,y_mm,z_mm.
+
+    Raises ValueError naming the file row for a bad cell and for a
+    ``t_ms`` that does not exceed the one before it.
+    """
     data, = read_columns(path, TRAJECTORY_HEADER, range(4))
+    _reject_first(path, np.diff(data[:, 0], prepend=-np.inf) <= 0,
+                  "timestamps must be strictly increasing")
     return Trajectory(data[:, 0], data[:, 1:])
 
 

@@ -49,6 +49,10 @@ class GroupStats:
             raise ValueError("half_step must be >= 0")
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        # plain floats: numpy scalars would warn where Python floats
+        # overflow silently to the same value (t * t in t_sf)
+        for name in ("mean", "sd", "half_step"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def t_sf(t: float, df: float) -> float:
     """Student-t survival function P(T > t)."""
+    t, df = float(t), float(df)
     if df <= 0:
         raise ValueError("df must be positive")
     if t == 0.0:

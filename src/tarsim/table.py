@@ -15,8 +15,12 @@ formats itself, has its float cells made Python floats first.  The text
 is formatted with ``\\n`` line ends, and a table holding a ``\\r`` again
 with ``\\r\\n`` ones, which quote it.
 
-``read_table`` and ``float_columns`` define the format and are its only
-error reporter.  ``read_columns`` takes a faster path for a plain file:
+``read_table`` and ``float_columns`` define the format and, with
+``_reject_first`` for the loaders' own row checks, are the one reporter of
+a bad input file: every error is a ValueError naming the file line as
+``row N``, a cell past the ``csv`` field size limit and a byte that is
+not UTF-8 included, and ``csv.Error`` never leaves this module.
+``read_columns`` takes a faster path for a plain file:
 printable ASCII but ``"``, ``\\n`` or ``\\r\\n`` line ends, the expected
 header and no line past the ``csv`` field size limit.  There no cell is
 quoted and ``\\n`` is the only line break, so splitting on ``,`` is what
@@ -82,13 +86,20 @@ def read_table(path, header=None):
 
     With ``header`` given, a file with another header is rejected.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, [])
-        if header is not None and first != list(header):
-            raise ValueError(f"row 1: bad header {','.join(first)!r}, "
-                             f"expected {','.join(header)!r}")
-        rows = [row for row in reader if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                first = next(reader, [])
+                if header is not None and first != list(header):
+                    raise ValueError(f"row 1: bad header {','.join(first)!r}, "
+                                     f"expected {','.join(header)!r}")
+                rows = [row for row in reader if row]
+            except csv.Error as err:  # a cell past the field size limit
+                raise ValueError(f"row {reader.line_num}: {err}") from None
+    except UnicodeDecodeError:
+        _reject_not_utf8(path)
+        raise
     for i, row in enumerate(rows):
         if len(row) != len(first):
             raise ValueError(f"row {row_at(path, i)[0]}: expected "
@@ -103,6 +114,28 @@ def row_at(path, index: int) -> tuple[int, list[str]]:
         next(reader, None)
         rows = ((reader.line_num, row) for row in reader if row)
         return next(itertools.islice(rows, index, None))
+
+
+def _reject_not_utf8(path) -> None:
+    """Raise ValueError naming the line of the first byte of ``path`` that
+    is not UTF-8, lines counted as the ``csv`` reader counts them: each
+    ``\\n``, ``\\r\\n`` and lone ``\\r`` ends one."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        head = data[:err.start].decode("utf-8")
+        line = len(io.StringIO(head + "x", newline="").readlines())
+        raise ValueError(f"row {line}: not UTF-8 text "
+                         f"(byte 0x{data[err.start]:02x})") from None
+
+
+def _reject_first(path, bad, why) -> None:
+    """Raise ValueError naming the file row of the first ``bad`` row."""
+    if bad.any():
+        line, row = row_at(path, int(np.argmax(bad)))
+        raise ValueError(f"row {line}: {why}: {','.join(row)}")
 
 
 def float_columns(path, rows, columns) -> np.ndarray:

@@ -388,9 +388,21 @@ class TestLegCommand:
         rc, out = run(["leg", "--retarget", str(src)], tmp_path)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: --retarget: field larger than field "
-                              "limit")
+        assert err.startswith("error: --retarget: row 2: field larger than "
+                              "field limit")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_retarget_going_back_in_time_names_its_row(self, tmp_path,
+                                                       capsys):
+        src = tmp_path / "back.csv"
+        src.write_text("t_ms,x_mm,y_mm,z_mm\n0.0,1.0,2.0,3.0\n"
+                       "10.0,1.0,2.0,3.0\n5.0,1.0,2.0,3.0\n")
+        rc, out = run(["leg", "--retarget", str(src)], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --retarget: row 4: timestamps must be strictly "
+            "increasing: 5.0,1.0,2.0,3.0\n")
         assert not out.exists()
 
 
@@ -815,8 +827,25 @@ class TestGaitCommand:
         rc, out = run(["gait", "--input", str(p)], tmp_path)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {p}: field larger than field limit")
+        assert err.startswith(f"error: {p}: row 2: field larger than field "
+                              "limit")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, line, message", [
+        ("huge.csv", b"10.0," + b"R" * 140000 + b",1.0,2.0,3.0\n",
+         f"field larger than field limit ({csv.field_size_limit()})"),
+        ("bad_utf8.csv", b"10.0,R\xff,1.0,2.0,3.0\n",
+         "not UTF-8 text (byte 0xff)"),
+    ], ids=["field limit", "0xff"])
+    def test_bad_third_line_names_its_row(self, tmp_path, capsys, name, line,
+                                          message):
+        p = tmp_path / name
+        p.write_bytes(b"t_ms,label,x_mm,y_mm,z_mm\n0.0,B1,1.0,2.0,3.0\n"
+                      + line)
+        rc, out = run(["gait", "--input", str(p)], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {p}: row 3: {message}\n"
         assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from tarsim.config import Config, ConfigError, parse_config
+from tarsim.config import Config, ConfigError, load_config, parse_config
 from tarsim.contact import (ForceLimits, MeshGrid, builtin_scenario,
                             run_demo_cycle)
 from tarsim.leg import default_leg_model
@@ -73,6 +73,21 @@ class TestParsing:
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("[chain]\nwhat is this\n")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0b", "\x1c",
+                                     "\x85", "\u2028"])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, end):
+        # the line parse_config names for a bad line in the same place
+        head = end.join(["# one", "", "[chain]", "what "]).encode("utf-8")
+        path = tmp_path / "bad.conf"
+        path.write_bytes(head + b"\xe9 is this\n")
+        with pytest.raises(ConfigError) as parsed:
+            parse_config((head + b"? is this\n").decode("utf-8"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert parsed.value.line == err.value.line == 4
+        assert str(err.value) == \
+            f"line 4: config file {path} is not UTF-8 text (byte 0xe9)"
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

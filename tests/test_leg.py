@@ -933,6 +933,8 @@ class TestTrajectoryCsv:
         ("10.0,1,2,z", "row 3: not a finite number"),
         ("10.0,1,inf,3", "row 3: not a finite number"),
         ("nan,1,2,3", "row 3: not a finite number"),
+        ("0.0,1,2,3", "row 3: timestamps must be strictly increasing: "
+                      "0.0,1,2,3"),
     ])
     def test_rejects_bad_rows_by_row(self, tmp_path, row, match):
         path = tmp_path / "bad.csv"

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tarsim import contact, gait, leg, table
 from tarsim.table import read_columns
@@ -29,11 +29,14 @@ FLOATS = (0, 2, 3, 4)
 def old_read_table(path, header=None):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        first = next(reader, [])
-        if header is not None and first != list(header):
-            raise ValueError(f"row 1: bad header {','.join(first)!r}, "
-                             f"expected {','.join(header)!r}")
-        rows = [row for row in reader if row]
+        try:
+            first = next(reader, [])
+            if header is not None and first != list(header):
+                raise ValueError(f"row 1: bad header {','.join(first)!r}, "
+                                 f"expected {','.join(header)!r}")
+            rows = [row for row in reader if row]
+        except csv.Error as err:
+            raise ValueError(f"row {reader.line_num}: {err}") from None
     for i, row in enumerate(rows):
         if len(row) != len(first):
             raise ValueError(f"row {old_line_of(path, i)}: expected "
@@ -110,6 +113,11 @@ def old_load_recording(path, rate=gait.DEFAULT_RATE_FPS):
 def old_load_trajectory(path):
     _, rows = old_read_table(path, leg.TRAJECTORY_HEADER)
     data = old_float_columns(path, rows, range(4))
+    back = np.diff(data[:, 0], prepend=-np.inf) <= 0
+    if back.any():
+        i = int(np.argmax(back))
+        raise ValueError(f"row {old_line_of(path, i)}: timestamps must be "
+                         f"strictly increasing: {','.join(rows[i])}")
     return leg.Trajectory(data[:, 0], data[:, 1:])
 
 
@@ -305,10 +313,10 @@ def test_repeated_row_before_time_going_back_reports_the_time(tmp_path):
         outcome(old_load_recording, path)
 
 
-def test_line_past_the_csv_field_limit_is_the_csv_error(tmp_path):
+def test_line_past_the_csv_field_limit_names_its_row(tmp_path):
     path = write(tmp_path / "t.csv", ",".join(RECORDING) + "\n0.0,"
                  + "B" * csv.field_size_limit() + "1,1.0,2.0,3.0\n")
-    with pytest.raises(csv.Error):
+    with pytest.raises(ValueError, match="^row 2: field larger"):
         read_columns(path, RECORDING, FLOATS)
 
 
@@ -389,6 +397,70 @@ def test_mutated_tables_load_as_before(tmp_path_factory, case):
     if name == "recording":
         assert outcome(read_columns, path, header, floats,
                        {1: gait.LABELS}) == outcome(old_label_codes, path)
+
+
+# -- one bad row: its loader names its file line -----------------------------
+
+@st.composite
+def table_with_one_bad_row(draw):
+    """(loader name, file bytes, file line of the one bad row).
+
+    A good table with blank lines and LF or CRLF line ends, one data row
+    broken in one way; on the csv path the last line ends in a lone CR.
+    """
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    header, floats, _, _, words = LOADERS[name]
+    rows = [[repr(10.0 * i) if j == 0 else repr(draw(NUMBER)) if j in floats
+             else draw(st.sampled_from(words)) for j in range(len(header))]
+            for i in range(draw(st.integers(1, 5)))]
+    k = draw(st.integers(0, len(rows) - 1))
+    ways = ["word", "missing cell", "0xff"]
+    if name != "demo" and k > 0:
+        ways.append("earlier")
+    way = draw(st.sampled_from(ways))
+    if way == "word":
+        rows[k][draw(st.sampled_from(list(floats)))] = "abc"
+    elif way == "missing cell":
+        del rows[k][draw(st.integers(0, len(header) - 1))]
+    elif way == "earlier":
+        rows[k][0] = repr(10.0 * (k - 2))
+    blanks = st.lists(st.just(""), max_size=2)
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines += draw(blanks)
+        if i == k:
+            bad = len(lines)
+        lines.append(",".join(row))
+    lines += draw(blanks)
+    data = [line.encode() + draw(st.sampled_from([b"\n", b"\r\n"]))
+            for line in lines]
+    if way == "0xff":
+        at = draw(st.integers(0, len(lines[bad])))
+        data[bad] = data[bad][:at] + b"\xff" + data[bad][at:]
+    if draw(st.sampled_from(["plain", "csv"])) == "csv":
+        data[-1] = data[-1].rstrip(b"\r\n") + b"\r"
+    return name, b"".join(data), bad + 1
+
+
+def past_the_field_limit(name, row):
+    """A table whose one data row holds a cell past the csv field limit."""
+    return name, ",".join(LOADERS[name][0]).encode() + b"\n" + row, 2
+
+
+BIG = b"1" * (csv.field_size_limit() + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_with_one_bad_row())
+@example(past_the_field_limit("recording", b"0.0,B" + BIG + b",1,2,3\n"))
+@example(past_the_field_limit("trajectory", b"0.0," + BIG + b",2,3\n"))
+@example(past_the_field_limit("demo", b"0,1,2,rigid,free," + BIG + b",1,2\n"))
+def test_one_bad_row_names_its_row(tmp_path_factory, case):
+    name, data, line = case
+    path = tmp_path_factory.mktemp("bad") / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=f"^row {line}: "):
+        LOADERS[name][2](path)
 
 
 def bench_shaped_recording(rng, frames):

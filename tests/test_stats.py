@@ -7,6 +7,7 @@ quadrature of the beta integrand as a second cross-check route.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,37 @@ class TestComparisonReport:
         for col in ("mean_a", "df", "p_one_tail"):
             pos = lines[0].index(col)
             assert lines[1][pos] != " "
+
+
+def as_numpy(g):
+    return GroupStats(np.float64(g.mean), np.float64(g.sd), g.n,
+                      np.float64(g.half_step))
+
+
+class TestNumpyScalars:
+    def test_overflowing_t_gives_zero_p_without_a_warning(self):
+        # t * t overflows in t_sf; a numpy scalar would warn there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = two_sample_ttest(GroupStats(np.float64(1.0), 1e-160, 5),
+                                 GroupStats(0.0, 1e-160, 5))
+            assert r.p_one_tail == 0.0
+            assert t_sf(np.float64(1e200), 8) == 0.0
+
+    def test_report_matches_python_floats_bit_for_bit(self):
+        def canon(rows):
+            return [[(k, type(v).__name__,
+                      v.hex() if isinstance(v, float) else v)
+                     for k, v in row.items()] for row in rows]
+
+        pairs = [("angle", ANGLE_MESH, ANGLE_PLATE, 9.04e-06),
+                 ("cycle", CYCLE_MESH, CYCLE_PLATE, 0.1631),
+                 ("membrane", ANGLE_INTACT3, ANGLE_CUT3, 2.42e-05),
+                 ("tube_removed", CYCLE_INTACT25, CYCLE_RELEASED25, 0.4664)]
+        plain = comparison_report(
+            [ConditionPair(label, a, b, p) for label, a, b, p in pairs])
+        numpy = comparison_report(
+            [ConditionPair(label, as_numpy(a), as_numpy(b), p)
+             for label, a, b, p in pairs])
+        assert canon(numpy) == canon(plain)
+        assert format_report_text(numpy) == format_report_text(plain)

@@ -1,6 +1,7 @@
 """The shared CSV table format: round trips, quoting and reader errors."""
 
 import csv
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,6 +117,21 @@ def test_row_at_counts_blank_lines_and_quoted_newlines(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text('a,b\n\n"x\ny",1\n\n2,3\n')
     assert [row_at(path, i)[0] for i in range(2)] == [4, 6]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b"\xff", "not UTF-8 text (byte 0xff)"),
+    (b"\xe9x", "not UTF-8 text (byte 0xe9)"),
+    (b"1" * (csv.field_size_limit() + 1),
+     f"field larger than field limit ({csv.field_size_limit()})"),
+], ids=["0xff", "0xe9", "field limit"])
+def test_bad_cell_names_its_line_as_the_reader_counts(tmp_path, bad,
+                                                      message):
+    # CRLF, a lone CR, a quoted LF and a blank line each end one line
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'a,b\r\n1,2\r"x\ny",3\n\n4,' + bad + b"\n")
+    with pytest.raises(ValueError, match=rf"^row 6: {re.escape(message)}$"):
+        read_table(path)
 
 
 def test_float_columns(tmp_path):

@@ -1,12 +1,14 @@
 """tarsim: tendon-driven insect-style tarsus simulation and gait analysis.
 
-Subpackages by concern:
+Modules by concern:
 
 * ``chain``   string-pull kinematics of the five-tarsomere chain
 * ``leg``     DH forward/inverse kinematics of the four-joint leg
 * ``contact`` quasi-static leg-on-mesh attachment simulation
 * ``gait``    motion-capture marker metrics and step-cycle segmentation
 * ``stats``   pooled two-sample t-tests from group summaries
+* ``table``   the one CSV format of every table read or written
+* ``svgplot`` dependency-free SVG line charts of curve outputs
 * ``config``  sectioned key-value configuration
 * ``cli``     the ``tarsim`` command-line front end
 """

@@ -3,9 +3,10 @@
 The format is deliberately small: ``[section]`` headers, ``key = value``
 lines, blank lines, and full-line comments starting with ``#`` or ``;``.
 Keys carry their units (``k_spring_n_per_mm``) because unit slips are the
-dominant failure mode in a mixed mm/N/deg codebase.  Unknown sections or
-keys are rejected with the offending line number and the list of valid
-names; anything omitted falls back to the built-in defaults.
+dominant failure mode in a mixed mm/N/deg codebase.  ``KEYS`` is the one
+table of the keys each section takes, with each key's default and rule.
+Unknown sections or keys are rejected with the offending line number and
+the list of valid names; anything omitted falls back to its default.
 
 Angles are degrees in files (and everywhere else at the I/O boundary),
 radians inside.
@@ -32,36 +33,6 @@ class ConfigError(ValueError):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
-
-
-TARSOMERE_SECTIONS = tuple(f"tarsomere_{i}" for i in range(1, 6))
-LEG_SECTIONS = tuple(f"leg_{name}" for name in leg_mod.JOINT_NAMES)
-
-VALID_KEYS = {
-    "chain": {"k_spring_n_per_mm", "k_flex_n_per_mm", "k_rigid_n_per_mm",
-              "socket_slack"},
-    "claw": {"length_mm"},
-    "ik": {"tol_mm"},
-    "solver": {"tol_mm", "max_iter"},
-    "mesh": {"spacing_mm", "node_stiffness_n_per_mm", "rest_height_mm",
-             "cells_x", "cells_y", "origin_x_mm", "origin_y_mm"},
-    "limits": {"vertical_max_n", "hooking_max_n"},
-    "analytics": {"rate_fps", "hysteresis_frac", "min_separation_ms",
-                  "interpolate_gaps"},
-    "retarget": {"scale"},
-    "sim": {"dt_ms", "penetration_mm"},
-}
-for _s in TARSOMERE_SECTIONS:
-    VALID_KEYS[_s] = {"radius_mm", "anchor_long_mm", "anchor_trans_mm",
-                      "rest_span_mm", "max_bend_deg", "axial_cap_mm",
-                      "slack_mm", "length_mm"}
-for _s in LEG_SECTIONS:
-    VALID_KEYS[_s] = {"a_mm", "theta_offset_deg", "min_deg", "max_deg"}
-
-SCENARIO_PREFIX = "scenario:"
-SCENARIO_KEYS = {"allow_flexible", "expect_failures", "home"}  # + phase_N
-# a scenario name prefixes the names of the files sim writes
-SCENARIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 class _Kind(NamedTuple):
@@ -127,6 +98,70 @@ _BOOLEAN = _Kind(_boolean)
 _HOME = _Kind(_home)
 _PHASE = _Kind(_phase)
 
+TARSOMERE_SECTIONS = tuple(f"tarsomere_{i}" for i in range(1, 6))
+LEG_SECTIONS = tuple(f"leg_{name}" for name in leg_mod.JOINT_NAMES)
+SCENARIO_PREFIX = "scenario:"
+# a scenario name prefixes the names of the files sim writes
+SCENARIO_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+_PHASE_KEY = re.compile(r"phase_(?:0|[1-9][0-9]*)")
+
+_MESH, _LIMITS = contact_mod.MeshGrid(), contact_mod.ForceLimits()
+_TARSOMERE = {
+    "radius_mm": (5.0, _FINITE), "anchor_long_mm": (6.0, _FINITE),
+    "anchor_trans_mm": (1.0, _FINITE), "max_bend_deg": (10.0, _FINITE),
+    "rest_span_mm": (None, _FINITE),  # None: derived from the anchors
+    "axial_cap_mm": (0.0, _FINITE), "length_mm": (12.0, _FINITE),
+    "slack_mm": (0.0, _FINITE)}
+_LEG = {"a_mm": (0.0, _FINITE), "theta_offset_deg": (0.0, _FINITE),
+        "min_deg": (-leg_mod.JOINT_LIMIT_DEG, _FINITE),
+        "max_deg": (leg_mod.JOINT_LIMIT_DEG, _FINITE)}
+# Every key a file may set, by section: (default when omitted, kind), in
+# the order the builders read them.  Numeric defaults come from the layer
+# modules that own them; the tarsomere and leg fallbacks above are config's.
+KEYS = {
+    "chain": {"socket_slack": (False, _BOOLEAN),
+              # None: the calibrated slope
+              **dict.fromkeys(("k_spring_n_per_mm", "k_flex_n_per_mm",
+                               "k_rigid_n_per_mm"), (None, _FINITE))},
+    "claw": {"length_mm": (contact_mod.DEFAULT_CLAW_LENGTH_MM, _POSITIVE)},
+    "ik": {"tol_mm": (leg_mod.IK_TOL_MM, _POSITIVE)},
+    "solver": {"tol_mm": (chain_mod.SOLVE_TOL_MM, _POSITIVE),
+               "max_iter": (chain_mod.SOLVE_MAX_ITER, _COUNT)},
+    "mesh": {"spacing_mm": (_MESH.spacing, _FINITE),
+             "node_stiffness_n_per_mm": (_MESH.node_stiffness, _FINITE),
+             "rest_height_mm": (_MESH.rest_height, _FINITE),
+             "cells_x": (_MESH.cells[0], _INTEGER),
+             "cells_y": (_MESH.cells[1], _INTEGER),
+             "origin_x_mm": (_MESH.origin[0], _FINITE),
+             "origin_y_mm": (_MESH.origin[1], _FINITE)},
+    "limits": {"vertical_max_n": (_LIMITS.vertical_max, _POSITIVE),
+               "hooking_max_n": (_LIMITS.hooking_max, _POSITIVE)},
+    "analytics": {"rate_fps": (gait_mod.DEFAULT_RATE_FPS, _POSITIVE),
+                  "hysteresis_frac": (gait_mod.HYSTERESIS_FRAC, _FRACTION),
+                  "min_separation_ms": (gait_mod.MIN_SEPARATION_MS,
+                                        _NONNEGATIVE),
+                  "interpolate_gaps": (False, _BOOLEAN)},
+    "retarget": {"scale": (leg_mod.RETARGET_SCALE, _POSITIVE)},
+    "sim": {"dt_ms": (contact_mod.DEFAULT_DT_MS, _POSITIVE),
+            "penetration_mm": (contact_mod.DEFAULT_PENETRATION_MM,
+                               _POSITIVE)},
+    **dict.fromkeys(TARSOMERE_SECTIONS, _TARSOMERE),
+    **dict.fromkeys(LEG_SECTIONS, _LEG),
+}
+# a [scenario:<name>] section's keys; phase_<n> (n written without leading
+# zeros) is a phase, with no default
+SCENARIO_KEYS = {"home": (None, _HOME), "allow_flexible": (True, _BOOLEAN),
+                 "expect_failures": (False, _BOOLEAN)}
+
+
+def _key(section: str, key: str) -> tuple | None:
+    """``(default, kind)`` of ``[section] key``; None for a key the section
+    does not take."""
+    if section.startswith(SCENARIO_PREFIX):
+        return (None, _PHASE) if _PHASE_KEY.fullmatch(key) \
+            else SCENARIO_KEYS.get(key)
+    return KEYS[section].get(key)
+
 
 class Config:
     """Parsed configuration: raw section/key table plus typed accessors."""
@@ -138,10 +173,11 @@ class Config:
     def default(cls) -> "Config":
         return cls({})
 
-    def value(self, section: str, key: str, default, kind: _Kind = _FINITE):
-        """``[section] key`` read as ``kind``; ``default`` when the key is
-        absent.  A value that does not parse or keep the kind's rule is a
-        ConfigError naming the key and its line."""
+    def value(self, section: str, key: str):
+        """``[section] key`` read as its kind in ``KEYS``; its default there
+        when the key is absent.  A value that does not parse or keep the
+        kind's rule is a ConfigError naming the key and its line."""
+        default, kind = _key(section, key)
         raw, line = self.data.get(section, {}).get(key, (None, None))
         if raw is None:
             return default
@@ -153,6 +189,10 @@ class Config:
             raise ConfigError(f"{section}.{key} must be {kind.rule}, got "
                               f"{value}", line)
         return value
+
+    def _params(self, section: str) -> dict:
+        """Every key of ``section`` by name, read as ``value`` reads it."""
+        return {key: self.value(section, key) for key in KEYS[section]}
 
     def _full_set(self, sections: tuple, what: str) -> bool:
         """Whether ``sections`` are given: all of them, or none."""
@@ -170,25 +210,23 @@ class Config:
         if self._full_set(TARSOMERE_SECTIONS, "tarsomere"):
             segments, lengths, slack = [], [], []
             for s in TARSOMERE_SECTIONS:
+                p = self._params(s)
                 segments.append(_build(
-                    s, chain_mod.SegmentGeometry,
-                    radius=self.value(s, "radius_mm", 5.0),
-                    anchor_long=self.value(s, "anchor_long_mm", 6.0),
-                    anchor_trans=self.value(s, "anchor_trans_mm", 1.0),
-                    max_bend=math.radians(self.value(s, "max_bend_deg", 10.0)),
-                    rest_span=self.value(s, "rest_span_mm", None),
-                    axial_cap=self.value(s, "axial_cap_mm", 0.0),
-                ))
-                lengths.append(self.value(s, "length_mm", 12.0))
-                slack.append(self.value(s, "slack_mm", 0.0))
+                    s, chain_mod.SegmentGeometry, radius=p["radius_mm"],
+                    anchor_long=p["anchor_long_mm"],
+                    anchor_trans=p["anchor_trans_mm"],
+                    max_bend=math.radians(p["max_bend_deg"]),
+                    rest_span=p["rest_span_mm"], axial_cap=p["axial_cap_mm"]))
+                lengths.append(p["length_mm"])
+                slack.append(p["slack_mm"])
             base = _build(
                 "tarsomere_1..5", chain_mod.ChainGeometry,
                 segments=tuple(segments), segment_lengths=tuple(lengths),
                 socket_slack=tuple(slack))
         else:
-            base = chain_mod.default_chain_geometry(socket_slack=self.value(
-                "chain", "socket_slack", False, _BOOLEAN))
-        slopes = {name: self.value("chain", f"{name}_n_per_mm", None)
+            base = chain_mod.default_chain_geometry(
+                socket_slack=self.value("chain", "socket_slack"))
+        slopes = {name: self.value("chain", f"{name}_n_per_mm")
                   for name in ("k_spring", "k_flex", "k_rigid")}
         slopes = {name: v for name, v in slopes.items() if v is not None}
         # the chain is built a second time only for a slope the config sets
@@ -199,14 +237,11 @@ class Config:
             return leg_mod.default_leg_model()
         rows, limits = [], []
         for s in LEG_SECTIONS:
+            p = self._params(s)
             rows.append(_build(
-                s, leg_mod.DHRow,
-                a=self.value(s, "a_mm", 0.0),
-                theta_offset=math.radians(
-                    self.value(s, "theta_offset_deg", 0.0)),
-            ))
-            lo = self.value(s, "min_deg", -leg_mod.JOINT_LIMIT_DEG)
-            hi = self.value(s, "max_deg", leg_mod.JOINT_LIMIT_DEG)
+                s, leg_mod.DHRow, a=p["a_mm"],
+                theta_offset=math.radians(p["theta_offset_deg"])))
+            lo, hi = p["min_deg"], p["max_deg"]
             if not lo < hi:
                 raise ConfigError(f"[{s}] min_deg must be < max_deg, got "
                                   f"{lo} and {hi}")
@@ -215,57 +250,33 @@ class Config:
                       tuple(limits))
 
     def build_mesh(self) -> contact_mod.MeshGrid:
-        base = contact_mod.MeshGrid()
+        p = self._params("mesh")
         return _build(
-            "mesh", contact_mod.MeshGrid,
-            spacing=self.value("mesh", "spacing_mm", base.spacing),
-            node_stiffness=self.value("mesh", "node_stiffness_n_per_mm",
-                                      base.node_stiffness),
-            rest_height=self.value("mesh", "rest_height_mm",
-                                   base.rest_height),
-            cells=(self.value("mesh", "cells_x", base.cells[0], _INTEGER),
-                   self.value("mesh", "cells_y", base.cells[1], _INTEGER)),
-            origin=(self.value("mesh", "origin_x_mm", base.origin[0]),
-                    self.value("mesh", "origin_y_mm", base.origin[1])),
-        )
+            "mesh", contact_mod.MeshGrid, spacing=p["spacing_mm"],
+            node_stiffness=p["node_stiffness_n_per_mm"],
+            rest_height=p["rest_height_mm"],
+            cells=(p["cells_x"], p["cells_y"]),
+            origin=(p["origin_x_mm"], p["origin_y_mm"]))
 
     def build_limits(self) -> contact_mod.ForceLimits:
         """``[limits]``, the one source of the vertical force cap: each
         limit finite and > 0."""
-        base = contact_mod.ForceLimits()
-        return contact_mod.ForceLimits(
-            vertical_max=self.value("limits", "vertical_max_n",
-                                    base.vertical_max, _POSITIVE),
-            hooking_max=self.value("limits", "hooking_max_n",
-                                   base.hooking_max, _POSITIVE),
-        )
+        p = self._params("limits")
+        return contact_mod.ForceLimits(vertical_max=p["vertical_max_n"],
+                                       hooking_max=p["hooking_max_n"])
 
     def claw_params(self) -> dict:
         """``[claw] length_mm``, finite and > 0."""
-        return {"length_mm": self.value(
-            "claw", "length_mm", contact_mod.DEFAULT_CLAW_LENGTH_MM,
-            _POSITIVE)}
+        return self._params("claw")
 
     def retarget_params(self) -> dict:
         """``[retarget] scale``, finite and > 0."""
-        return {"scale": self.value("retarget", "scale",
-                                    leg_mod.RETARGET_SCALE, _POSITIVE)}
+        return self._params("retarget")
 
     def analytics_params(self) -> dict:
         """``[analytics]``: rate_fps finite and > 0, hysteresis_frac
         finite, >= 0 and < 1, min_separation_ms finite and >= 0."""
-        return {
-            "rate_fps": self.value("analytics", "rate_fps",
-                                   gait_mod.DEFAULT_RATE_FPS, _POSITIVE),
-            "hysteresis_frac": self.value("analytics", "hysteresis_frac",
-                                          gait_mod.HYSTERESIS_FRAC,
-                                          _FRACTION),
-            "min_separation_ms": self.value("analytics", "min_separation_ms",
-                                            gait_mod.MIN_SEPARATION_MS,
-                                            _NONNEGATIVE),
-            "interpolate_gaps": self.value("analytics", "interpolate_gaps",
-                                           False, _BOOLEAN),
-        }
+        return self._params("analytics")
 
     def build_scenario(self, name: str, chain: chain_mod.ChainGeometry,
                        mesh: contact_mod.MeshGrid) -> contact_mod.Scenario:
@@ -276,7 +287,7 @@ class Config:
         """
         section = SCENARIO_PREFIX + name
         custom = section in self.data
-        home = self.value(section, "home", None, _HOME)
+        home = self.value(section, "home")
         if home is None:
             base = _build(
                 section, contact_mod.builtin_scenario,
@@ -298,34 +309,25 @@ class Config:
         # zero phases is legal: the run emits a header-only series
         return contact_mod.Scenario(
             name=name, home_tip=home,
-            phases=tuple(self.value(section, f"phase_{i}", None, _PHASE)
+            phases=tuple(self.value(section, f"phase_{i}")
                          for i in range(1, count + 1)),
-            allow_flexible=self.value(section, "allow_flexible", True,
-                                      _BOOLEAN),
-            expect_failures=self.value(section, "expect_failures", False,
-                                       _BOOLEAN),
-        )
+            allow_flexible=self.value(section, "allow_flexible"),
+            expect_failures=self.value(section, "expect_failures"))
 
     def ik_params(self) -> dict:
         """``[ik] tol_mm``, finite and > 0; keyword arguments of the IK."""
-        return {"tol_mm": self.value("ik", "tol_mm", leg_mod.IK_TOL_MM,
-                                     _POSITIVE)}
+        return self._params("ik")
 
     def solver_params(self) -> dict:
         """``[solver]`` chain-solve settings: tol_mm finite and > 0,
         max_iter >= 1; keyword arguments of the chain's inverse pull map."""
-        return {"tol": self.value("solver", "tol_mm", chain_mod.SOLVE_TOL_MM,
-                                  _POSITIVE),
-                "max_iter": self.value("solver", "max_iter",
-                                       chain_mod.SOLVE_MAX_ITER, _COUNT)}
+        p = self._params("solver")
+        return {"tol": p["tol_mm"], "max_iter": p["max_iter"]}
 
     def sim_params(self) -> dict:
         """``[sim]`` run settings: dt_ms and penetration_mm, each finite
         and > 0."""
-        return {key: self.value("sim", key, default, _POSITIVE)
-                for key, default in
-                (("dt_ms", contact_mod.DEFAULT_DT_MS),
-                 ("penetration_mm", contact_mod.DEFAULT_PENETRATION_MM))}
+        return self._params("sim")
 
     def hash(self) -> str:
         """Stable digest of the effective configuration."""
@@ -354,21 +356,6 @@ def _finite_numbers(words) -> tuple | None:
     return numbers if all(map(math.isfinite, numbers)) else None
 
 
-def _valid_section(section: str) -> bool:
-    return section in VALID_KEYS or section.startswith(SCENARIO_PREFIX)
-
-
-def _valid_key(section: str, key: str) -> bool:
-    if section.startswith(SCENARIO_PREFIX):
-        if key in SCENARIO_KEYS:
-            return True
-        if key.startswith("phase_"):
-            tail = key[len("phase_"):]
-            return tail.isdigit() and tail == str(int(tail))
-        return False
-    return key in VALID_KEYS[section]
-
-
 def parse_config(text: str) -> Config:
     """Parse configuration text; raise ConfigError with line numbers."""
     data: dict = {}
@@ -379,10 +366,11 @@ def parse_config(text: str) -> Config:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if not _valid_section(section):
+            if section not in KEYS \
+                    and not section.startswith(SCENARIO_PREFIX):
                 raise ConfigError(
                     f"unknown section [{section}]; valid sections: "
-                    f"{', '.join(sorted(VALID_KEYS))}, scenario:<name>",
+                    f"{', '.join(sorted(KEYS))}, scenario:<name>",
                     line_no)
             name = section[len(SCENARIO_PREFIX):]
             if section.startswith(SCENARIO_PREFIX) and (
@@ -402,11 +390,10 @@ def parse_config(text: str) -> Config:
             raise ConfigError("[chain] vertical_cap_n was removed; the "
                               "vertical force cap is set by [limits] "
                               "vertical_max_n", line_no)
-        if not _valid_key(section, key):
-            if section.startswith(SCENARIO_PREFIX):
-                valid = ", ".join(sorted(SCENARIO_KEYS) + ["phase_<n>"])
-            else:
-                valid = ", ".join(sorted(VALID_KEYS[section]))
+        if _key(section, key) is None:
+            valid = ", ".join(sorted(SCENARIO_KEYS) + ["phase_<n>"]
+                              if section.startswith(SCENARIO_PREFIX)
+                              else sorted(KEYS[section]))
             raise ConfigError(
                 f"unknown key {key!r} in [{section}]; valid keys: {valid}",
                 line_no)

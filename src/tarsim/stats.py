@@ -179,6 +179,8 @@ class ConditionPair:
         p = self.published_p_one_tail
         if p is not None and not 0.0 < p <= 1.0:
             raise ValueError(f"published p must lie in (0, 1], got {p!r}")
+        if p is not None:  # a plain float, as GroupStats stores its fields
+            object.__setattr__(self, "published_p_one_tail", float(p))
 
 
 REPORT_COLUMNS = (

@@ -2,10 +2,14 @@
 
 import inspect
 import math
+import re
 
 import pytest
 
-from tarsim.config import Config, ConfigError, load_config, parse_config
+from tarsim import config as config_mod
+from tarsim.config import (KEYS, LEG_SECTIONS, SCENARIO_KEYS,
+                           TARSOMERE_SECTIONS, Config, ConfigError,
+                           load_config, parse_config)
 from tarsim.contact import (ForceLimits, MeshGrid, builtin_scenario,
                             run_demo_cycle)
 from tarsim.leg import default_leg_model
@@ -45,7 +49,7 @@ class TestParsing:
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# hi\n\n; there\n[chain]\nk_spring_n_per_mm = 1\n")
-        assert cfg.value("chain", "k_spring_n_per_mm", 0.0) == 1.0
+        assert cfg.value("chain", "k_spring_n_per_mm") == 1.0
 
     def test_unknown_section_lists_valid(self):
         with pytest.raises(ConfigError, match="line 1") as err:
@@ -97,7 +101,7 @@ class TestParsing:
     def test_bad_number_reports_key(self):
         cfg = parse_config("[chain]\nk_spring_n_per_mm = soft\n")
         with pytest.raises(ConfigError, match="k_spring_n_per_mm"):
-            cfg.value("chain", "k_spring_n_per_mm", 1.0)
+            cfg.value("chain", "k_spring_n_per_mm")
 
     def test_bad_bool(self):
         cfg = parse_config("[chain]\nsocket_slack = maybe\n")
@@ -265,10 +269,61 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="phase_<n>"):
             parse_config("[scenario:x]\nspeed = 3\n")
 
+    @pytest.mark.parametrize("key", ["phase_01", "phase_\u00b2", "phase_<n>",
+                                     "phase_"],
+                             ids=["leading-zero", "superscript-2",
+                                  "placeholder", "no-number"])
+    def test_phase_key_needs_a_plain_number(self, key):
+        # n is ASCII digits without a leading zero; a digit int() refuses
+        # is an unknown key, not a crash
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[scenario:x]\n{key} = 3\n")
+        assert str(err.value) == (
+            f"line 2: unknown key {key!r} in [scenario:x]; valid keys: "
+            f"allow_flexible, expect_failures, home, phase_<n>")
+
     def test_unknown_builtin_scenario(self):
         cfg = Config.default()
         with pytest.raises(ValueError):
             cfg.build_scenario("nope", cfg.build_chain(), cfg.build_mesh())
+
+
+# the method that reads each section's keys
+READERS = {
+    "chain": Config.build_chain, "claw": Config.claw_params,
+    "ik": Config.ik_params, "solver": Config.solver_params,
+    "mesh": Config.build_mesh, "limits": Config.build_limits,
+    "analytics": Config.analytics_params,
+    "retarget": Config.retarget_params, "sim": Config.sim_params,
+    **dict.fromkeys(TARSOMERE_SECTIONS, Config.build_chain),
+    **dict.fromkeys(LEG_SECTIONS, Config.build_leg),
+    "scenario:x": lambda cfg: cfg.build_scenario(
+        "x", cfg.build_chain(), cfg.build_mesh()),
+}
+# a value each kind of key refuses
+REFUSED = {config_mod._number: "nan", config_mod._integer: "x",
+           config_mod._boolean: "maybe", config_mod._home: "1 2",
+           config_mod._phase: "a b"}
+SCENARIO_X = {**SCENARIO_KEYS, "phase_1": (None, config_mod._PHASE)}
+EVERY_KEY = [(section, key, kind) for section, keys in
+             [*KEYS.items(), ("scenario:x", SCENARIO_X)]
+             for key, (_, kind) in keys.items()]
+
+
+@pytest.mark.parametrize("section, key, kind", EVERY_KEY,
+                         ids=[f"{s}.{k}" for s, k, _ in EVERY_KEY])
+def test_no_key_is_accepted_but_never_read(section, key, kind):
+    # a key parse_config takes but no builder reads would be dropped
+    # without a word; a refused value shows that it is read
+    group = next((g for g in (TARSOMERE_SECTIONS, LEG_SECTIONS)
+                  if section in g), ())
+    text = "".join(f"[{s}]\n" for s in group if s != section) \
+        + f"[{section}]\n{key} = {REFUSED[kind.parse]}\n"
+    line = text.count("\n")
+    with pytest.raises(ConfigError) as err:
+        READERS[section](parse_config(text))
+    assert re.match(rf"line {line}: {re.escape(section)}\.{key}[: ]",
+                    str(err.value))
 
 
 class TestHash:

@@ -387,6 +387,9 @@ def mutated_table(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(mutated_table())
+# a trajectory going back in time, which the mutations almost never make
+@example(("trajectory", ",".join(leg.TRAJECTORY_HEADER)
+          + "\n0.0,1.0,2.0,3.0\n\n0.0,1.0,2.0,3.0\n"))
 def test_mutated_tables_load_as_before(tmp_path_factory, case):
     name, text = case
     header, floats, load, old_load, _ = LOADERS[name]

@@ -319,7 +319,7 @@ class TestNumpyScalars:
         plain = comparison_report(
             [ConditionPair(label, a, b, p) for label, a, b, p in pairs])
         numpy = comparison_report(
-            [ConditionPair(label, as_numpy(a), as_numpy(b), p)
+            [ConditionPair(label, as_numpy(a), as_numpy(b), np.float64(p))
              for label, a, b, p in pairs])
         assert canon(numpy) == canon(plain)
         assert format_report_text(numpy) == format_report_text(plain)

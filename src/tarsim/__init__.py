@@ -20,7 +20,7 @@ from .chain import (ChainGeometry, ChainSolveError, ChainState,
                     default_chain_geometry, full_bend_pull, rest_state,
                     restoring_force, segment_pull, solve_bend_from_pull,
                     stiffness_curve, total_bend_angle)
-from .contact import (Attachment, ForceLimits, MeshGrid, Phase, Scenario,
+from .contact import (ForceLimits, MeshGrid, Phase, Scenario,
                       builtin_scenario, hook_check, run_demo_cycle)
 from .gait import (NoCyclesFound, StepCycle, TrialRecording, angle_series,
                    claw_displacement, fill_gaps, load_recording,

@@ -194,18 +194,19 @@ def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
     l' = radius cos(alpha/2).  Where d2 is zero the slope is not finite.
     """
     alpha = np.asarray(alpha, dtype=float)
+    half = alpha / 2.0
     d1 = rest_span
-    l = 2.0 * radius * np.sin(alpha / 2.0)
-    beta = alpha / 2.0 - anchor_angle
+    l = 2.0 * radius * np.sin(half)
+    beta = half - anchor_angle
     cos_b = np.cos(beta)
     sq = d1 * d1 + l * l - 2.0 * d1 * l * cos_b
     # the discriminant is >= (d1 - l)^2 analytically; clip rounding dust
-    d2 = np.sqrt(np.clip(sq, 0.0, None))
+    d2 = np.sqrt(np.maximum(sq, 0.0))
     # exactness at rest: l == 0 collapses the triangle to the rest span
     d2 = np.where(l == 0.0, d1, d2)
     pull = np.where(alpha == 0.0, 0.0,
                     l * (2.0 * d1 * cos_b - l) / (d1 + d2))
-    dl = radius * np.cos(alpha / 2.0)
+    dl = radius * np.cos(half)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = (d1 * dl * cos_b - l * dl
                  - 0.5 * d1 * l * np.sin(beta)) / d2
@@ -215,7 +216,7 @@ def _pull_and_slope(radius, rest_span, anchor_angle, alpha):
 def segment_pull(geom: SegmentGeometry, alpha):
     """String length reeled in across one joint bent by ``alpha`` (mm)."""
     alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0) or np.any(alpha > geom.max_bend + 1e-12):
+    if (alpha < 0).any() or (alpha > geom.max_bend + 1e-12).any():
         raise ValueError("alpha outside [0, max_bend]")
     out = _pull_and_slope(geom.radius, geom.rest_span,
                           math.atan2(geom.anchor_trans, geom.anchor_long),

@@ -208,6 +208,12 @@ class Config:
     def build_chain(self) -> chain_mod.ChainGeometry:
         """Chain geometry: per-tarsomere sections if given, else calibrated."""
         if self._full_set(TARSOMERE_SECTIONS, "tarsomere"):
+            raw, line = self.data.get("chain", {}).get("socket_slack",
+                                                       (None, None))
+            if raw is not None:
+                raise ConfigError(
+                    "chain.socket_slack is not read beside [tarsomere_1].."
+                    "[tarsomere_5]; set each one's slack_mm instead", line)
             segments, lengths, slack = [], [], []
             for s in TARSOMERE_SECTIONS:
                 p = self._params(s)

@@ -115,47 +115,14 @@ class MeshGrid:
                 self.origin[1] + (j + 0.5) * self.spacing)
 
 
-@dataclass(frozen=True)
-class Attachment:
-    """Free, or hooked into one mesh cell (with the tip pose at engagement)."""
-
-    node: tuple[int, int] | None = None
-    tip_at_hook: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.node is None) != (self.tip_at_hook is None):
-            raise ValueError("hooked attachment needs both node and tip")
-        if self.tip_at_hook is not None:
-            object.__setattr__(self, "tip_at_hook",
-                              np.asarray(self.tip_at_hook, dtype=float).reshape(3))
-
-    @property
-    def hooked(self) -> bool:
-        return self.node is not None
-
-    @property
-    def free(self) -> bool:
-        return self.node is None
-
-    def __str__(self):
-        if self.free:
-            return "free"
-        return f"hooked:{self.node[0]}:{self.node[1]}"
-
-
-FREE = Attachment()
-
-
-def hook_check(tip, mode: str, mesh: MeshGrid) -> Attachment:
-    """Hook predicate: rigid mode (claws open), tip more than
-    ``HOOK_TOL_MM`` below rest, in a cell opening."""
+def hook_check(tip, mode: str, mesh: MeshGrid) -> tuple[int, int] | None:
+    """Hooked cell of a claw tip, or None: it hooks in rigid mode (claws
+    open), more than ``HOOK_TOL_MM`` below rest, in a cell opening."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    tip = np.asarray(tip, dtype=float).reshape(3)
-    hooks, i, j = _hooks(*tip.tolist(), mode == RIGID, mesh)
-    if not hooks:
-        return FREE
-    return Attachment((int(i), int(j)), tip.copy())
+    x, y, z = np.asarray(tip, dtype=float).reshape(3).tolist()
+    hooks, i, j = _hooks(x, y, z, mode == RIGID, mesh)
+    return (int(i), int(j)) if hooks else None
 
 
 def _hooks(x, y, z, rigid, mesh: MeshGrid) -> tuple:
@@ -168,8 +135,9 @@ def _hooks(x, y, z, rigid, mesh: MeshGrid) -> tuple:
     return rigid & below & inside, i, j
 
 
-def _claw_offset(chain: ChainGeometry, mode: str,
-                 claw_length: float) -> tuple[float, float]:
+def claw_offset(chain: ChainGeometry, mode: str,
+                claw_length: float = DEFAULT_CLAW_LENGTH_MM,
+                ) -> tuple[float, float]:
     """Claw-tip (dx, dz) from the leg tip in one actuation mode.
 
     Rigid: every joint at its bend limit and the claw opened by
@@ -178,6 +146,8 @@ def _claw_offset(chain: ChainGeometry, mode: str,
     world +x with its bend plane vertical; the claw extends from the last
     tarsomere, rotated further down by its opening angle.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     rigid = mode == RIGID
     theta = chain.max_bend if rigid else np.zeros(len(chain.segments))
     opening = DEFAULT_CLAW_MAX_OPENING if rigid else 0.0
@@ -220,8 +190,9 @@ class Scenario:
 
 
 class DemoSample(NamedTuple):
-    """One tick: claw and hooked-strand heights (mm), mode, attachment,
-    the tick's events joined by ``;`` and the coupling forces (N).  The
+    """One tick: claw and hooked-strand heights (mm), mode, attachment
+    (``free``, or ``hooked:i:j`` for cell (i, j)) when the tick ends, the
+    tick's events joined by ``;`` and the coupling forces (N).  The
     fields follow ``DEMO_HEADER``, so a sample is a row of the demo CSV."""
 
     t_ms: float
@@ -236,11 +207,11 @@ class DemoSample(NamedTuple):
 
 @dataclass(frozen=True)
 class FinalState:
-    """Where a run ends; ``events`` is the full time-ordered log of
-    ``(t_ms, kind)`` pairs."""
+    """When a run ends, and ``events``, its full time-ordered log of
+    ``(t_ms, kind)`` pairs.  The attachment it ends in is its last
+    sample's."""
 
     t_ms: float
-    attachment: Attachment
     events: tuple = ()
 
 
@@ -271,7 +242,8 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     tangential stretch since engagement; on a ClawFailure tick they are
     the loads that broke the hold.
 
-    Returns the per-tick samples and the final state with the event log.
+    Returns the per-tick samples and the final state: the end time and
+    the event log.
     """
     if not (math.isfinite(dt_ms) and dt_ms > 0):
         raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
@@ -286,7 +258,7 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
         counts.append(n)
         prev = goal
     if not counts:
-        return [], FinalState(0.0, FREE)
+        return [], FinalState(0.0)
     commanded_flexible = np.repeat(
         [phase.mode == FLEXIBLE for phase in script.phases], counts)
 
@@ -297,7 +269,7 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
             np.arange(len(points)) * dt_ms, points), tol_mm=tol_mm)
     offsets = {}
     for mode in MODES:
-        dx, dz = _claw_offset(chain, mode, claw_length)
+        dx, dz = claw_offset(chain, mode, claw_length)
         offsets[mode] = (dx, 0.0, dz)
     # the mode in effect: rigid throughout when flexible is forbidden
     rigid = ~commanded_flexible | (not script.allow_flexible)
@@ -340,12 +312,10 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
     hooked = np.zeros(n, dtype=bool)  # still hooked when the tick ends
     attachments = ["free"] * n
     events = []  # (tick, kind)
-    final, tick = FREE, 0
+    tick = 0
     while (p := np.searchsorted(hook_ticks, tick)) < hook_ticks.size:
         h = int(hook_ticks[p])
-        # a copy: Attachment keeps a view of the row it is given
-        hx, hy, hz = tip = tips[h + 1].copy()
-        held = Attachment((int(cell_i[h]), int(cell_j[h])), tip)
+        hx, hy, hz = tips[h + 1]
         q = np.searchsorted(release_ticks, h + 1)
         end = int(release_ticks[q]) if q < release_ticks.size else n
         hold = slice(h + 1, end)
@@ -367,7 +337,8 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
         mesh_z[h] = rest + 0.0  # the hook tick's deflection is 0.0
         mesh_z[h + 1:end] = rest + deflection[:end - h - 1]
         hooked[h:end] = True
-        attachments[h:end] = [str(held)] * (end - h)
+        label = f"hooked:{int(cell_i[h])}:{int(cell_j[h])}"
+        attachments[h:end] = [label] * (end - h)
         events.append((h, "Hook"))
         saturates = (over & ~np.r_[False, saturated][:-1])[:m]
         events += [(h + 1 + i, "Saturation")
@@ -376,8 +347,6 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
             events.append((end, "ClawFailure"))
         elif end < n:
             events.append((end, "Release"))
-        else:
-            final = held
         tick = end + 1
     # a swing that cannot release: flexible commanded but forbidden, still
     # hooked, tip moving up; one event per contiguous attempt
@@ -391,15 +360,8 @@ def _scan(tips: np.ndarray, rigid: np.ndarray, swings: np.ndarray,
     samples = list(map(DemoSample, t, z.tolist(), mesh_z.tolist(), modes,
                        attachments, labels, vertical.tolist(),
                        horizontal.tolist()))
-    return samples, FinalState(t[-1], final,
+    return samples, FinalState(t[-1],
                                tuple((t[i], kind) for i, kind in events))
-
-
-def rigid_claw_offset(chain: ChainGeometry,
-                      claw_length: float = DEFAULT_CLAW_LENGTH_MM,
-                      ) -> tuple[float, float]:
-    """Claw-tip (dx, dz) relative to the leg tip at full rigid actuation."""
-    return _claw_offset(chain, RIGID, claw_length)
 
 
 def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
@@ -417,7 +379,7 @@ def builtin_scenario(name: str, chain: ChainGeometry, mesh: MeshGrid,
     if name not in ("walk_cycle", "tubed"):
         raise ValueError(f"unknown scenario {name!r}; "
                          f"built-ins are 'walk_cycle' and 'tubed'")
-    dx, dz = rigid_claw_offset(chain, claw_length)
+    dx, dz = claw_offset(chain, RIGID, claw_length)
     nx, ny = mesh.cells
     cx, cy = mesh.cell_center((max(0, nx // 2 - 1), ny // 2))
     engage_z = mesh.rest_height - penetration_mm - dz  # leg-tip height

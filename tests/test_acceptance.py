@@ -21,8 +21,7 @@ from tarsim.chain import (SegmentGeometry, default_chain_geometry,
                           full_bend_pull, max_chain_pull, segment_pull,
                           solve_bend_from_pull, total_bend_angle, chain_pull)
 from tarsim.contact import (ForceLimits, MeshGrid, Phase, Scenario,
-                            builtin_scenario, rigid_claw_offset,
-                            run_demo_cycle)
+                            builtin_scenario, claw_offset, run_demo_cycle)
 from tarsim.gait import segment_cycles
 from tarsim.leg import (Trajectory, default_leg_model, forward_kinematics,
                         inverse_kinematics, jacobian, retarget_trajectory)
@@ -246,7 +245,7 @@ def test_criterion_7_force_limit_events():
     mesh = MeshGrid(spacing=25.0, node_stiffness=1.0, rest_height=-120.0,
                     cells=(4, 4), origin=(100.0, -50.0))
     limits = ForceLimits()
-    dx, dz = rigid_claw_offset(chain)
+    dx, dz = claw_offset(chain, "rigid")
     cx, cy = mesh.cell_center((1, 2))
     hook_tip = (cx - dx, cy, mesh.rest_height - 1.0 - dz)
 
@@ -270,10 +269,10 @@ def test_criterion_7_force_limit_events():
 
     # horizontal: 28.98 N at unit stiffness is 28.98 mm of stretch
     _, at_hook = hook_then_move((0, limits.hooking_max - 0.2, 0))
-    _, beyond_hook = hook_then_move((0, limits.hooking_max + 0.5, 0))
+    torn, beyond_hook = hook_then_move((0, limits.hooking_max + 0.5, 0))
     fail_below = any(k == "ClawFailure" for _, k in at_hook.events)
     fail_above = any(k == "ClawFailure" for _, k in beyond_hook.events)
-    released = beyond_hook.attachment.free
+    released = torn[-1].attachment == "free"
 
     ok = (not sat_below and sat_above and not fail_below and fail_above
           and released and limits.vertical_max == 2.46

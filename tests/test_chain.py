@@ -20,8 +20,7 @@ from tarsim.chain import (ChainGeometry, ChainSolveError, ChainState,
                           max_chain_pull, rest_state, restoring_force,
                           segment_pull, solve_bend_from_pull,
                           stiffness_curve, total_bend_angle)
-from tarsim.contact import (DEFAULT_CLAW_MAX_OPENING, ForceLimits,
-                            _claw_offset, rigid_claw_offset)
+from tarsim.contact import DEFAULT_CLAW_MAX_OPENING, ForceLimits, claw_offset
 
 
 def oracle_joint(radius, anchor_long, anchor_trans, rest_span, alpha):
@@ -557,7 +556,7 @@ class TestClawActuation:
     def test_no_pull_closed(self):
         # flexible: the chain at rest with the claw in line with it
         g = default_chain_geometry()
-        dx, dz = _claw_offset(g, "flexible", 8.0)
+        dx, dz = claw_offset(g, "flexible", 8.0)
         assert dx == pytest.approx(sum(g.segment_lengths) + 8.0, abs=1e-12)
         assert dz == 0.0
 
@@ -567,7 +566,7 @@ class TestClawActuation:
     def test_offset_is_the_checked_pose_bit_for_bit(self, socket_slack, mode,
                                                     claw_length):
         # the reference builds the state and goes through chain_pose's
-        # checks, as _claw_offset did before it called the pose kernel
+        # checks, as claw_offset did before it called the pose kernel
         g = default_chain_geometry(socket_slack=socket_slack)
         rigid = mode == "rigid"
         theta = g.max_bend if rigid else np.zeros(len(g.segments))
@@ -576,7 +575,7 @@ class TestClawActuation:
         tip = chain_pose(g, ChainState(theta, np.zeros_like(theta)))[-1] \
             + claw_length * np.array([math.cos(heading), math.sin(heading)])
         want = (float(tip[0]), float(tip[1]))
-        assert [v.hex() for v in _claw_offset(g, mode, claw_length)] \
+        assert [v.hex() for v in claw_offset(g, mode, claw_length)] \
             == [v.hex() for v in want]
 
     def test_full_pull_open(self):
@@ -585,7 +584,7 @@ class TestClawActuation:
         g = default_chain_geometry()
         ends = chain_pose(g, ChainState(g.max_bend, np.zeros(5)))
         last = ends[-1] - ends[-2]
-        claw = np.array(rigid_claw_offset(g, 8.0)) - ends[-1]
+        claw = np.array(claw_offset(g, "rigid", 8.0)) - ends[-1]
         opening = -math.atan2(last[0] * claw[1] - last[1] * claw[0],
                               last @ claw)
         assert np.hypot(*claw) == pytest.approx(8.0, abs=1e-12)

@@ -17,7 +17,6 @@ from tarsim.leg import default_leg_model
 FULL_CHAIN = """
 [chain]
 k_spring_n_per_mm = 0.6
-socket_slack = true
 """ + "".join(
     f"""
 [tarsomere_{i}]
@@ -305,19 +304,30 @@ REFUSED = {config_mod._number: "nan", config_mod._integer: "x",
            config_mod._boolean: "maybe", config_mod._home: "1 2",
            config_mod._phase: "a b"}
 SCENARIO_X = {**SCENARIO_KEYS, "phase_1": (None, config_mod._PHASE)}
-EVERY_KEY = [(section, key, kind) for section, keys in
-             [*KEYS.items(), ("scenario:x", SCENARIO_X)]
-             for key, (_, kind) in keys.items()]
 
 
-@pytest.mark.parametrize("section, key, kind", EVERY_KEY,
-                         ids=[f"{s}.{k}" for s, k, _ in EVERY_KEY])
-def test_no_key_is_accepted_but_never_read(section, key, kind):
+def full_set_of(section: str) -> tuple:
+    """The tarsomere or leg set ``section`` belongs to, else no section."""
+    return next((g for g in (TARSOMERE_SECTIONS, LEG_SECTIONS)
+                 if section in g), ())
+
+
+# each key with the sections given beside it, the rest of its full set;
+# and socket_slack beside the full tarsomere set, whose slack_mm would
+# leave it unread
+EVERY_KEY = [(section, key, kind, full_set_of(section))
+             for section, keys in [*KEYS.items(), ("scenario:x", SCENARIO_X)]
+             for key, (_, kind) in keys.items()] \
+    + [("chain", "socket_slack", config_mod._BOOLEAN, TARSOMERE_SECTIONS)]
+KEY_IDS = [f"{s}.{k}" for s, k, _, _ in EVERY_KEY[:-1]] \
+    + ["chain.socket_slack+tarsomere_1..5"]
+
+
+@pytest.mark.parametrize("section, key, kind, beside", EVERY_KEY, ids=KEY_IDS)
+def test_no_key_is_accepted_but_never_read(section, key, kind, beside):
     # a key parse_config takes but no builder reads would be dropped
     # without a word; a refused value shows that it is read
-    group = next((g for g in (TARSOMERE_SECTIONS, LEG_SECTIONS)
-                  if section in g), ())
-    text = "".join(f"[{s}]\n" for s in group if s != section) \
+    text = "".join(f"[{s}]\n" for s in beside if s != section) \
         + f"[{section}]\n{key} = {REFUSED[kind.parse]}\n"
     line = text.count("\n")
     with pytest.raises(ConfigError) as err:

@@ -4,6 +4,7 @@ The tick-level tests run short scenarios through ``run_demo_cycle``: a
 one-tick rigid phase that hooks, then one tick per move of the leg tip.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -16,10 +17,10 @@ from tarsim import chain as chain_mod
 from tarsim import contact
 from tarsim import leg as leg_mod
 from tarsim.chain import default_chain_geometry
-from tarsim.contact import (DEMO_HEADER, FREE, Attachment, ForceLimits,
-                            MeshGrid, Phase, Scenario, builtin_scenario,
-                            hook_check, load_demo_csv, rigid_claw_offset,
-                            run_demo_cycle, save_demo_csv)
+from tarsim.contact import (DEMO_HEADER, ForceLimits, MeshGrid, Phase,
+                            Scenario, builtin_scenario, claw_offset,
+                            hook_check, load_demo_csv, run_demo_cycle,
+                            save_demo_csv)
 from tarsim.config import parse_config
 from tarsim.leg import default_leg_model, forward_kinematics
 from test_leg import OFFSET_LEG, count_calls, later_rounds, scalar_joints
@@ -53,7 +54,7 @@ def hook_then(mesh, moves=(), depth_mm=1.0, cell=(1, 2), limits=None,
     Each delta moves the leg-tip target from the hooking point.  Returns
     the samples and the final state.
     """
-    dx, dz = rigid_claw_offset(CHAIN)
+    dx, dz = claw_offset(CHAIN, "rigid")
     cx, cy = mesh.cell_center(cell)
     home = (cx - dx, cy, mesh.rest_height - depth_mm - dz)
     phases = [Phase("hook", 10.0, "rigid", (0.0, 0.0, 0.0))]
@@ -92,30 +93,29 @@ class TestMeshGrid:
 class TestHookCheck:
     def test_flexible_never_hooks(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height - 5.0]
-        assert hook_check(tip, "flexible", mesh).free
+        assert hook_check(tip, "flexible", mesh) is None
 
     def test_rigid_engaged_below_inside_hooks(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height - 1.0]
-        att = hook_check(tip, "rigid", mesh)
-        assert att.hooked and att.node == (0, 0)
+        assert hook_check(tip, "rigid", mesh) == (0, 0)
 
     def test_strand_boundary_resolves_free(self, mesh):
         tip = [125.0, -37.5, mesh.rest_height - 1.0]
-        assert hook_check(tip, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh) is None
 
     def test_above_rest_free(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height + 1.0]
-        assert hook_check(tip, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh) is None
 
     def test_exactly_at_rest_free(self, mesh):
         tip = [112.5, -37.5, mesh.rest_height]
-        assert hook_check(tip, "rigid", mesh).free
+        assert hook_check(tip, "rigid", mesh) is None
 
     def test_hooks_only_strictly_past_the_tolerance(self, mesh):
         edge = mesh.rest_height - contact.HOOK_TOL_MM
-        assert hook_check([112.5, -37.5, edge], "rigid", mesh).free
+        assert hook_check([112.5, -37.5, edge], "rigid", mesh) is None
         below = np.nextafter(edge, -np.inf)
-        assert hook_check([112.5, -37.5, below], "rigid", mesh).hooked
+        assert hook_check([112.5, -37.5, below], "rigid", mesh) == (0, 0)
 
     def test_exhaustive_predicate_space(self, mesh):
         # hook iff rigid (claws open) AND below AND inside a cell opening
@@ -125,9 +125,14 @@ class TestHookCheck:
                 ("rigid", "flexible"), (True, False), (True, False)):
             xy = (112.5, -37.5) if inside else (125.0, -37.5)
             tip = [xy[0], xy[1], below if is_below else above]
-            att = hook_check(tip, mode, mesh)
             expect = mode == "rigid" and is_below and inside
-            assert att.hooked == expect
+            assert hook_check(tip, mode, mesh) == ((0, 0) if expect else None)
+
+    def test_unknown_mode_is_refused(self, chain, mesh):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            hook_check([112.5, -37.5, mesh.rest_height - 1.0], "open", mesh)
+        with pytest.raises(ValueError, match="mode must be one of"):
+            claw_offset(chain, "open")
 
 
 class TestStepMachine:
@@ -138,7 +143,7 @@ class TestStepMachine:
                                          for m in ("rigid", "flexible",
                                                    "rigid")])
         samples, final = run_demo_cycle(leg, chain, mesh, script)
-        assert final.attachment.free
+        assert samples[-1].attachment == "free"
         assert all(s.mesh_z == mesh.rest_height for s in samples)
         assert final.events == ()
 
@@ -194,14 +199,14 @@ class TestStepMachine:
         samples, final = hook_then(mesh, [((0.0, 6.0, 0.0), "rigid")],
                                    depth_mm=2.0, limits=limits)  # 0.6 N
         assert any(k == "ClawFailure" for k in kinds(final))
-        assert final.attachment.free
+        assert samples[-1].attachment == "free"
         assert samples[-1].mesh_z == mesh.rest_height
 
     def test_below_hooking_limit_holds(self, mesh):
         limits = ForceLimits(vertical_max=2.46, hooking_max=0.5)
-        _, final = hook_then(mesh, [((0.0, 4.0, 0.0), "rigid")],
-                             depth_mm=2.0, limits=limits)  # 0.4 N < 0.5 N
-        assert final.attachment.hooked
+        samples, final = hook_then(mesh, [((0.0, 4.0, 0.0), "rigid")],
+                                   depth_mm=2.0, limits=limits)  # 0.4 N
+        assert samples[-1].attachment == "hooked:1:2"
         assert all(k != "ClawFailure" for k in kinds(final))
 
     def test_repeat_swing_only_when_blocked(self, mesh):
@@ -209,7 +214,7 @@ class TestStepMachine:
                                    depth_mm=2.0, allow_flexible=False)
         assert samples[-1].mode == "rigid"  # transition forbidden
         assert any(k == "RepeatSwing" for k in kinds(final))
-        assert final.attachment.hooked
+        assert samples[-1].attachment == "hooked:1:2"
 
     def test_determinism(self, mesh):
         moves = [((0.0, 0.0, -3.0), "rigid")]
@@ -272,6 +277,36 @@ class TestDemoCycle:
         assert samples == []
         assert final.events == ()
 
+    # the four ways a run ends, with the attachment of its last sample
+    # and its event log
+    @pytest.mark.parametrize("end, attachment, events", [
+        ("held", "hooked:1:2", ((180.0, "Hook"), (1060.0, "RepeatSwing"),
+                                (1280.0, "Saturation"))),
+        ("released", "free", ((210.0, "Hook"), (960.0, "Release"))),
+        ("torn", "free", ((10.0, "Hook"), (20.0, "ClawFailure"))),
+        ("no phases", None, ()),
+    ])
+    def test_the_end_state_is_the_last_sample(self, leg, chain, mesh, end,
+                                              attachment, events):
+        if end == "torn":
+            samples, final = hook_then(
+                mesh, [((0.0, 6.0, 0.0), "rigid")], depth_mm=2.0,
+                limits=ForceLimits(vertical_max=2.46, hooking_max=0.5))
+        else:
+            script = {"held": builtin_scenario("tubed", chain, mesh),
+                      "released": builtin_scenario("walk_cycle", chain, mesh),
+                      "no phases": Scenario("empty", (120.0, 0.0, -60.0), ())
+                      }[end]
+            samples, final = run_demo_cycle(leg, chain, mesh, script)
+        assert [f.name for f in dataclasses.fields(final)] \
+            == ["t_ms", "events"]
+        assert final.events == events
+        if samples:
+            assert samples[-1].attachment == attachment
+            assert samples[-1].t_ms == final.t_ms
+        else:
+            assert (attachment, final.t_ms) == (None, 0.0)
+
     def test_unknown_builtin(self, chain, mesh):
         with pytest.raises(ValueError):
             builtin_scenario("nope", chain, mesh)
@@ -321,20 +356,6 @@ class TestDemoCycle:
             load_demo_csv(p)
 
 
-class TestAttachment:
-    def test_free_singleton_str(self):
-        assert str(FREE) == "free"
-        assert FREE.free and not FREE.hooked
-
-    def test_hooked_str(self):
-        att = Attachment((2, 3), np.array([1.0, 2.0, 3.0]))
-        assert str(att) == "hooked:2:3"
-
-    def test_needs_both_fields(self):
-        with pytest.raises(ValueError):
-            Attachment((1, 1), None)
-
-
 def leg_tip_targets(script, dt_ms):
     """The scripted leg-tip target of every tick, built independently."""
     home = np.asarray(script.home_tip, dtype=float)
@@ -350,7 +371,7 @@ def leg_tip_targets(script, dt_ms):
 
 # claw-tip x from the leg tip: the bent chain with open claws when rigid,
 # the straight chain with closed claws when flexible; z does not matter
-CLAW_DX = {"rigid": rigid_claw_offset(CHAIN)[0],
+CLAW_DX = {"rigid": claw_offset(CHAIN, "rigid")[0],
            "flexible": sum(CHAIN.segment_lengths)
            + contact.DEFAULT_CLAW_LENGTH_MM}
 HOME = builtin_scenario("walk_cycle", CHAIN, MESH).home_tip
@@ -560,13 +581,10 @@ def loop_cell_of(mesh, x, y):
 
 
 def loop_hook_check(tip, mode, mesh):
-    tip = np.asarray(tip, dtype=float).reshape(3)
-    if mode != "rigid" or not tip[2] < mesh.rest_height - contact.HOOK_TOL_MM:
-        return FREE
-    cell = loop_cell_of(mesh, tip[0], tip[1])
-    if cell is None:
-        return FREE
-    return Attachment(cell, tip.copy())
+    x, y, z = tip
+    if mode != "rigid" or not z < mesh.rest_height - contact.HOOK_TOL_MM:
+        return None
+    return loop_cell_of(mesh, x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,10 +602,8 @@ def test_hook_law_matches_the_scalar_test(spacing, origin, cells, at, off, z,
                     rest_height=0.0)
     x, y = (o + (k + d) * spacing for o, k, d in zip(origin, at, off))
     assert mesh.cell_of(x, y) == loop_cell_of(mesh, x, y)
-    got, want = hook_check((x, y, z), mode, mesh), \
-        loop_hook_check((x, y, z), mode, mesh)
-    assert got.node == want.node
-    assert (got.tip_at_hook is None) == (want.tip_at_hook is None)
+    assert hook_check((x, y, z), mode, mesh) \
+        == loop_hook_check((x, y, z), mode, mesh)
 
 
 def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
@@ -606,7 +622,7 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
         commanded += [phase.mode] * n
         prev = goal
     if not commanded:
-        return [], contact.FinalState(0.0, FREE)
+        return [], contact.FinalState(0.0)
     modes = [m if script.allow_flexible else "rigid" for m in commanded]
 
     points = np.vstack([home, *targets])
@@ -615,7 +631,7 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
         np.arange(len(points)) * dt_ms, points), tol_mm=tol_mm)
     offsets = {}
     for mode in contact.MODES:
-        dx, dz = contact._claw_offset(chain, mode, claw_length)
+        dx, dz = claw_offset(chain, mode, claw_length)
         offsets[mode] = (dx, 0.0, dz)
     tips = (points + np.array(
         [offsets[m] for m in [commanded[0]] + modes])).tolist()
@@ -623,21 +639,22 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
     rest, k = mesh.rest_height, mesh.node_stiffness
     cap = limits.vertical_max / k
     samples, events = [], []
-    attachment, deflection, blocked, t = FREE, 0.0, False, 0.0
+    # the hooked cell (None while free) and the claw tip where it hooked
+    cell, hook_tip, deflection, blocked, t = None, None, 0.0, False, 0.0
     for i, mode in enumerate(modes, 1):
         t += dt_ms
         x, y, z = tips[i]
         kinds = []
         vertical = horizontal = 0.0
-        if attachment.free:
-            attachment = loop_hook_check(tips[i], mode, mesh)
-            if attachment.hooked:
+        if cell is None:
+            cell, hook_tip = loop_hook_check(tips[i], mode, mesh), tips[i]
+            if cell is not None:
                 kinds.append("Hook")
         elif mode == "flexible" and z > rest:
-            attachment, deflection = FREE, 0.0
+            cell, deflection = None, 0.0
             kinds.append("Release")
         else:
-            hx, hy, hz = attachment.tip_at_hook
+            hx, hy, hz = hook_tip
             was_saturated = abs(deflection) >= cap * (1.0 - 1e-12)
             deflection = z + (rest - hz) - rest
             if abs(deflection) > cap:
@@ -647,32 +664,29 @@ def tick_loop(leg, chain, mesh, script, dt_ms=contact.DEFAULT_DT_MS,
             vertical = min(k * abs(deflection), limits.vertical_max)
             horizontal = k * float(np.hypot(x - hx, y - hy))
             if horizontal > limits.hooking_max:
-                attachment, deflection = FREE, 0.0
+                cell, deflection = None, 0.0
                 kinds.append("ClawFailure")
         was_blocked, blocked = blocked, (
             commanded[i - 1] == "flexible" and not script.allow_flexible
-            and attachment.hooked and z > tips[i - 1][2])
+            and cell is not None and z > tips[i - 1][2])
         if blocked and not was_blocked:
             kinds.append("RepeatSwing")
         events += [(t, kind) for kind in kinds]
         samples.append(contact.DemoSample(
-            t, z, rest + deflection if attachment.hooked else rest, mode,
-            str(attachment), ";".join(kinds), vertical, horizontal))
-    return samples, contact.FinalState(t, attachment, tuple(events))
+            t, z, rest if cell is None else rest + deflection, mode,
+            "free" if cell is None else f"hooked:{cell[0]}:{cell[1]}",
+            ";".join(kinds), vertical, horizontal))
+    return samples, contact.FinalState(t, tuple(events))
 
 
 def assert_scan_matches_loop(*args, **kwargs):
-    """Both runs on the same inputs: equal samples, log, end time and
-    final attachment.  Returns the scan's run."""
+    """Both runs on the same inputs: equal samples (and so the attachment
+    each tick ends in), log and end time.  Returns the scan's run."""
     samples, final = run_demo_cycle(*args, **kwargs)
     want_samples, want = tick_loop(*args, **kwargs)
     assert samples == want_samples
     assert final.events == want.events
     assert final.t_ms == want.t_ms
-    assert final.attachment.node == want.attachment.node
-    if want.attachment.hooked:
-        assert final.attachment.tip_at_hook.tolist() \
-            == want.attachment.tip_at_hook.tolist()
     return samples, final
 
 
@@ -765,7 +779,7 @@ def scan_then(moves, limits=None, **kwargs):
     """``hook_then`` checked against the tick loop."""
     samples, final = hook_then(MESH, moves, depth_mm=2.0, limits=limits,
                                **kwargs)
-    dx, dz = rigid_claw_offset(CHAIN)
+    dx, dz = claw_offset(CHAIN, "rigid")
     cx, cy = MESH.cell_center((1, 2))
     phases = [Phase("hook", 10.0, "rigid", (0.0, 0.0, 0.0))]
     phases += [Phase(f"move_{i}", 10.0, mode, tuple(map(float, delta)))
@@ -797,13 +811,14 @@ WEAK = ForceLimits(vertical_max=2.46, hooking_max=0.5)
      [(10.0, "Hook"), (20.0, "Saturation"), (40.0, "ClawFailure")]),
 ])
 def test_named_scan_cases_match_the_tick_loop(moves, limits, want):
-    _, final = scan_then(moves, limits)
+    samples, final = scan_then(moves, limits)
     assert list(final.events) == want
-    assert final.attachment.hooked == (want[-1][1] == "Hook")
+    assert samples[-1].attachment.startswith("hooked") \
+        == (want[-1][1] == "Hook")
 
 
 def test_hook_on_the_last_tick_after_free_ticks():
-    dx, dz = rigid_claw_offset(CHAIN)
+    dx, dz = claw_offset(CHAIN, "rigid")
     cx, cy = MESH.cell_center((2, 1))
     home = (cx - dx, cy, MESH.rest_height - 3.0 - dz + 30.0)
     script = Scenario("late", home, [

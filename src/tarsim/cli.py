@@ -506,7 +506,8 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (DomainError, chain_mod.ChainSolveError, leg_mod.NotReachable,
-            gait_mod.NoCyclesFound, stats_mod.ZeroVariance) as err:
+            gait_mod.NoCyclesFound, stats_mod.ZeroVariance,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         ctx.write_manifest(argv)
         return 1

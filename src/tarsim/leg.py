@@ -10,8 +10,9 @@ measures its residual from.  IK tracks tip position only (3
 constraints, 4 DOF) and is closed form: the candidate nearest the warm
 start resolves the redundancy, and ``iterations`` counts the candidates
 evaluated.  A target where no candidate lands within the joint limits
-raises ``NotReachable``.  FK and the Jacobian are batched over joint
-vectors of shape (..., 4).
+raises ``NotReachable``.  A joint's limits span at most one turn, so an
+angle is wrapped into them one way, whatever the warm start (``_wrap``).
+FK and the Jacobian are batched over joint vectors of shape (..., 4).
 A joint path (``trajectory_to_joints``) gets the answers of one warm-
 started IK call per sample, bit for bit, but solves them in numpy batch
 rounds that build every closed-form candidate of the path at once: a
@@ -93,14 +94,14 @@ class LegModel:
     """Four revolute joints plus per-joint angle limits (rad).
 
     The femur and tibia need a length: the closed-form IK closes the
-    loop with them.  The coxa and trochanter may have none.
+    loop with them.  The coxa and trochanter may have none.  Each
+    joint's limits span at most one turn (``hi - lo <= 2 pi``, so both
+    are finite).
 
     The joint space is derived once, read-only: the limits ``lower`` and
     ``upper``, the mid-limit warm start, the link lengths, the theta
-    offsets, the limits of the DH angles ``q + theta_offset`` that the
-    IK kernels work on, and whether every DH joint spans less than a
-    turn (less twice ``LIMIT_SLACK_RAD``: then each ``_wrap`` has at
-    most one representative to take, whatever the warm start).
+    offsets and the limits of the DH angles ``q + theta_offset`` that
+    the IK kernels work on.
     """
 
     rows: tuple[DHRow, ...]
@@ -119,9 +120,10 @@ class LegModel:
                                  f"{row.a}")
         if len(self.joint_limits) != 4:
             raise ValueError("joint_limits must have 4 (min, max) pairs")
-        for lo, hi in self.joint_limits:
-            if not lo < hi:
-                raise ValueError(f"joint limit min must be < max, got ({lo}, {hi})")
+        for name, (lo, hi) in zip(JOINT_NAMES, self.joint_limits):
+            if not 0.0 < hi - lo <= math.tau:
+                raise ValueError(f"{name} joint limits must be min < max <= "
+                                 f"min + 2 pi (one turn), got ({lo}, {hi})")
         lower, upper = (np.array(v) for v in zip(*self.joint_limits))
         offsets = np.array([r.theta_offset for r in self.rows])
         for name, arr in (("lower", lower), ("upper", upper),
@@ -133,8 +135,6 @@ class LegModel:
                               (upper + offsets).tolist()))
         object.__setattr__(self, "_lengths", tuple(r.a for r in self.rows))
         object.__setattr__(self, "_dh_bounds", dh_limits)
-        object.__setattr__(self, "_single_turn", all(
-            hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau for lo, hi in dh_limits))
 
     def _to_dh(self, q) -> np.ndarray:
         """The DH angles of joint angles q (..., 4): clipped to the
@@ -319,7 +319,7 @@ def _closed_form(links, limits, target, warm, tol_mm):
     gap = min(outside.tolist())
     if gap >= tol_mm:
         raise NotReachable(gap, evaluated)
-    yaw = _wrap(psi, *limits[0], warm[0])
+    yaw = _wrap(psi, *limits[0])
     tried = (outside < tol_mm) & ~np.isnan(yaw)
     if not tried.any():
         raise NotReachable(best, evaluated)
@@ -336,7 +336,7 @@ def _closed_form(links, limits, target, warm, tol_mm):
             ends += [(p, q1) for q1 in at]
         yield held + ends
         with np.errstate(invalid="ignore", divide="ignore"):
-            q1, ok = _pinned_batch(links, limits, rho, phi, w1)
+            q1, ok = _pinned_batch(links, limits, rho, phi)
         yield zip(np.nonzero(ok)[0].tolist(), q1[ok].tolist())
 
     for pairs in stages():
@@ -346,7 +346,7 @@ def _closed_form(links, limits, target, warm, tol_mm):
             continue
         plane, q1 = np.array(pairs).T
         plane = plane.astype(int)
-        q, trig = _close(links, limits, yaw[plane], u[plane], z, q1, warm)
+        q, trig = _close(links, limits, yaw[plane], u[plane], z, q1)
         flat = q.reshape(-1, 4)
         step = _steps(flat, warm)
         step[np.isnan(step)] = np.inf
@@ -433,8 +433,7 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     candidate with the smallest step from the warm start, ties to the
     first in one candidate order.  Only a sample with no pick (a target
     on the z axis, or no candidate that lands) goes to the scalar path,
-    and batching goes on after it.  A leg with a joint that spans a turn
-    or more runs the scalar path alone.
+    and batching goes on after it.
 
     Raises ValueError for a ``q0`` that is not 4 finite angles, and
     NotReachable (tagged with the failing sample index) if any sample is
@@ -446,8 +445,7 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     out = np.empty((n, 4))
     i = 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        batch = _PathCandidates(model, traj.points, tol_mm) \
-            if n > 1 and model._single_turn else None
+        batch = _PathCandidates(model, traj.points, tol_mm) if n > 1 else None
         while i < n:
             rows = batch.round(i, q) if batch is not None else ()
             if len(rows):
@@ -471,9 +469,8 @@ class _Planes:
     builds them for one target: the two coxa yaws, the target's polar
     ``(rho, phi)`` from the trochanter in each plane, which planes are
     tried, and whether any is (``reach``; False on the z axis, whose yaw
-    is the warm one).  Built for a leg whose every joint spans less than
-    a turn (``LegModel._single_turn``), so that no yaw depends on a warm
-    start.  Angles are DH angles; arrays are (N, 2), by sample and plane.
+    is the warm one).  Angles are DH angles; arrays are (N, 2), by
+    sample and plane.
     """
 
     def __init__(self, model, targets, tol_mm):
@@ -527,12 +524,11 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
     ``_closed_form`` returns in its first stage as soon as any arc end
     lands, and in its second as soon as any pin does, so a True point
     lands from every warm start.  False on the z axis, whose yaw is the
-    warm one, and for every point of a leg with a joint that spans a
-    turn; the warm-started IK may still land those.  The pins are built
+    warm one; the warm-started IK may still land it.  The pins are built
     only for the points no arc end reached.
     """
     out = np.zeros(len(points), dtype=bool)
-    if not (len(points) and model._single_turn):
+    if not len(points):
         return out
     with np.errstate(invalid="ignore", divide="ignore"):
         p = _Planes(model, points, tol_mm)
@@ -552,16 +548,14 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
 class _PathCandidates(_Planes):
     """``_closed_form``'s candidates for every sample of a path at once.
 
-    Built on the path's ``_Planes``, for a leg whose every joint spans
-    less than a turn.  Each ``_wrap`` has at most one representative to
-    take, whatever the warm start, so every candidate but one is the
-    same for any warm start: the coxa yaws, the trochanter angles at the
-    arc ends, the limits and the pins, and the femur and tibia closing
-    the loop from each.  Those are built here once (the pinned ones when
-    first needed).  The one left, the trochanter's warm angle where it
-    lies on an arc, is built per warm start, and so are the ordering by
-    step and the warm-start shortcut.  A target on the z axis gets no
-    batched pick.
+    Built on the path's ``_Planes``.  ``_wrap`` takes no warm start, so
+    every candidate but one is the same for any: the coxa yaws, the
+    trochanter angles at the arc ends, the limits and the pins, and the
+    femur and tibia closing the loop from each.  Those are built here
+    once (the pinned ones when first needed).  The one left, the
+    trochanter's warm angle where it lies on an arc, is built per warm
+    start, and so are the ordering by step and the warm-start shortcut.
+    A target on the z axis gets no batched pick.
 
     Each column set is (candidates (N, C, 4), landing mask (N, C)): a
     candidate lands if it fits the limits on a tried plane within
@@ -734,15 +728,13 @@ def _outside(links, rho):
     return np.maximum(np.maximum(rho - (a1 + a2 + a3), near - rho), 0.0)
 
 
-def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
+def _close(links, limits, yaw, u, z, q1):
     """Femur and tibia closing the loop from trochanter angles q1 (k,),
     per elbow (bent +, bent -), in the planes of coxa yaws ``yaw`` (k,)
     where the target lies at ``(u, z)`` (each (k,) or a float) from the
     trochanter joint.  Returns the candidates (k, 2, 4), NaN where the
     femur or the tibia misses its limits and for the second elbow where
     the elbow is straight; and ``_residual``'s ``trig`` for them.
-    ``warm`` gives ``_wrap`` its reference angles, needed only for a
-    joint that spans a turn.
 
     The tibia aims from the knee at the target: near a straight elbow
     this is exact where arccos is not.  Where that aim puts the tibia on
@@ -763,11 +755,10 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
     q1, wu, wv = q1[:, None], wu[:, None], wv[:, None]
     q2 = _wrap(np.arctan2(wv, wu) - q1
                - np.arctan2(a3 * np.sin(bend), a2 + a3 * np.cos(bend)),
-               *limits[2], warm[2])
+               *limits[2])
     t2 = q1 + q2
     c2, s2 = np.cos(t2), np.sin(t2)
-    q3 = _wrap(np.arctan2(wv - a2 * s2, wu - a2 * c2) - t2, *limits[3],
-               warm[3])
+    q3 = _wrap(np.arctan2(wv - a2 * s2, wu - a2 * c2) - t2, *limits[3])
     c1, s1 = c1[:, None], s1[:, None]
     held = (q3 == limits[3][0]) | (q3 == limits[3][1])
     if held.any():
@@ -775,12 +766,12 @@ def _close(links, limits, yaw, u, z, q1, warm=(None,) * 4):
         # aim it at the target, and where that puts the femur on a limit,
         # aim the trochanter, femur and tibia as one link
         aimed = _wrap(np.arctan2(wv, wu) - q1 - np.arctan2(
-            a3 * np.sin(q3), a2 + a3 * np.cos(q3)), *limits[2], warm[2])
+            a3 * np.sin(q3), a2 + a3 * np.cos(q3)), *limits[2])
         held &= ~np.isnan(aimed)
         q2 = np.where(held, aimed, q2)
         turned = _wrap(np.reshape(np.arctan2(z, u), (-1, 1)) - np.arctan2(
             a2 * np.sin(q2) + a3 * np.sin(q2 + q3),
-            a1 + a2 * np.cos(q2) + a3 * np.cos(q2 + q3)), *limits[1], warm[1])
+            a1 + a2 * np.cos(q2) + a3 * np.cos(q2 + q3)), *limits[1])
         q1 = np.where(held & ((q2 == limits[2][0]) | (q2 == limits[2][1]))
                       & ~np.isnan(turned), turned, q1)
         c1, s1, c2, s2 = np.cos(q1), np.sin(q1), np.cos(q1 + q2), np.sin(
@@ -850,7 +841,7 @@ def _arc_windows(links, limits, rho, phi):
             ends.reshape(shape))
 
 
-def _pinned_batch(links, limits, rho, phi, ref=None):
+def _pinned_batch(links, limits, rho, phi):
     """Trochanter angles that put the femur or the tibia on a limit, for
     planar targets at polar ``(rho, phi)`` of any shape S.
 
@@ -859,8 +850,8 @@ def _pinned_batch(links, limits, rho, phi, ref=None):
     trochanter limits, every stretch then has an end among the
     candidates.  A pinned joint makes the chain a two-link one: a link
     of length b at angle q1 + gamma, then one of length c.  Returns the
-    angles, wrapped near ``ref``, and whether each is kept, both S +
-    (8,), pin-major, then by side.
+    angles, wrapped into the trochanter limits, and whether each is
+    kept, both S + (8,), pin-major, then by side.
     """
     _, a1, a2, a3 = links
     pins = [(a1, 0.0, math.sqrt(a2 * a2 + a3 * a3 + 2.0 * a2 * a3
@@ -874,29 +865,22 @@ def _pinned_batch(links, limits, rho, phi, ref=None):
     beta = np.arccos(np.minimum(np.maximum(cos_beta, -1.0), 1.0))
     # per pin, the angle on either side of the line to the target
     q1 = np.stack([phi - gamma + beta, phi - gamma - beta], axis=-1)
-    q1 = _wrap(q1.reshape(q1.shape[:-2] + (-1,)), *limits[1], ref)
+    q1 = _wrap(q1.reshape(q1.shape[:-2] + (-1,)), *limits[1])
     fits = (b * rho != 0.0) & (np.abs(cos_beta) <= 1.0 + COS_SLACK)
     return q1, np.repeat(fits, 2, axis=-1) & ~np.isnan(q1)
 
 
-def _wrap(angle, lo, hi, ref=None):
-    """The 2*pi-representative of each angle of the array ``angle`` in
-    [lo, hi] nearest ``ref`` (itself in them); NaN where none fits.  One
-    that misses the limits by no more than ``LIMIT_SLACK_RAD`` is taken
-    onto them.
+def _wrap(angle, lo, hi):
+    """The 2*pi-representative of each angle of the array ``angle``
+    nearest the middle of [lo, hi], taken onto the limits where it
+    misses them by no more than ``LIMIT_SLACK_RAD``; NaN where it misses
+    them by more.
 
-    Where the limits span less than a turn (less twice the slack), only
-    the representative nearest their middle can fit them, so that is
-    taken whatever ``ref`` (which may then be None).  Where they span
-    more, the one nearest ``ref`` may miss them by a little while the
-    next one round, a turn toward them, fits.
+    The limits span at most a turn (``LegModel``), so where that one
+    misses them, every other representative misses them too, and where
+    they span a whole turn (less twice the slack), it never does.
     """
-    if hi - lo + 2.0 * LIMIT_SLACK_RAD < math.tau:
-        turns = np.rint((angle - 0.5 * (lo + hi)) / math.tau)
-    else:
-        turns = np.rint((angle - ref) / math.tau)
-        v = angle - turns * math.tau
-        turns = turns - (v < lo - LIMIT_SLACK_RAD) + (v > hi + LIMIT_SLACK_RAD)
+    turns = np.rint((angle - 0.5 * (lo + hi)) / math.tau)
     # + 0.0 makes a zero turn +0.0, so that angle comes back as it was
     v = angle - (turns + 0.0) * math.tau
     out = np.minimum(np.maximum(v, lo), hi)

@@ -100,6 +100,16 @@ class TestChainCommand:
         assert "Traceback" not in err
         assert not (out / "bend_vs_pull.csv").exists()
 
+    def test_sweep_too_large_to_allocate_is_an_error(self, tmp_path,
+                                                     capsys):
+        # 1e17 points: far more bytes than any machine can allocate
+        rc, out = run(["chain", "--sweep", "0:1e8:1e-9"], tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "bend_vs_pull.csv").exists()
+
     def test_sweep_counts_clamped_points(self, tmp_path, capsys):
         # capacity without slack is 5.5 + 4.7 = 10.2 mm; the grid
         # 0, 0.25, ..., 13.0 has 12 points above it (10.25 .. 13.0)
@@ -437,6 +447,18 @@ class TestSimCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_dt_too_small_to_allocate_is_an_error(self, tmp_path, capsys):
+        # 1e17 ticks: far more bytes than any machine can allocate
+        conf = tmp_path / "t.conf"
+        conf.write_text("[sim]\ndt_ms = 1e-15\n")
+        rc, out = run(["sim", "--scenario", "walk_cycle", "--config",
+                       str(conf)], tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (out / "walk_cycle_demo.csv").exists()
+
     @pytest.mark.parametrize("section,key,value", [
         *(("sim", "penetration_mm", v) for v in ("nan", "0", "-1")),
         *(("limits", k, v) for k in ("vertical_max_n", "hooking_max_n")
@@ -605,6 +627,10 @@ class TestConfigValues:
         (ZERO_FEMUR,
          ["leg", "--fk", "0,0,0,0"],
          "[leg_coxa..tibia] femur link length a must be > 0, got 0.0"),
+        ("[leg_coxa]\nmin_deg = -200\nmax_deg = 200\n" + LEG_JOINTS_2_TO_4,
+         ["leg", "--fk", "0,0,0,0"],
+         "[leg_coxa..tibia] coxa joint limits must be min < max <= min + "
+         "2 pi (one turn)"),
         ("[tarsomere_1]\nradius_mm = -1\n" + TARSOMERES_2_TO_5,
          CHAIN_PULL, "[tarsomere_1] radius must be > 0"),
         ("[retarget]\nscale = nan\n", ["leg", "--retarget", "beetle.csv"],
@@ -629,6 +655,7 @@ class TestConfigValues:
     ], ids=["k_spring-nan", "node_stiffness-nan", "tarsomere_radius-nan",
             "spacing-nan", "claw_length-nan", "cells_x-0", "k_flex-1",
             "leg_a-neg", "leg_limits-order", "leg_femur_a-0",
+            "leg_limits-over-a-turn",
             "tarsomere_radius-neg",
             "retarget_scale-nan", "claw_length-neg", "home-nan",
             "phase_duration-nan", "phase_offset-inf", "rate_fps-0",

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tarsim import leg
+from tarsim import contact, leg
+from tarsim.chain import default_chain_geometry
+from tarsim.contact import MeshGrid, builtin_scenario, run_demo_cycle
 from tarsim.leg import (IK_TOL_MM, DHRow, LegModel, NotReachable, Trajectory,
                         default_leg_model, forward_kinematics,
                         inverse_kinematics, jacobian, load_trajectory,
@@ -646,14 +648,17 @@ class TestBatchedJointPath:
         assert np.all(batched >= m.lower) and np.all(batched <= m.upper)
 
     @pytest.mark.parametrize("which", ["wide_limits", "wide_tibia"])
-    def test_scalar_geometry_is_the_scalar_loop(self, which):
-        # a joint spanning a whole turn leaves the batch: the coxa or the
-        # tibia, the path runs the scalar loop alone
+    def test_scalar_geometry_is_the_scalar_loop(self, which, monkeypatch):
+        # a joint spanning a whole turn, the coxa or the tibia, is
+        # batched like any other
         limits = list(LEG.joint_limits)
         limits[0 if which == "wide_limits" else 3] = (-math.pi, math.pi)
         m = LegModel(LEG.rows, limits)
         traj = synthetic_workspace_arc(m)
+        rounds = count_calls(monkeypatch, leg._PathCandidates, "round")
         oracle, batched = solve_both(m, traj)
+        monkeypatch.undo()
+        assert rounds
         assert np.array_equal(batched, oracle)
 
     def test_constant_run_repeats_the_row(self, model):
@@ -803,12 +808,41 @@ class TestClosedFormCompleteness:
         lands_from_the_warm_start(*case)
 
     @settings(max_examples=150, deadline=None)
-    @given(case=fk_images(widest_deg=400.0))
+    @given(case=fk_images(widest_deg=180.0))
     def test_fk_images_land_on_joints_spanning_turns(self, case):
-        # where a joint spans a turn or more, two representatives of an
-        # angle can fit its limits: the one nearest the warm angle is
-        # wrapped a turn toward the limits when it misses them
+        # limits of up to a whole turn: each angle is wrapped to the
+        # representative nearest their middle, whatever the warm start
         lands_from_the_warm_start(*case)
+
+
+class TestWrap:
+    """``leg._wrap``, the one wrap rule for limits of up to a turn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-10.0, 10.0), span=st.one_of(
+               st.floats(1e-9, math.tau),
+               st.sampled_from([math.tau, math.tau - 1e-6, math.tau - 2e-6,
+                                math.tau - 3e-6])),
+           angles=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+    @example(lo=-math.pi, span=math.tau, angles=[math.pi, -math.pi, 0.0])
+    def test_a_representative_within_the_slack_or_nan(self, lo, span,
+                                                      angles):
+        hi = lo + span
+        assume(hi - lo <= math.tau)
+        got = leg._wrap(np.array(angles), lo, hi)
+        mid = 0.5 * (lo + hi)
+        for angle, out in zip(angles, got.tolist()):
+            k = round((angle - mid) / math.tau)
+            # how far the representatives a turn either side of the
+            # middle's miss the limits by
+            miss = min(max(lo - v, v - hi, 0.0) for v in (
+                angle - j * math.tau for j in (k - 1, k, k + 1)))
+            if math.isnan(out):
+                assert miss > leg.LIMIT_SLACK_RAD - 1e-12
+            else:
+                assert lo <= out <= hi
+                assert abs(math.remainder(out - angle, math.tau)) \
+                    <= leg.LIMIT_SLACK_RAD + 1e-12
 
 
 class TestFullStretch:
@@ -901,15 +935,24 @@ class TestReaches:
         assert ik_lands(LEG, target, 0.5 * (LEG.lower + LEG.upper))
         assert not leg._reaches(LEG, target[None], IK_TOL_MM).any()
 
-    def test_a_joint_spanning_a_turn_is_left_to_the_joint_path(self):
-        model = planar_leg((30.0, 25.0, 80.0, 120.0),
-                           ((-200.0, 200.0), (-150.0, 150.0),
-                            (-150.0, 150.0), (-150.0, 150.0)))
+    def test_a_joint_spanning_a_turn_is_left_to_the_joint_path(
+            self, monkeypatch):
+        # a coxa spanning a whole turn is tested like any other joint, so
+        # a reachable script leaves nothing to the joint path; a coxa
+        # spanning more than a turn is no leg model
+        links, rest = (30.0, 25.0, 80.0, 120.0), ((-150.0, 150.0),) * 3
+        model = planar_leg(links, ((-180.0, 180.0), *rest))
         targets = forward_kinematics(
-            model, np.zeros((3, 4)) + [0.0, 0.2, -0.3, 0.4]).position
-        assert not leg._reaches(model, targets, IK_TOL_MM).any()
-        assert trajectory_to_joints(
-            model, Trajectory(np.arange(3.0), targets)).shape == (3, 4)
+            model, np.zeros((3, 4)) + [3.0, 0.2, -0.3, 0.4]).position
+        assert leg._reaches(model, targets, IK_TOL_MM).all()
+        assert all(ik_lands(model, target, model._mid) for target in targets)
+        chain, mesh = default_chain_geometry(), MeshGrid()
+        script = builtin_scenario("walk_cycle", chain, mesh)
+        paths = count_calls(monkeypatch, contact, "trajectory_to_joints")
+        samples, _ = run_demo_cycle(model, chain, mesh, script)
+        assert len(samples) == 135 and paths == []
+        with pytest.raises(ValueError, match="coxa joint limits must be"):
+            planar_leg(links, ((-200.0, 200.0), *rest))
 
 
 class TestTrajectoryCsv:
@@ -964,6 +1007,15 @@ class TestModelValidation:
         rows = (DHRow(1.0),) * 4
         with pytest.raises(ValueError):
             LegModel(rows, ((1.0, -1.0),) * 4)
+
+    def test_limits_span_at_most_one_turn(self):
+        # infinite limits once gave a NaN mid-limit warm start
+        LegModel(LEG.rows, ((-math.pi, math.pi),) * 4)
+        with pytest.raises(ValueError):
+            LegModel(LEG.rows, ((-math.inf, math.inf),) * 4)
+        with pytest.raises(ValueError, match=r"coxa joint limits must be "
+                                             r"min < max <= min \+ 2 pi"):
+            LegModel(LEG.rows, ((0.0, math.inf), *LEG.joint_limits[1:]))
 
     def test_dh_row_finite(self):
         with pytest.raises(ValueError):

@@ -270,9 +270,12 @@ def cmd_sim(args, ctx: RunContext) -> int:
     scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
     claw_len = ctx.cfg.claw_params()["length_mm"]
 
-    samples, final = contact_mod.run_demo_cycle(
-        leg, chain, mesh, scenario, dt_ms=dt, limits=limits,
-        claw_length=claw_len, **ctx.cfg.ik_params())
+    try:
+        samples, final = contact_mod.run_demo_cycle(
+            leg, chain, mesh, scenario, dt_ms=dt, limits=limits,
+            claw_length=claw_len, **ctx.cfg.ik_params())
+    except ValueError as err:  # such as more ticks than an array holds
+        raise DomainError(f"--scenario {scenario.name}: {err}") from None
     ctx.write(f"{scenario.name}_demo.csv", contact_mod.save_demo_csv, samples)
     ctx.write(f"{scenario.name}_events.csv", write_table, ["t_ms", "event"],
               [[float(t), kind] for t, kind in final.events])
@@ -317,8 +320,16 @@ def _parse_pair(text: str):
 
 
 def _write_report(ctx: RunContext, pairs) -> None:
-    """Print the comparison report and write report.csv and report.txt."""
-    rows = stats_mod.comparison_report(pairs)
+    """Print the comparison report of ``pairs``, (name, ConditionPair)
+    tuples, and write report.csv and report.txt.  A pair the t-test
+    refuses (zero spread, a difference past the float range) is a domain
+    error under its name."""
+    rows = []
+    for name, pair in pairs:
+        try:
+            rows += stats_mod.comparison_report([pair])
+        except ValueError as err:
+            raise DomainError(f"{name}: {err}") from None
     text = stats_mod.format_report_text(rows)
     print(text)
     ctx.write("report.csv", write_table, stats_mod.REPORT_COLUMNS,
@@ -330,7 +341,8 @@ def cmd_gait(args, ctx: RunContext) -> int:
     if args.summary_stats:
         if not args.pair:
             raise DomainError("--summary-stats needs at least one --pair")
-        _write_report(ctx, [_parse_pair(p) for p in args.pair])
+        _write_report(ctx, [(f"--pair {p!r}", _parse_pair(p))
+                            for p in args.pair])
         return 0
 
     if not args.input:
@@ -392,9 +404,9 @@ def cmd_gait(args, ctx: RunContext) -> int:
                       f"in a condition; row left out of the report",
                       file=sys.stderr)
                 continue
-            pairs.append(stats_mod.ConditionPair(label, *(
+            pairs.append((label, stats_mod.ConditionPair(label, *(
                 stats_mod.GroupStats(float(v.mean()), float(v.std(ddof=1)),
-                                     len(v)) for v in groups)))
+                                     len(v)) for v in groups))))
         _write_report(ctx, pairs)
     return 0
 
@@ -506,8 +518,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (DomainError, chain_mod.ChainSolveError, leg_mod.NotReachable,
-            gait_mod.NoCyclesFound, stats_mod.ZeroVariance,
-            MemoryError) as err:
+            gait_mod.NoCyclesFound, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         ctx.write_manifest(argv)
         return 1

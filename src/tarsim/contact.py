@@ -243,7 +243,8 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     the loads that broke the hold.
 
     Returns the per-tick samples and the final state: the end time and
-    the event log.
+    the event log.  Raises ValueError for a phase of more ticks than an
+    array can hold.
     """
     if not (math.isfinite(dt_ms) and dt_ms > 0):
         raise ValueError(f"dt_ms must be finite and > 0, got {dt_ms}")
@@ -251,9 +252,14 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     home = np.asarray(script.home_tip, dtype=float)
     counts, targets, prev = [], [], np.zeros(3)
     for phase in script.phases:
-        n = max(1, int(round(phase.duration_ms / dt_ms)))
+        ticks = phase.duration_ms / dt_ms
+        try:
+            n = max(1, int(round(ticks)))
+            frac = np.arange(1, n + 1)[:, None] / n
+        except (OverflowError, ValueError):  # inf, or numpy refuses n
+            raise ValueError(f"phase {phase.name!r}: {ticks:g} ticks are "
+                             f"more than an array can hold") from None
         goal = np.asarray(phase.tip_offset, dtype=float)
-        frac = np.arange(1, n + 1)[:, None] / n
         targets.append(home + prev + frac * (goal - prev))
         counts.append(n)
         prev = goal

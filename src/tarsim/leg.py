@@ -303,7 +303,8 @@ def _closed_form(links, limits, target, warm, tol_mm):
     a0 = links[0]
     target = np.asarray(target, dtype=float)
     warm = np.asarray(warm, dtype=float)
-    best = float(_residual(links, warm.tolist(), target.tolist()))
+    with np.errstate(over="ignore"):  # a residual of inf: does not land
+        best = float(_residual(links, warm.tolist(), target.tolist()))
     if best < tol_mm:
         return IKResult(warm, best, 0)
     x, y, z = target.tolist()
@@ -405,14 +406,20 @@ def retarget_trajectory(beetle: Trajectory, scale: float = RETARGET_SCALE,
 
     ``origin`` defaults to the first sample, so a stance-aligned recording
     scales about its initial touchdown.  Timestamps are preserved and
-    pairwise distances multiply by exactly ``scale``.
+    pairwise distances multiply by exactly ``scale``.  Raises ValueError
+    where a scaled point overflows the float range.
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     if len(beetle) == 0:
         return beetle
     o = beetle.points[0] if origin is None else np.asarray(origin, dtype=float)
-    return Trajectory(beetle.t_ms.copy(), o + scale * (beetle.points - o))
+    with np.errstate(over="ignore"):
+        points = o + scale * (beetle.points - o)
+    if not np.isfinite(points).all():
+        raise ValueError("scaled points must be finite; scale and origin "
+                         "overflow the float range")
+    return Trajectory(beetle.t_ms.copy(), points)
 
 
 def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
@@ -444,7 +451,9 @@ def trajectory_to_joints(model: LegModel, traj: Trajectory, q0=None,
     n = len(traj)
     out = np.empty((n, 4))
     i = 0
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # a target past the float range's square root overflows the residual
+    # to inf: it lands nowhere
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         batch = _PathCandidates(model, traj.points, tol_mm) if n > 1 else None
         while i < n:
             rows = batch.round(i, q) if batch is not None else ()
@@ -530,7 +539,8 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
     out = np.zeros(len(points), dtype=bool)
     if not len(points):
         return out
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # overflow to inf, as in trajectory_to_joints: that point does not land
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         p = _Planes(model, points, tol_mm)
         tried = p.tried & p.reach[:, None]
         _, _, windows, ends = _arc_windows(p.links, p.limits, p.rho, p.phi)

@@ -130,11 +130,20 @@ def two_sample_ttest(a: GroupStats, b: GroupStats) -> TTestResult:
     df = n_a + n_b - 2.  The one-tail p is reported for the tail matching
     the observed difference (survival beyond |t|), so swapping the groups
     flips the sign of t but leaves both p values unchanged.
+
+    Raises ValueError when the mean difference or the pooled variance
+    overflows the float range.
     """
     df = a.n + b.n - 2
-    pooled_var = ((a.n - 1) * a.sd ** 2 + (b.n - 1) * b.sd ** 2) / df
-    se = math.sqrt(pooled_var * (1.0 / a.n + 1.0 / b.n))
+    try:
+        pooled_var = ((a.n - 1) * a.sd ** 2 + (b.n - 1) * b.sd ** 2) / df
+    except OverflowError:  # an sd ** 2 past the float range
+        pooled_var = math.inf
     diff = a.mean - b.mean
+    if not (math.isfinite(diff) and math.isfinite(pooled_var)):
+        raise ValueError(f"mean difference and pooled variance must be "
+                         f"finite, got {diff!r} and {pooled_var!r}")
+    se = math.sqrt(pooled_var * (1.0 / a.n + 1.0 / b.n))
     if se == 0.0:
         if diff == 0.0:
             raise ZeroVariance("both groups have zero sd and equal means")

@@ -59,6 +59,13 @@ class TestChainCommand:
         bends = [float(r[1]) for r in rows]
         assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(bends, bends[1:]))
 
+    def test_sweep_in_tenths_past_capacity(self, tmp_path, capsys):
+        rc, out = run(["chain", "--sweep", "0:13.1:0.1"], tmp_path)
+        assert rc == 0
+        assert "over 132 points" in capsys.readouterr().out
+        _, rows = read_table(out / "bend_vs_pull.csv")
+        assert len(rows) == 132
+
     def test_stiffness_csv_and_svg(self, tmp_path):
         rc, out = run(["chain", "--stiffness", "--format", "both"], tmp_path)
         assert rc == 0
@@ -268,6 +275,36 @@ class TestLegCommand:
     def test_ik_unreachable_exit_code(self, tmp_path, capsys):
         rc, _ = run(["leg", "--ik", "900,0,0"], tmp_path)
         assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: target not reachable: best residual ")
+
+    def test_help_names_the_leg_options(self, capsys):
+        assert main(["leg", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: tarsim leg ")
+        for flag in ("--fk", "--ik", "--q0", "--retarget", "--to-joints"):
+            assert flag in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["leg", "--ik=1e308,0,0"],
+         "target not reachable: best residual 1e+308 mm after 2 iterations"),
+        (["sim", "--scenario", "walk_cycle", "--config", "spacing.conf"],
+         "target not reachable at sample 0: best residual 2.91548e+300 mm"),
+        (["sim", "--scenario", "walk_cycle", "--config", "claw.conf"],
+         "target not reachable at sample 0: best residual 1e+308 mm"),
+    ], ids=["ik", "mesh_spacing", "claw_length"])
+    def test_target_past_the_float_range_warns_nothing(
+            self, tmp_path, capsys, monkeypatch, args, message):
+        # the residual overflows to inf there: that target does not land
+        monkeypatch.chdir(tmp_path)
+        Path("spacing.conf").write_text("[mesh]\nspacing_mm = 1e300\n")
+        Path("claw.conf").write_text("[claw]\nlength_mm = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(args, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("damping", "nan"), ("damping", "-1e-3"), ("damping", "0"),
@@ -403,6 +440,18 @@ class TestLegCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_retarget_past_the_float_range_is_domain_error(self, tmp_path,
+                                                          capsys):
+        src = tmp_path / "traj.csv"
+        src.write_text("t_ms,x_mm,y_mm,z_mm\n0,150,0,-50\n10,151,0,-50\n")
+        rc, out = run(["leg", "--retarget", str(src), "--origin", "1e308,0,0",
+                       "--to-joints"], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --retarget: scaled points must be finite; scale and "
+            "origin overflow the float range\n")
+        assert not out.exists()
+
     def test_retarget_going_back_in_time_names_its_row(self, tmp_path,
                                                        capsys):
         src = tmp_path / "back.csv"
@@ -427,10 +476,13 @@ class TestSimCommand:
         assert "Hook" in kinds and "Release" in kinds
 
     def test_tubed_repeat_swing(self, tmp_path):
-        rc, out = run(["sim", "--scenario", "tubed"], tmp_path)
+        # a hold that lasts to the end of the run: tubed never releases
+        rc, out = run(["sim", "--scenario", "tubed", "--format", "both"],
+                      tmp_path)
         assert rc == 0
         _, events = read_table(out / "tubed_events.csv")
         assert any(r[1] == "RepeatSwing" for r in events)
+        assert (out / "tubed_heights.svg").exists()
 
     def test_unknown_scenario_usage_error(self, tmp_path, capsys):
         rc, _ = run(["sim", "--scenario", "wat"], tmp_path)
@@ -458,6 +510,22 @@ class TestSimCommand:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not (out / "walk_cycle_demo.csv").exists()
+
+    @pytest.mark.parametrize("sim, ticks", [("", "1e+307"),
+                                            ("[sim]\ndt_ms = 0.001\n", "inf")],
+                             ids=["default_dt", "ticks_past_the_float_range"])
+    def test_scenario_too_long_for_an_array_is_an_error(self, tmp_path,
+                                                        capsys, sim, ticks):
+        conf = tmp_path / "t.conf"
+        conf.write_text(sim + "[scenario:long]\n"
+                        "phase_1 = hold rigid 1e308 0 0 0\n")
+        rc, out = run(["sim", "--scenario", "long", "--config", str(conf)],
+                      tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: --scenario long: phase 'hold': {ticks} ticks are more "
+            "than an array can hold\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value", [
         *(("sim", "penetration_mm", v) for v in ("nan", "0", "-1")),
@@ -768,9 +836,15 @@ class TestGaitCommand:
         ("x,1.0,1.0,5,2.0,1.0,5,1.5",
          "published p must lie in (0, 1], got 1.5"),
         ("x,1.0,1.0,5,2.0,1.0,5,nan",
-         "published p must lie in (0, 1], got nan")],
+         "published p must lie in (0, 1], got nan"),
+        # summaries past the float range: the t-test refuses them
+        ("a,1e308,1,5,-1e308,1,5", "mean difference and pooled variance "
+         "must be finite, got inf and 1.0"),
+        ("a,1,1e308,5,2,1e308,5", "mean difference and pooled variance "
+         "must be finite, got -1.0 and inf")],
         ids=["nan_mean", "inf_mean", "inf_sd", "nan_sd", "p_zero",
-             "p_negative", "p_above_one", "p_nan"])
+             "p_negative", "p_above_one", "p_nan", "overflowing_difference",
+             "overflowing_variance"])
     def test_pair_value_out_of_domain_is_error(self, tmp_path, capsys, pair,
                                                message):
         rc, out = run(["gait", "--summary-stats", "--pair", pair], tmp_path)
@@ -813,6 +887,7 @@ class TestGaitCommand:
         assert rc == 0
         header, rows = read_table(out / "report.csv")
         assert header == list(REPORT_COLUMNS)
+        assert len(rows) == 4
         for row in (dict(zip(header, r)) for r in rows):
             assert row["flag"] == ""
             assert (float(row["p_span_lo"])
@@ -898,6 +973,21 @@ class TestConfigAndManifest:
                    str(tmp_path / "absent.conf"),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(tmp_path / "absent.conf") in err
+
+    def test_unknown_key_names_the_keys_of_its_section(self, tmp_path,
+                                                       capsys):
+        conf = tmp_path / "typo.conf"
+        conf.write_text("[sim]\ndt = 5\n")
+        rc, out = run(["sim", "--scenario", "walk_cycle", "--config",
+                       str(conf)], tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: line 2: unknown key 'dt' in [sim]; valid keys: "
+            "dt_ms, penetration_mm\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("route", ["--config", "TARSIM_CONFIG"])
     @pytest.mark.parametrize("cause", ["directory", "not utf-8"])
@@ -1062,22 +1152,6 @@ class TestFormatPolicy:
             expected.add("manifest.json")
         written = {p.name for p in out.iterdir()} if out.exists() else set()
         assert written == expected
-
-
-class TestModuleEntry:
-    def test_python_dash_m(self, tmp_path):
-        # the subprocess does not get pytest's pythonpath setting
-        src = Path(__file__).resolve().parent.parent / "src"
-        path = os.pathsep.join(filter(None, [str(src),
-                                             os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "tarsim", "chain", "--pull", "5.5",
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 0
-        assert "65.8" in proc.stdout
-
 
 
 class TestParserReuse:

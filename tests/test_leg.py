@@ -393,6 +393,12 @@ class TestRetarget:
         with pytest.raises(ValueError):
             retarget_trajectory(traj, 0.0)
 
+    def test_rejects_points_past_the_float_range(self):
+        traj = Trajectory(np.array([0.0, 10.0]),
+                          np.array([[150.0, 0.0, -50.0], [151.0, 0.0, -50.0]]))
+        with pytest.raises(ValueError, match="must be finite"):
+            retarget_trajectory(traj, 8.0, origin=(1e308, 0.0, 0.0))
+
 
 def synthetic_workspace_arc(model, n=120):
     t = np.arange(n) * 10.0

@@ -132,6 +132,15 @@ class TestTwoSampleTTest:
         with pytest.raises(ZeroVariance):
             two_sample_ttest(g, GroupStats(5.0, 0.0, 4))
 
+    @pytest.mark.parametrize("a, b", [
+        (GroupStats(1e308, 1.0, 5), GroupStats(-1e308, 1.0, 5)),
+        (GroupStats(1.0, 1e308, 5), GroupStats(2.0, 1e308, 5)),
+        (GroupStats(1.0, 1e154, 5), GroupStats(2.0, 1.0, 5))],
+        ids=["mean_difference", "sd_squared", "pooled_sum"])
+    def test_past_the_float_range_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            two_sample_ttest(a, b)
+
     def test_zero_variance_different_means(self):
         r = two_sample_ttest(GroupStats(5.0, 0.0, 4), GroupStats(4.0, 0.0, 4))
         assert math.isinf(r.t) and r.t > 0

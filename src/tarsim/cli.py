@@ -116,7 +116,14 @@ def cmd_chain(args, ctx: RunContext) -> int:
     if args.pull is None and args.sweep is None and not args.stiffness:
         raise DomainError("chain needs --pull, --sweep or --stiffness")
     chain = ctx.cfg.build_chain()
-    solver = ctx.cfg.solver_params()
+    tol = ctx.cfg.value("solver", "tol_mm")
+    max_iter = ctx.cfg.value("solver", "max_iter")
+    if args.stiffness:
+        cap = ctx.cfg.build_limits().vertical_max
+        end = 1.5 * cap / chain.k_rigid
+        if not math.isfinite(end):
+            raise DomainError(f"--stiffness: the displacement axis end 1.5 * "
+                              f"{cap} N / {chain.k_rigid} N/mm overflows")
 
     if args.pull is not None:
         if not (math.isfinite(args.pull) and args.pull >= 0):
@@ -125,7 +132,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
         # clamp here: the library's clamp warning is for library callers
         capacity = chain_mod.max_chain_pull(chain)
         state = chain_mod.solve_bend_from_pull(
-            chain, min(args.pull, capacity), **solver)
+            chain, min(args.pull, capacity), tol=tol, max_iter=max_iter)
         pulls = chain_mod._joint_pulls(chain, state.theta)[0]
         rows = [[f"segment_{i + 1}", *cells] for i, cells in enumerate(zip(
             np.degrees(state.theta).tolist(), state.compression.tolist(),
@@ -161,7 +168,8 @@ def cmd_chain(args, ctx: RunContext) -> int:
             raise DomainError(f"--sweep {args.sweep!r}: {err}") from None
         capacity = chain_mod.max_chain_pull(chain)
         clamped = int(np.count_nonzero(pulls > capacity))
-        bends = chain_mod.bend_angles(chain, pulls, **solver)
+        bends = chain_mod.bend_angles(chain, pulls, tol=tol,
+                                      max_iter=max_iter)
         ctx.write("bend_vs_pull.csv", write_table,
                   ["pull_mm", "total_bend_deg"],
                   zip(pulls.tolist(), bends.tolist()))
@@ -174,8 +182,7 @@ def cmd_chain(args, ctx: RunContext) -> int:
               f"clamped at capacity {capacity:.6g} mm")
 
     if args.stiffness:
-        cap = ctx.cfg.build_limits().vertical_max
-        disp = np.linspace(0.0, 1.5 * cap / chain.k_rigid, 101)
+        disp = np.linspace(0.0, end, 101)
         curves = [(mode, disp,
                    chain_mod.stiffness_curve(chain, mode, disp, cap))
                   for mode in chain_mod.MODES]
@@ -196,7 +203,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
     if args.fk is None and args.ik is None and args.retarget is None:
         raise DomainError("leg needs --fk, --ik or --retarget")
     model = ctx.cfg.build_leg()
-    ik_kwargs = ctx.cfg.ik_params()
+    tol_mm = ctx.cfg.value("ik", "tol_mm")
 
     if args.fk is not None:
         q = np.radians(_parse_vector(args.fk, 4, "--fk"))
@@ -213,7 +220,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         target = _parse_vector(args.ik, 3, "--ik")
         q0 = None if args.q0 is None \
             else np.radians(_parse_vector(args.q0, 4, "--q0"))
-        result = leg_mod.inverse_kinematics(model, target, q0, **ik_kwargs)
+        result = leg_mod.inverse_kinematics(model, target, q0, tol_mm=tol_mm)
         qd = np.degrees(result.q)
         ctx.write("leg_ik.csv", write_table,
                   ["coxa_deg", "trochanter_deg", "femur_deg", "tibia_deg",
@@ -230,7 +237,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         except (OSError, ValueError) as err:
             raise DomainError(f"--retarget: {err}") from None
         scale = args.scale if args.scale is not None \
-            else ctx.cfg.retarget_params()["scale"]
+            else ctx.cfg.value("retarget", "scale")
         origin = _parse_vector(args.origin, 3, "--origin") \
             if args.origin is not None else None
         try:
@@ -240,7 +247,7 @@ def cmd_leg(args, ctx: RunContext) -> int:
         ctx.write("retargeted.csv", leg_mod.save_trajectory, scaled)
         print(f"retargeted {len(traj)} samples by x{scale}")
         if args.to_joints:
-            qs = leg_mod.trajectory_to_joints(model, scaled, **ik_kwargs)
+            qs = leg_mod.trajectory_to_joints(model, scaled, tol_mm=tol_mm)
             ctx.write("joints.csv", write_table,
                       ["t_ms", "coxa_deg", "trochanter_deg", "femur_deg",
                        "tibia_deg"],
@@ -266,14 +273,14 @@ def cmd_sim(args, ctx: RunContext) -> int:
     leg = ctx.cfg.build_leg()
     mesh = ctx.cfg.build_mesh()
     limits = ctx.cfg.build_limits()
-    dt = ctx.cfg.sim_params()["dt_ms"]
+    dt = ctx.cfg.value("sim", "dt_ms")
     scenario = ctx.cfg.build_scenario(args.scenario, chain, mesh)
-    claw_len = ctx.cfg.claw_params()["length_mm"]
+    claw_len = ctx.cfg.value("claw", "length_mm")
 
     try:
         samples, final = contact_mod.run_demo_cycle(
             leg, chain, mesh, scenario, dt_ms=dt, limits=limits,
-            claw_length=claw_len, **ctx.cfg.ik_params())
+            claw_length=claw_len, tol_mm=ctx.cfg.value("ik", "tol_mm"))
     except ValueError as err:  # such as more ticks than an array holds
         raise DomainError(f"--scenario {scenario.name}: {err}") from None
     ctx.write(f"{scenario.name}_demo.csv", contact_mod.save_demo_csv, samples)
@@ -354,21 +361,19 @@ def cmd_gait(args, ctx: RunContext) -> int:
     if not conditions:
         conditions = ["all"] * len(args.input)
 
-    ap = ctx.cfg.analytics_params()
-    cycle_kwargs = dict(hysteresis_frac=ap["hysteresis_frac"],
-                        min_separation_ms=ap["min_separation_ms"])
+    rate = ctx.cfg.value("analytics", "rate_fps")
+    cycle_kwargs = {key: ctx.cfg.value("analytics", key) for key in (
+        "hysteresis_frac", "min_separation_ms", "interpolate_gaps")}
     metric_rows = []
     grouped: dict = {}
     for path, condition in zip(args.input, conditions):
         try:
             ctx.note_input(path)
-            rec = gait_mod.load_recording(path, rate=ap["rate_fps"])
+            rec = gait_mod.load_recording(path, rate=rate)
         except (OSError, ValueError) as err:
             raise DomainError(f"{path}: {err}") from None
         try:
-            tm = gait_mod.trial_metrics(
-                rec, args.side, interpolate_gaps=ap["interpolate_gaps"],
-                **cycle_kwargs)
+            tm = gait_mod.trial_metrics(rec, args.side, **cycle_kwargs)
         except gait_mod.NoCyclesFound as err:
             print(f"warning: {path}: no cycles found ({err})",
                   file=sys.stderr)

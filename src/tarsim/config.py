@@ -164,7 +164,8 @@ def _key(section: str, key: str) -> tuple | None:
 
 
 class Config:
-    """Parsed configuration: raw section/key table plus typed accessors."""
+    """Parsed configuration: the raw section/key table, read by ``value``
+    and the ``build_*`` methods."""
 
     def __init__(self, data: dict | None = None):
         self.data = data or {}
@@ -265,24 +266,10 @@ class Config:
             origin=(p["origin_x_mm"], p["origin_y_mm"]))
 
     def build_limits(self) -> contact_mod.ForceLimits:
-        """``[limits]``, the one source of the vertical force cap: each
-        limit finite and > 0."""
+        """``[limits]``, the one source of the vertical force cap."""
         p = self._params("limits")
         return contact_mod.ForceLimits(vertical_max=p["vertical_max_n"],
                                        hooking_max=p["hooking_max_n"])
-
-    def claw_params(self) -> dict:
-        """``[claw] length_mm``, finite and > 0."""
-        return self._params("claw")
-
-    def retarget_params(self) -> dict:
-        """``[retarget] scale``, finite and > 0."""
-        return self._params("retarget")
-
-    def analytics_params(self) -> dict:
-        """``[analytics]``: rate_fps finite and > 0, hysteresis_frac
-        finite, >= 0 and < 1, min_separation_ms finite and >= 0."""
-        return self._params("analytics")
 
     def build_scenario(self, name: str, chain: chain_mod.ChainGeometry,
                        mesh: contact_mod.MeshGrid) -> contact_mod.Scenario:
@@ -298,8 +285,8 @@ class Config:
             base = _build(
                 section, contact_mod.builtin_scenario,
                 "walk_cycle" if custom else name, chain, mesh,
-                claw_length=self.claw_params()["length_mm"],
-                penetration_mm=self.sim_params()["penetration_mm"])
+                claw_length=self.value("claw", "length_mm"),
+                penetration_mm=self.value("sim", "penetration_mm"))
             if not custom:
                 return base
             home = base.home_tip
@@ -319,21 +306,6 @@ class Config:
                          for i in range(1, count + 1)),
             allow_flexible=self.value(section, "allow_flexible"),
             expect_failures=self.value(section, "expect_failures"))
-
-    def ik_params(self) -> dict:
-        """``[ik] tol_mm``, finite and > 0; keyword arguments of the IK."""
-        return self._params("ik")
-
-    def solver_params(self) -> dict:
-        """``[solver]`` chain-solve settings: tol_mm finite and > 0,
-        max_iter >= 1; keyword arguments of the chain's inverse pull map."""
-        p = self._params("solver")
-        return {"tol": p["tol_mm"], "max_iter": p["max_iter"]}
-
-    def sim_params(self) -> dict:
-        """``[sim]`` run settings: dt_ms and penetration_mm, each finite
-        and > 0."""
-        return self._params("sim")
 
     def hash(self) -> str:
         """Stable digest of the effective configuration."""

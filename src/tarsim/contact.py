@@ -233,14 +233,18 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
     fails it is the joint path solved (``trajectory_to_joints``, from
     the home point and a mid-limit warm start, each tick warm-started
     from the one before), which raises NotReachable with the index of
-    its tick, 0 being the home point.  Last, the contact rules (see
-    ``_scan``): hook while free, else release on a flexible lift, else
-    the strand rides the claw (its deflection clamped at the vertical
-    cap) until the hooking limit tears it free; then the RepeatSwing
-    check.  Limit violations become events, never exceptions.  While
-    hooked the forces are stiffness times the deflection and times the
-    tangential stretch since engagement; on a ClawFailure tick they are
-    the loads that broke the hold.
+    its tick, 0 being the home point; a tick it lands after all changes
+    nothing.  A claw tip is built on the scripted target, not on FK of
+    an IK answer (which lies within ``tol_mm`` of it), so a loose
+    tolerance widens reach but does not make the claw lag its script.
+    Last, the contact rules (see ``_scan``): hook while free, else
+    release on a flexible lift, else the strand rides the claw (its
+    deflection clamped at the vertical cap) until the hooking limit
+    tears it free; then the RepeatSwing check.  Limit violations become
+    events, never exceptions.  While hooked the forces are stiffness
+    times the deflection and times the tangential stretch since
+    engagement; on a ClawFailure tick they are the loads that broke the
+    hold.
 
     Returns the per-tick samples and the final state: the end time and
     the event log.  Raises ValueError for a phase of more ticks than an
@@ -260,7 +264,9 @@ def run_demo_cycle(leg: LegModel, chain: ChainGeometry, mesh: MeshGrid,
             raise ValueError(f"phase {phase.name!r}: {ticks:g} ticks are "
                              f"more than an array can hold") from None
         goal = np.asarray(phase.tip_offset, dtype=float)
-        targets.append(home + prev + frac * (goal - prev))
+        # a target past the float range lands nowhere, as _reaches finds
+        with np.errstate(over="ignore", invalid="ignore"):
+            targets.append(home + prev + frac * (goal - prev))
         counts.append(n)
         prev = goal
     if not counts:

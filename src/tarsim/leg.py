@@ -247,7 +247,10 @@ def inverse_kinematics(model: LegModel, target, q0=None,
         target: 3D tip target, mm.
         q0: warm start, 4 finite joint angles (clipped to the limits);
             None for the middle of the limits.
-        tol_mm: convergence threshold on the position residual.
+        tol_mm: convergence threshold on the position residual.  A
+            looser one does not widen the joint limits: a target just
+            past an edge of the workspace that the limits draw raises
+            NotReachable although it lies within ``tol_mm`` of it.
 
     Returns:
         IKResult with the solution and its residual.  ``iterations`` is 0

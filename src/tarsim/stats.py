@@ -161,10 +161,14 @@ def _p_span(a: GroupStats, b: GroupStats) -> tuple[float, float]:
     sd, so its extremes over the rounding box lie at two corners: the far
     one moves the means apart and lowers both sds by their half-steps, the
     near one does the reverse.  A box that holds equal means has its near
-    end at t = 0, p = 0.5, and an sd is never lowered below 0.
+    end at t = 0, p = 0.5, and an sd is never lowered below 0.  Raises
+    ValueError when the far corner's mean difference overflows.
     """
     gap = abs(a.mean - b.mean)
     step = a.half_step + b.half_step
+    if not math.isfinite(gap + step):
+        raise ValueError(f"mean difference over the rounding box must be "
+                         f"finite, got {gap + step!r}")
 
     def p(diff, sign):
         return two_sample_ttest(

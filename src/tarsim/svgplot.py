@@ -13,8 +13,15 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
-    return np.linspace(lo, hi, n)
+def _span(arrays) -> tuple[float, float]:
+    """The range of the finite values of ``arrays``: (0, 1) when there
+    is none, one unit wide when they are all equal."""
+    finite = np.concatenate(
+        [np.empty(0)] + [a[np.isfinite(a)] for a in arrays])
+    if not finite.size:
+        return 0.0, 1.0
+    lo, hi = float(finite.min()), float(finite.max())
+    return lo, (lo + 1.0 if hi == lo else hi)
 
 
 def _runs(x, y, px, py) -> list[str]:
@@ -42,22 +49,10 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
     ml, mr, mt, mb = 62, 16, 34, 46  # margins
     pw, ph = w - ml - mr, h - mt - mb
 
-    xs = [np.asarray(x, dtype=float) for _, x, _ in series]
-    ys = [np.asarray(y, dtype=float) for _, _, y in series]
-    finite_x = np.concatenate([x[np.isfinite(x)] for x in xs]) \
-        if xs else np.array([0.0])
-    finite_y = np.concatenate([y[np.isfinite(y)] for y in ys]) \
-        if ys else np.array([0.0])
-    if finite_x.size == 0:
-        finite_x = np.array([0.0, 1.0])
-    if finite_y.size == 0:
-        finite_y = np.array([0.0, 1.0])
-    x0, x1 = float(finite_x.min()), float(finite_x.max())
-    y0, y1 = float(finite_y.min()), float(finite_y.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    series = [(label, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+              for label, x, y in series]
+    x0, x1 = _span([x for _, x, _ in series])
+    y0, y1 = _span([y for _, _, y in series])
     pad = 0.04 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
@@ -77,12 +72,12 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
     if title:
         parts.append(f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-size="14">{_xml_escape(title)}</text>')
-    for tx in _ticks(x0, x1):
+    for tx in np.linspace(x0, x1, 5):
         parts.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" '
                      f'x2="{px(tx):.1f}" y2="{mt + ph + 4}" stroke="#444"/>')
         parts.append(f'<text x="{px(tx):.1f}" y="{mt + ph + 17}" '
                      f'text-anchor="middle">{tx:.4g}</text>')
-    for ty in _ticks(y0, y1):
+    for ty in np.linspace(y0, y1, 5):
         parts.append(f'<line x1="{ml - 4}" y1="{py(ty):.1f}" x2="{ml}" '
                      f'y2="{py(ty):.1f}" stroke="#444"/>')
         parts.append(f'<text x="{ml - 7}" y="{py(ty) + 4:.1f}" '
@@ -97,8 +92,7 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
 
     for k, (label, x, y) in enumerate(series):
         color = PALETTE[k % len(PALETTE)]
-        for run in _runs(np.asarray(x, dtype=float),
-                         np.asarray(y, dtype=float), px, py):
+        for run in _runs(x, y, px, py):
             parts.append(f'<polyline points="{run}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
         if label:

@@ -159,6 +159,22 @@ class TestChainCommand:
         assert max(s.vertical for s in
                    load_demo_csv(out / "tubed_demo.csv")) == 2.0
 
+    def test_stiffness_axis_past_the_float_range_is_domain_error(
+            self, tmp_path, capsys):
+        # 1.5 * 1e308 N / 0.54 N/mm overflows: the axis would hold nan and
+        # inf cells; nothing is written, the --pull table included
+        conf = tmp_path / "t.conf"
+        conf.write_text("[limits]\nvertical_max_n = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = run(["chain", "--pull", "1", "--stiffness", "--config",
+                           str(conf), "--format", "both"], tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --stiffness: the displacement axis end 1.5 * 1e+308 N / "
+            "0.54 N/mm overflows\n")
+        assert not out.exists()
+
     def test_chain_vertical_cap_key_names_its_replacement(self, tmp_path,
                                                           capsys):
         conf = tmp_path / "t.conf"
@@ -292,13 +308,23 @@ class TestLegCommand:
          "target not reachable at sample 0: best residual 2.91548e+300 mm"),
         (["sim", "--scenario", "walk_cycle", "--config", "claw.conf"],
          "target not reachable at sample 0: best residual 1e+308 mm"),
-    ], ids=["ik", "mesh_spacing", "claw_length"])
+        # a scripted target past the float range is inf
+        (["sim", "--scenario", "far", "--config", "offsets.conf"],
+         "target not reachable at sample 1: best residual 1e+308 mm"),
+        (["sim", "--scenario", "far", "--config", "home.conf"],
+         "target not reachable at sample 0: best residual 1e+308 mm"),
+    ], ids=["ik", "mesh_spacing", "claw_length", "scenario_offsets",
+            "scenario_home"])
     def test_target_past_the_float_range_warns_nothing(
             self, tmp_path, capsys, monkeypatch, args, message):
         # the residual overflows to inf there: that target does not land
         monkeypatch.chdir(tmp_path)
         Path("spacing.conf").write_text("[mesh]\nspacing_mm = 1e300\n")
         Path("claw.conf").write_text("[claw]\nlength_mm = 1e308\n")
+        far = "[scenario:far]\nphase_1 = out rigid 10 1e308 0 0\n"
+        Path("offsets.conf").write_text(
+            far + "home = 120 0 -60\nphase_2 = back rigid 10 -1e308 0 0\n")
+        Path("home.conf").write_text(far + "home = 1e308 0 0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc, out = run(args, tmp_path)
@@ -841,10 +867,13 @@ class TestGaitCommand:
         ("a,1e308,1,5,-1e308,1,5", "mean difference and pooled variance "
          "must be finite, got inf and 1.0"),
         ("a,1,1e308,5,2,1e308,5", "mean difference and pooled variance "
-         "must be finite, got -1.0 and inf")],
+         "must be finite, got -1.0 and inf"),
+        # the difference is finite, the rounding box's far corner is not
+        ("a,1e308,1,5,-7e307,1,5", "mean difference over the rounding box "
+         "must be finite, got inf")],
         ids=["nan_mean", "inf_mean", "inf_sd", "nan_sd", "p_zero",
              "p_negative", "p_above_one", "p_nan", "overflowing_difference",
-             "overflowing_variance"])
+             "overflowing_variance", "overflowing_rounding_box"])
     def test_pair_value_out_of_domain_is_error(self, tmp_path, capsys, pair,
                                                message):
         rc, out = run(["gait", "--summary-stats", "--pair", pair], tmp_path)

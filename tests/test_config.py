@@ -3,10 +3,11 @@
 import inspect
 import math
 import re
+from pathlib import Path
 
 import pytest
 
-from tarsim import config as config_mod
+from tarsim import cli, config as config_mod
 from tarsim.config import (KEYS, LEG_SECTIONS, SCENARIO_KEYS,
                            TARSOMERE_SECTIONS, Config, ConfigError,
                            load_config, parse_config)
@@ -169,14 +170,17 @@ class TestBuilders:
 
     def test_solver_and_sim_settings(self):
         from tarsim.chain import SOLVE_MAX_ITER, SOLVE_TOL_MM
-        assert Config.default().solver_params() == {
-            "tol": SOLVE_TOL_MM, "max_iter": SOLVE_MAX_ITER}
-        assert Config.default().sim_params() == {"dt_ms": 10.0,
-                                                 "penetration_mm": 5.0}
+        cfg = Config.default()
+        assert cfg.value("solver", "tol_mm") == SOLVE_TOL_MM
+        assert cfg.value("solver", "max_iter") == SOLVE_MAX_ITER
+        assert cfg.value("sim", "dt_ms") == 10.0
+        assert cfg.value("sim", "penetration_mm") == 5.0
         cfg = parse_config("[solver]\ntol_mm = 1e-6\nmax_iter = 7\n"
                            "[sim]\ndt_ms = 2.5\n")
-        assert cfg.solver_params() == {"tol": 1e-6, "max_iter": 7}
-        assert cfg.sim_params() == {"dt_ms": 2.5, "penetration_mm": 5.0}
+        assert cfg.value("solver", "tol_mm") == 1e-6
+        assert cfg.value("solver", "max_iter") == 7
+        assert cfg.value("sim", "dt_ms") == 2.5
+        assert cfg.value("sim", "penetration_mm") == 5.0
 
     def test_defaults_are_the_layer_defaults(self):
         def default(fn, arg):
@@ -185,9 +189,9 @@ class TestBuilders:
         cfg = Config.default()
         assert cfg.build_mesh() == MeshGrid()
         assert cfg.build_limits() == ForceLimits()
-        assert cfg.sim_params() == {
-            "dt_ms": default(run_demo_cycle, "dt_ms"),
-            "penetration_mm": default(builtin_scenario, "penetration_mm")}
+        assert cfg.value("sim", "dt_ms") == default(run_demo_cycle, "dt_ms")
+        assert cfg.value("sim", "penetration_mm") == \
+            default(builtin_scenario, "penetration_mm")
         legs = "".join(f"[leg_{name}]\na_mm = 10\n" for name in
                        ("coxa", "trochanter", "femur", "tibia"))
         assert parse_config(legs).build_leg().joint_limits == \
@@ -287,13 +291,17 @@ class TestScenarios:
             cfg.build_scenario("nope", cfg.build_chain(), cfg.build_mesh())
 
 
-# the method that reads each section's keys
+# the method that reads each section's keys; for a section that only a
+# command reads, that command's arguments, run in-process on the config
 READERS = {
-    "chain": Config.build_chain, "claw": Config.claw_params,
-    "ik": Config.ik_params, "solver": Config.solver_params,
+    "chain": Config.build_chain,
+    "claw": lambda cfg: cfg.build_scenario(
+        "walk_cycle", cfg.build_chain(), cfg.build_mesh()),
+    "ik": ["leg", "--ik", "150,0,-50"], "solver": ["chain", "--pull", "1"],
     "mesh": Config.build_mesh, "limits": Config.build_limits,
-    "analytics": Config.analytics_params,
-    "retarget": Config.retarget_params, "sim": Config.sim_params,
+    "analytics": ["gait", "--input", "trial.csv"],
+    "retarget": ["leg", "--retarget", "traj.csv"],
+    "sim": ["sim", "--scenario", "walk_cycle"],
     **dict.fromkeys(TARSOMERE_SECTIONS, Config.build_chain),
     **dict.fromkeys(LEG_SECTIONS, Config.build_leg),
     "scenario:x": lambda cfg: cfg.build_scenario(
@@ -324,16 +332,72 @@ KEY_IDS = [f"{s}.{k}" for s, k, _, _ in EVERY_KEY[:-1]] \
 
 
 @pytest.mark.parametrize("section, key, kind, beside", EVERY_KEY, ids=KEY_IDS)
-def test_no_key_is_accepted_but_never_read(section, key, kind, beside):
-    # a key parse_config takes but no builder reads would be dropped
+def test_no_key_is_accepted_but_never_read(section, key, kind, beside,
+                                           tmp_path, monkeypatch, capsys):
+    # a key parse_config takes but no reader reads would be dropped
     # without a word; a refused value shows that it is read
     text = "".join(f"[{s}]\n" for s in beside if s != section) \
         + f"[{section}]\n{key} = {REFUSED[kind.parse]}\n"
     line = text.count("\n")
-    with pytest.raises(ConfigError) as err:
-        READERS[section](parse_config(text))
+    reader = READERS[section]
+    if callable(reader):
+        with pytest.raises(ConfigError) as err:
+            reader(parse_config(text))
+        message = str(err.value)
+    else:
+        monkeypatch.chdir(tmp_path)
+        Path("t.conf").write_text(text)
+        Path("traj.csv").write_text("t_ms,x_mm,y_mm,z_mm\n0,120,0,-60\n")
+        Path("trial.csv").write_text("t_ms,label,x_mm,y_mm,z_mm\n")
+        assert cli.main([*reader, "--config", "t.conf", "--out", "out"]) == 2
+        prefix, _, message = capsys.readouterr().err.partition(": ")
+        assert prefix == "config error"
     assert re.match(rf"line {line}: {re.escape(section)}\.{key}[: ]",
-                    str(err.value))
+                    message)
+
+
+# what each kind's parse reads, as the README's configuration table says
+READS = {config_mod._number: "number", config_mod._integer: "integer",
+         config_mod._boolean: "boolean",
+         config_mod._home: "`auto`, or three finite numbers x y z",
+         config_mod._phase: "`<name> <mode> <duration_ms> <dx> <dy> <dz>`, "
+                            "the numbers finite"}
+
+
+def configuration_table() -> str:
+    """The README's configuration table: one row per key of ``KEYS`` and
+    ``SCENARIO_KEYS`` with its default and its kind's rule; sections that
+    share one key table (the tarsomere and the leg sets) share rows."""
+    groups = []
+    for section, keys in KEYS.items():
+        if groups and groups[-1][1] is keys:
+            groups[-1][0].append(section)
+        else:
+            groups.append(([section], keys))
+    groups.append((["scenario:<name>"],
+                   {**SCENARIO_KEYS, "phase_<n>": (None, config_mod._PHASE)}))
+    rows = ["| Section | Key | Default | Value |", "|---|---|---|---|"]
+    for sections, keys in groups:
+        name = f"[{sections[0]}]" + (f"…[{sections[-1]}]"
+                                     if len(sections) > 1 else "")
+        for key, (default, kind) in keys.items():
+            if default is None:
+                shown = "-"
+            elif isinstance(default, bool):
+                shown = f"`{str(default).lower()}`"
+            else:
+                shown = f"`{default!r}`"
+            value = READS[kind.parse] + (f", {kind.rule}" if kind.rule
+                                         else "")
+            rows.append(f"| `{name}` | `{key}` | {shown} | {value} |")
+    return "\n".join(rows) + "\n"
+
+
+def test_readme_holds_the_configuration_table():
+    # a key, default or rule cannot change without its documentation
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    table = configuration_table()
+    assert table in readme.read_text(encoding="utf-8"), table
 
 
 class TestHash:

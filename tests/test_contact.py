@@ -551,17 +551,18 @@ def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
     script = cfg.build_scenario(name, chain, mesh)
     points = np.vstack([script.home_tip, *leg_tip_targets(script, dt)])
     traj = leg_mod.Trajectory(np.arange(len(points)) * float(dt), points)
-    want = scalar_joints(leg, traj, **cfg.ik_params())
+    tol_mm = cfg.value("ik", "tol_mm")
+    want = scalar_joints(leg, traj, tol_mm=tol_mm)
     rounds = count_calls(monkeypatch, leg_mod._PathCandidates, "round")
     scalar = count_calls(monkeypatch, leg_mod, "inverse_kinematics")
-    got = leg_mod.trajectory_to_joints(leg, traj, **cfg.ik_params())
+    got = leg_mod.trajectory_to_joints(leg, traj, tol_mm=tol_mm)
     assert np.array_equal(got, want)
     assert len(later_rounds(rounds)) <= MAX_ROUNDS
     assert len(scalar) <= MAX_SCALAR_SOLVES
     # a claw tip is its scripted target: FK of the path is within tol_mm
     miss = np.linalg.norm(forward_kinematics(leg, got).position - traj.points,
                           axis=1)
-    assert miss.max() < cfg.ik_params()["tol_mm"]
+    assert miss.max() < tol_mm
 
 
 # -- the scan against the per-tick loop it replaced ---------------------------
@@ -846,4 +847,4 @@ def test_scan_matches_the_tick_loop_on_bench_inputs(spacing, rest, name, dt):
     assert_scan_matches_loop(leg, chain, mesh,
                              cfg.build_scenario(name, chain, mesh),
                              dt_ms=dt, limits=cfg.build_limits(),
-                             **cfg.ik_params())
+                             tol_mm=cfg.value("ik", "tol_mm"))

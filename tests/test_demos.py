@@ -1,4 +1,6 @@
-"""Every demo script runs to completion in a fresh interpreter."""
+"""Every demo script runs to completion in a fresh interpreter, and
+prints nothing on stderr: pytest's warning filters do not reach the
+subprocess, so a numpy warning would otherwise pass."""
 
 import os
 import subprocess
@@ -23,3 +25,4 @@ def test_demo_exits_zero(demo):
                           text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -1,8 +1,10 @@
 """Command-line entry point: ``tarsim chain|leg|sim|gait``.
 
 Every run that writes an output writes it into ``--out`` together with
-a ``manifest.json`` recording the command line, the configuration hash
-and the input file hashes, so any result can be reproduced bit for bit.
+a ``manifest.json`` recording the command line, the tool version, the
+configuration file and hash, the input file hashes and the output file
+names.  It holds no digest of an output, so it cannot show that a rerun
+wrote the same bytes.
 ``--format`` selects the CSV tables and the SVG charts; any other output,
 such as ``report.txt``, is always written.
 
@@ -262,7 +264,7 @@ def _heights_chart(path, samples, rest_height, title) -> None:
     """The claw, mesh and rest heights of the samples over time, as an
     SVG chart; its arrays are built only when the chart is written."""
     # a sample's first three fields: t_ms, claw_z, mesh_z
-    t, claw_z, mesh_z = np.array([s[:3] for s in samples]).T
+    t, claw_z, mesh_z, *_ = zip(*samples)
     svgplot.line_chart(path, [("claw", t, claw_z), ("mesh", t, mesh_z),
                               ("rest", t, np.full(len(t), rest_height))],
                        title=title, xlabel="time (ms)", ylabel="height (mm)")

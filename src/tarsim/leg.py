@@ -537,7 +537,8 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
     lands, and in its second as soon as any pin does, so a True point
     lands from every warm start.  False on the z axis, whose yaw is the
     warm one; the warm-started IK may still land it.  The pins are built
-    only for the points no arc end reached.
+    only for the points no arc end reached.  The straight-elbow arc ends
+    (arc 0's hi, arc 1's lo) are closed first: one of them usually lands.
     """
     out = np.zeros(len(points), dtype=bool)
     if not len(points):
@@ -547,9 +548,14 @@ def _reaches(model: LegModel, points, tol_mm: float) -> np.ndarray:
         p = _Planes(model, points, tol_mm)
         tried = p.tried & p.reach[:, None]
         _, _, windows, ends = _arc_windows(p.links, p.limits, p.rho, p.phi)
+        # window w's ends are columns 2w (lo) and 2w + 1 (hi); arc 0 has
+        # the first half of the windows
+        w = np.arange(windows.shape[-1])
+        arc0 = w < len(w) // 2
+        order = np.concatenate([2 * w + arc0, 2 * w + ~arc0])
         every = np.arange(len(points))
-        out = p.landed(every, ends, np.repeat(windows & tried[..., None], 2,
-                                              axis=-1))
+        out = p.landed(every, ends[..., order],
+                       (windows & tried[..., None])[..., order // 2])
         rest = every[~out & p.reach]
         if rest.size:
             q1, ok = _pinned_batch(p.links, p.limits, p.rho[rest],
@@ -921,13 +927,17 @@ def save_trajectory(path, traj: Trajectory) -> None:
                 np.column_stack([traj.t_ms, traj.points]).tolist())
 
 
+_default_leg: LegModel | None = None
+
+
 def default_leg_model() -> LegModel:
-    """Leg proportioned like the prototype: yawing coxa, pitching distal joints."""
-    rows = (
-        DHRow(a=30.0),
-        DHRow(a=25.0),
-        DHRow(a=80.0),
-        DHRow(a=120.0),
-    )
-    lim = math.radians(JOINT_LIMIT_DEG)
-    return LegModel(rows, ((-lim, lim),) * 4)
+    """Leg proportioned like the prototype: yawing coxa, pitching distal
+    joints.  One instance, built on the first call and shared: a
+    ``LegModel`` is frozen and its arrays are read-only."""
+    global _default_leg
+    if _default_leg is None:
+        lim = math.radians(JOINT_LIMIT_DEG)
+        _default_leg = LegModel(tuple(DHRow(a) for a in (30.0, 25.0, 80.0,
+                                                         120.0)),
+                                ((-lim, lim),) * 4)
+    return _default_leg

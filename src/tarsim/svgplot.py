@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -15,13 +17,19 @@ def _xml_escape(text: str) -> str:
 
 def _span(arrays) -> tuple[float, float]:
     """The range of the finite values of ``arrays``: (0, 1) when there
-    is none, one unit wide when they are all equal."""
+    is none, one unit wide when they are all equal (2**-20 of the value
+    wide, toward 0, where rounding loses the unit)."""
     finite = np.concatenate(
         [np.empty(0)] + [a[np.isfinite(a)] for a in arrays])
     if not finite.size:
         return 0.0, 1.0
     lo, hi = float(finite.min()), float(finite.max())
-    return lo, (lo + 1.0 if hi == lo else hi)
+    if hi == lo:
+        hi = lo + 1.0
+        if hi == lo:
+            width = abs(lo) * 2.0 ** -20
+            lo, hi = (lo, lo + width) if lo < 0 else (lo - width, lo)
+    return lo, hi
 
 
 def _runs(x, y, px, py) -> list[str]:
@@ -43,7 +51,9 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
 
     ``series`` is a list of (label, x, y) with array-likes of equal
     length; NaNs break the polyline.  The title, axis labels and series
-    labels are XML-escaped.
+    labels are XML-escaped.  The y range is padded by 4% where that
+    keeps it finite.  Raises ValueError for data wider than the float
+    range.
     """
     w, h = SIZE
     ml, mr, mt, mb = 62, 16, 34, 46  # margins
@@ -53,8 +63,11 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
               for label, x, y in series]
     x0, x1 = _span([x for _, x, _ in series])
     y0, y1 = _span([y for _, _, y in series])
+    if not math.isfinite((x1 - x0) + (y1 - y0)):
+        raise ValueError("chart data wider than the float range")
     pad = 0.04 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
+    if math.isfinite((y1 + pad) - (y0 - pad)):
+        y0, y1 = y0 - pad, y1 + pad
 
     def px(x):
         return ml + (x - x0) / (x1 - x0) * pw
@@ -72,12 +85,13 @@ def line_chart(path, series, title: str = "", xlabel: str = "",
     if title:
         parts.append(f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-size="14">{_xml_escape(title)}</text>')
-    for tx in np.linspace(x0, x1, 5):
+    # Python floats: numpy scalars' arithmetic, without numpy's overhead
+    for tx in np.linspace(x0, x1, 5).tolist():
         parts.append(f'<line x1="{px(tx):.1f}" y1="{mt + ph}" '
                      f'x2="{px(tx):.1f}" y2="{mt + ph + 4}" stroke="#444"/>')
         parts.append(f'<text x="{px(tx):.1f}" y="{mt + ph + 17}" '
                      f'text-anchor="middle">{tx:.4g}</text>')
-    for ty in np.linspace(y0, y1, 5):
+    for ty in np.linspace(y0, y1, 5).tolist():
         parts.append(f'<line x1="{ml - 4}" y1="{py(ty):.1f}" x2="{ml}" '
                      f'y2="{py(ty):.1f}" stroke="#444"/>')
         parts.append(f'<text x="{ml - 7}" y="{py(ty) + 4:.1f}" '

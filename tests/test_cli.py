@@ -597,6 +597,25 @@ class TestSimCommand:
         assert (loose / "walk_cycle_demo.csv").read_bytes() \
             == (exact / "walk_cycle_demo.csv").read_bytes()
 
+    @pytest.mark.parametrize("conf", [
+        # the chart's 4% pad takes its y span past the float range
+        "[mesh]\nrest_height_mm = 1.7e308\n[scenario:x]\nhome = 120 0 -60\n"
+        "phase_1 = a flexible 100 0 0 0\n",
+        # one tick, at a time where adding a unit rounds away
+        "[sim]\ndt_ms = 1e20\n[scenario:x]\nhome = 120 0 -60\n"
+        "phase_1 = a flexible 1e20 0 0 0\n"],
+        ids=["rest_height_near_the_float_range", "one_tick_past_2_53"])
+    def test_heights_chart_near_the_float_range_is_finite(self, tmp_path,
+                                                          capsys, conf):
+        path = tmp_path / "t.conf"
+        path.write_text(conf)
+        rc, out = run(["sim", "--scenario", "x", "--format", "both",
+                       "--config", str(path)], tmp_path)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        svg = (out / "x_heights.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+
     def test_empty_scenario_header_only(self, tmp_path):
         conf = tmp_path / "t.conf"
         conf.write_text("[scenario:noop]\nhome = 120 0 -60\n")

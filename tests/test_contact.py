@@ -539,6 +539,37 @@ BENCH_SIMS = list(itertools.product((20, 25, 30), (-120, -60, 0),
 MAX_ROUNDS, MAX_SCALAR_SOLVES = 3, 0
 
 
+def closed_columns(monkeypatch, cfg, name):
+    """The candidate columns ``leg._reaches`` closes (``_close_at``
+    calls) in a sim of scenario ``name`` on ``cfg``."""
+    chain, leg, mesh = cfg.build_chain(), cfg.build_leg(), cfg.build_mesh()
+    script = cfg.build_scenario(name, chain, mesh)
+    closed = count_calls(monkeypatch, leg_mod._Planes, "_close_at")
+    run_demo_cycle(leg, chain, mesh, script, dt_ms=cfg.value("sim", "dt_ms"),
+                   limits=cfg.build_limits(), tol_mm=cfg.value("ik", "tol_mm"))
+    monkeypatch.undo()
+    return len(closed)
+
+
+@pytest.mark.parametrize("name", ["walk_cycle", "tubed"])
+def test_reach_test_closes_one_column_by_default(monkeypatch, name):
+    # the straight-elbow arc ends go first, and one of them lands every
+    # tick: one pass, where folded-elbow ends first took two
+    assert closed_columns(monkeypatch, parse_config(""), name) == 1
+
+
+@pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
+def test_reach_test_closes_at_most_two_columns_on_bench_inputs(
+        monkeypatch, spacing, rest, name, dt):
+    # the bench moves the mesh origin up to 5 mm off (100, -50)
+    for ox, oy in [(100.0, -50.0), *itertools.product((95.5, 104.5),
+                                                      (-54.5, -45.5))]:
+        cfg = parse_config(f"[mesh]\nspacing_mm = {spacing}\n"
+                           f"rest_height_mm = {rest}\norigin_x_mm = {ox}\n"
+                           f"origin_y_mm = {oy}\n[sim]\ndt_ms = {dt}\n")
+        assert closed_columns(monkeypatch, cfg, name) <= 2, (ox, oy)
+
+
 @pytest.mark.parametrize("spacing, rest, name, dt", BENCH_SIMS)
 def test_batched_joint_path_matches_the_scalar_loop(monkeypatch, spacing,
                                                     rest, name, dt):

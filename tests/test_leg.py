@@ -1,6 +1,7 @@
 """Leg FK/IK against independent transform-product and finite-difference oracles."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 
@@ -1003,6 +1004,16 @@ class TestModelValidation:
         for limits in (LEG.lower, LEG.upper):
             with pytest.raises(ValueError):
                 limits[0] = 0.0
+
+    def test_the_default_leg_is_one_frozen_instance(self):
+        # every caller shares it, so nothing of it may change
+        assert default_leg_model() is default_leg_model()
+        # a plain function: the bench wraps a layer name only if it is one
+        assert inspect.isfunction(default_leg_model)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            default_leg_model().rows = ()
+        for name in ("lower", "upper", "_mid", "_offsets"):
+            assert not getattr(default_leg_model(), name).flags.writeable
 
     def test_needs_four_rows(self):
         rows = (DHRow(1.0),) * 3
